@@ -1,11 +1,12 @@
 """Performance benchmark harness (``repro bench``).
 
-Times the vectorised frame-level DSP against the pinned pre-vectorisation
-loops (:func:`repro.lte.ofdm.modulate_frame_loop` and friends), the
-sequence cache cold/warm behaviour, and the end-to-end
-:class:`~repro.core.system.LScatterSystem` run, then writes the numbers to
-a JSON file (``BENCH_PR7.json`` by default) so every future change has a
-perf baseline to diff against.
+Times the sequence cache cold/warm behaviour, the disabled-tracing
+overhead, the end-to-end :class:`~repro.core.system.LScatterSystem` run,
+the fleet and multi-cell paths, the streaming receiver's working set and
+the substrate dispatch cost, then writes the numbers to a JSON file
+(``BENCH_PR7.json`` by default) so every future change has a perf
+baseline to diff against.  Per-stage self times live in the separate
+``perfbench`` ledger.
 
 Timing methodology: the candidates are measured *interleaved* (one
 repetition of each per round, repeated ``repeats`` times) and the minimum
@@ -39,22 +40,16 @@ SMOKE_REPEATS = 5
 #: metrics (the warm sequence cache is ~1000x) compare on log10 so normal
 #: jitter in a huge ratio doesn't trip the gate.
 GATE_METRICS = (
-    ("ofdm.speedup.modulate", "higher", False),
-    ("ofdm.speedup.demodulate", "higher", False),
-    ("ofdm.speedup.combined", "higher", False),
-    ("cfo.speedup", "higher", False),
     ("sequence_cache.speedup", "higher", True),
     ("trace_overhead.overhead_fraction", "lower", False),
     # Multi-cell ambient sharing: a warm topology re-run must hit the
     # per-cell capture cache (missing in pre-PR6 baselines — reported,
     # not gated, against those).
     ("network.cache_hit_ratio", "higher", False),
-    # PR7: one batched cross-tag demod pass must beat the per-tag loop,
-    # and the chunked streaming receiver must hold a smaller peak demod
-    # working set than the whole-capture call.  Both sections run the
+    # PR7: the chunked streaming receiver must hold a smaller peak demod
+    # working set than the whole-capture call.  The section runs the
     # same workload in smoke and full mode, so the CI smoke run compares
     # directly against the committed full-mode baseline.
-    ("bsrx_batch.speedup", "higher", False),
     ("streaming.memory_ratio", "higher", False),
     # PR10: the pluggable-substrate refactor routes every pipeline stage
     # through a registry-dispatched object; the default chip mode's
@@ -91,54 +86,6 @@ def _interleaved_min(candidates, repeats, inner=3, timer=time.process_time):
                 thunk()
                 best[name] = min(best[name], timer() - t0)
     return best
-
-
-def _bench_ofdm(params, repeats, rng):
-    from repro.lte import ofdm
-    from repro.lte.resource_grid import ResourceGrid
-
-    grid = ResourceGrid(params)
-    shape = grid.values.shape
-    grid.values[:] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    samples = ofdm.modulate_frame(grid)
-
-    times = _interleaved_min(
-        [
-            ("modulate_vec", lambda: ofdm.modulate_frame(grid)),
-            ("modulate_loop", lambda: ofdm.modulate_frame_loop(grid)),
-            ("demodulate_vec", lambda: ofdm.demodulate_frame(params, samples)),
-            ("demodulate_loop", lambda: ofdm.demodulate_frame_loop(params, samples)),
-        ],
-        repeats,
-    )
-    combined_vec = times["modulate_vec"] + times["demodulate_vec"]
-    combined_loop = times["modulate_loop"] + times["demodulate_loop"]
-    return {
-        "seconds": times,
-        "speedup": {
-            "modulate": times["modulate_loop"] / times["modulate_vec"],
-            "demodulate": times["demodulate_loop"] / times["demodulate_vec"],
-            "combined": combined_loop / combined_vec,
-        },
-    }
-
-
-def _bench_cfo(params, repeats, rng):
-    from repro.lte import cfo
-
-    n = params.samples_per_frame
-    samples = rng.normal(size=n) + 1j * rng.normal(size=n)
-    times = _interleaved_min(
-        [
-            ("estimate_vec", lambda: cfo.estimate_cfo(samples, params)),
-            ("estimate_loop", lambda: cfo.estimate_cfo_loop(samples, params)),
-        ],
-        repeats,
-    )
-    return {
-        "seconds": times,
-        "speedup": times["estimate_loop"] / times["estimate_vec"],
-    }
 
 
 def _bench_sequences(params):
@@ -280,75 +227,6 @@ def _bench_network(smoke):
         "ambient_transmit_calls": transmits,
         "cache_hit_ratio": (requests - transmits) / max(requests, 1),
         "aggregate_goodput_bps": report.aggregate_goodput_bps,
-    }
-
-
-def _bench_bsrx_batch(smoke):
-    """Batched cross-tag demod vs the per-tag loop on identical captures.
-
-    Six tags ride one shared 1.4 MHz, 2-frame ambient (each with its own
-    seed, so sync errors, channels, and noise differ per tag); the
-    per-tag candidate demodulates them one at a time, the batched
-    candidate stacks all six into one
-    :meth:`~repro.bsrx.demodulator.BackscatterDemodulator.demodulate_many`
-    pass.  The results are asserted bit-identical before any timing.
-
-    The workload is the same in smoke and full mode, so the CI smoke run
-    is directly comparable to the committed full-mode baseline.  Timing
-    is wall-clock: the batched pass fans FFT rows across cores
-    (``scipy.fft`` workers), which ``process_time`` would book as *more*
-    CPU rather than less time.
-    """
-    from repro.core import LScatterSystem, SystemConfig
-    from repro.fleet.ambient import AmbientCache
-
-    n_tags = 6
-    config = SystemConfig(
-        bandwidth_mhz=1.4,
-        n_frames=2,
-        reference_mode="genie",
-        sync_mode="model",
-    )
-    with AmbientCache() as cache:
-        ambient = cache.get(config, 0)
-        systems = [LScatterSystem(config, rng=100 + t) for t in range(n_tags)]
-        fronts = [
-            system.run_frontend(payload_length=2000, ambient=ambient)
-            for system in systems
-        ]
-    shifted = np.stack([front.shifted_rx for front in fronts])
-    references = np.stack([front.reference for front in fronts])
-    half_starts = fronts[0].half_starts
-    demod = systems[0].demodulator
-
-    def per_tag():
-        return [
-            demod.demodulate(shifted[t], references[t], half_starts)
-            for t in range(n_tags)
-        ]
-
-    def batched():
-        return demod.demodulate_many(shifted, references, half_starts)
-
-    equal = all(
-        np.array_equal(s.bits, b.bits)
-        and np.array_equal(s.soft, b.soft)
-        and np.array_equal(s.starts, b.starts)
-        for s, b in zip(per_tag(), batched())
-    )
-    assert equal, "batched cross-tag demod diverged from the per-tag loop"
-    times = _interleaved_min(
-        [("per_tag", per_tag), ("batched", batched)],
-        repeats=3,
-        inner=1,
-        timer=time.perf_counter,
-    )
-    return {
-        "config": f"{n_tags} tags, 1.4 MHz, 2 frames, genie reference",
-        "wall_seconds": times,
-        "equal_results": bool(equal),
-        "speedup": times["per_tag"] / times["batched"],
-        "tags_per_second": n_tags / max(times["batched"], 1e-12),
     }
 
 
@@ -595,14 +473,11 @@ def run_bench(output="BENCH_PR7.json", bandwidth=None, repeats=None, smoke=False
             "machine": platform.machine(),
             "system": platform.system(),
         },
-        "ofdm": _bench_ofdm(params, repeats, rng),
-        "cfo": _bench_cfo(params, repeats, rng),
         "sequence_cache": _bench_sequences(params),
         "trace_overhead": _bench_trace_overhead(params, repeats, rng),
         "end_to_end": _bench_end_to_end(repeats, smoke),
         "fleet": _bench_fleet(smoke),
         "network": _bench_network(smoke),
-        "bsrx_batch": _bench_bsrx_batch(smoke),
         "streaming": _bench_streaming(smoke),
         "substrate": _bench_substrate(repeats),
         "cache_stats": cache_stats(),
@@ -738,18 +613,9 @@ def load_baseline(path):
 
 def format_summary(results):
     """Human-readable one-screen summary of :func:`run_bench` output."""
-    ofdm = results["ofdm"]
     lines = [
         f"bandwidth        : {results['bandwidth_mhz']} MHz "
         f"({results['mode']}, min of {results['repeats']})",
-        f"modulate_frame   : {ofdm['seconds']['modulate_loop'] * 1e3:8.3f} ms loop"
-        f" -> {ofdm['seconds']['modulate_vec'] * 1e3:8.3f} ms vec"
-        f"  ({ofdm['speedup']['modulate']:.2f}x)",
-        f"demodulate_frame : {ofdm['seconds']['demodulate_loop'] * 1e3:8.3f} ms loop"
-        f" -> {ofdm['seconds']['demodulate_vec'] * 1e3:8.3f} ms vec"
-        f"  ({ofdm['speedup']['demodulate']:.2f}x)",
-        f"combined         : {ofdm['speedup']['combined']:.2f}x",
-        f"estimate_cfo     : {results['cfo']['speedup']:.2f}x",
         f"sequence cache   : {results['sequence_cache']['speedup']:.1f}x warm",
         f"trace overhead   : "
         f"{results['trace_overhead']['overhead_fraction'] * 100:+.2f}% disabled",
@@ -765,9 +631,6 @@ def format_summary(results):
         f"ambient cache hit ratio "
         f"{results['network']['cache_hit_ratio']:.0%} "
         f"({results['network']['config']})",
-        f"bsrx batch       : {results['bsrx_batch']['speedup']:.2f}x vs per-tag, "
-        f"{results['bsrx_batch']['tags_per_second']:.1f} tags/s "
-        f"({results['bsrx_batch']['config']})",
         f"streaming demod  : {results['streaming']['memory_ratio']:.1f}x smaller "
         f"peak working set "
         f"({results['streaming']['config']})",

@@ -29,21 +29,26 @@ the UE's normal LTE decode of the direct path: the UE re-encodes the
 transport blocks it just decoded and re-synthesises the time-domain frame.
 The end-to-end system (:mod:`repro.core.system`) wires that in.
 
-Three entry points share one per-half-frame core:
+One kernel, :meth:`BackscatterDemodulator._demod_half_frame`, demodulates
+one half-frame of a ``(n_tags, n_samples)`` stack.  Symbol offsets built
+once per numerology gather every tag's 2 sounding, 10 preamble and 58
+data symbols; each hypothesis then runs once over all (tag, packet) rows
+and each equalisation once over all (tag, window) rows.  Every entry
+point reaches that kernel:
 
-* :meth:`BackscatterDemodulator.demodulate` — one tag, whole capture;
+* :meth:`BackscatterDemodulator.demodulate` — one tag, whole capture, as
+  a one-row stack;
 * :meth:`BackscatterDemodulator.demodulate_many` — every tag riding one
-  shared ambient capture at once, stacked along a leading tag axis so
-  the FFT/convolution work runs as batched transforms (bit-identical to
-  per-tag :meth:`~BackscatterDemodulator.demodulate`);
+  shared ambient capture at once;
 * :class:`repro.bsrx.streaming.StreamingDemodulator` — chunked
   consumption of arbitrarily long captures in bounded memory.
 
 A capture whose tail is shorter than a full half-frame (every streaming
-chunk boundary, and any externally truncated recording) is handled
-explicitly: packets whose sounding/preamble/data symbols run past the end
-emit erasure windows (placeholder bits the accounting layer excludes)
-instead of being silently dropped mid-grid.
+chunk boundary, and any externally truncated recording) goes through the
+same kernel: per-packet and per-window "fits" masks select the symbols
+that lie inside the capture, and packets whose sounding/preamble/data
+symbols run past the end emit erasure windows (placeholder bits the
+accounting layer excludes) instead of being silently dropped mid-grid.
 """
 
 from __future__ import annotations
@@ -51,18 +56,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.bsrx.equalizer import (
-    equalize_symbol,
-    equalize_symbol_batch,
-    estimate_channel_from_known,
-    estimate_channel_from_known_batch,
-)
-from repro.bsrx.mod_offset import (
-    OffsetEstimate,
-    find_modulation_offset,
-    find_modulation_offset_batch,
-)
+from repro.bsrx.equalizer import equalize_symbol, estimate_channel_from_known
+from repro.bsrx.mod_offset import find_modulation_offset
 from repro.lte.ofdm import frame_layout, row_fft, row_ifft
 from repro.lte.params import LteParams
 from repro.lte.pss import PSS_SYMBOL_IN_SLOT
@@ -71,6 +68,10 @@ from repro.lte.sss import SSS_SYMBOL_IN_SLOT
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.tag.framing import preamble_bits, slot_plan
+
+#: Packet models, indexed by the kernel's per-packet model codes.
+_MODELS = ("truncated", "erased", "post-eq", "predistort")
+_TRUNCATED, _ERASED, _POST_EQ, _PREDISTORT = range(len(_MODELS))
 
 
 def window_snr_db(soft, reference_power=None):
@@ -89,20 +90,25 @@ def window_snr_db(soft, reference_power=None):
     chip power as ``reference_power`` to divide it out first; the
     normalised values cluster at ``±b`` per chip and the proxy then
     measures link corruption, not ambient amplitude statistics.
+
+    Works along the last axis: a ``(..., n_chips)`` stack of windows
+    returns one SNR per row, a single window a float.
     """
     soft = np.asarray(soft, dtype=float)
-    if len(soft) == 0:
-        return float("-inf")
+    if soft.shape[-1] == 0:
+        snr = np.full(soft.shape[:-1], -np.inf)
+        return float(snr) if snr.ndim == 0 else snr
     if reference_power is not None:
         reference_power = np.asarray(reference_power, dtype=float)
-        floor = 1e-12 * float(np.mean(reference_power))
-        soft = soft / np.maximum(reference_power, floor if floor > 0 else 1.0)
-    amplitude = float(np.mean(np.abs(soft)))
-    if amplitude == 0.0:
-        return float("-inf")
-    power = float(np.mean(soft**2))
-    noise = max(power - amplitude**2, 1e-12 * power)
-    return float(10.0 * np.log10(amplitude**2 / noise))
+        floor = 1e-12 * np.mean(reference_power, axis=-1, keepdims=True)
+        soft = soft / np.maximum(reference_power, np.where(floor > 0, floor, 1.0))
+    amplitude = np.mean(np.abs(soft), axis=-1)
+    power = np.mean(soft**2, axis=-1)
+    noise = np.maximum(power - amplitude**2, 1e-12 * power)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        snr = 10.0 * np.log10(amplitude**2 / noise)
+    snr = np.where(amplitude == 0.0, -np.inf, snr)
+    return float(snr) if snr.ndim == 0 else snr
 
 
 @dataclass
@@ -145,14 +151,13 @@ class _DemodSink:
     """Accumulates one capture's windows/packets across half-frame calls.
 
     ``base`` is added to every emitted sample index — the streaming path
-    hands the core a chunk-local view and shifts results back to absolute
-    capture coordinates through it.
+    hands the kernel a chunk-local view and shifts results back to
+    absolute capture coordinates through it.
     """
 
     __slots__ = (
         "base",
-        "all_bits",
-        "all_soft",
+        "window_soft",
         "starts",
         "window_bits",
         "window_erased",
@@ -162,27 +167,26 @@ class _DemodSink:
 
     def __init__(self):
         self.base = 0
-        self.all_bits = []
-        self.all_soft = []
+        self.window_soft = []
         self.starts = []
         self.window_bits = []
         self.window_erased = []
         self.packets = []
         self.truncated_windows = 0
 
-    def add_window(self, bits, soft, start, erased, record):
-        absolute = self.base + int(start)
-        self.all_bits.append(bits)
-        self.all_soft.append(soft)
-        self.window_bits.append(bits)
-        self.window_erased.append(erased)
-        self.starts.append(absolute)
-        record.data_starts.append(absolute)
+    def add_windows(self, record, starts, bits, soft, erased):
+        """Append one packet's consecutive windows (rows of ``bits``/``soft``)."""
+        absolute = (self.base + starts).tolist()
+        self.window_bits.extend(bits)
+        self.window_soft.extend(soft)
+        self.window_erased.extend(erased.tolist())
+        self.starts.extend(absolute)
+        record.data_starts.extend(absolute)
 
     def result(self):
-        if self.all_bits:
-            bits = np.concatenate(self.all_bits)
-            soft = np.concatenate(self.all_soft)
+        if self.window_bits:
+            bits = np.concatenate(self.window_bits)
+            soft = np.concatenate(self.window_soft)
         else:
             bits = np.zeros(0, dtype=np.int8)
             soft = np.zeros(0)
@@ -201,6 +205,11 @@ class _DemodSink:
             window_erased=self.window_erased,
             packets=self.packets,
         )
+
+
+def _take(samples, rows, starts, width):
+    """``samples[row, start : start + width]`` for broadcast (row, start) pairs."""
+    return sliding_window_view(samples, width, axis=-1)[rows, starts]
 
 
 class BackscatterDemodulator:
@@ -237,237 +246,34 @@ class BackscatterDemodulator:
         #: healthy packet then feeds the ARQ path instead of the BER.
         #: ``None`` (default) disables the gate (bit-identical legacy).
         self.snr_gate_db = float(snr_gate_db) if snr_gate_db is not None else None
-        # Cached per-frame symbol layout: the inner loops below look up a
-        # useful-symbol offset per symbol per packet, which was an O(sym)
-        # Python walk through LteParams.useful_start.
-        self._useful_starts = frame_layout(self.params).useful_starts
+
+        # Half-frame geometry, built once: useful-symbol starts relative to
+        # the half-frame start of the 2 sounding symbols (SSS, PSS), the 10
+        # packet preambles and the 58 data windows, each in time order.
+        fft = self.params.fft_size
+        useful_starts = frame_layout(self.params).useful_starts
+        plan = slot_plan()
+
+        def starts(pairs):
+            return useful_starts[[symbol_index(*pair) for pair in pairs]]
+
+        sounding = [(0, SSS_SYMBOL_IN_SLOT), (0, PSS_SYMBOL_IN_SLOT)]
+        self._sounding_starts = starts(sounding)
+        self._preamble_starts = starts([packet[0] for packet in plan])
+        self._window_starts = starts(
+            [pair for packet in plan for pair in packet[1:]]
+        )
+        self._packet_slots = [packet[0][0] for packet in plan]
+        windows_per_packet = [len(packet) - 1 for packet in plan]
+        #: Packet of every data window, and each packet's window range.
+        self._window_packet = np.repeat(np.arange(len(plan)), windows_per_packet)
+        bounds = np.cumsum([0] + windows_per_packet).tolist()
+        self._packet_windows = list(zip(bounds[:-1], bounds[1:]))
+        self._chip_cols = np.arange(self.n_chips)
         #: Samples one half-frame's demodulation reaches past its start
         #: (the end of slot 9's last useful symbol == the half-frame
         #: stride, so consecutive half-frames tile the capture exactly).
-        self.half_frame_span = (
-            int(self._useful_starts[symbol_index(9, 6)]) + self.params.fft_size
-        )
-
-    # -- window helpers ----------------------------------------------------------
-
-    def _useful(self, samples, half_start, slot, sym):
-        start = half_start + int(self._useful_starts[symbol_index(slot, sym)])
-        return samples[start : start + self.params.fft_size], start
-
-    def _chip_waveform(self, offset):
-        """±1 chips over one useful symbol: preamble at ``offset``, idle +1."""
-        chips = np.ones(self.params.fft_size)
-        chips[offset : offset + self.n_chips] = self._preamble_signs
-        return chips
-
-    def _chip_waveform_batch(self, offsets):
-        """Per-tag ±1 chip waveforms: row ``t``'s preamble at ``offsets[t]``."""
-        offsets = np.asarray(offsets)
-        chips = np.ones((len(offsets), self.params.fft_size))
-        cols = offsets[:, None] + np.arange(self.n_chips)
-        chips[np.arange(len(offsets))[:, None], cols] = self._preamble_signs
-        return chips
-
-    def _cascade_channel(self, shifted, reference, half_start):
-        """Sound the cascade on the tag's unmodulated PSS/SSS reflection."""
-        estimates = []
-        for sym in (SSS_SYMBOL_IN_SLOT, PSS_SYMBOL_IN_SLOT):
-            y, _ = self._useful(shifted, half_start, 0, sym)
-            x, _ = self._useful(reference, half_start, 0, sym)
-            estimates.append(estimate_channel_from_known(y, x))
-        return np.mean(estimates, axis=0)
-
-    def _predistorted(self, x, cascade):
-        """Reference as the tag would have seen it: cascade-filtered ambient."""
-        return np.fft.ifft(np.fft.fft(x) * cascade)
-
-    # -- per-packet models --------------------------------------------------------
-
-    def _preamble_error_count(self, soft):
-        bits = (soft > 0).astype(np.int8)
-        return int(np.sum(bits != self._preamble))
-
-    def _model_post_eq(self, y0, x0):
-        """Hypothesis A: flat in-hop; preamble sounds the out-hop channel."""
-        estimate = find_modulation_offset(
-            y0, x0, self._preamble, self.nominal_offset, self.search_slack
-        )
-        expected = x0 * self._chip_waveform(estimate.offset)
-        channel = estimate_channel_from_known(y0, expected)
-        y_eq = equalize_symbol(y0, channel)
-        lo, hi = estimate.offset, estimate.offset + self.n_chips
-        soft = np.real(y_eq[lo:hi] * np.conj(x0[lo:hi]))
-        errors = self._preamble_error_count(soft)
-        return estimate, channel, errors
-
-    def _model_predistort(self, y0, x0, cascade):
-        """Hypothesis B: flat out-hop; reference carries the cascade."""
-        w0 = self._predistorted(x0, cascade)
-        estimate = find_modulation_offset(
-            y0, w0, self._preamble, self.nominal_offset, self.search_slack
-        )
-        lo, hi = estimate.offset, estimate.offset + self.n_chips
-        soft = np.real(
-            np.conj(estimate.gain) * y0[lo:hi] * np.conj(w0[lo:hi])
-        )
-        errors = self._preamble_error_count(soft)
-        return estimate, errors
-
-    # -- truncated-tail handling --------------------------------------------------
-
-    def _emit_erased_window(self, sink, record, window_start):
-        bits = np.zeros(self.n_chips, dtype=np.int8)
-        sink.add_window(bits, np.zeros(self.n_chips), window_start, True, record)
-
-    def _emit_truncated_packet(self, sink, slot_symbols, half_start, limit):
-        """Erase a packet whose sounding or preamble ran past the capture.
-
-        Only windows that start inside the capture are emitted (a window
-        entirely beyond the recording never existed as far as accounting
-        is concerned); each counts as an erasure, not a loss of sync.
-        """
-        slot = slot_symbols[0][0]
-        record = PacketRecord(
-            half_frame_start=sink.base + int(half_start),
-            slot=slot,
-            offset=self.nominal_offset,
-            gain=0j,
-            metric=0.0,
-            model="truncated",
-            preamble_errors=self.n_chips,
-        )
-        for slot_, sym in slot_symbols[1:]:
-            abs_start = half_start + int(self._useful_starts[symbol_index(slot_, sym)])
-            window_start = abs_start + self.nominal_offset
-            if window_start >= limit:
-                continue
-            self._emit_erased_window(sink, record, window_start)
-            sink.truncated_windows += 1
-        if record.data_starts:
-            sink.packets.append(record)
-
-    # -- per-half-frame core ------------------------------------------------------
-
-    def _demod_half_frame(self, shifted, reference, half_start, limit, sink):
-        """Demodulate one half-frame of a (possibly chunk-local) capture.
-
-        ``limit`` is the number of valid samples in ``shifted``/
-        ``reference``; a half-frame reaching past it is the truncated-tail
-        case — packets that still fit demodulate normally, the rest emit
-        erasure windows.  Emitted indices are shifted by ``sink.base``.
-        """
-        if half_start < 0:
-            return None
-        fft = self.params.fft_size
-        sounding_end = (
-            half_start
-            + int(self._useful_starts[symbol_index(0, PSS_SYMBOL_IN_SLOT)])
-            + fft
-        )
-        have_sounding = sounding_end <= limit
-        cascade = None
-        if have_sounding:
-            with span("bsrx.sync"):
-                cascade = self._cascade_channel(shifted, reference, half_start)
-        for slot_symbols in slot_plan():
-            slot, sym0 = slot_symbols[0]
-            pre_start = half_start + int(
-                self._useful_starts[symbol_index(slot, sym0)]
-            )
-            if not have_sounding or pre_start + fft > limit:
-                self._emit_truncated_packet(sink, slot_symbols, half_start, limit)
-                continue
-            y0, _ = self._useful(shifted, half_start, slot, sym0)
-            x0, _ = self._useful(reference, half_start, slot, sym0)
-
-            with span("bsrx.phase_offset"):
-                est_a, channel_a, errors_a = self._model_post_eq(y0, x0)
-                est_b, errors_b = self._model_predistort(y0, x0, cascade)
-
-            preamble_errors = min(errors_a, errors_b)
-            if (
-                self.erasure_threshold is not None
-                and preamble_errors > self.erasure_threshold * self.n_chips
-            ):
-                # Preamble correlation collapsed: sync is lost for this
-                # packet.  Emit its data windows as erasures (nominal
-                # offset, placeholder bits) so the accounting layer can
-                # exclude them, then continue at the next packet — the
-                # half-frame grid is PSS-derived, so the next boundary
-                # is the re-acquisition point.
-                record = PacketRecord(
-                    half_frame_start=sink.base + int(half_start),
-                    slot=slot,
-                    offset=self.nominal_offset,
-                    gain=0j,
-                    metric=0.0,
-                    model="erased",
-                    preamble_errors=preamble_errors,
-                )
-                for slot_, sym in slot_symbols[1:]:
-                    abs_start = half_start + int(
-                        self._useful_starts[symbol_index(slot_, sym)]
-                    )
-                    window_start = abs_start + self.nominal_offset
-                    if window_start >= limit:
-                        continue
-                    self._emit_erased_window(sink, record, window_start)
-                sink.packets.append(record)
-                continue
-
-            use_post_eq = errors_a <= errors_b
-            estimate = est_a if use_post_eq else est_b
-            record = PacketRecord(
-                half_frame_start=sink.base + int(half_start),
-                slot=slot,
-                offset=estimate.offset,
-                gain=estimate.gain,
-                metric=estimate.metric,
-                model="post-eq" if use_post_eq else "predistort",
-                preamble_errors=min(errors_a, errors_b),
-            )
-            derotate_b = np.conj(est_b.gain)
-            for slot_, sym in slot_symbols[1:]:
-                abs_start = half_start + int(
-                    self._useful_starts[symbol_index(slot_, sym)]
-                )
-                if abs_start + fft > limit:
-                    # Data symbol truncated mid-packet: erase it rather
-                    # than slicing a short window into garbage bits.
-                    window_start = abs_start + self.nominal_offset
-                    if window_start < limit:
-                        self._emit_erased_window(sink, record, window_start)
-                        sink.truncated_windows += 1
-                    continue
-                y, _ = self._useful(shifted, half_start, slot_, sym)
-                x, _ = self._useful(reference, half_start, slot_, sym)
-                lo = estimate.offset
-                hi = lo + self.n_chips
-                with span("bsrx.equalise"):
-                    if use_post_eq:
-                        y_eq = equalize_symbol(y, channel_a)
-                        soft = np.real(y_eq[lo:hi] * np.conj(x[lo:hi]))
-                    else:
-                        w = self._predistorted(x, cascade)
-                        soft = np.real(
-                            derotate_b * y[lo:hi] * np.conj(w[lo:hi])
-                        )
-                if (
-                    self.snr_gate_db is not None
-                    and window_snr_db(soft, np.abs(x[lo:hi]) ** 2)
-                    < self.snr_gate_db
-                ):
-                    # SNR-gated erasure escalation: a jammed data symbol
-                    # inside an otherwise healthy packet becomes an
-                    # erasure (ARQ-visible) instead of garbage bits.
-                    self._emit_erased_window(sink, record, abs_start + lo)
-                    obs_metrics.counter_inc("bsrx.snr_erasures")
-                    continue
-                with span("bsrx.demod"):
-                    bits = (soft > 0).astype(np.int8)
-                sink.add_window(bits, soft, abs_start + lo, False, record)
-            sink.packets.append(record)
-        return cascade
+        self.half_frame_span = int(useful_starts[symbol_index(9, 6)]) + fft
 
     # -- main entries --------------------------------------------------------------
 
@@ -475,20 +281,17 @@ class BackscatterDemodulator:
         """Run the pipeline over every packet of a capture.
 
         ``half_frame_starts`` are the UE's (PSS-derived) half-frame
-        boundaries, sample indices into both input arrays.
+        boundaries, sample indices into both input arrays.  The capture is
+        a one-row :meth:`demodulate_many` stack.
         """
         shifted_samples = np.asarray(shifted_samples, dtype=complex)
         ambient_reference = np.asarray(ambient_reference, dtype=complex)
         if shifted_samples.shape != ambient_reference.shape:
             raise ValueError("capture and reference must be sample-aligned")
-
-        sink = _DemodSink()
-        limit = len(shifted_samples)
-        for half_start in half_frame_starts:
-            self._demod_half_frame(
-                shifted_samples, ambient_reference, int(half_start), limit, sink
-            )
-        return sink.result()
+        (result,) = self.demodulate_many(
+            shifted_samples[None], ambient_reference[None], half_frame_starts
+        )
+        return result
 
     def demodulate_many(self, shifted_stack, reference_stack, half_frame_starts):
         """Demodulate every tag riding one shared ambient capture at once.
@@ -496,14 +299,10 @@ class BackscatterDemodulator:
         ``shifted_stack``/``reference_stack`` are ``(n_tags, n_samples)``
         stacks — row ``t`` is what tag ``t``'s UE captured and
         reconstructed.  All tags share the PSS-derived half-frame grid of
-        the common ambient, so the per-symbol FFTs, channel estimates,
+        the common ambient, so each half-frame's FFTs, channel estimates,
         offset searches and matched filters run as single batched
-        transforms with a leading tag axis.
-
-        Returns one :class:`BsDemodResult` per row, each bit-identical to
-        ``demodulate(shifted_stack[t], reference_stack[t], ...)`` (the
-        batched helpers are row-for-row the same pocketfft transforms;
-        golden tests pin the equality).
+        transforms over every tag.  Returns one :class:`BsDemodResult` per
+        row; a row's result does not depend on the other rows.
         """
         shifted_stack = np.asarray(shifted_stack, dtype=complex)
         reference_stack = np.asarray(reference_stack, dtype=complex)
@@ -512,188 +311,208 @@ class BackscatterDemodulator:
         if shifted_stack.shape != reference_stack.shape:
             raise ValueError("captures and references must be sample-aligned")
 
-        n_tags, limit = shifted_stack.shape
-        sinks = [_DemodSink() for _ in range(n_tags)]
+        sinks = [_DemodSink() for _ in range(shifted_stack.shape[0])]
         for half_start in half_frame_starts:
             half_start = int(half_start)
-            if half_start < 0:
-                continue
-            if half_start + self.half_frame_span > limit:
-                # Truncated tail: the bookkeeping dominates the math here,
-                # so run the scalar core per tag (identical by
-                # construction).
-                for t in range(n_tags):
-                    self._demod_half_frame(
-                        shifted_stack[t], reference_stack[t], half_start, limit,
-                        sinks[t],
-                    )
-                continue
-            self._demod_half_frame_batch(
-                shifted_stack, reference_stack, half_start, sinks
-            )
+            if half_start >= 0:
+                self._demod_half_frame(
+                    shifted_stack, reference_stack, half_start, sinks
+                )
         return [sink.result() for sink in sinks]
 
-    # -- batched per-half-frame core ----------------------------------------------
+    # -- the kernel ----------------------------------------------------------------
 
-    def _demod_half_frame_batch(self, shifted, reference, half_start, sinks):
-        """One full half-frame for every tag, stacked along axis 0."""
-        fft = self.params.fft_size
-        n_tags = shifted.shape[0]
-        rows = np.arange(n_tags)
-        with span("bsrx.sync"):
-            estimates = []
-            for sym in (SSS_SYMBOL_IN_SLOT, PSS_SYMBOL_IN_SLOT):
-                start = half_start + int(self._useful_starts[symbol_index(0, sym)])
-                estimates.append(
-                    estimate_channel_from_known_batch(
-                        shifted[:, start : start + fft],
-                        reference[:, start : start + fft],
-                    )
+    def _chip_waveforms(self, offsets):
+        """±1 chips over useful symbols: the preamble at ``offsets``, idle +1."""
+        chips = np.ones(offsets.shape + (self.params.fft_size,))
+        cols = offsets[..., None] + self._chip_cols
+        np.put_along_axis(chips, cols, self._preamble_signs, axis=-1)
+        return chips
+
+    def _preamble_errors(self, soft):
+        return np.count_nonzero((soft > 0) != self._preamble, axis=-1)
+
+    def _demod_half_frame(self, shifted, reference, half_start, sinks):
+        """Demodulate one half-frame for every row of a ``(n_tags, n)`` stack.
+
+        A half-frame reaching past the end of the stack is the truncated-
+        tail case: packets whose sounding and preamble fit demodulate
+        normally, the rest emit erasure windows.  Only symbols that fit
+        are ever read.  Emitted indices are shifted by each sink's
+        ``base``.  Returns the ``(n_tags, fft_size)`` cascade soundings,
+        or ``None`` when the PSS sounding runs past the stack.
+        """
+        n_tags, limit = shifted.shape
+        fft, n_chips = self.params.fft_size, self.n_chips
+        n_packets = len(self._packet_slots)
+        window_packet = self._window_packet
+        data_starts = half_start + self._window_starts
+        nominal_starts = data_starts + self.nominal_offset
+        # Symbols are in time order, so the packets and windows that fit
+        # are prefixes.  Every packet also needs the PSS sounding, which
+        # follows packet 0's preamble.
+        window_fits = data_starts + fft <= limit
+        n_fit = 0
+        if half_start + self._sounding_starts[-1] + fft <= limit:
+            preamble_ends = half_start + self._preamble_starts + fft
+            n_fit = int(np.count_nonzero(preamble_ends <= limit))
+
+        # Per (tag, packet) decisions; packets that do not fit keep these.
+        model = np.full((n_tags, n_packets), _TRUNCATED)
+        offset = np.full((n_tags, n_packets), self.nominal_offset)
+        gain = np.zeros((n_tags, n_packets), dtype=complex)
+        metric = np.zeros((n_tags, n_packets))
+        errors = np.full((n_tags, n_packets), n_chips)
+        soft = np.zeros((n_tags, len(window_packet), n_chips))
+        bits = np.zeros(soft.shape, dtype=np.int8)
+        live = np.zeros(soft.shape[:2], dtype=bool)
+        gated = np.zeros_like(live)
+        cascade = None
+        if n_fit:
+            rows = np.arange(n_tags)[:, None]
+            with span("bsrx.sync"):
+                # Sound the cascade on the tag's unmodulated SSS/PSS reflection.
+                starts = half_start + self._sounding_starts
+                sounding = estimate_channel_from_known(
+                    _take(shifted, rows, starts, fft),
+                    _take(reference, rows, starts, fft),
                 )
-            cascade = np.mean(estimates, axis=0)
-
-        for slot_symbols in slot_plan():
-            slot, sym0 = slot_symbols[0]
-            p0 = half_start + int(self._useful_starts[symbol_index(slot, sym0)])
-            y0 = shifted[:, p0 : p0 + fft]
-            x0 = reference[:, p0 : p0 + fft]
-
+                cascade = np.mean(sounding, axis=1)
+            starts = half_start + self._preamble_starts[:n_fit]
+            y0 = _take(shifted, rows, starts, fft)
+            x0 = _take(reference, rows, starts, fft)
             with span("bsrx.phase_offset"):
-                # Hypothesis A (post-EQ) for every tag at once.
-                est_a = find_modulation_offset_batch(
+                # Hypothesis A: flat in-hop; the preamble sounds the out-hop.
+                est_a = find_modulation_offset(
                     y0, x0, self._preamble, self.nominal_offset, self.search_slack
                 )
-                expected = x0 * self._chip_waveform_batch(est_a.offsets)
-                channel_a = estimate_channel_from_known_batch(y0, expected)
-                y_eq = equalize_symbol_batch(y0, channel_a)
-                cols_a = est_a.offsets[:, None] + np.arange(self.n_chips)
+                expected = np.multiply(x0, self._chip_waveforms(est_a.offset))
+                channel_a = estimate_channel_from_known(y0, expected)
+                cols = est_a.offset[..., None] + self._chip_cols
                 soft_a = np.real(
-                    y_eq[rows[:, None], cols_a] * np.conj(x0[rows[:, None], cols_a])
+                    np.multiply(
+                        np.take_along_axis(equalize_symbol(y0, channel_a), cols, -1),
+                        np.conj(np.take_along_axis(x0, cols, -1)),
+                    )
                 )
-                errors_a = np.sum(
-                    (soft_a > 0).astype(np.int8) != self._preamble, axis=1
-                )
-
-                # Hypothesis B (pre-distorted reference) for every tag.
-                w0 = row_ifft(row_fft(x0) * cascade)
-                est_b = find_modulation_offset_batch(
+                # Hypothesis B: flat out-hop; the reference carries the cascade.
+                w0 = row_ifft(np.multiply(row_fft(x0), cascade[:, None]))
+                est_b = find_modulation_offset(
                     y0, w0, self._preamble, self.nominal_offset, self.search_slack
                 )
-                cols_b = est_b.offsets[:, None] + np.arange(self.n_chips)
+                derotate_b = np.conj(est_b.gain)
+                cols = est_b.offset[..., None] + self._chip_cols
                 soft_b = np.real(
-                    np.conj(est_b.gains)[:, None]
-                    * y0[rows[:, None], cols_b]
-                    * np.conj(w0[rows[:, None], cols_b])
+                    np.multiply(
+                        np.multiply(
+                            derotate_b[..., None], np.take_along_axis(y0, cols, -1)
+                        ),
+                        np.conj(np.take_along_axis(w0, cols, -1)),
+                    )
                 )
-                errors_b = np.sum(
-                    (soft_b > 0).astype(np.int8) != self._preamble, axis=1
-                )
-
-            preamble_errors = np.minimum(errors_a, errors_b)
+            errors_a = self._preamble_errors(soft_a)
+            errors_b = self._preamble_errors(soft_b)
             use_post = errors_a <= errors_b
+            decided = np.where(use_post, _POST_EQ, _PREDISTORT)
+            errors[:, :n_fit] = np.minimum(errors_a, errors_b)
             if self.erasure_threshold is not None:
-                erased = preamble_errors > self.erasure_threshold * self.n_chips
-            else:
-                erased = np.zeros(n_tags, dtype=bool)
+                # Preamble correlation collapsed: sync is lost for this
+                # packet.  Its data windows become erasures (nominal
+                # offset, placeholder bits) and demodulation re-acquires
+                # at the next PSS-derived half-frame boundary.
+                lost = errors[:, :n_fit] > self.erasure_threshold * n_chips
+                decided[lost] = _ERASED
+            chosen = decided != _ERASED
+            model[:, :n_fit] = decided
+            offset[:, :n_fit] = np.where(
+                chosen,
+                np.where(use_post, est_a.offset, est_b.offset),
+                self.nominal_offset,
+            )
+            gain[:, :n_fit] = np.where(
+                chosen, np.where(use_post, est_a.gain, est_b.gain), 0j
+            )
+            metric[:, :n_fit] = np.where(
+                chosen, np.where(use_post, est_a.metric, est_b.metric), 0.0
+            )
 
-            records = [None] * n_tags
-            for t in range(n_tags):
-                sink = sinks[t]
-                if erased[t]:
-                    record = PacketRecord(
-                        half_frame_start=sink.base + half_start,
-                        slot=slot,
-                        offset=self.nominal_offset,
-                        gain=0j,
-                        metric=0.0,
-                        model="erased",
-                        preamble_errors=int(preamble_errors[t]),
-                    )
-                    for slot_, sym in slot_symbols[1:]:
-                        abs_start = half_start + int(
-                            self._useful_starts[symbol_index(slot_, sym)]
+            window_model = model[:, window_packet]
+            live = (window_model >= _POST_EQ) & window_fits
+            chip_starts = data_starts + offset[:, window_packet]
+            with span("bsrx.equalise"):
+                tags, wins = np.nonzero(live & (window_model == _POST_EQ))
+                if len(tags):
+                    packets = window_packet[wins]
+                    y = _take(shifted, tags, data_starts[wins], fft)
+                    y_eq = equalize_symbol(y, channel_a[tags, packets])
+                    cols = offset[tags, packets][:, None] + self._chip_cols
+                    x_chips = _take(reference, tags, chip_starts[tags, wins], n_chips)
+                    soft[tags, wins] = np.real(
+                        np.multiply(
+                            np.take_along_axis(y_eq, cols, -1), np.conj(x_chips)
                         )
-                        self._emit_erased_window(
-                            sink, record, abs_start + self.nominal_offset
-                        )
-                    sink.packets.append(record)
-                else:
-                    est = est_a if use_post[t] else est_b
-                    records[t] = PacketRecord(
-                        half_frame_start=sink.base + half_start,
-                        slot=slot,
-                        offset=int(est.offsets[t]),
-                        gain=complex(est.gains[t]),
-                        metric=float(est.metrics[t]),
-                        model="post-eq" if use_post[t] else "predistort",
-                        preamble_errors=int(preamble_errors[t]),
                     )
+                tags, wins = np.nonzero(live & (window_model == _PREDISTORT))
+                if len(tags):
+                    packets = window_packet[wins]
+                    x = _take(reference, tags, data_starts[wins], fft)
+                    w = row_ifft(np.multiply(row_fft(x), cascade[tags]))
+                    cols = offset[tags, packets][:, None] + self._chip_cols
+                    y_chips = _take(shifted, tags, chip_starts[tags, wins], n_chips)
+                    soft[tags, wins] = np.real(
+                        np.multiply(
+                            np.multiply(derotate_b[tags, packets][:, None], y_chips),
+                            np.conj(np.take_along_axis(w, cols, -1)),
+                        )
+                    )
+            if self.snr_gate_db is not None and live.any():
+                # SNR-gated erasure escalation: a jammed data symbol inside
+                # an otherwise healthy packet becomes an erasure
+                # (ARQ-visible) instead of garbage bits.
+                tags, wins = np.nonzero(live)
+                x_chips = _take(reference, tags, chip_starts[tags, wins], n_chips)
+                snr = window_snr_db(soft[tags, wins], np.abs(x_chips) ** 2)
+                gated[tags, wins] = snr < self.snr_gate_db
+                soft[gated] = 0.0
+                n_gated = int(np.count_nonzero(gated))
+                if n_gated:
+                    obs_metrics.counter_inc("bsrx.snr_erasures", n_gated)
+            with span("bsrx.demod"):
+                bits = (soft > 0).astype(np.int8)
 
-            live = ~erased
-            post_idx = np.flatnonzero(live & use_post)
-            pre_idx = np.flatnonzero(live & ~use_post)
-            if not len(post_idx) and not len(pre_idx):
-                continue
-            derotate_b = np.conj(est_b.gains)
-
-            for slot_, sym in slot_symbols[1:]:
-                abs_start = half_start + int(
-                    self._useful_starts[symbol_index(slot_, sym)]
+        # Windows that start past the capture never existed; the rest of a
+        # packet that is not demodulated sits at the nominal offset, and
+        # counts as truncated unless its packet lost sync.
+        window_model = model[:, window_packet]
+        window_starts = np.where(
+            live, data_starts + offset[:, window_packet], nominal_starts
+        )
+        erased = ~live | gated
+        truncated = ~live & (window_model != _ERASED)
+        n_emit = int(np.count_nonzero(nominal_starts < limit))
+        for t, sink in enumerate(sinks):
+            codes, offsets, gains, metrics, counts = (
+                a[t].tolist() for a in (model, offset, gain, metric, errors)
+            )
+            for p, (d0, d1) in enumerate(self._packet_windows):
+                d1 = min(d1, n_emit)
+                record = PacketRecord(
+                    half_frame_start=sink.base + half_start,
+                    slot=self._packet_slots[p],
+                    offset=offsets[p],
+                    gain=gains[p],
+                    metric=metrics[p],
+                    model=_MODELS[codes[p]],
+                    preamble_errors=counts[p],
                 )
-                y = shifted[:, abs_start : abs_start + fft]
-                x = reference[:, abs_start : abs_start + fft]
-                soft_all = np.zeros((n_tags, self.n_chips))
-                ref_power_all = np.zeros((n_tags, self.n_chips))
-                with span("bsrx.equalise"):
-                    if len(post_idx):
-                        sub = np.arange(len(post_idx))[:, None]
-                        cols = cols_a[post_idx]
-                        y_eq = equalize_symbol_batch(
-                            y[post_idx], channel_a[post_idx]
-                        )
-                        xs = x[post_idx]
-                        soft_all[post_idx] = np.real(
-                            y_eq[sub, cols] * np.conj(xs[sub, cols])
-                        )
-                        ref_power_all[post_idx] = np.abs(xs[sub, cols]) ** 2
-                    if len(pre_idx):
-                        sub = np.arange(len(pre_idx))[:, None]
-                        cols = cols_b[pre_idx]
-                        xp = x[pre_idx]
-                        w = row_ifft(row_fft(xp) * cascade[pre_idx])
-                        ys = y[pre_idx]
-                        soft_all[pre_idx] = np.real(
-                            derotate_b[pre_idx][:, None]
-                            * ys[sub, cols]
-                            * np.conj(w[sub, cols])
-                        )
-                        ref_power_all[pre_idx] = np.abs(xp[sub, cols]) ** 2
-                with span("bsrx.demod"):
-                    bits_all = (soft_all > 0).astype(np.int8)
-                for t in range(n_tags):
-                    record = records[t]
-                    if record is None:
-                        continue
-                    if (
-                        self.snr_gate_db is not None
-                        and window_snr_db(soft_all[t], ref_power_all[t])
-                        < self.snr_gate_db
-                    ):
-                        # Same SNR-gated escalation as the scalar path, so
-                        # batch and scalar demod stay window-for-window
-                        # identical with the gate enabled.
-                        self._emit_erased_window(
-                            sinks[t], record, abs_start + record.offset
-                        )
-                        obs_metrics.counter_inc("bsrx.snr_erasures")
-                        continue
-                    sinks[t].add_window(
-                        bits_all[t],
-                        soft_all[t],
-                        abs_start + record.offset,
-                        False,
-                        record,
-                    )
-            for t in range(n_tags):
-                if records[t] is not None:
-                    sinks[t].packets.append(records[t])
+                sink.add_windows(
+                    record,
+                    window_starts[t, d0:d1],
+                    bits[t, d0:d1],
+                    soft[t, d0:d1],
+                    erased[t, d0:d1],
+                )
+                if d1 > d0 or codes[p] != _TRUNCATED:
+                    sink.packets.append(record)
+            sink.truncated_windows += int(np.count_nonzero(truncated[t, :n_emit]))
+        return cascade

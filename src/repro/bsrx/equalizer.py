@@ -10,6 +10,17 @@ least squares with circular smoothing across bins: backscatter channels
 are short (a few taps), so the true response varies slowly in frequency,
 and the smoothing both averages noise and rides over the sounding
 spectrum's occasional deep nulls.
+
+Both functions work along the last axis, so a ``(..., fft_size)`` stack
+of symbols (the demodulator stacks every tag and window of a half-frame)
+runs as one batched transform, row-for-row bit-identical to calling them
+on each 1-D row: the transforms are the same pocketfft, the smoothing
+response is shared, and each row's regulariser is a last-axis mean.
+Complex products are written as ``np.multiply`` calls on purpose: once an
+operand reaches numpy's 256 KiB temporary-elision threshold, ``a * b``
+with a temporary ``b`` runs in place as ``b *= a``, and complex multiply
+is not bitwise commutative, so a large stack would drift from its rows in
+the last ulp.  A ufunc call is never elided.
 """
 
 from __future__ import annotations
@@ -17,64 +28,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.lte.ofdm import row_fft, row_ifft
+from repro.utils.cache import memoize
 
 #: Default smoothing window (bins).  A W-bin boxcar tolerates delay spreads
 #: up to ~N/W samples; channels here are <= a handful of taps.
 DEFAULT_SMOOTH_BINS = 15
 
 
-def _circular_smooth(values, window):
-    """Circular moving average along a 1-D complex array."""
-    window = int(window)
-    if window <= 1:
-        return values.copy()
-    kernel = np.zeros(len(values))
+@memoize()
+def _smoothing_response(n, window):
+    """Frequency response of the circular ``window``-bin boxcar over ``n`` bins."""
+    kernel = np.zeros(n)
     half = window // 2
     kernel[: half + 1] = 1.0
     kernel[-half:] = 1.0
     kernel /= kernel.sum()
-    return np.fft.ifft(np.fft.fft(values) * np.fft.fft(kernel))
-
-
-def estimate_channel_from_known(observed, expected, smooth_bins=DEFAULT_SMOOTH_BINS):
-    """Per-bin channel from one symbol whose content is known.
-
-    ``observed``/``expected`` are same-length time-domain useful symbols.
-    Returns the length-N frequency response, computed as smoothed
-    cross-spectrum over smoothed sounding power (weighted LS).
-    """
-    observed = np.asarray(observed, dtype=complex)
-    expected = np.asarray(expected, dtype=complex)
-    if observed.shape != expected.shape:
-        raise ValueError("observed and expected must be the same length")
-    y = np.fft.fft(observed)
-    e = np.fft.fft(expected)
-    cross = _circular_smooth(y * np.conj(e), smooth_bins)
-    power = _circular_smooth((np.abs(e) ** 2).astype(complex), smooth_bins).real
-    lam = 0.01 * float(np.mean(power)) + 1e-30
-    return cross / (power + lam)
-
-
-def equalize_symbol(observed, channel):
-    """MMSE-style one-tap equalisation of a useful symbol, per bin."""
-    observed = np.asarray(observed, dtype=complex)
-    channel = np.asarray(channel, dtype=complex)
-    if observed.shape != channel.shape:
-        raise ValueError("symbol and channel must be the same length")
-    y = np.fft.fft(observed)
-    power = np.abs(channel) ** 2
-    lam = 0.01 * float(np.mean(power)) + 1e-30
-    equalized = y * np.conj(channel) / (power + lam)
-    return np.fft.ifft(equalized)
-
-
-# -- batched (leading tag axis) variants --------------------------------------
-#
-# Row-for-row bit-identical to the 1-D functions above: the transforms are
-# the same pocketfft (see repro.lte.ofdm.row_fft), the smoothing kernel is
-# shared across rows, and the regulariser is a per-row mean computed with
-# the same pairwise summation as the 1-D case.  The batched cross-tag
-# demodulator stacks every tag riding one ambient capture along axis 0.
+    return np.fft.fft(kernel)
 
 
 def _circular_smooth_rows(values, window):
@@ -82,22 +51,17 @@ def _circular_smooth_rows(values, window):
     window = int(window)
     if window <= 1:
         return values.copy()
-    n = values.shape[-1]
-    kernel = np.zeros(n)
-    half = window // 2
-    kernel[: half + 1] = 1.0
-    kernel[-half:] = 1.0
-    kernel /= kernel.sum()
-    return row_ifft(row_fft(values) * np.fft.fft(kernel))
+    response = _smoothing_response(values.shape[-1], window)
+    return row_ifft(np.multiply(row_fft(values), response))
 
 
-def estimate_channel_from_known_batch(
-    observed, expected, smooth_bins=DEFAULT_SMOOTH_BINS
-):
-    """Row-wise :func:`estimate_channel_from_known` over a tag axis.
+def estimate_channel_from_known(observed, expected, smooth_bins=DEFAULT_SMOOTH_BINS):
+    """Per-bin channel from symbols whose content is known.
 
-    ``observed``/``expected`` are ``(n_tags, fft_size)`` stacks of useful
-    symbols; returns the ``(n_tags, fft_size)`` frequency responses.
+    ``observed``/``expected`` are same-shape time-domain useful symbols,
+    one per row of the last axis.  Returns the frequency responses (same
+    shape), computed as smoothed cross-spectrum over smoothed sounding
+    power (weighted LS).
     """
     observed = np.asarray(observed, dtype=complex)
     expected = np.asarray(expected, dtype=complex)
@@ -105,20 +69,20 @@ def estimate_channel_from_known_batch(
         raise ValueError("observed and expected must be the same shape")
     y = row_fft(observed)
     e = row_fft(expected)
-    cross = _circular_smooth_rows(y * np.conj(e), smooth_bins)
+    cross = _circular_smooth_rows(np.multiply(y, np.conj(e)), smooth_bins)
     power = _circular_smooth_rows((np.abs(e) ** 2).astype(complex), smooth_bins).real
     lam = 0.01 * np.mean(power, axis=-1, keepdims=True) + 1e-30
     return cross / (power + lam)
 
 
-def equalize_symbol_batch(observed, channel):
-    """Row-wise :func:`equalize_symbol` over a tag axis."""
+def equalize_symbol(observed, channel):
+    """MMSE-style one-tap equalisation of useful symbols, per bin."""
     observed = np.asarray(observed, dtype=complex)
     channel = np.asarray(channel, dtype=complex)
     if observed.shape != channel.shape:
-        raise ValueError("symbols and channels must be the same shape")
+        raise ValueError("symbol and channel must be the same shape")
     y = row_fft(observed)
     power = np.abs(channel) ** 2
     lam = 0.01 * np.mean(power, axis=-1, keepdims=True) + 1e-30
-    equalized = y * np.conj(channel) / (power + lam)
+    equalized = np.multiply(y, np.conj(channel)) / (power + lam)
     return row_ifft(equalized)

@@ -51,27 +51,3 @@ def estimate_path_gain(observed, expected):
         return 0.0 + 0.0j
     return complex(np.vdot(expected, observed) / energy)
 
-
-def estimate_path_gain_batch(observed, expected):
-    """Row-wise :func:`estimate_path_gain` over a leading tag axis.
-
-    ``observed``/``expected`` are ``(n_tags, n)`` stacks of sample windows;
-    returns the ``(n_tags,)`` complex gains.  Rows with zero sounding
-    energy return ``0j`` like the 1-D form.  (The reduction is a batched
-    sum rather than ``np.vdot``, so gains match the 1-D call to floating
-    round-off, not bitwise — callers needing the bit-identical contract
-    use the demodulator's gains, which come from the offset search.)
-    """
-    observed = np.asarray(observed, dtype=complex)
-    expected = np.asarray(expected, dtype=complex)
-    if observed.shape != expected.shape:
-        raise ValueError("observed and expected must be the same shape")
-    if observed.ndim != 2:
-        raise ValueError("expected (n_tags, n) stacks")
-    energy = np.sum(np.abs(expected) ** 2, axis=1)
-    live = energy > 0.0
-    gains = np.zeros(observed.shape[0], dtype=complex)
-    if np.any(live):
-        num = np.sum(np.conj(expected[live]) * observed[live], axis=1)
-        gains[live] = num / energy[live]
-    return gains

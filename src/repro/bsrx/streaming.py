@@ -18,18 +18,21 @@ Two ways to feed it:
   demodulated as soon as a full half-frame is available and the buffer is
   trimmed behind the grid.
 
-State carried across chunks (:class:`StreamCarry`): the position of the
-next half-frame boundary on the PSS-derived grid (which is the receiver's
-sync state — each boundary is a re-acquisition point), plus the most
-recent packet gain and cascade sounding as warm-start diagnostics.  The
-trailing partial half-frame at end-of-capture goes through the
-demodulator core's truncated-tail handling and comes out as erasure
-windows, never a crash or a silent drop.
+Each half-frame runs through the demodulator's one kernel
+(:meth:`BackscatterDemodulator._demod_half_frame`) as a one-row stack,
+one half-frame at a time, so the kernel's working set is one half-frame
+however large the chunk.  State carried across chunks
+(:class:`StreamCarry`): the position of the next half-frame boundary on
+the PSS-derived grid (which is the receiver's sync state — each boundary
+is a re-acquisition point), plus the most recent packet gain and cascade
+sounding as warm-start diagnostics.  The trailing partial half-frame at
+end-of-capture goes through the kernel's truncated-tail handling and
+comes out as erasure windows, never a crash or a silent drop.
 
 Every emitted window is bit-identical to the whole-capture call on the
-same samples: the core operates on chunk-local views whose contents equal
-the corresponding capture slices, and all indices are shifted back to
-absolute capture coordinates.
+same samples: the kernel operates on chunk-local views whose contents
+equal the corresponding capture slices, and all indices are shifted back
+to absolute capture coordinates.
 """
 
 from __future__ import annotations
@@ -143,14 +146,9 @@ class StreamingDemodulator:
             if local < 0 or local + span_needed > limit:
                 break
             self._sink.base = self._buffer_base
-            cascade = demod._demod_half_frame(
-                self._buffer_shifted,
-                self._buffer_reference,
-                local,
-                limit,
-                self._sink,
+            self._demod_half_frame(
+                self._buffer_shifted, self._buffer_reference, local, self._sink
             )
-            self._update_carry(cascade)
             self.carry.next_half_frame_start += stride
             self.carry.half_frames_done += 1
         # Trim everything before the next boundary: it can never be
@@ -162,10 +160,14 @@ class StreamingDemodulator:
             self._buffer_reference = self._buffer_reference[drop:]
             self._buffer_base += drop
 
-    def _update_carry(self, cascade):
+    def _demod_half_frame(self, shifted, reference, local, sink):
+        """Run the kernel on one half-frame and carry its sync state on."""
+        cascade = self.demodulator._demod_half_frame(
+            shifted[None], reference[None], local, [sink]
+        )
         if cascade is not None:
-            self.carry.last_cascade = cascade
-        for packet in reversed(self._sink.packets):
+            self.carry.last_cascade = cascade[0]
+        for packet in reversed(sink.packets):
             if packet.model in ("post-eq", "predistort"):
                 self.carry.last_gain = packet.gain
                 break
@@ -174,7 +176,7 @@ class StreamingDemodulator:
         """Flush the trailing partial half-frame and return the result.
 
         The leftover tail (shorter than a full half-frame — the
-        not-a-whole-number-of-half-frames case) runs through the core's
+        not-a-whole-number-of-half-frames case) runs through the kernel's
         truncated-tail handling: packets that still fit demodulate
         normally, the rest emit erasure windows.
         """
@@ -185,14 +187,9 @@ class StreamingDemodulator:
         local = self.carry.next_half_frame_start - self._buffer_base
         if 0 <= local < limit:
             self._sink.base = self._buffer_base
-            cascade = self.demodulator._demod_half_frame(
-                self._buffer_shifted,
-                self._buffer_reference,
-                local,
-                limit,
-                self._sink,
+            self._demod_half_frame(
+                self._buffer_shifted, self._buffer_reference, local, self._sink
             )
-            self._update_carry(cascade)
         self._buffer_shifted = np.zeros(0, dtype=complex)
         self._buffer_reference = np.zeros(0, dtype=complex)
         obs_metrics.counter_inc(
@@ -237,15 +234,12 @@ class StreamingDemodulator:
                     ambient_reference[base:end], dtype=complex
                 )
                 sink.base = base
-                limit = end - base
                 for s in group:
                     if s < 0:
                         continue
-                    cascade = demod._demod_half_frame(
-                        shifted_chunk, reference_chunk, s - base, limit, sink
+                    self._demod_half_frame(
+                        shifted_chunk, reference_chunk, s - base, sink
                     )
-                    self._sink = sink
-                    self._update_carry(cascade)
                     self.carry.next_half_frame_start = s + self.half_frame_samples
                     if s + span_needed <= n:
                         self.carry.half_frames_done += 1

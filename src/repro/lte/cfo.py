@@ -16,7 +16,6 @@ import numpy as np
 from repro.lte.ofdm import frame_layout
 from repro.lte.params import (
     LteParams,
-    SLOTS_PER_FRAME,
     SUBCARRIER_SPACING_HZ,
     SYMBOLS_PER_SLOT,
 )
@@ -86,39 +85,3 @@ def correct_cfo(samples, cfo_hz, sample_rate_hz):
     """Derotate a waveform by an estimated CFO."""
     return apply_cfo(samples, -float(cfo_hz), sample_rate_hz)
 
-
-def estimate_cfo_loop(samples, params, max_symbols=140):
-    """Pre-vectorisation ``estimate_cfo``, pinned as the benchmark baseline.
-
-    Kept verbatim — including the original control-flow quirk where the
-    inner ``break`` on an incomplete trailing symbol only exits the slot,
-    so the outer loop spins through the remaining slots doing nothing.
-    The spin never changed the estimate (no symbol fits once one fails to,
-    since symbols are back-to-back), which is why the vectorised
-    replacement above can drop the loops entirely; equivalence tests
-    compare the two to sub-µHz tolerance.
-    """
-    samples = np.asarray(samples, dtype=complex)
-    if not isinstance(params, LteParams):
-        params = LteParams.from_bandwidth(params)
-    accumulator = 0.0 + 0.0j
-    counted = 0
-    offset = 0
-    for slot in range(SLOTS_PER_FRAME):
-        for sym in range(SYMBOLS_PER_SLOT):
-            cp = params.cp_length(sym)
-            total = cp + params.fft_size
-            if offset + total > len(samples):
-                break
-            head = samples[offset : offset + cp]
-            tail = samples[offset + params.fft_size : offset + total]
-            accumulator += np.vdot(head, tail)
-            counted += 1
-            offset += total
-            if counted >= max_symbols:
-                break
-        if counted >= max_symbols or offset >= len(samples):
-            break
-    if counted == 0:
-        raise ValueError("capture shorter than one OFDM symbol")
-    return float(np.angle(accumulator) / (2.0 * np.pi) * SUBCARRIER_SPACING_HZ)

@@ -10,7 +10,6 @@ real decoder and CRC check.
 from repro.lte.coding.crc import crc_attach, crc_check, crc_compute
 from repro.lte.coding.convolutional import (
     conv_encode,
-    conv_encode_reference,
     viterbi_decode,
     viterbi_decode_many,
     CODE_RATE_INVERSE,
@@ -24,7 +23,6 @@ __all__ = [
     "crc_check",
     "crc_compute",
     "conv_encode",
-    "conv_encode_reference",
     "viterbi_decode",
     "viterbi_decode_many",
     "CODE_RATE_INVERSE",

@@ -96,21 +96,6 @@ def conv_encode(bits):
     return coded.reshape(-1)
 
 
-def conv_encode_reference(bits):
-    """Bit-serial reference encoder (table-driven); used to cross-check."""
-    bits = np.asarray(bits, dtype=np.int64)
-    if len(bits) < CONSTRAINT_LENGTH - 1:
-        raise ValueError("message shorter than the encoder memory")
-    state = 0
-    for bit in bits[-(CONSTRAINT_LENGTH - 1) :]:
-        state = ((int(bit) << (CONSTRAINT_LENGTH - 1)) | state) >> 1
-    coded = np.empty((len(bits), CODE_RATE_INVERSE), dtype=np.int8)
-    for n, bit in enumerate(bits):
-        coded[n] = _OUTPUTS[state, bit]
-        state = _NEXT_STATE[state, bit]
-    return coded.reshape(-1)
-
-
 def viterbi_decode(llrs, n_bits, wrap_margin=DEFAULT_WRAP_MARGIN):
     """Decode ``n_bits`` message bits from coded-bit LLRs.
 

@@ -23,10 +23,9 @@ cache-resident, and are farmed to all available cores through
 
 Batching does not change a single output bit: row-wise pocketfft
 transforms are bit-identical to the per-symbol 1-D calls, and the scaling
-and (de)mapping steps are elementwise.  The pre-vectorisation loops are
-pinned verbatim as :func:`modulate_frame_loop` /
-:func:`demodulate_frame_loop`; golden tests assert ``array_equal`` between
-the two, and the perf benchmark measures the speedup against them.
+and (de)mapping steps are elementwise.  Golden tests assert
+``array_equal`` against the pre-vectorisation per-symbol loops, which
+live with the tests as oracles (``tests/lte/oracles.py``).
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import numpy as np
 import scipy.fft as _scipy_fft
 
 from repro.lte.params import SLOTS_PER_FRAME, SYMBOLS_PER_SLOT
-from repro.lte.resource_grid import SYMBOLS_PER_FRAME, symbol_index
+from repro.lte.resource_grid import SYMBOLS_PER_FRAME
 from repro.obs.trace import span
 from repro.utils.cache import memoize
 
@@ -120,7 +119,7 @@ def modulate_frame(grid):
 
     Vectorised: symbols are IFFT'd in slot-chunk batches and scattered
     into the output timeline through the precomputed
-    :func:`frame_layout` — bit-identical to :func:`modulate_frame_loop`.
+    :func:`frame_layout` — bit-identical to the per-symbol loop.
     """
     with span("lte.ofdm.modulate"):
         return _modulate_frame(grid)
@@ -183,7 +182,7 @@ def demodulate_frame(params, samples):
     Returns a ``(140, n_subcarriers)`` complex array.  ``samples`` must be
     frame-aligned (use cell search first on unaligned captures).
     Vectorised slot-chunk mirror of :func:`modulate_frame`; bit-identical
-    to :func:`demodulate_frame_loop`.
+    to the per-symbol loop.
     """
     with span("lte.ofdm.demodulate"):
         return _demodulate_frame(params, samples)
@@ -234,55 +233,3 @@ def useful_sample_grid(params):
     lengths = np.full(SYMBOLS_PER_FRAME, params.fft_size, dtype=np.int64)
     return starts, lengths
 
-
-# -- pinned pre-vectorisation reference implementations -----------------------
-#
-# Kept verbatim (including the per-symbol subcarrier-index construction the
-# original code paid on every call) as the golden baseline: equivalence
-# tests assert the vectorised paths above are bit-identical to these, and
-# ``repro bench`` measures the speedup against them.  Do not "optimise"
-# them — their cost is the pinned benchmark's denominator.
-
-
-def _loop_subcarrier_indices(params):
-    """Uncached copy of the pre-PR ``LteParams.subcarrier_indices``."""
-    half = params.n_subcarriers // 2
-    low = (np.arange(half) - half) % params.fft_size
-    high = np.arange(1, half + 1)
-    return np.concatenate([low, high])
-
-
-def modulate_frame_loop(grid):
-    """Pre-vectorisation ``modulate_frame``: 140 per-symbol IFFT calls."""
-    params = grid.params
-    pieces = []
-    for slot in range(SLOTS_PER_FRAME):
-        for sym in range(SYMBOLS_PER_SLOT):
-            row = symbol_index(slot, sym)
-            bins = np.zeros(params.fft_size, dtype=complex)
-            bins[_loop_subcarrier_indices(params)] = grid.values[row]
-            useful = np.fft.ifft(bins) * np.sqrt(params.fft_size)
-            cp = params.cp_length(sym)
-            pieces.append(np.concatenate([useful[-cp:], useful]))
-    samples = np.concatenate(pieces)
-    assert len(samples) == params.samples_per_frame
-    return samples
-
-
-def demodulate_frame_loop(params, samples):
-    """Pre-vectorisation ``demodulate_frame``: 140 per-symbol FFT calls."""
-    samples = np.asarray(samples, dtype=complex)
-    if len(samples) < params.samples_per_frame:
-        raise ValueError("need a full frame of samples")
-    out = np.zeros((SYMBOLS_PER_FRAME, params.n_subcarriers), dtype=complex)
-    offset = 0
-    for slot in range(SLOTS_PER_FRAME):
-        for sym in range(SYMBOLS_PER_SLOT):
-            row = symbol_index(slot, sym)
-            length = params.symbol_length(sym)
-            cp = params.cp_length(sym)
-            useful = samples[offset + cp : offset + length]
-            bins = np.fft.fft(useful) / np.sqrt(params.fft_size)
-            out[row] = bins[_loop_subcarrier_indices(params)]
-            offset += length
-    return out

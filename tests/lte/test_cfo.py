@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.lte import LteTransmitter
-from repro.lte.cfo import apply_cfo, correct_cfo, estimate_cfo, estimate_cfo_loop
+from repro.lte.cfo import apply_cfo, correct_cfo, estimate_cfo
 from repro.utils.dsp import awgn
 from repro.utils.rng import make_rng
+
+from tests.lte.oracles import estimate_cfo_loop
 
 
 @pytest.fixture(scope="module")

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.lte.coding import (
     conv_encode,
-    conv_encode_reference,
     viterbi_decode,
     viterbi_decode_many,
 )
 from repro.utils.rng import make_rng
+
+from tests.lte.oracles import conv_encode_reference
 
 
 def _llrs_from_bits(coded, scale=4.0):

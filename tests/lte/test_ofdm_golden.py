@@ -1,7 +1,7 @@
 """Golden-output tests: vectorised OFDM must be bit-identical to the loops.
 
 The pre-vectorisation per-symbol implementations are pinned in
-``repro.lte.ofdm`` as ``*_frame_loop``; these tests assert exact
+``tests/lte/oracles.py`` as ``*_frame_loop``; these tests assert exact
 ``array_equal`` (not allclose) between them and the batched paths, across
 narrow/mid/wide numerologies and arbitrary complex grids.
 """
@@ -13,6 +13,8 @@ from repro.lte import ofdm
 from repro.lte.params import LteParams, SLOTS_PER_FRAME, SYMBOLS_PER_SLOT
 from repro.lte.resource_grid import ResourceGrid, SYMBOLS_PER_FRAME
 from repro.utils.rng import make_rng
+
+from tests.lte.oracles import demodulate_frame_loop, modulate_frame_loop
 
 BANDWIDTHS = (1.4, 5.0, 20.0)
 
@@ -29,7 +31,7 @@ def _random_grid(params, seed):
 def test_modulate_frame_bit_identical_to_loop(bandwidth):
     params = LteParams.from_bandwidth(bandwidth)
     grid = _random_grid(params, 11)
-    assert np.array_equal(ofdm.modulate_frame(grid), ofdm.modulate_frame_loop(grid))
+    assert np.array_equal(ofdm.modulate_frame(grid), modulate_frame_loop(grid))
 
 
 @pytest.mark.parametrize("bandwidth", BANDWIDTHS)
@@ -38,7 +40,7 @@ def test_demodulate_frame_bit_identical_to_loop(bandwidth):
     samples = ofdm.modulate_frame(_random_grid(params, 12))
     assert np.array_equal(
         ofdm.demodulate_frame(params, samples),
-        ofdm.demodulate_frame_loop(params, samples),
+        demodulate_frame_loop(params, samples),
     )
 
 
@@ -50,7 +52,7 @@ def test_demodulate_ignores_trailing_samples_identically():
     padded = np.concatenate([samples, extra])
     assert np.array_equal(
         ofdm.demodulate_frame(params, padded),
-        ofdm.demodulate_frame_loop(params, padded),
+        demodulate_frame_loop(params, padded),
     )
 
 
@@ -79,7 +81,7 @@ def test_demodulate_short_capture_rejected_by_both():
     with pytest.raises(ValueError):
         ofdm.demodulate_frame(params, short)
     with pytest.raises(ValueError):
-        ofdm.demodulate_frame_loop(params, short)
+        demodulate_frame_loop(params, short)
 
 
 @pytest.mark.parametrize("bandwidth", BANDWIDTHS)

@@ -3,12 +3,9 @@
 from repro.bench import GATE_METRICS, compare_to_baseline, format_check
 
 BASE = {
-    "ofdm": {"speedup": {"modulate": 2.0, "demodulate": 2.0, "combined": 2.0}},
-    "cfo": {"speedup": 1.8},
     "sequence_cache": {"speedup": 1000.0},
     "trace_overhead": {"overhead_fraction": 0.001},
     "network": {"cache_hit_ratio": 0.5},
-    "bsrx_batch": {"speedup": 3.0},
     "streaming": {"memory_ratio": 4.0},
     "substrate": {"overhead_fraction": 0.001},
 }
@@ -35,17 +32,17 @@ def test_identical_results_pass():
 
 def test_within_tolerance_passes():
     report = compare_to_baseline(
-        _with("ofdm.speedup.combined", 2.0 * 0.8), BASE, tolerance=0.25
+        _with("streaming.memory_ratio", 4.0 * 0.8), BASE, tolerance=0.25
     )
     assert report["passed"]
 
 
 def test_higher_metric_regression_fails():
     report = compare_to_baseline(
-        _with("ofdm.speedup.combined", 2.0 * 0.5), BASE, tolerance=0.25
+        _with("streaming.memory_ratio", 4.0 * 0.5), BASE, tolerance=0.25
     )
     assert not report["passed"]
-    assert report["regressions"] == ["ofdm.speedup.combined"]
+    assert report["regressions"] == ["streaming.memory_ratio"]
 
 
 def test_log_scale_metric_uses_order_of_magnitude():
@@ -117,12 +114,12 @@ def test_network_hit_ratio_gated():
 
 def test_format_check_flags_regressions():
     report = compare_to_baseline(
-        _with("cfo.speedup", 0.1), BASE, tolerance=0.25
+        _with("streaming.memory_ratio", 0.1), BASE, tolerance=0.25
     )
     text = format_check(report)
-    assert "cfo.speedup" in text
+    assert "streaming.memory_ratio" in text
     assert "REGRESSED" in text
-    assert "bench gate: FAILED (cfo.speedup)" in text
+    assert "bench gate: FAILED (streaming.memory_ratio)" in text
 
 
 def test_substrate_dispatch_overhead_gated():
@@ -141,19 +138,19 @@ def test_format_check_names_the_baseline_file():
     # A failing CI log must say WHICH committed baseline the run
     # regressed against, not just which metric.
     report = compare_to_baseline(
-        _with("cfo.speedup", 0.1), BASE, tolerance=0.25
+        _with("streaming.memory_ratio", 0.1), BASE, tolerance=0.25
     )
     text = format_check(report, baseline_path="BENCH_PR7.json")
     assert "bench gate vs BENCH_PR7.json" in text
-    assert "bench gate: FAILED vs BENCH_PR7.json (cfo.speedup)" in text
+    assert "bench gate: FAILED vs BENCH_PR7.json (streaming.memory_ratio)" in text
     # Without a path the wording stays as before.
     bare = format_check(report)
-    assert "bench gate: FAILED (cfo.speedup)" in bare
+    assert "bench gate: FAILED (streaming.memory_ratio)" in bare
 
 
 def test_zero_tolerance_requires_no_worse():
     report = compare_to_baseline(
-        _with("ofdm.speedup.modulate", 1.999), BASE, tolerance=0.0
+        _with("streaming.memory_ratio", 3.999), BASE, tolerance=0.0
     )
-    assert report["regressions"] == ["ofdm.speedup.modulate"]
+    assert report["regressions"] == ["streaming.memory_ratio"]
     assert compare_to_baseline(BASE, BASE, tolerance=0.0)["passed"]

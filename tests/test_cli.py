@@ -117,10 +117,10 @@ def test_bench_command_writes_json(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert code == 0
-    assert "modulate_frame" in out and "combined" in out
+    assert "sequence cache" in out and "streaming demod" in out
     results = json.loads(out_path.read_text())
     assert results["mode"] == "smoke"
-    assert results["ofdm"]["speedup"]["combined"] > 0
+    assert results["sequence_cache"]["speedup"] > 0
     assert "cache_stats" in results
 
 
