@@ -1,9 +1,10 @@
 """Full LTE downlink receiver: the simulated UE.
 
 Decodes frame-aligned captures end to end — OFDM demodulation, CRS channel
-estimation, one-tap equalisation, soft demapping, descrambling, rate
-recovery, Viterbi decoding, and CRC verification — and reports throughput
-as *transport blocks that pass CRC*, which is exactly the paper's notion of
+estimation, one-tap equalisation, soft demapping, descrambling and rate
+recovery per frame, then one Viterbi sweep over every transport block of
+the capture and a CRC check per block — and reports throughput as
+*transport blocks that pass CRC*, which is exactly the paper's notion of
 LTE throughput in the Fig. 32 impact experiment.
 
 Scheduling knowledge (modulation, code rate, transport-block sizing) comes
@@ -101,8 +102,13 @@ class LteReceiver:
             symbols, self.params, self.cell.cell_id, estimate.noise_variance
         )
 
-    def decode_frame(self, samples, frame_number=0):
-        """Decode one frame of samples; returns a list of SubframeResult."""
+    def _demap_frame(self, samples):
+        """Demap one frame down to soft coded bits.
+
+        Returns ``(softs, sizes, equalized)``: each subframe's rate-recovered
+        LLR block and its message length (transport block plus CRC), in
+        subframe order, and the frame's equalised resource grid.
+        """
         observed = demodulate_frame(self.params, samples)
         with span("lte.channel_est"):
             estimate = estimate_channel(observed, self.cell.cell_id, self.params)
@@ -129,25 +135,15 @@ class LteReceiver:
                 coded_length = 3 * (tb_size + 24)
                 softs.append(coding.rate_recover(llrs, coded_length))
                 sizes.append(tb_size + 24)
-
-        with span("lte.viterbi"):
-            decoded_blocks = coding.viterbi_decode_many(softs, sizes)
-        results = []
-        for subframe, decoded in enumerate(decoded_blocks):
-            payload, ok = coding.crc_check(decoded, "crc24a")
-            results.append(
-                SubframeResult(
-                    frame=frame_number,
-                    subframe=subframe,
-                    crc_ok=ok,
-                    payload_bits=len(payload),
-                    decoded=payload,
-                )
-            )
-        return results, equalized
+        return softs, sizes, equalized
 
     def decode(self, samples, reference_frames=None):
         """Decode a frame-aligned capture of one or more frames.
+
+        Every frame is demapped first; then one Viterbi call decodes the
+        transport blocks of the whole capture in a single trellis sweep,
+        and each block's CRC is checked.  ``result.subframes`` is in
+        ``(frame, subframe)`` order.
 
         ``reference_frames`` (optional list of :class:`LteFrame`) enables
         EVM measurement against the transmitted grid.
@@ -158,13 +154,16 @@ class LteReceiver:
         if n_frames < 1:
             raise ValueError("capture shorter than one frame")
         result = LteDecodeResult(duration_seconds=n_frames * FRAME_SECONDS)
+        softs = []
+        sizes = []
         evm_num = 0.0
         evm_den = 0.0
         for f in range(n_frames):
-            subframes, equalized = self.decode_frame(
-                samples[f * n : (f + 1) * n], frame_number=f
+            frame_softs, frame_sizes, equalized = self._demap_frame(
+                samples[f * n : (f + 1) * n]
             )
-            result.subframes.extend(subframes)
+            softs.extend(frame_softs)
+            sizes.extend(frame_sizes)
             if reference_frames is not None and f < len(reference_frames):
                 ref = reference_frames[f].grid
                 mask = ref.kinds == ReKind.DATA
@@ -173,4 +172,19 @@ class LteReceiver:
                 evm_den += float(np.sum(np.abs(ref.values[mask]) ** 2))
         if evm_den > 0:
             result.evm_rms = float(np.sqrt(evm_num / evm_den))
+
+        with span("lte.viterbi"):
+            decoded_blocks = coding.viterbi_decode_many(softs, sizes)
+        for index, decoded in enumerate(decoded_blocks):
+            payload, ok = coding.crc_check(decoded, "crc24a")
+            frame, subframe = divmod(index, SUBFRAMES_PER_FRAME)
+            result.subframes.append(
+                SubframeResult(
+                    frame=frame,
+                    subframe=subframe,
+                    crc_ok=ok,
+                    payload_bits=len(payload),
+                    decoded=payload,
+                )
+            )
         return result

@@ -127,8 +127,12 @@ def hamming74_coded_ber(channel_ber):
     block error rate.
     """
     p = np.asarray(channel_ber, dtype=float)
-    block_ok = (1 - p) ** 7 + 7 * p * (1 - p) ** 6
-    return (0.5 * (1.0 - block_ok))[()]
+    # P(2+ flips) as a sum of non-negative terms: ``1 - P(0 or 1 flips)``
+    # cancels catastrophically (and can go negative) for p below ~1e-9.
+    block_error = np.zeros_like(p)
+    for k in range(2, 8):
+        block_error = block_error + comb(7, k) * p**k * (1 - p) ** (7 - k)
+    return (0.5 * block_error)[()]
 
 
 def repetition_coded_ber(channel_ber, factor=3):

@@ -1,10 +1,13 @@
 """Test oracles for the vectorised LTE paths.
 
-The vectorised OFDM, CFO and convolutional-encoder paths in
+The vectorised OFDM, CFO and convolutional-coding paths in
 :mod:`repro.lte` are pinned against these straightforward per-symbol and
 bit-serial implementations: the OFDM and CFO loops are the original
-pre-vectorisation code, and the encoder is a shift register built from
-the 36.212 generators alone, so it shares no table with the package.
+pre-vectorisation code, the encoder is a shift register built from the
+36.212 generators alone, and the Viterbi decoder is the original
+64-state ``argmax`` trellis, batched over equal-length blocks, with its
+tables rebuilt here from the same generators.  None of them shares a
+table with the package.
 They exist only to be compared against, so they live with the tests.
 Do not "optimise" them: their value is that they are obviously the
 textbook algorithm.
@@ -128,3 +131,91 @@ def conv_encode_reference(bits):
         coded[n] = [bin(register & g).count("1") & 1 for g in GENERATORS]
         state = register >> 1
     return coded.reshape(-1)
+
+
+def _viterbi_tables():
+    """Predecessor and branch-sign tables of the K=7 trellis.
+
+    Returns ``(prev_state, prev_input, signs)``: for each new state its two
+    ``(previous_state, input_bit)`` transitions, in increasing order of
+    previous state, and the (128, 3) correlation signs ``1 - 2 * output``
+    over ``previous_state * 2 + input_bit``.
+    """
+    n_states = 1 << (CONSTRAINT_LENGTH - 1)
+    outputs = np.zeros((n_states, 2, len(GENERATORS)), dtype=np.int8)
+    predecessors = np.zeros((n_states, 2, 2), dtype=np.int64)
+    counts = np.zeros(n_states, dtype=np.int64)
+    for state in range(n_states):
+        for bit in (0, 1):
+            register = (bit << (CONSTRAINT_LENGTH - 1)) | state
+            for g_index, g in enumerate(GENERATORS):
+                outputs[state, bit, g_index] = bin(register & g).count("1") & 1
+            new = register >> 1
+            predecessors[new, counts[new]] = (state, bit)
+            counts[new] += 1
+    assert np.all(counts == 2), "trellis must have exactly two predecessors"
+    signs = (1.0 - 2.0 * outputs.astype(float)).reshape(-1, len(GENERATORS))
+    return predecessors[:, :, 0], predecessors[:, :, 1], signs
+
+
+_PREV_STATE, _PREV_INPUT, _SIGNS_FLAT = _viterbi_tables()
+
+
+def viterbi_decode_reference(llrs_list, n_bits_list, wrap_margin=96):
+    """The original batched Viterbi: one trellis sweep per block length.
+
+    Blocks of equal length are stacked into one ``(B, n, 3)`` batch; each
+    step gathers both candidates of every state through the predecessor
+    tables and keeps the ``argmax`` (the even predecessor on a tie).
+    """
+    if len(llrs_list) != len(n_bits_list):
+        raise ValueError("need one bit count per LLR block")
+    groups = {}
+    for index, (llrs, n_bits) in enumerate(zip(llrs_list, n_bits_list)):
+        groups.setdefault(int(n_bits), []).append((index, np.asarray(llrs, float)))
+    results = [None] * len(llrs_list)
+    for n_bits, members in groups.items():
+        batch = np.stack([llrs for _, llrs in members])
+        decoded = _decode_batch_reference(
+            batch.reshape(len(members), n_bits, 3), wrap_margin
+        )
+        for row, (index, _) in enumerate(members):
+            results[index] = decoded[row]
+    return results
+
+
+def _decode_batch_reference(llrs, wrap_margin):
+    """Viterbi over a (B, n, 3) LLR batch of tail-biting blocks."""
+    n_blocks, n_bits, _ = llrs.shape
+    n_states = len(_PREV_STATE)
+    margin = min(int(wrap_margin), n_bits)
+    extended = np.concatenate(
+        [llrs[:, n_bits - margin :], llrs, llrs[:, :margin]], axis=1
+    )
+    n_steps = extended.shape[1]
+
+    metrics = np.zeros((n_blocks, n_states))
+    decisions = np.empty((n_steps, n_blocks, n_states), dtype=np.int8)
+
+    for step in range(n_steps):
+        # (B, 128) branch correlations -> (B, 64, 2) per (state, input).
+        branch = (extended[:, step] @ _SIGNS_FLAT.T).reshape(n_blocks, n_states, 2)
+        # Candidates arriving at each new state from its two predecessors:
+        # indexing with the (64, 2) predecessor tables broadcasts over B.
+        cand = metrics[:, _PREV_STATE] + branch[:, _PREV_STATE, _PREV_INPUT]
+        choice = np.argmax(cand, axis=2)
+        metrics = np.take_along_axis(cand, choice[:, :, None], axis=2)[:, :, 0]
+        decisions[step] = choice
+        metrics -= metrics.max(axis=1, keepdims=True)
+
+    # Traceback, vectorised over the batch.  The decision stored at a step
+    # selects the transition *into* each state, whose input bit is that
+    # step's message bit.
+    state = np.argmax(metrics, axis=1)
+    hard = np.empty((n_blocks, n_steps), dtype=np.int8)
+    rows = np.arange(n_blocks)
+    for step in range(n_steps - 1, -1, -1):
+        choice = decisions[step, rows, state]
+        hard[:, step] = _PREV_INPUT[state, choice]
+        state = _PREV_STATE[state, choice]
+    return [hard[b, margin : margin + n_bits].astype(np.int8) for b in range(n_blocks)]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.lte.coding import (
     conv_encode,
@@ -11,7 +12,7 @@ from repro.lte.coding import (
 )
 from repro.utils.rng import make_rng
 
-from tests.lte.oracles import conv_encode_reference
+from tests.lte.oracles import conv_encode_reference, viterbi_decode_reference
 
 
 def _llrs_from_bits(coded, scale=4.0):
@@ -108,3 +109,100 @@ def test_decode_roundtrip_property(bits):
     bits = np.array(bits, dtype=np.int8)
     llrs = _llrs_from_bits(conv_encode(bits))
     assert np.array_equal(viterbi_decode(llrs, len(bits)), bits)
+
+
+# -- one-sweep decoder vs the original argmax trellis ---------------------------
+
+
+def _assert_matches_reference(llrs_list, n_bits_list):
+    decoded = viterbi_decode_many(llrs_list, n_bits_list)
+    expected = viterbi_decode_reference(llrs_list, n_bits_list)
+    assert len(decoded) == len(expected)
+    for index, (got, want) in enumerate(zip(decoded, expected)):
+        assert got.dtype == want.dtype, index
+        assert np.array_equal(got, want), index
+
+
+def test_capture_batch_matches_reference():
+    # The 20 transport blocks of a 2-frame 10 MHz capture, with AWGN LLRs.
+    rng = make_rng(8)
+    sizes = ([5090] + [5333] * 8 + [5250]) * 2
+    llrs = []
+    for n_bits in sizes:
+        bits = rng.integers(0, 2, size=n_bits).astype(np.int8)
+        clean = 1.0 - 2.0 * conv_encode(bits).astype(float)
+        llrs.append(2.0 * (clean + rng.normal(0, 0.9, size=len(clean))))
+    _assert_matches_reference(llrs, sizes)
+
+
+def test_integer_zero_and_erased_llrs_match_reference():
+    # Integer LLRs keep every path metric exact, so ties are real ties and
+    # only the tie order decides; all-zero blocks are nothing but ties.
+    rng = make_rng(9)
+    sizes = [40, 40, 7, 200, 64, 64, 150]
+    llrs = [rng.integers(-2, 3, size=3 * n).astype(float) for n in sizes[:4]]
+    llrs += [np.zeros(3 * 64), np.zeros(3 * 64)]
+    erased = rng.normal(0, 2.0, size=3 * 150)
+    erased[rng.choice(len(erased), size=len(erased) // 2, replace=False)] = 0.0
+    llrs.append(erased)
+    _assert_matches_reference(llrs, sizes)
+
+
+def test_wide_range_llrs_match_reference():
+    # LLRs that make every step round.  One coded bit at 2**56 next to two
+    # small integers exposes the order of the three-term correlation sum;
+    # a 2**56-scale head before small integers exposes a normalisation
+    # that is skipped or moved.
+    rng = make_rng(11)
+    llrs = []
+    for column in range(3):
+        steps = rng.integers(-7, 8, size=(300, 3)).astype(float)
+        steps[:, column] *= 2.0**56
+        llrs.append(steps.reshape(-1))
+    head = rng.integers(-3, 4, size=(300, 3)).astype(float)
+    head[:100] *= 2.0**56
+    llrs.append(head.reshape(-1))
+    _assert_matches_reference(llrs, [300] * 4)
+
+
+def test_lengths_around_wrap_margin_match_reference():
+    rng = make_rng(10)
+    sizes = [1, 6, 95, 96, 97, 96, 1, 0]
+    llrs = [rng.integers(-2, 3, size=3 * n).astype(float) for n in sizes]
+    _assert_matches_reference(llrs, sizes)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(
+        st.integers(1, 120).flatmap(
+            lambda n: hnp.arrays(np.int64, 3 * n, elements=st.integers(-2, 2))
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_mixed_length_batches_match_reference_property(blocks):
+    llrs = [block.astype(float) for block in blocks]
+    _assert_matches_reference(llrs, [len(block) // 3 for block in blocks])
+
+
+# -- malformed input -----------------------------------------------------------
+
+
+def test_wrong_llr_count_names_block():
+    with pytest.raises(ValueError, match=r"block 0: expected 33 LLRs .* got 30"):
+        viterbi_decode(np.zeros(30), 11)
+
+
+def test_ragged_batch_names_block():
+    with pytest.raises(ValueError, match=r"block 1: expected 30 LLRs .* got 33"):
+        viterbi_decode_many([np.zeros(30), np.zeros(33)], [10, 10])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_llr_names_block(bad):
+    llrs = [np.ones(30), np.ones(30)]
+    llrs[1][7] = bad
+    with pytest.raises(ValueError, match=rf"block 1: LLR 7 is {bad}"):
+        viterbi_decode_many(llrs, [10, 10])

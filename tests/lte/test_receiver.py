@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.channel.fading import FadingChannel
-from repro.lte import CellConfig, LteReceiver, LteTransmitter
+from repro.lte import CellConfig, LteReceiver, LteTransmitter, coding
 from repro.utils.dsp import awgn
 from repro.utils.rng import make_rng
 
@@ -74,3 +74,33 @@ def test_short_capture_rejected():
     rx = LteReceiver(1.4, cell)
     with pytest.raises(ValueError):
         rx.decode(np.zeros(100, complex))
+
+
+def test_capture_decodes_in_one_viterbi_call(monkeypatch):
+    cell = CellConfig()
+    capture = LteTransmitter(1.4, cell=cell, rng=10).transmit(2)
+    calls = []
+    original = coding.viterbi_decode_many
+
+    def spy(llrs_list, n_bits_list, *args, **kwargs):
+        calls.append(len(llrs_list))
+        return original(llrs_list, n_bits_list, *args, **kwargs)
+
+    monkeypatch.setattr(coding, "viterbi_decode_many", spy)
+    result = LteReceiver(capture.params, cell).decode(capture.samples)
+    assert calls == [20]
+    assert [(sf.frame, sf.subframe) for sf in result.subframes] == [
+        (frame, subframe) for frame in range(2) for subframe in range(10)
+    ]
+    assert result.block_error_rate == 0.0
+
+
+def test_crc_failures_stay_on_the_noisy_frame():
+    cell = CellConfig()
+    capture = LteTransmitter(1.4, cell=cell, rng=11).transmit(2)
+    n = capture.params.samples_per_frame
+    samples = capture.samples.copy()
+    samples[n:] = awgn(samples[n:], -10.0, make_rng(12))
+    result = LteReceiver(capture.params, cell).decode(samples)
+    assert all(sf.crc_ok for sf in result.subframes if sf.frame == 0)
+    assert not any(sf.crc_ok for sf in result.subframes if sf.frame == 1)

@@ -7,7 +7,7 @@ end-to-end "critical information" guarantee.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.channel.link import LinkBudget
 from repro.core.link_budget import LScatterLinkModel
@@ -110,6 +110,8 @@ def test_capture_length_always_integral_frames(n_frames):
 @given(
     ber=st.floats(min_value=0.0, max_value=0.2),
 )
+@example(ber=1e-12)
+@example(ber=5e-324)
 def test_coded_ber_never_worse_than_half(ber):
     from repro.tag.coding import hamming74_coded_ber, repetition_coded_ber
 
