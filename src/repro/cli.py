@@ -374,6 +374,22 @@ def _cmd_network(args):
     return 0
 
 
+def _print_sweeps(prefix, sweeps, name_key, width):
+    """One line per chaos/stress degradation curve: goodputs and gate flag."""
+    for sweep in sweeps:
+        goodputs = ", ".join(
+            f"{(p['goodput_bps'] or 0.0) / 1e3:.1f}" for p in sweep["points"]
+        )
+        if sweep["monotone_goodput"]:
+            flag = "monotone"
+        elif sweep["monotone_required"]:
+            flag = "NOT MONOTONE"
+        else:
+            flag = "non-monotone (threshold fault, not gated)"
+        name = f"{sweep[name_key]:{width}s}"
+        print(f"{prefix}: {name} goodput kbps [{goodputs}] {flag}")
+
+
 def _cmd_chaos(args):
     if not 0.0 <= args.max_severity <= 1.0:
         return _fail_usage(
@@ -407,17 +423,7 @@ def _cmd_chaos(args):
     )
     noop_ok = "OK" if report["noop_contract"]["passed"] else "FAILED"
     print(f"chaos: no-op contract {noop_ok}")
-    for sweep in report["sweeps"]:
-        goodputs = ", ".join(
-            f"{(p['goodput_bps'] or 0.0) / 1e3:.1f}" for p in sweep["points"]
-        )
-        if sweep["monotone_goodput"]:
-            flag = "monotone"
-        elif sweep["monotone_required"]:
-            flag = "NOT MONOTONE"
-        else:
-            flag = "non-monotone (threshold fault, not gated)"
-        print(f"chaos: {sweep['kind']:8s} goodput kbps [{goodputs}] {flag}")
+    _print_sweeps("chaos", report["sweeps"], "kind", 8)
     if "fleet" in report:
         fleet = report["fleet"]
         print(
@@ -467,14 +473,7 @@ def _cmd_stress(args):
     )
     noop_ok = "OK" if all(c["passed"] for c in report["noop_contracts"]) else "FAILED"
     print(f"stress: no-op contracts {noop_ok}")
-    for sweep in report["sweeps"]:
-        goodputs = ", ".join(
-            f"{(p['goodput_bps'] or 0.0) / 1e3:.1f}" for p in sweep["points"]
-        )
-        flag = "monotone" if sweep["monotone_goodput"] else "NOT MONOTONE"
-        print(
-            f"stress: {sweep['scenario']:16s} goodput kbps [{goodputs}] {flag}"
-        )
+    _print_sweeps("stress", report["sweeps"], "scenario", 16)
     for probe in report["sync_probes"]:
         held = "held" if not probe["adaptive"]["sync_failed"] else "LOST"
         print(

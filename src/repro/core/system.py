@@ -116,13 +116,13 @@ class LScatterSystem:
         self.modulator = ChipModulator()
         self.demodulator = BackscatterDemodulator(
             self.params,
-            erasure_threshold=getattr(self.config, "erasure_threshold", None),
-            snr_gate_db=getattr(self.config, "window_snr_gate_db", None),
+            erasure_threshold=self.config.erasure_threshold,
+            snr_gate_db=self.config.window_snr_gate_db,
         )
         # The substrate owns the mode-specific hooks (ambient synthesis,
         # schedule layout, demodulation, accounting); "chip" delegates to
         # the controller/demodulator above, bit-identically.
-        substrate_cls = get_substrate(getattr(self.config, "substrate", "chip"))
+        substrate_cls = get_substrate(self.config.substrate)
         self.substrate = substrate_cls(self)
         if (
             self.config.reference_mode == "decoded"
@@ -142,7 +142,7 @@ class LScatterSystem:
                 f"sync circuit; use sync_mode='model' or pin sync_error_samples"
             )
         if (
-            getattr(self.config, "demod_chunk_half_frames", None)
+            self.config.demod_chunk_half_frames
             and not self.substrate.supports_streaming
         ):
             raise ValueError(
@@ -185,9 +185,7 @@ class LScatterSystem:
                 fs,
                 rng=rng,
                 edge_fault=edge_fault,
-                max_resync_attempts=getattr(
-                    config, "sync_resync_attempts", 0
-                ),
+                max_resync_attempts=config.sync_resync_attempts,
             )
             result = circuit.process(ambient_at_tag)
             if len(result.edges) == 0:
@@ -344,24 +342,19 @@ class LScatterSystem:
         # from the plan's own seed (FaultPlan.rng_for), never in the six
         # simulation streams above — an all-zero plan is a bit-identical
         # no-op by construction.
-        fault_plan = getattr(config, "faults", None)
+        fault_plan = config.faults
         if fault_plan is None:
-            carrier_faults = None
-        elif hasattr(fault_plan, "carrier_fault_set"):
-            # StressPlan stacks scenario stressors on the base injectors.
-            carrier_faults = fault_plan.carrier_fault_set()
+            carrier_faults = edge_fault = None
+            drift_per_half_frame = 0.0
         else:
+            # One chain: carrier injectors, then the plan's stressors.
             carrier_faults = CarrierFaultSet(fault_plan)
-        edge_fault = (
-            TagFaultInjector(fault_plan.tag, rng=fault_plan.rng_for("tag"))
-            if fault_plan is not None
-            else None
-        )
-        drift_per_half_frame = (
-            drift_per_half_frame_samples(fault_plan.tag, self.params)
-            if fault_plan is not None
-            else 0.0
-        )
+            edge_fault = TagFaultInjector(
+                fault_plan.tag, rng=fault_plan.rng_for("tag")
+            )
+            drift_per_half_frame = drift_per_half_frame_samples(
+                fault_plan.tag, self.params
+            )
 
         # 1. eNodeB transmission, normalised to unit mean sample power
         #    (or injected, already normalised, from a shared ambient stage).
@@ -436,14 +429,10 @@ class LScatterSystem:
             if carrier_faults is not None:
                 # Jammer bursts, impulsive noise and ADC clipping hit the
                 # backscatter band's receive chain, where the signal is weakest.
-                # Stress sets that model co-channel tags additionally need
-                # the ambient the interferers would themselves reflect.
-                if getattr(carrier_faults, "wants_ambient", False):
-                    shifted_rx = carrier_faults.apply_backscatter(
-                        shifted_rx, ambient=ambient_at_tag
-                    )
-                else:
-                    shifted_rx = carrier_faults.apply_backscatter(shifted_rx)
+                # Co-channel ghost tags (tag-mob) reflect the tag-side ambient.
+                shifted_rx = carrier_faults.apply_backscatter(
+                    shifted_rx, ambient=ambient_at_tag
+                )
             direct_rx = direct_link.apply(unit)
             # Structural (unmodulated, in-band) tag reflection leaks into the
             # direct band as weak extra multipath.

@@ -26,6 +26,7 @@ bit-for-bit from any shard partition.
 from __future__ import annotations
 
 from repro.cells import NetworkDeployment, NetworkRunner, NetworkTag, Topology
+from repro.experiments.gates import MonotoneGateError, gate_monotone  # noqa: F401
 from repro.experiments.registry import ExperimentResult
 
 #: Inter-site distances swept by the isd arm (feet).
@@ -34,14 +35,6 @@ ISD_GRID_FT = (100.0, 150.0, 250.0, 400.0)
 INTERFERER_GRID = (0, 1, 2, 3, 4, 5, 6)
 #: Fixed cluster pitch for the interferers arm (feet).
 INTERFERER_ISD_FT = 150.0
-#: Absolute slack for the monotone-degradation gate: next point may
-#: exceed the running bound by at most this relative + absolute margin
-#: before the gate trips (floats, not physics, get the benefit of doubt).
-GATE_RELATIVE_SLACK = 1e-6
-
-
-class MonotoneGateError(AssertionError):
-    """The interference sweep violated monotone degradation."""
 
 
 def _tags(serving_xy, offsets_ft):
@@ -126,31 +119,6 @@ def run_point(params, seed):
     return _run_interferers_point(params, seed)
 
 
-def _gate_monotone(rows):
-    """Goodput must not rise, BER must not fall, as interferers grow."""
-    ordered = sorted(rows, key=lambda row: row["n_interferers"])
-    for prev, nxt in zip(ordered, ordered[1:]):
-        slack = GATE_RELATIVE_SLACK * max(abs(prev["goodput_kbps"]), 1.0)
-        if nxt["goodput_kbps"] > prev["goodput_kbps"] + slack:
-            raise MonotoneGateError(
-                f"interference gate: goodput rose from "
-                f"{prev['goodput_kbps']:.6f} kbps at "
-                f"{prev['n_interferers']} interferer(s) to "
-                f"{nxt['goodput_kbps']:.6f} kbps at {nxt['n_interferers']}; "
-                "adding a co-channel neighbour must not improve the link"
-            )
-        ber_slack = GATE_RELATIVE_SLACK * max(abs(prev["mean_ber"]), 1.0)
-        if nxt["mean_ber"] < prev["mean_ber"] - ber_slack:
-            raise MonotoneGateError(
-                f"interference gate: mean BER fell from "
-                f"{prev['mean_ber']:.3e} at {prev['n_interferers']} "
-                f"interferer(s) to {nxt['mean_ber']:.3e} at "
-                f"{nxt['n_interferers']}; adding a co-channel neighbour "
-                "must not clean up the link"
-            )
-    return ordered
-
-
 def aggregate(rows, seed=0):
     """Merge the sweep rows; gates the interference arm on monotonicity."""
     rows = list(rows)
@@ -158,8 +126,11 @@ def aggregate(rows, seed=0):
         (row for row in rows if row["sweep"] == "isd"),
         key=lambda row: row["inter_site_ft"],
     )
-    interferers = _gate_monotone(
-        [row for row in rows if row["sweep"] == "interferers"]
+    interferers = gate_monotone(
+        [row for row in rows if row["sweep"] == "interferers"],
+        "interference gate",
+        "n_interferers",
+        ber="mean_ber",
     )
     return ExperimentResult(
         name="netgrid",

@@ -12,8 +12,8 @@ partition — and the nightly crash-and-resume drill can kill it mid-grid.
   ``run_point`` performs the IQ comparison itself and records the
   verdict, keeping each point a pure function of ``(params, seed)``);
 * **monotone degradation** — per scenario, goodput non-increasing and
-  BER non-decreasing in intensity, within the same float slack as the
-  netgrid interference gate.
+  BER non-decreasing in intensity: the gate of
+  :mod:`repro.experiments.gates`, shared with netgrid and subgrid.
 
 Full grid: 6 scenarios x 5 intensities = 30 points.  Smoke: 2 scenarios
 x 3 intensities = 6 points.
@@ -21,27 +21,20 @@ x 3 intensities = 6 points.
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.experiments.gates import MonotoneGateError, gate_monotone  # noqa: F401
 from repro.experiments.registry import ExperimentResult
+from repro.stress.perturbations import noop_contract, run_session
 from repro.stress.scenarios import SCENARIOS, make_scenario_plan
-from repro.stress.suite import _config, _run_point
+from repro.stress.suite import STRESS_SWEEP
 
 #: Attack intensities swept per scenario.
 INTENSITY_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 INTENSITY_GRID_SMOKE = (0.0, 0.5, 1.0)
 #: Scenarios the smoke grid keeps (one jammer, one congestion shape).
 SMOKE_SCENARIOS = ("sweep-jammer", "bursty-pdsch")
-#: Relative slack for the monotone gates (floats, not physics, get the
-#: benefit of the doubt) — matches the netgrid interference gate.
-GATE_RELATIVE_SLACK = 1e-6
 
 PAYLOAD_LENGTH = 20000
 PAYLOAD_LENGTH_SMOKE = 6000
-
-
-class MonotoneGateError(AssertionError):
-    """A stress scenario violated monotone degradation."""
 
 
 class NoopGateError(AssertionError):
@@ -59,41 +52,20 @@ def campaign_points(seed=0, smoke=False):
     ]
 
 
-def _noop_identical(scenario, smoke, seed, payload_length):
-    """Zero-intensity plan vs no plan: compare IQ and metrics in-point."""
-    clean = _run_point(
-        _config(smoke, plan=None, erasures=False),
-        seed, payload_length, artifacts=True,
-    )
-    plan = make_scenario_plan(scenario, 0.0, _config(smoke).params, seed=seed)
-    zeroed = _run_point(
-        _config(smoke, plan=plan, erasures=False),
-        seed, payload_length, artifacts=True,
-    )
-    a = clean.extras["artifacts"]
-    b = zeroed.extras["artifacts"]
-    return bool(
-        np.array_equal(a.shifted_rx, b.shifted_rx)
-        and np.array_equal(a.direct_rx, b.direct_rx)
-        and clean.n_bits == zeroed.n_bits
-        and clean.n_errors == zeroed.n_errors
-    )
-
-
 def run_point(params, seed):
     """One grid cell; pure per ``(params, seed)`` so shards reproduce."""
     scenario = params["scenario"]
     intensity = float(params["intensity"])
     smoke = bool(params.get("smoke", False))
     payload_length = PAYLOAD_LENGTH_SMOKE if smoke else PAYLOAD_LENGTH
+    lte = STRESS_SWEEP.params
     plan = (
-        make_scenario_plan(
-            scenario, intensity, _config(smoke).params, seed=seed
-        )
+        make_scenario_plan(scenario, intensity, lte, seed=seed)
         if intensity > 0
         else None
     )
-    report = _run_point(_config(smoke, plan=plan), seed, payload_length)
+    config = STRESS_SWEEP.config(smoke, plan=plan)
+    report = run_session(config, seed, payload_length)
     row = {
         "scenario": scenario,
         "intensity": intensity,
@@ -103,41 +75,22 @@ def run_point(params, seed):
         "sync_failed": bool(report.sync_failed),
     }
     if intensity == 0.0:
-        row["noop_identical"] = _noop_identical(
-            scenario, smoke, seed, payload_length
-        )
+        zero = make_scenario_plan(scenario, 0.0, lte, seed=seed)
+        verdict, _ = noop_contract(STRESS_SWEEP, zero, smoke, seed, payload_length)
+        row["noop_identical"] = verdict["passed"]
     return row
 
 
 def _gate_scenario(scenario, rows):
     """No-op at zero, then monotone degradation across the sweep."""
-    ordered = sorted(rows, key=lambda row: row["intensity"])
-    for row in ordered:
+    for row in rows:
         if row["intensity"] == 0.0 and not row.get("noop_identical", True):
             raise NoopGateError(
                 f"stress gate: scenario {scenario!r} at intensity 0 is not "
                 "bit-identical to the unstressed run; the zero-intensity "
                 "no-op contract is broken"
             )
-    for prev, nxt in zip(ordered, ordered[1:]):
-        slack = GATE_RELATIVE_SLACK * max(abs(prev["goodput_kbps"]), 1.0)
-        if nxt["goodput_kbps"] > prev["goodput_kbps"] + slack:
-            raise MonotoneGateError(
-                f"stress gate: {scenario!r} goodput rose from "
-                f"{prev['goodput_kbps']:.6f} kbps at intensity "
-                f"{prev['intensity']:.2f} to {nxt['goodput_kbps']:.6f} kbps "
-                f"at {nxt['intensity']:.2f}; turning the attack up must "
-                "not improve the link"
-            )
-        ber_slack = GATE_RELATIVE_SLACK * max(abs(prev["ber"]), 1.0)
-        if nxt["ber"] < prev["ber"] - ber_slack:
-            raise MonotoneGateError(
-                f"stress gate: {scenario!r} BER fell from "
-                f"{prev['ber']:.3e} at intensity {prev['intensity']:.2f} to "
-                f"{nxt['ber']:.3e} at {nxt['intensity']:.2f}; turning the "
-                "attack up must not clean up the link"
-            )
-    return ordered
+    return gate_monotone(rows, f"stress gate [{scenario}]", "intensity")
 
 
 def aggregate(rows, seed=0):

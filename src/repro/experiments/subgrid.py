@@ -28,8 +28,9 @@ from __future__ import annotations
 
 from repro.core.config import SystemConfig
 from repro.core.system import LScatterSystem
+from repro.experiments.gates import MonotoneGateError, gate_monotone  # noqa: F401
 from repro.experiments.registry import ExperimentResult
-from repro.faults.plan import CarrierFaults, FaultPlan
+from repro.stress.perturbations import PERTURBATIONS
 
 #: Substrates swept, in comparison-table order.
 SUBSTRATES = ("chip", "crs-ook", "crs-fsk", "coded-pilot", "srs-uplink")
@@ -55,14 +56,6 @@ FAULT_SEED = 5
 PAYLOAD_LENGTH = 4000
 N_FRAMES = 2
 
-#: Slack for the monotone-degradation gates (floats, not physics, get
-#: the benefit of the doubt).
-GATE_RELATIVE_SLACK = 1e-6
-
-
-class MonotoneGateError(AssertionError):
-    """A substrate's degradation curve violated monotonicity."""
-
 
 def campaign_points(seed=0, smoke=False, substrate=None):
     """One point per (substrate, arm, value) — the campaign shard grid."""
@@ -85,28 +78,9 @@ def campaign_points(seed=0, smoke=False, substrate=None):
     return points
 
 
-def _config(mode, arm, value):
-    if arm == "distance":
-        power, _distances = DISTANCE_ARMS[mode]
-        return SystemConfig(
-            bandwidth_mhz=1.4,
-            n_frames=N_FRAMES,
-            reference_mode="genie",
-            sync_mode="model",
-            multipath=False,
-            substrate=mode,
-            enb_to_tag_ft=3.0,
-            tag_to_ue_ft=float(value),
-            tx_power_dbm=power,
-        )
-    occupancy = float(value)
-    faults = None
-    if occupancy < 1.0:
-        faults = FaultPlan(
-            carrier=CarrierFaults(dropout_rate=1.0 - occupancy),
-            seed=FAULT_SEED,
-        )
-    return SystemConfig(
+def base_config(mode, **overrides):
+    """The grid's shared geometry: 1.4 MHz, genie, model sync, 3 ft hops."""
+    kwargs = dict(
         bandwidth_mhz=1.4,
         n_frames=N_FRAMES,
         reference_mode="genie",
@@ -115,8 +89,20 @@ def _config(mode, arm, value):
         substrate=mode,
         enb_to_tag_ft=3.0,
         tag_to_ue_ft=3.0,
-        faults=faults,
     )
+    kwargs.update(overrides)
+    return SystemConfig(**kwargs)
+
+
+def _config(mode, arm, value):
+    if arm == "distance":
+        power, _distances = DISTANCE_ARMS[mode]
+        return base_config(mode, tag_to_ue_ft=float(value), tx_power_dbm=power)
+    occupancy = float(value)
+    faults = None
+    if occupancy < 1.0:
+        faults = PERTURBATIONS["dropout"].build(1.0 - occupancy, None, FAULT_SEED)
+    return base_config(mode, faults=faults)
 
 
 def run_point(params, seed):
@@ -148,31 +134,6 @@ def _arm_order(row):
     return -row["occupancy"]
 
 
-def _gate_monotone(mode, arm, rows):
-    """Goodput must not rise, BER must not fall, along one arm."""
-    ordered = sorted(rows, key=_arm_order)
-    axis = "distance_ft" if arm == "distance" else "occupancy"
-    for prev, nxt in zip(ordered, ordered[1:]):
-        slack = GATE_RELATIVE_SLACK * max(abs(prev["goodput_kbps"]), 1.0)
-        if nxt["goodput_kbps"] > prev["goodput_kbps"] + slack:
-            raise MonotoneGateError(
-                f"substrate gate [{mode}/{arm}]: goodput rose from "
-                f"{prev['goodput_kbps']:.6f} kbps at {axis}="
-                f"{prev[axis]} to {nxt['goodput_kbps']:.6f} kbps at "
-                f"{axis}={nxt[axis]}; a worse channel must not improve "
-                "the link"
-            )
-        ber_slack = GATE_RELATIVE_SLACK * max(abs(prev["ber"]), 1.0)
-        if nxt["ber"] < prev["ber"] - ber_slack:
-            raise MonotoneGateError(
-                f"substrate gate [{mode}/{arm}]: BER fell from "
-                f"{prev['ber']:.3e} at {axis}={prev[axis]} to "
-                f"{nxt['ber']:.3e} at {axis}={nxt[axis]}; a worse channel "
-                "must not clean up the link"
-            )
-    return ordered
-
-
 def aggregate(rows, seed=0):
     """Merge the grid rows; gates every (substrate, arm) curve."""
     rows = list(rows)
@@ -185,7 +146,12 @@ def aggregate(rows, seed=0):
                 if row["substrate"] == mode and row["arm"] == arm
             ]
             if arm_rows:
-                ordered += _gate_monotone(mode, arm, arm_rows)
+                ordered += gate_monotone(
+                    arm_rows,
+                    f"substrate gate [{mode}/{arm}]",
+                    "distance_ft" if arm == "distance" else "occupancy",
+                    order=_arm_order,
+                )
     return ExperimentResult(
         name="subgrid",
         description=(

@@ -1,9 +1,12 @@
 """Carrier-level fault injectors: impairments of the IQ stream.
 
-Each injector implements ``apply(samples, rng) -> ndarray`` and the
-zero-severity contract: when inactive it returns the *input array object*
-untouched.  When active it always works on a copy (the input may be a
-read-only memory map shared across worker processes).
+Every injector, here and in :mod:`repro.stress.stressors`, has a
+``name``, a ``hook`` (``"ambient"`` or ``"backscatter"``) and
+``apply(samples, rng, ambient=None) -> ndarray`` (only the tag-mob
+stressor reads ``ambient``), and keeps the zero-severity contract: when
+inactive it returns the *input array object* untouched.  When active it
+always works on a copy (the input may be a read-only memory map shared
+across worker processes).
 
 Severity sweeps stay monotone by construction: every injector draws its
 placement randomness (anchors, tone frequency/phase, per-sample uniforms)
@@ -33,6 +36,9 @@ class AmbientDropout:
     failure for a passive tag, which has nothing to ride during the gap.
     """
 
+    name = "dropout"
+    hook = "ambient"
+
     def __init__(self, rate, n_windows=3):
         self.rate = float(rate)
         self.n_windows = max(1, int(n_windows))
@@ -41,7 +47,7 @@ class AmbientDropout:
     def active(self):
         return self.rate > 0.0
 
-    def apply(self, samples, rng):
+    def apply(self, samples, rng, ambient=None):
         if not self.active:
             return samples
         n = len(samples)
@@ -67,6 +73,9 @@ class NarrowbandJammer:
     the jammed set.
     """
 
+    name = "jammer"
+    hook = "backscatter"
+
     def __init__(self, severity, n_bursts=2, amplitude_rel=4.0):
         self.severity = float(severity)
         self.n_bursts = max(1, int(n_bursts))
@@ -76,7 +85,7 @@ class NarrowbandJammer:
     def active(self):
         return self.severity > 0.0
 
-    def apply(self, samples, rng):
+    def apply(self, samples, rng, ambient=None):
         # Placement draws happen in a fixed order and count (anchors,
         # frequency, phase) so they are severity-independent.
         if not self.active:
@@ -106,6 +115,9 @@ class NarrowbandJammer:
 class ImpulsiveNoise:
     """Sparse high-amplitude impulses (switching transients, ignition)."""
 
+    name = "impulse"
+    hook = "backscatter"
+
     def __init__(self, rate, amplitude_rel=30.0):
         self.rate = float(rate)
         self.amplitude_rel = float(amplitude_rel)
@@ -114,7 +126,7 @@ class ImpulsiveNoise:
     def active(self):
         return self.rate > 0.0
 
-    def apply(self, samples, rng):
+    def apply(self, samples, rng, ambient=None):
         if not self.active:
             return samples
         n = len(samples)
@@ -138,6 +150,9 @@ class AdcClipper:
     limiter model of a saturated front end).
     """
 
+    name = "clip"
+    hook = "backscatter"
+
     def __init__(self, severity):
         self.severity = float(severity)
 
@@ -145,7 +160,7 @@ class AdcClipper:
     def active(self):
         return self.severity > 0.0
 
-    def apply(self, samples, rng):
+    def apply(self, samples, rng, ambient=None):
         if not self.active:
             return samples
         magnitude = np.abs(samples)
@@ -158,45 +173,52 @@ class AdcClipper:
 
 
 class CarrierFaultSet:
-    """All carrier injectors of one :class:`~repro.faults.plan.FaultPlan`.
+    """All injectors of one :class:`~repro.faults.plan.FaultPlan`, as one chain.
 
-    Dropout hits the *transmitted* ambient (an eNodeB gap degrades the tag
-    and the UE alike); jammer, impulses and clipping hit the backscatter
-    receive chain, where the weak shifted-band signal is most vulnerable.
+    Dropout, jammer, impulse, clip, then the plan's stressors; each hook
+    runs its injectors in that order.  Dropout hits the *transmitted*
+    ambient (an eNodeB gap degrades the tag and the UE alike); jammer,
+    impulses and clipping hit the backscatter receive chain, where the
+    weak shifted-band signal is most vulnerable.
     """
 
     def __init__(self, plan):
         carrier = plan.carrier
         self._plan = plan
-        self._dropout = AmbientDropout(carrier.dropout_rate, carrier.dropout_windows)
-        self._jammer = NarrowbandJammer(
-            carrier.jammer_severity, carrier.jammer_bursts, carrier.jammer_amplitude
+        base = (
+            AmbientDropout(carrier.dropout_rate, carrier.dropout_windows),
+            NarrowbandJammer(
+                carrier.jammer_severity, carrier.jammer_bursts, carrier.jammer_amplitude
+            ),
+            ImpulsiveNoise(carrier.impulse_rate, carrier.impulse_amplitude),
+            AdcClipper(carrier.clip_severity),
         )
-        self._impulse = ImpulsiveNoise(carrier.impulse_rate, carrier.impulse_amplitude)
-        self._clipper = AdcClipper(carrier.clip_severity)
+        # (injector, plan.rng_for stream, activation counter), in order.
+        self._chain = tuple(
+            (injector, injector.name, f"faults.activations.{injector.name}")
+            for injector in base
+        ) + tuple(
+            (s, f"stress:{s.name}", f"stress.activations.{s.name}")
+            for s in plan.stressors
+        )
 
     @property
     def active(self):
-        return any(
-            injector.active
-            for injector in (self._dropout, self._jammer, self._impulse, self._clipper)
-        )
+        return any(injector.active for injector, _, _ in self._chain)
+
+    def _apply(self, samples, hook, ambient=None):
+        for injector, stream, counter in self._chain:
+            if injector.hook == hook and injector.active:
+                obs_metrics.counter_inc(counter)
+                samples = injector.apply(
+                    samples, self._plan.rng_for(stream), ambient=ambient
+                )
+        return samples
 
     def apply_ambient(self, unit):
-        """Faults applied at the eNodeB: carrier dropout windows."""
-        if self._dropout.active:
-            obs_metrics.counter_inc("faults.activations.dropout")
-        return self._dropout.apply(unit, self._plan.rng_for("dropout"))
+        """Faults applied at the eNodeB."""
+        return self._apply(unit, "ambient")
 
-    def apply_backscatter(self, rx):
+    def apply_backscatter(self, rx, ambient=None):
         """Faults applied at the UE's backscatter band front end."""
-        for name, injector in (
-            ("jammer", self._jammer),
-            ("impulse", self._impulse),
-            ("clip", self._clipper),
-        ):
-            if injector.active:
-                obs_metrics.counter_inc(f"faults.activations.{name}")
-        rx = self._jammer.apply(rx, self._plan.rng_for("jammer"))
-        rx = self._impulse.apply(rx, self._plan.rng_for("impulse"))
-        return self._clipper.apply(rx, self._plan.rng_for("clip"))
+        return self._apply(rx, "backscatter", ambient=ambient)

@@ -19,24 +19,25 @@
    a bit-flipped ambient scratch file must be detected and regenerated.
 
 Erased windows are excluded from every BER/goodput figure (they feed the
-link-layer ARQ path, not the bit counts).
+link-layer ARQ path, not the bit counts).  The fault kinds, the no-op
+contract and the sweep are the ones ``repro stress`` uses too
+(:mod:`repro.stress.perturbations`).
 """
 
 from __future__ import annotations
 
-import json
-import math
-import os
-
-import numpy as np
-
-from repro.core.config import SystemConfig
-from repro.core.system import LScatterSystem
 from repro.faults.infra import bitflip_file
-from repro.faults.plan import CarrierFaults, FaultPlan, InfraFaults, TagFaults
+from repro.faults.plan import FaultPlan, InfraFaults
 from repro.fleet.ambient import AmbientCache
 from repro.fleet.deployment import Deployment
 from repro.fleet.runner import FleetRunner
+from repro.stress.perturbations import (
+    PERTURBATIONS,
+    SweepConfig,
+    noop_contract,
+    sweep,
+    write_report,
+)
 
 #: Fault kinds the sweep knows how to scale.  ``drift`` maps severity to
 #: tag clock drift in ppm (severity 1.0 = 2000 ppm, far past the guard).
@@ -48,115 +49,17 @@ CHAOS_KINDS = ("dropout", "jammer", "impulse", "clipping", "drift")
 #: inside the guard slack until the accumulated walk exceeds it, and tiny
 #: in-slack shifts can flip individual soft decisions either way — so it
 #: is reported but not gated.
-MONOTONE_KINDS = frozenset({"dropout", "jammer", "impulse", "clipping"})
-
-DRIFT_PPM_AT_FULL_SEVERITY = 2000.0
+MONOTONE_KINDS = frozenset(k for k in CHAOS_KINDS if PERTURBATIONS[k].gated)
 
 #: Preamble mis-slice fraction above which a packet's windows are erased.
 CHAOS_ERASURE_THRESHOLD = 0.35
 
-
-def _config(smoke, plan=None, erasures=True):
-    return SystemConfig(
-        bandwidth_mhz=1.4,
-        n_frames=2 if smoke else 4,
-        reference_mode="genie",
-        sync_mode="model",
-        faults=plan,
-        erasure_threshold=CHAOS_ERASURE_THRESHOLD if erasures else None,
-    )
-
-
-def _plan_for(kind, severity, seed):
-    if kind == "dropout":
-        carrier = CarrierFaults(dropout_rate=severity)
-    elif kind == "jammer":
-        carrier = CarrierFaults(jammer_severity=severity)
-    elif kind == "impulse":
-        carrier = CarrierFaults(impulse_rate=0.02 * severity)
-    elif kind == "clipping":
-        carrier = CarrierFaults(clip_severity=severity)
-    elif kind == "drift":
-        return FaultPlan(
-            tag=TagFaults(clock_drift_ppm=severity * DRIFT_PPM_AT_FULL_SEVERITY),
-            seed=seed,
-        )
-    else:
-        raise ValueError(f"unknown chaos kind {kind!r}")
-    return FaultPlan(carrier=carrier, seed=seed)
-
-
-def _json_float(value):
-    value = float(value)
-    return None if math.isnan(value) else value
-
-
-def _run_point(config, seed, payload_length, artifacts=False):
-    system = LScatterSystem(config, rng=seed)
-    return system.run(payload_length=payload_length, artifacts=artifacts)
-
-
-def _point_record(severity, report):
-    return {
-        "severity": float(severity),
-        "n_bits": int(report.n_bits),
-        "n_errors": int(report.n_errors),
-        "ber": _json_float(report.ber),
-        "goodput_bps": _json_float(report.throughput_bps),
-        "n_windows": int(report.n_windows),
-        "n_lost_windows": int(report.n_lost_windows),
-        "n_erased_windows": int(report.n_erased_windows),
-        "sync_failed": bool(report.sync_failed),
-    }
-
-
-def _noop_contract(smoke, seed, payload_length):
-    """Clean run vs explicit zero plan: metrics and IQ must match exactly."""
-    clean = _run_point(
-        _config(smoke, plan=None, erasures=False), seed, payload_length,
-        artifacts=True,
-    )
-    zeroed = _run_point(
-        _config(smoke, plan=FaultPlan.none(seed=seed), erasures=False),
-        seed, payload_length, artifacts=True,
-    )
-    a = clean.extras["artifacts"]
-    b = zeroed.extras["artifacts"]
-    iq_identical = bool(
-        np.array_equal(a.shifted_rx, b.shifted_rx)
-        and np.array_equal(a.direct_rx, b.direct_rx)
-    )
-    metrics_identical = (
-        clean.n_bits == zeroed.n_bits
-        and clean.n_errors == zeroed.n_errors
-        and clean.n_windows == zeroed.n_windows
-        and clean.n_lost_windows == zeroed.n_lost_windows
-    )
-    return {
-        "iq_identical": iq_identical,
-        "metrics_identical": bool(metrics_identical),
-        "passed": bool(iq_identical and metrics_identical),
-        "n_bits": int(clean.n_bits),
-        "n_errors": int(clean.n_errors),
-    }
-
-
-def _sweep(kind, severities, smoke, seed, payload_length):
-    points = []
-    for severity in severities:
-        plan = _plan_for(kind, severity, seed) if severity > 0 else None
-        report = _run_point(_config(smoke, plan=plan), seed, payload_length)
-        points.append(_point_record(severity, report))
-    goodputs = [p["goodput_bps"] or 0.0 for p in points]
-    monotone = all(
-        later <= earlier + 1e-9 for earlier, later in zip(goodputs, goodputs[1:])
-    )
-    return {
-        "kind": kind,
-        "points": points,
-        "monotone_goodput": bool(monotone),
-        "monotone_required": kind in MONOTONE_KINDS,
-    }
+#: How the chaos sweep runs its sessions and names its record fields.
+CHAOS_SWEEP = SweepConfig(
+    name_key="kind",
+    level_key="severity",
+    erasure_threshold=CHAOS_ERASURE_THRESHOLD,
+)
 
 
 def _tag_key(result):
@@ -257,6 +160,10 @@ def run_chaos(
     fractions = (0.0, 0.5, 1.0) if smoke else (0.0, 0.25, 0.5, 0.75, 1.0)
     severities = [f * float(max_severity) for f in fractions]
     payload_length = 6000 if smoke else 20000
+    contract, clean = noop_contract(
+        CHAOS_SWEEP, FaultPlan.none(seed=seed), smoke, seed, payload_length
+    )
+    contract.update(n_bits=int(clean.n_bits), n_errors=int(clean.n_errors))
 
     report = {
         "meta": {
@@ -267,9 +174,9 @@ def run_chaos(
             "erasure_threshold": CHAOS_ERASURE_THRESHOLD,
             "payload_length": payload_length,
         },
-        "noop_contract": _noop_contract(smoke, seed, payload_length),
+        "noop_contract": contract,
         "sweeps": [
-            _sweep(kind, severities, smoke, seed, payload_length)
+            sweep(CHAOS_SWEEP, kind, severities, smoke, seed, payload_length)
             for kind in kinds
         ],
     }
@@ -283,12 +190,5 @@ def run_chaos(
     if fleet:
         checks.append(report["fleet"]["passed"])
     report["passed"] = bool(all(checks))
-
-    if output:
-        parent = os.path.dirname(output)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(output, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+    write_report(report, output)
     return report

@@ -17,10 +17,15 @@ drawn *before* severity is used and with a severity-independent number of
 draws, so a sweep over severities keeps the fault positions fixed and
 only widens/strengthens them.  That makes degradation curves monotone by
 construction instead of by luck (see :mod:`repro.faults.chaos`).
+
+A plan also carries the :mod:`repro.stress` stressors, which
+:class:`~repro.faults.carrier.CarrierFaultSet` chains after the carrier
+injectors; :class:`~repro.stress.plan.StressPlan` only adds a label.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.utils.rng import make_rng
@@ -31,7 +36,13 @@ def _check_unit(name, value):
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
 
 
+def _check_finite(name, value):
+    if not math.isfinite(float(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _check_nonnegative(name, value):
+    _check_finite(name, value)
     if not float(value) >= 0.0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
 
@@ -93,6 +104,8 @@ class TagFaults:
     def __post_init__(self):
         _check_unit("pss_miss_rate", self.pss_miss_rate)
         _check_unit("false_fire_rate", self.false_fire_rate)
+        # Either sign is a real clock; NaN/inf would fail deep in scheduling.
+        _check_finite("clock_drift_ppm", self.clock_drift_ppm)
 
     @property
     def is_noop(self):
@@ -114,6 +127,9 @@ class InfraFaults:
     hang_tasks: tuple = ()
     hang_seconds: float = 30.0
 
+    def __post_init__(self):
+        _check_nonnegative("hang_seconds", self.hang_seconds)
+
     @property
     def is_noop(self):
         return not self.crash_tasks and not self.hang_tasks
@@ -126,10 +142,16 @@ class FaultPlan:
     carrier: CarrierFaults = field(default_factory=CarrierFaults)
     tag: TagFaults = field(default_factory=TagFaults)
     seed: int = 0
+    #: Stressors (:mod:`repro.stress.stressors`) run after the carrier ones.
+    stressors: tuple = ()
 
     @property
     def is_noop(self):
-        return self.carrier.is_noop and self.tag.is_noop
+        return (
+            self.carrier.is_noop
+            and self.tag.is_noop
+            and not any(s.active for s in self.stressors)
+        )
 
     def rng_for(self, name):
         """A dedicated, reproducible stream for one injector.
@@ -139,17 +161,6 @@ class FaultPlan:
         ``(name, plan seed)`` — not on severity or call order.
         """
         return make_rng(f"lscatter-fault:{name}:{int(self.seed)}")
-
-    def carrier_fault_set(self):
-        """The carrier injector set the pipeline applies for this plan.
-
-        Subclasses (:class:`repro.stress.StressPlan`) override this to
-        stack scenario stressors on top of the base carrier injectors
-        without the pipeline knowing the difference.
-        """
-        from repro.faults.carrier import CarrierFaultSet
-
-        return CarrierFaultSet(self)
 
     @classmethod
     def none(cls, seed=0):

@@ -157,8 +157,8 @@ class AmbientCache:
             cell=cell,
             n_frames=int(config.n_frames),
             seed=int(seed),
-            cell_id=int(3 * getattr(cell, "n_id_1", 0) + getattr(cell, "n_id_2", 0)),
-            ambient_kind=ambient_kind_for(getattr(config, "substrate", "chip")),
+            cell_id=int(3 * cell.n_id_1 + cell.n_id_2),
+            ambient_kind=ambient_kind_for(config.substrate),
         )
 
     def get(self, config, seed):

@@ -6,7 +6,8 @@ interference path into named attack scenarios (see
 :mod:`repro.stress.scenarios`), pairs them with the pipeline's graceful
 degradation hooks (adaptive re-sync, SNR-gated erasure escalation, MAC
 congestion backoff), and sweeps them into gated degradation curves
-(:mod:`repro.stress.suite`, ``repro stress``).
+(:mod:`repro.stress.suite`, ``repro stress``) through the sweep harness
+it shares with ``repro chaos`` (:mod:`repro.stress.perturbations`).
 """
 
 from repro.stress.plan import StressFaultSet, StressPlan

@@ -1,10 +1,12 @@
 """Stress plans: named adversarial scenarios on top of the fault machinery.
 
 A :class:`StressPlan` is a frozen :class:`~repro.faults.plan.FaultPlan`
-that additionally carries a tuple of *stressors* — protocol-aware
-attackers and congestion processes (see :mod:`repro.stress.stressors`)
-that the pipeline applies at the same two hook points as the base carrier
-injectors.  The plan inherits the whole fault contract:
+labelled with the scenario and attack intensity that built it.  Its
+*stressors* — protocol-aware attackers and congestion processes (see
+:mod:`repro.stress.stressors`) — live on the base plan, so the pipeline
+applies them through the same :class:`~repro.faults.carrier.CarrierFaultSet`
+chain and the same two hook points as the carrier injectors.  The plan
+inherits the whole fault contract:
 
 * **intensity 0 is a bit-identical no-op** — every stressor at zero
   returns its input array object untouched and consumes no randomness any
@@ -14,10 +16,6 @@ injectors.  The plan inherits the whole fault contract:
 * placement draws are intensity-independent and coverage nests, so the
   degradation curves of :mod:`repro.stress.suite` are monotone by
   construction.
-
-The pipeline never imports this module: :meth:`StressPlan.carrier_fault_set`
-overrides the base factory, so :mod:`repro.core.system` builds a
-:class:`StressFaultSet` through the plan without knowing stress exists.
 """
 
 from __future__ import annotations
@@ -26,55 +24,9 @@ from dataclasses import dataclass
 
 from repro.faults.carrier import CarrierFaultSet
 from repro.faults.plan import FaultPlan, _check_unit
-from repro.obs import metrics as obs_metrics
 
-
-class StressFaultSet(CarrierFaultSet):
-    """Base carrier injectors plus a plan's scenario stressors.
-
-    Stressors with ``hook == "ambient"`` run after the base ambient
-    dropout (eNodeB-side: both the tag and the UE see them); stressors
-    with ``hook == "backscatter"`` run after the base receive-chain
-    injectors.  A stressor with ``needs_ambient = True`` (the tag-mob
-    co-channel interferers) additionally receives the clean ambient the
-    ghost tags would themselves reflect.
-    """
-
-    def __init__(self, plan):
-        super().__init__(plan)
-        self._stressors = tuple(plan.stressors)
-
-    @property
-    def active(self):
-        return super().active or any(s.active for s in self._stressors)
-
-    @property
-    def wants_ambient(self):
-        """True when an active stressor needs the tag-side ambient."""
-        return any(
-            getattr(s, "needs_ambient", False) and s.active
-            for s in self._stressors
-        )
-
-    def _apply_stressors(self, samples, hook, ambient=None):
-        for stressor in self._stressors:
-            if stressor.hook != hook or not stressor.active:
-                continue
-            obs_metrics.counter_inc(f"stress.activations.{stressor.name}")
-            rng = self._plan.rng_for(f"stress:{stressor.name}")
-            if getattr(stressor, "needs_ambient", False):
-                samples = stressor.apply(samples, rng, ambient=ambient)
-            else:
-                samples = stressor.apply(samples, rng)
-        return samples
-
-    def apply_ambient(self, unit):
-        unit = super().apply_ambient(unit)
-        return self._apply_stressors(unit, "ambient")
-
-    def apply_backscatter(self, rx, ambient=None):
-        rx = super().apply_backscatter(rx)
-        return self._apply_stressors(rx, "backscatter", ambient=ambient)
+#: The one fault set applies stressors too; the name stays importable.
+StressFaultSet = CarrierFaultSet
 
 
 @dataclass(frozen=True)
@@ -85,17 +37,6 @@ class StressPlan(FaultPlan):
     scenario: str = ""
     #: Attack intensity in [0, 1]; 0 is the bit-identical no-op.
     intensity: float = 0.0
-    #: Stressor instances applied on top of the base carrier injectors.
-    stressors: tuple = ()
 
     def __post_init__(self):
         _check_unit("intensity", self.intensity)
-
-    @property
-    def is_noop(self):
-        return FaultPlan.is_noop.fget(self) and not any(
-            s.active for s in self.stressors
-        )
-
-    def carrier_fault_set(self):
-        return StressFaultSet(self)

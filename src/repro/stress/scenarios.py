@@ -1,37 +1,21 @@
-"""The named scenario registry: one stressor recipe per adversary.
+"""The named scenario list: one stressor recipe per adversary.
 
-Each scenario maps an attack intensity in [0, 1] to a
-:class:`~repro.stress.plan.StressPlan` for one adversary/congestion
-model.  Scenarios are deliberately single-stressor — the suite's
-degradation curves then attribute every lost bit to one mechanism — but
-:func:`make_scenario_plan` accepts any registered name and
-:class:`~repro.stress.plan.StressPlan` composes, so tests and campaigns
-can stack stressors when they want a combined storm.
+Each scenario is an entry of
+:data:`repro.stress.perturbations.PERTURBATIONS` mapping an attack
+intensity in [0, 1] to a :class:`~repro.stress.plan.StressPlan` for one
+adversary/congestion model.  Scenarios are deliberately single-stressor —
+the suite's degradation curves then attribute every lost bit to one
+mechanism — but :class:`~repro.faults.plan.FaultPlan` carries any tuple
+of stressors, so tests and campaigns can stack them when they want a
+combined storm.
 """
 
 from __future__ import annotations
 
-from repro.stress.plan import StressPlan
-from repro.stress.stressors import (
-    BurstyPdsch,
-    PssJammer,
-    ReactiveJammer,
-    SignallingStorm,
-    SweepJammer,
-    TagMob,
-)
-
-_SCENARIO_STRESSORS = {
-    "bursty-pdsch": BurstyPdsch,
-    "signalling-storm": SignallingStorm,
-    "sweep-jammer": SweepJammer,
-    "reactive-jammer": ReactiveJammer,
-    "pss-jammer": PssJammer,
-    "tag-mob": TagMob,
-}
+from repro.stress.perturbations import PERTURBATIONS, SCENARIO_STRESSORS
 
 #: All scenario names, in canonical sweep order.
-SCENARIOS = tuple(_SCENARIO_STRESSORS)
+SCENARIOS = tuple(cls.name for cls in SCENARIO_STRESSORS)
 
 #: Scenarios that attack the sync path itself: their goodput collapse is
 #: threshold-y (the comparator either fires or it doesn't under a raised
@@ -42,16 +26,8 @@ SYNC_COUPLED = frozenset({"pss-jammer", "signalling-storm"})
 
 def make_scenario_plan(scenario, intensity, params, seed=0):
     """Build the :class:`StressPlan` for one scenario at one intensity."""
-    try:
-        stressor_cls = _SCENARIO_STRESSORS[scenario]
-    except KeyError:
+    if scenario not in SCENARIOS:
         raise ValueError(
             f"unknown stress scenario {scenario!r}; choose from {SCENARIOS}"
-        ) from None
-    stressor = stressor_cls(float(intensity), params)
-    return StressPlan(
-        seed=int(seed),
-        scenario=str(scenario),
-        intensity=float(intensity),
-        stressors=(stressor,),
-    )
+        )
+    return PERTURBATIONS[scenario].build(intensity, params, seed)

@@ -1,17 +1,15 @@
 """Protocol-aware stressors: the attack and congestion waveform injectors.
 
-Every stressor follows the injector contract of
-:mod:`repro.faults.carrier` — ``apply(samples, rng) -> ndarray``, the
-input object returned untouched when inactive, a copy worked on when
-active — plus two class attributes the :class:`~repro.stress.plan.StressFaultSet`
-dispatches on:
-
-* ``hook`` — ``"ambient"`` (applied at the eNodeB, so tag and UE both see
-  it) or ``"backscatter"`` (applied to the UE's shifted-band receive
-  chain, where the weak tag signal lives);
-* ``needs_ambient`` — the stressor's ``apply`` takes an extra
-  ``ambient=`` keyword carrying the clean tag-side ambient (only the
-  tag-mob co-channel interferers need it).
+Every stressor follows the one injector contract of
+:mod:`repro.faults.carrier`: ``name`` and ``hook`` class attributes
+(``"ambient"`` = applied at the eNodeB, so tag and UE both see it;
+``"backscatter"`` = applied to the UE's shifted-band receive chain, where
+the weak tag signal lives) and ``apply(samples, rng, ambient=None) ->
+ndarray``, returning the input object untouched when inactive and working
+on a copy when active.  A plan's stressors run after its carrier
+injectors in :class:`~repro.faults.carrier.CarrierFaultSet`'s chain; only
+the tag-mob co-channel interferers read ``ambient`` (the clean tag-side
+ambient the ghosts reflect).
 
 Unlike the generic carrier injectors, these know the LTE frame geometry:
 the signalling storm loads the PDCCH control region, the PSS jammer hits
@@ -34,17 +32,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cells.interference import ghost_tag_offsets
+from repro.faults.carrier import _rms
+from repro.faults.plan import _check_unit
 from repro.lte.ofdm import frame_layout
 from repro.lte.params import SLOTS_PER_FRAME
 from repro.lte.pss import PSS_SLOTS, PSS_SYMBOL_IN_SLOT
 from repro.lte.resource_grid import symbol_index
 from repro.lte.sss import SSS_SYMBOL_IN_SLOT
 from repro.traffic.models import nested_busy_mask
-
-
-def _rms(samples):
-    value = float(np.sqrt(np.mean(np.abs(samples) ** 2))) if len(samples) else 0.0
-    return value if value > 0.0 else 1.0
 
 
 def _symbol_span(params, frame, slot, first_symbol, last_symbol):
@@ -71,8 +66,7 @@ class _Stressor:
     """Shared intensity/active plumbing."""
 
     def __init__(self, intensity, params):
-        if not 0.0 <= float(intensity) <= 1.0:
-            raise ValueError(f"intensity must be in [0, 1], got {intensity!r}")
+        _check_unit("intensity", intensity)
         self.intensity = float(intensity)
         self.params = params
 
@@ -102,7 +96,7 @@ class BurstyPdsch(_Stressor):
         super().__init__(intensity, params)
         self.n_bursts = max(1, int(n_bursts))
 
-    def apply(self, samples, rng):
+    def apply(self, samples, rng, ambient=None):
         if not self.active:
             return samples
         n = len(samples)
@@ -140,7 +134,7 @@ class SignallingStorm(_Stressor):
     #: Storm load amplitude relative to the carrier RMS.
     STORM_AMPLITUDE_REL = 3.0
 
-    def apply(self, samples, rng):
+    def apply(self, samples, rng, ambient=None):
         if not self.active:
             return samples
         n = len(samples)
@@ -178,7 +172,7 @@ class SweepJammer(_Stressor):
         super().__init__(intensity, params)
         self.n_bursts = max(1, int(n_bursts))
 
-    def apply(self, samples, rng):
+    def apply(self, samples, rng, ambient=None):
         if not self.active:
             return samples
         n = len(samples)
@@ -219,7 +213,7 @@ class ReactiveJammer(_Stressor):
     #: Jammer amplitude relative to the receive-chain RMS.
     AMPLITUDE_REL = 4.0
 
-    def apply(self, samples, rng):
+    def apply(self, samples, rng, ambient=None):
         if not self.active:
             return samples
         n = len(samples)
@@ -264,7 +258,7 @@ class PssJammer(_Stressor):
     #: paper's ~2 dB PSS boost to matter).
     AMPLITUDE_REL = 3.0
 
-    def apply(self, samples, rng):
+    def apply(self, samples, rng, ambient=None):
         if not self.active:
             return samples
         n = len(samples)
@@ -303,7 +297,6 @@ class TagMob(_Stressor):
 
     name = "tag-mob"
     hook = "backscatter"
-    needs_ambient = True
 
     #: Ghost reflection amplitude relative to the receive-chain RMS
     #: (comparable-power co-channel tags at similar range).

@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.metrics import measure_link
-from repro.tag.controller import ChipSchedule
+# iter_half_frames is re-exported: every substrate schedules through it.
+from repro.tag.controller import ChipSchedule, iter_half_frames  # noqa: F401
 
 # -- registry -----------------------------------------------------------------
 
@@ -80,35 +81,6 @@ def ambient_kind_for(name):
 
 
 # -- shared helpers -----------------------------------------------------------
-
-
-def iter_half_frames(
-    timing,
-    n_samples,
-    half_frame_samples,
-    owned_half_frames=None,
-    drift_per_half_frame=0.0,
-):
-    """Yield ``(half_index, half_start, drift)`` for owned half-frames.
-
-    Mirrors :meth:`repro.tag.controller.TagController.build_schedule`'s
-    alignment loop exactly — including the "clip windows individually,
-    never skip a whole half-frame for a small negative timing error"
-    rule — so every substrate agrees with the chip scheme about which
-    half-frames exist and how MAC ownership and clock drift apply.
-    """
-    if owned_half_frames is not None:
-        owned_half_frames = {int(h) for h in owned_half_frames}
-    half_start = int(timing.half_frame_start)
-    while half_start < -half_frame_samples // 2:
-        half_start += half_frame_samples
-    half_index = -1
-    while half_start + half_frame_samples <= n_samples:
-        half_index += 1
-        if owned_half_frames is None or half_index in owned_half_frames:
-            drift = int(round(half_index * float(drift_per_half_frame)))
-            yield half_index, half_start, drift
-        half_start += half_frame_samples
 
 
 @dataclass

@@ -42,7 +42,7 @@ class ChipSubstrate(Substrate):
         )
 
     def demodulate(self, front):
-        chunk = getattr(self.config, "demod_chunk_half_frames", None)
+        chunk = self.config.demod_chunk_half_frames
         if chunk:
             from repro.bsrx.streaming import StreamingDemodulator
 

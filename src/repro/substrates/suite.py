@@ -12,7 +12,8 @@ sync):
   pass-through when every knob is zero);
 * **ladder** (full mode only) — the endpoints of the mode's tuned
   distance arm from :mod:`repro.experiments.subgrid` must degrade
-  monotonically (goodput down, BER up, within float slack).
+  monotonically: one step of the campaign grids' gate
+  (:func:`repro.experiments.gates.step_violation`).
 
 The chip mode additionally runs an **identity** check: an explicit
 ``substrate="chip"`` config must reproduce the default config's report
@@ -30,7 +31,8 @@ import os
 
 from repro.core.config import SystemConfig
 from repro.core.system import LScatterSystem
-from repro.experiments.subgrid import DISTANCE_ARMS, GATE_RELATIVE_SLACK
+from repro.experiments.gates import step_violation
+from repro.experiments.subgrid import DISTANCE_ARMS, base_config
 from repro.faults.plan import FaultPlan
 from repro.substrates.base import ambient_kind_for, available_substrates
 
@@ -39,21 +41,6 @@ LINK_BER_CEILING = 0.05
 
 PAYLOAD_LENGTH = 4000
 N_FRAMES = 2
-
-
-def _base_config(mode, **overrides):
-    kwargs = dict(
-        bandwidth_mhz=1.4,
-        n_frames=N_FRAMES,
-        reference_mode="genie",
-        sync_mode="model",
-        multipath=False,
-        substrate=mode,
-        enb_to_tag_ft=3.0,
-        tag_to_ue_ft=3.0,
-    )
-    kwargs.update(overrides)
-    return SystemConfig(**kwargs)
 
 
 def _run(config, seed):
@@ -73,15 +60,15 @@ def _report_fields(report):
 
 
 def _check_link(mode, seed):
-    fields = _report_fields(_run(_base_config(mode), seed))
+    fields = _report_fields(_run(base_config(mode), seed))
     passed = fields["n_bits"] > 0 and fields["ber"] <= LINK_BER_CEILING
     return {"passed": bool(passed), **fields}
 
 
 def _check_noop(mode, seed):
-    clean = _report_fields(_run(_base_config(mode, faults=None), seed))
+    clean = _report_fields(_run(base_config(mode, faults=None), seed))
     noop = _report_fields(
-        _run(_base_config(mode, faults=FaultPlan.none(seed=seed)), seed)
+        _run(base_config(mode, faults=FaultPlan.none(seed=seed)), seed)
     )
     return {"passed": clean == noop, "clean": clean, "noop": noop}
 
@@ -90,25 +77,19 @@ def _check_ladder(mode, seed):
     power, distances = DISTANCE_ARMS[mode]
     points = []
     for distance in (distances[0], distances[-1]):
-        config = _base_config(
+        config = base_config(
             mode, tag_to_ue_ft=float(distance), tx_power_dbm=power
         )
         fields = _report_fields(_run(config, seed))
         points.append({"distance_ft": float(distance), **fields})
-    near, far = points
-    slack = GATE_RELATIVE_SLACK * max(abs(near["goodput_kbps"]), 1.0)
-    ber_slack = GATE_RELATIVE_SLACK * max(abs(near["ber"]), 1.0)
-    passed = (
-        far["goodput_kbps"] <= near["goodput_kbps"] + slack
-        and far["ber"] >= near["ber"] - ber_slack
-    )
-    return {"passed": bool(passed), "tx_power_dbm": power, "points": points}
+    passed = step_violation(*points) is None
+    return {"passed": passed, "tx_power_dbm": power, "points": points}
 
 
 def _check_identity(seed):
-    explicit = _report_fields(_run(_base_config("chip"), seed))
+    explicit = _report_fields(_run(base_config("chip"), seed))
     default = _report_fields(
-        _run(_base_config("chip", substrate="chip"), seed)
+        _run(base_config("chip", substrate="chip"), seed)
     )
     # Belt and braces: also run a config that never names the field, the
     # exact spelling pre-substrate callers use.

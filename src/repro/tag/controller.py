@@ -72,6 +72,34 @@ class ChipSchedule:
         )
 
 
+def iter_half_frames(
+    timing,
+    n_samples,
+    half_frame_samples,
+    owned_half_frames=None,
+    drift_per_half_frame=0.0,
+):
+    """Yield ``(half_index, half_start, drift)`` for owned half-frames.
+
+    The half-frame loop of every tag schedule, the chip scheme's and every
+    substrate's.  It starts at the first half-frame overlapping the
+    capture: windows before sample 0 are clipped individually by the
+    caller, so a small negative timing error never skips a half-frame.
+    """
+    if owned_half_frames is not None:
+        owned_half_frames = {int(h) for h in owned_half_frames}
+    half_start = int(timing.half_frame_start)
+    while half_start < -half_frame_samples // 2:
+        half_start += half_frame_samples
+    half_index = -1
+    while half_start + half_frame_samples <= n_samples:
+        half_index += 1
+        if owned_half_frames is None or half_index in owned_half_frames:
+            drift = int(round(half_index * float(drift_per_half_frame)))
+            yield half_index, half_start, drift
+        half_start += half_frame_samples
+
+
 class TagController:
     """Schedule chips against the tag's (imperfect) notion of LTE timing."""
 
@@ -166,29 +194,15 @@ class TagController:
         chips = np.ones(int(n_samples), dtype=np.int8)
         windows = []
         preamble = preamble_bits(self.n_chips)
-        if owned_half_frames is not None:
-            owned_half_frames = {int(h) for h in owned_half_frames}
 
-        half_frame_samples = params.samples_per_frame // 2
         plan = self._symbol_plan()
         consumed = 0
-
-        half_start = timing.half_frame_start
-        # Align to the first half-frame overlapping the capture; windows
-        # falling before sample 0 are clipped individually below, so a
-        # small negative timing error must not skip a whole half-frame.
-        while half_start < -half_frame_samples // 2:
-            half_start += half_frame_samples
-
-        half_index = -1
         n_half_frames = 0
-        while half_start + half_frame_samples <= n_samples:
-            half_index += 1
-            if owned_half_frames is not None and half_index not in owned_half_frames:
-                half_start += half_frame_samples
-                continue
+        half = params.samples_per_frame // 2
+        for _index, half_start, drift in iter_half_frames(
+            timing, n_samples, half, owned_half_frames, drift_per_half_frame
+        ):
             n_half_frames += 1
-            drift = int(round(half_index * float(drift_per_half_frame)))
             for slot_symbols in plan:
                 data_symbols = len(slot_symbols) - 1
                 remaining = payload_bits[consumed:]
@@ -220,7 +234,6 @@ class TagController:
                             bits=bits.copy(),
                         )
                     )
-            half_start += half_frame_samples
 
         return ChipSchedule(
             chips=chips,

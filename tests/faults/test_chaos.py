@@ -60,3 +60,32 @@ def test_monotone_gate_covers_coverage_kinds_only():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown chaos kind"):
         run_chaos(output=None, smoke=True, kinds=["gremlins"], fleet=False)
+
+
+#: ``(n_bits, n_errors, n_windows, n_erased_windows)`` per kind at the smoke
+#: severities (0, 0.5, 1.0), recorded before the chaos and stress harnesses
+#: were merged into one sweep: the shared harness must reproduce them.
+PINNED_SMOKE_POINTS = {
+    "dropout": [(12528, 4, 174, 0), (8208, 1556, 174, 60), (6480, 2120, 174, 84)],
+    "jammer": [(12528, 4, 174, 0), (12096, 1641, 174, 6), (11664, 3196, 174, 12)],
+    "impulse": [(12528, 4, 174, 0), (10656, 295, 174, 26), (8928, 433, 174, 50)],
+    "clipping": [(12528, 4, 174, 0), (12528, 4, 174, 0), (12528, 14, 174, 0)],
+    "drift": [(12528, 4, 174, 0), (12528, 3, 174, 0), (8784, 287, 174, 52)],
+}
+
+
+@pytest.fixture(scope="module")
+def all_kinds_report():
+    return run_chaos(output=None, smoke=True, fleet=False)
+
+
+def test_smoke_points_pinned_for_every_kind(all_kinds_report):
+    sweeps = {s["kind"]: s for s in all_kinds_report["sweeps"]}
+    assert list(sweeps) == list(CHAOS_KINDS)
+    for kind, expected in PINNED_SMOKE_POINTS.items():
+        got = [
+            (p["n_bits"], p["n_errors"], p["n_windows"], p["n_erased_windows"])
+            for p in sweeps[kind]["points"]
+        ]
+        assert got == expected, kind
+        assert sweeps[kind]["monotone_required"] == (kind in MONOTONE_KINDS)

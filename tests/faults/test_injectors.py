@@ -163,3 +163,33 @@ def test_negative_amplitudes_rejected():
         CarrierFaults(impulse_amplitude=-0.5)
     # Zero stays legal: an amplitude-0 jammer is just a silent one.
     CarrierFaults(jammer_amplitude=0.0, impulse_amplitude=0.0)
+
+
+# -- plan boundary: non-finite and negative magnitudes ----------------------------
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_clock_drift_must_be_finite(value):
+    with pytest.raises(ValueError, match="clock_drift_ppm"):
+        TagFaults(clock_drift_ppm=value)
+    # Either sign of a finite drift is a real clock.
+    assert not TagFaults(clock_drift_ppm=-500.0).is_noop
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_jammer_amplitude_must_be_finite(value):
+    with pytest.raises(ValueError, match="jammer_amplitude"):
+        CarrierFaults(jammer_severity=0.5, jammer_amplitude=value)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_impulse_amplitude_must_be_finite(value):
+    with pytest.raises(ValueError, match="impulse_amplitude"):
+        CarrierFaults(impulse_rate=0.01, impulse_amplitude=value)
+
+
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+def test_hang_seconds_must_be_finite_and_nonnegative(value):
+    with pytest.raises(ValueError, match="hang_seconds"):
+        InfraFaults(hang_tasks=(0,), hang_seconds=value)
+    InfraFaults(hang_tasks=(0,), hang_seconds=0.0)

@@ -1,9 +1,10 @@
-"""StressPlan / StressFaultSet contracts and scenario registry."""
+"""StressPlan contracts, the one fault-set chain, and the scenario registry."""
 
 import numpy as np
 import pytest
 
-from repro.faults.carrier import CarrierFaultSet
+from repro.faults.carrier import AmbientDropout, CarrierFaultSet
+from repro.faults.plan import CarrierFaults, FaultPlan
 from repro.lte.params import LteParams
 from repro.stress import (
     SCENARIOS,
@@ -12,7 +13,7 @@ from repro.stress import (
     StressPlan,
     make_scenario_plan,
 )
-from repro.stress.stressors import SweepJammer, TagMob
+from repro.stress.stressors import BurstyPdsch
 from repro.utils.rng import make_rng
 
 
@@ -55,72 +56,92 @@ def test_intensity_validated(params):
 def test_zero_intensity_plan_is_noop(scenario, params):
     plan = make_scenario_plan(scenario, 0.0, params)
     assert plan.is_noop
-    fault_set = plan.carrier_fault_set()
+    fault_set = CarrierFaultSet(plan)
     assert isinstance(fault_set, StressFaultSet)
     assert not fault_set.active
-    assert not fault_set.wants_ambient
 
 
 def test_active_plan_is_not_noop(params):
     plan = make_scenario_plan("sweep-jammer", 0.5, params)
     assert not plan.is_noop
-    assert plan.carrier_fault_set().active
-
-
-def test_polymorphic_fault_set_dispatch(params):
-    """The pipeline builds a StressFaultSet without importing stress."""
-    stress = make_scenario_plan("sweep-jammer", 0.5, params)
-    assert type(stress.carrier_fault_set()) is StressFaultSet
-    from repro.faults.plan import FaultPlan
-
-    assert type(FaultPlan().carrier_fault_set()) is CarrierFaultSet
-
-
-def test_wants_ambient_only_for_active_tag_mob(params):
-    mob = StressPlan(stressors=(TagMob(0.5, params),))
-    assert mob.carrier_fault_set().wants_ambient
-    idle_mob = StressPlan(stressors=(TagMob(0.0, params),))
-    assert not idle_mob.carrier_fault_set().wants_ambient
-    jammer = StressPlan(stressors=(SweepJammer(0.5, params),))
-    assert not jammer.carrier_fault_set().wants_ambient
+    assert CarrierFaultSet(plan).active
 
 
 def test_noop_fault_set_returns_same_objects(params, samples):
-    fault_set = make_scenario_plan("sweep-jammer", 0.0, params).carrier_fault_set()
+    fault_set = CarrierFaultSet(make_scenario_plan("sweep-jammer", 0.0, params))
     assert fault_set.apply_ambient(samples) is samples
     assert fault_set.apply_backscatter(samples) is samples
 
 
 def test_hooks_route_stressors(params, samples):
     """Ambient stressors touch the ambient hook only, and vice versa."""
-    storm = make_scenario_plan("signalling-storm", 1.0, params).carrier_fault_set()
+    storm = CarrierFaultSet(make_scenario_plan("signalling-storm", 1.0, params))
     assert np.any(storm.apply_ambient(samples) != samples)
     assert storm.apply_backscatter(samples) is samples
 
-    jammer = make_scenario_plan("sweep-jammer", 1.0, params).carrier_fault_set()
+    jammer = CarrierFaultSet(make_scenario_plan("sweep-jammer", 1.0, params))
     assert jammer.apply_ambient(samples) is samples
     assert np.any(jammer.apply_backscatter(samples) != samples)
 
 
 def test_stressor_rng_is_deterministic_per_plan_seed(params, samples):
-    out1 = make_scenario_plan(
-        "sweep-jammer", 0.7, params, seed=9
-    ).carrier_fault_set().apply_backscatter(samples)
-    out2 = make_scenario_plan(
-        "sweep-jammer", 0.7, params, seed=9
-    ).carrier_fault_set().apply_backscatter(samples)
-    out3 = make_scenario_plan(
-        "sweep-jammer", 0.7, params, seed=10
-    ).carrier_fault_set().apply_backscatter(samples)
+    out1 = CarrierFaultSet(
+        make_scenario_plan("sweep-jammer", 0.7, params, seed=9)
+    ).apply_backscatter(samples)
+    out2 = CarrierFaultSet(
+        make_scenario_plan("sweep-jammer", 0.7, params, seed=9)
+    ).apply_backscatter(samples)
+    out3 = CarrierFaultSet(
+        make_scenario_plan("sweep-jammer", 0.7, params, seed=10)
+    ).apply_backscatter(samples)
     np.testing.assert_array_equal(out1, out2)
     assert np.any(out1 != out3)
 
 
 def test_tag_mob_receives_ambient(params, samples):
     """apply_backscatter(ambient=...) reaches the ghosts' reflection."""
-    fault_set = make_scenario_plan("tag-mob", 1.0, params).carrier_fault_set()
+    fault_set = CarrierFaultSet(make_scenario_plan("tag-mob", 1.0, params))
     ambient = 2.0 * samples
     with_ambient = fault_set.apply_backscatter(samples, ambient=ambient)
     fallback = fault_set.apply_backscatter(samples)
     assert np.any(with_ambient != samples)
     assert np.any(fallback != samples)
+
+
+def test_ambient_chain_runs_dropout_then_stressor(params, samples):
+    """One chain per hook: carrier injectors first, then the stressors.
+
+    Each injector draws from its own ``plan.rng_for`` stream, so the
+    chained output is dropout (stream ``"dropout"``) applied first and
+    the stressor (stream ``"stress:bursty-pdsch"``) applied to its result.
+    """
+    stressor = BurstyPdsch(0.8, params)
+    plan = StressPlan(
+        carrier=CarrierFaults(dropout_rate=0.3),
+        seed=7,
+        stressors=(stressor,),
+    )
+    chained = StressFaultSet(plan).apply_ambient(samples)
+    dropped = AmbientDropout(0.3).apply(samples, plan.rng_for("dropout"))
+    expected = stressor.apply(dropped, plan.rng_for("stress:bursty-pdsch"))
+    np.testing.assert_array_equal(chained, expected)
+    # The order matters: the stressor's echo would refill dropped windows.
+    reversed_order = AmbientDropout(0.3).apply(
+        stressor.apply(samples, plan.rng_for("stress:bursty-pdsch")),
+        plan.rng_for("dropout"),
+    )
+    assert not np.array_equal(chained, reversed_order)
+
+
+def test_base_fault_plan_carries_stressors(params, samples):
+    """Stressors ride any FaultPlan; is_noop counts only active ones."""
+    idle = FaultPlan(stressors=(BurstyPdsch(0.0, params),))
+    assert idle.is_noop
+    assert CarrierFaultSet(idle).apply_ambient(samples) is samples
+    plan = FaultPlan(seed=7, stressors=(BurstyPdsch(0.8, params),))
+    assert not plan.is_noop
+    labelled = make_scenario_plan("bursty-pdsch", 0.8, params, seed=7)
+    np.testing.assert_array_equal(
+        CarrierFaultSet(plan).apply_ambient(samples),
+        CarrierFaultSet(labelled).apply_ambient(samples),
+    )

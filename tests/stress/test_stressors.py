@@ -37,10 +37,8 @@ def samples(params):
 
 
 def _apply(stressor, samples, seed="s"):
-    rng = make_rng(seed)
-    if getattr(stressor, "needs_ambient", False):
-        return stressor.apply(samples, rng, ambient=samples)
-    return stressor.apply(samples, rng)
+    # The one injector signature: only tag-mob reads ``ambient``.
+    return stressor.apply(samples, make_rng(seed), ambient=samples)
 
 
 @pytest.mark.parametrize("stressor_cls", ALL_STRESSORS)

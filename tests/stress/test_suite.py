@@ -65,3 +65,39 @@ def test_run_stress_smoke_single_scenario(tmp_path):
 
 def test_resync_budget_is_small_and_positive():
     assert 1 <= RESYNC_BUDGET <= 5
+
+
+#: ``(n_bits, n_errors, n_windows, n_erased_windows)`` per scenario at the
+#: smoke intensities (0, 0.5, 1.0), recorded before the chaos and stress
+#: harnesses were merged into one sweep: the shared harness must
+#: reproduce them.
+PINNED_SMOKE_POINTS = {
+    "bursty-pdsch": [(12528, 4, 174, 0), (9648, 192, 174, 40), (7344, 311, 174, 72)],
+    "signalling-storm": [
+        (12528, 4, 174, 0), (10800, 251, 174, 24), (8712, 352, 174, 53),
+    ],
+    "sweep-jammer": [(12528, 4, 174, 0), (9720, 257, 174, 39), (7128, 459, 174, 75)],
+    "reactive-jammer": [
+        (12528, 4, 174, 0), (8928, 695, 174, 50), (4680, 1651, 174, 109),
+    ],
+    "pss-jammer": [(12528, 4, 174, 0), (12528, 4, 174, 0), (12528, 4, 174, 0)],
+    "tag-mob": [(12528, 4, 174, 0), (8928, 691, 174, 50), (7272, 1077, 174, 73)],
+}
+
+
+@pytest.fixture(scope="module")
+def all_scenarios_report():
+    return run_stress(output=None, smoke=True)
+
+
+def test_smoke_points_pinned_for_every_scenario(all_scenarios_report):
+    sweeps = {s["scenario"]: s for s in all_scenarios_report["sweeps"]}
+    assert set(sweeps) == set(PINNED_SMOKE_POINTS)
+    for scenario, expected in PINNED_SMOKE_POINTS.items():
+        got = [
+            (p["n_bits"], p["n_errors"], p["n_windows"], p["n_erased_windows"])
+            for p in sweeps[scenario]["points"]
+        ]
+        assert got == expected, scenario
+    assert all(c["passed"] for c in all_scenarios_report["noop_contracts"])
+    assert all_scenarios_report["passed"]
