@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro.cli <command>``.
 
-Three commands:
+Commands:
 
 * ``simulate`` — run one end-to-end IQ simulation from flags;
 * ``experiment`` — regenerate a paper table/figure (same as
@@ -11,8 +11,7 @@ Three commands:
   inter-cell interference, handover (see DESIGN.md §15);
 * ``trace`` — run with stage tracing on and write a Chrome trace JSON;
 * ``chaos`` — fault-injection sweeps and degradation curves;
-* ``bench`` — time the DSP hot path and write a perf baseline JSON; with
-  ``--check`` it gates the run against a committed baseline;
+* ``stress`` — adversarial-scenario sweeps and degradation curves;
 * ``substrates`` — cross-substrate comparison suite over every
   registered ambient-substrate mode; writes ``SUBSTRATES_PR10.json``
   (see DESIGN.md §19);
@@ -67,21 +66,22 @@ def _cmd_simulate(args):
         return error
     from repro.core import LScatterSystem, SystemConfig
 
-    config = SystemConfig(
-        bandwidth_mhz=args.bandwidth,
-        venue=args.venue,
-        enb_to_tag_ft=args.enb_to_tag,
-        tag_to_ue_ft=args.tag_to_ue,
-        tx_power_dbm=args.tx_power,
-        n_frames=args.frames,
-        sync_mode="circuit" if args.circuit_sync else "model",
-        reference_mode="decoded" if args.decoded_reference else "genie",
-        substrate=args.substrate,
-    )
     try:
+        config = SystemConfig(
+            bandwidth_mhz=args.bandwidth,
+            venue=args.venue,
+            enb_to_tag_ft=args.enb_to_tag,
+            tag_to_ue_ft=args.tag_to_ue,
+            tx_power_dbm=args.tx_power,
+            n_frames=args.frames,
+            sync_mode="circuit" if args.circuit_sync else "model",
+            reference_mode="decoded" if args.decoded_reference else "genie",
+            substrate=args.substrate,
+        )
         system = LScatterSystem(config, rng=args.seed)
     except ValueError as exc:
-        # e.g. srs-uplink with --decoded-reference / --circuit-sync.
+        # e.g. --frames 0, or srs-uplink with --decoded-reference /
+        # --circuit-sync.
         return _fail_usage(str(exc))
     report = system.run(payload_length=args.payload)
     print(f"bandwidth      : {args.bandwidth} MHz ({args.venue})")
@@ -319,7 +319,7 @@ def _cmd_network(args):
 
     from repro.cells import NetworkDeployment, NetworkRunner, Topology
 
-    # Mirror bench/chaos: smoke runs default to artifacts/ so CI never
+    # Mirror chaos: smoke runs default to artifacts/ so CI never
     # clobbers the committed full-mode report (NETWORK_PR6.json).
     output = args.output
     if output is None:
@@ -405,8 +405,8 @@ def _cmd_chaos(args):
                     f"unknown chaos kind {kind!r}; choose from "
                     f"{', '.join(CHAOS_KINDS)}"
                 )
-    # Mirror bench: smoke runs default to artifacts/ so CI never clobbers
-    # the committed full-mode report (CHAOS_PR3.json).
+    # Smoke runs default to artifacts/ so CI never clobbers the committed
+    # full-mode report (CHAOS_PR3.json).
     output = args.output
     if output is None:
         output = "artifacts/chaos_smoke.json" if args.smoke else "CHAOS_PR3.json"
@@ -493,42 +493,6 @@ def _cmd_stress(args):
     print(f"stress: {'PASSED' if report['passed'] else 'FAILED'}")
     print(f"wrote {output}")
     return 0 if report["passed"] else 1
-
-
-def _cmd_bench(args):
-    from repro.bench import (
-        compare_to_baseline,
-        format_check,
-        format_summary,
-        load_baseline,
-        run_bench,
-    )
-
-    if args.tolerance < 0:
-        return _fail_usage(f"--tolerance must be >= 0, got {args.tolerance}")
-    if args.check and not os.path.exists(args.check):
-        return _fail_usage(f"baseline file {args.check!r} does not exist")
-    # Smoke runs default to a scratch path under artifacts/ so CI never
-    # clobbers the committed full-mode baseline (BENCH_PR7.json).
-    output = args.output
-    if output is None:
-        output = "artifacts/bench_smoke.json" if args.smoke else "BENCH_PR7.json"
-    results = run_bench(
-        output=output,
-        bandwidth=args.bandwidth,
-        repeats=args.repeats,
-        smoke=args.smoke,
-    )
-    print(format_summary(results))
-    print(f"wrote {output}")
-    if args.check:
-        report = compare_to_baseline(
-            results, load_baseline(args.check), tolerance=args.tolerance
-        )
-        print(format_check(report, baseline_path=args.check))
-        if not report["passed"]:
-            return 1
-    return 0
 
 
 def _cmd_substrates(args):
@@ -1087,45 +1051,6 @@ def build_parser():
         help="overwrite an existing report file",
     )
     stress.set_defaults(func=_cmd_stress)
-
-    bench = sub.add_parser("bench", help="benchmark the DSP hot path")
-    bench.add_argument(
-        "--output",
-        default=None,
-        help="baseline JSON path (default BENCH_PR7.json, or "
-        "artifacts/bench_smoke.json in smoke mode)",
-    )
-    bench.add_argument(
-        "--bandwidth",
-        type=float,
-        default=None,
-        help="carrier bandwidth in MHz (default 20, or 5 in smoke mode)",
-    )
-    bench.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="interleaved timing rounds (default 30, or 5 in smoke mode)",
-    )
-    bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="fast CI mode: narrow carrier, few repeats",
-    )
-    bench.add_argument(
-        "--check",
-        default=None,
-        metavar="BASELINE",
-        help="gate the run against a committed baseline JSON; exits 1 on "
-        "regression",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="relative slack allowed vs the --check baseline (default 0.25)",
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     substrates = sub.add_parser(
         "substrates",

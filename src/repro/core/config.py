@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 from repro.channel.link import (
@@ -90,6 +91,15 @@ class SystemConfig:
             raise ValueError("sync_mode must be 'circuit' or 'model'")
         if self.reference_mode not in ("decoded", "genie"):
             raise ValueError("reference_mode must be 'decoded' or 'genie'")
+        if not (
+            isinstance(self.n_frames, numbers.Real)
+            and float(self.n_frames).is_integer()
+            and self.n_frames >= 1
+        ):
+            raise ValueError(
+                f"n_frames must be a whole number >= 1, got {self.n_frames!r}"
+            )
+        self.n_frames = int(self.n_frames)
         if self.erasure_threshold is not None and not (
             0.0 <= float(self.erasure_threshold) <= 1.0
         ):

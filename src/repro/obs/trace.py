@@ -12,10 +12,9 @@ Design rules:
 
 * **Off by default, strictly cheap when off.**  When tracing is disabled
   ``span()`` returns one shared no-op singleton — no allocation, no clock
-  reads, no contextvar traffic.  The benchmark harness pins the per-call
-  cost (< 2 % of a single ``demodulate_frame``; see
-  ``benchmarks/test_perf_ofdm.py``), so hot paths can stay instrumented
-  permanently.
+  reads, no contextvar traffic.  ``benchmarks/test_perf_ofdm.py`` pins
+  the per-call cost (< 2 % of a single ``demodulate_frame``), so hot
+  paths can stay instrumented permanently.
 * **Merge by name.**  Re-entering a span with the same name under the
   same parent accumulates into one node (``count`` tracks entries, wall
   and CPU time sum).  A per-packet stage therefore appears *once per
@@ -34,8 +33,7 @@ Design rules:
 Timing note: ``wall_seconds`` is ``time.perf_counter`` (what a user
 waits), ``cpu_seconds`` is ``time.process_time`` (what this process
 computed).  For process-pool stages the two diverge — that gap is the
-point of recording both (PR 4 fixed ``bench.py``'s fleet timings with
-exactly this distinction).
+point of recording both: a parent's CPU time never sees its workers'.
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ Design rules:
 * cached values are **read-only**: ndarray results (including those inside
   tuples/namedtuples) get ``setflags(write=False)`` so a caller cannot
   corrupt every future user of the cache — mutating callers must copy;
-* every cache registers itself in a module registry, so tests and the
-  benchmark harness can inspect hit rates (:func:`cache_stats`) and reset
-  global state (:func:`clear_caches`);
+* every cache registers itself in a module registry, so tests and
+  metric snapshots can inspect hit rates (:func:`cache_stats`) and tests
+  can reset global state (:func:`clear_caches`);
 * keys must be hashable; :class:`~repro.lte.params.LteParams` is a frozen
   dataclass and is used directly as a key.
 """

@@ -10,6 +10,7 @@ from repro.cells import (
     Topology,
     rank_cells,
 )
+from repro.fleet.ambient import AmbientCache
 
 
 def _tag_rows(report):
@@ -76,8 +77,20 @@ def test_seven_cell_run_bit_identical_across_worker_counts(topo, deployment):
 
 
 def test_every_tag_lands_in_its_top_ranked_cell(topo, deployment):
-    with NetworkRunner(topo, deployment, seed=11, payload_length=2000) as r:
-        report = r.run()
+    with AmbientCache() as cache:
+
+        def run():
+            with NetworkRunner(
+                topo, deployment, seed=11, payload_length=2000, cache=cache
+            ) as r:
+                return r.run()
+
+        report = run()
+        # A warm re-run over the shared cache reuses every cell's capture.
+        again = run()
+        assert cache.transmit_calls == 7
+        assert cache.requests == 14
+    assert _tag_rows(again) == _tag_rows(report)
     for tag in deployment.tags:
         decision = report.attachments[tag.name]
         assert decision.serving_cell_id == rank_cells(

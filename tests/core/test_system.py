@@ -80,6 +80,9 @@ def test_invalid_config_rejected():
         SystemConfig(sync_mode="psychic")
     with pytest.raises(ValueError):
         SystemConfig(reference_mode="oracle")
+    for n_frames in (0, -1, 1.5, float("nan"), "2", None):
+        with pytest.raises(ValueError, match="n_frames"):
+            SystemConfig(n_frames=n_frames)
 
 
 def test_artifacts_present_when_requested():

@@ -109,7 +109,7 @@ def test_requests_counter_tracks_hits_and_misses():
     cache.get(_config(), seed=1)
     assert cache.requests == 3
     assert cache.transmit_calls == 2
-    # The bench's hit ratio: (requests - transmits) / requests.
+    # Hit ratio: (requests - transmits) / requests.
     assert (cache.requests - cache.transmit_calls) / cache.requests == pytest.approx(
         1 / 3
     )

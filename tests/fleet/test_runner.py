@@ -49,6 +49,8 @@ def test_parallel_matches_serial_bit_for_bit():
     # Both runs shared one eNodeB capture.
     assert cache.transmit_calls == 1
     assert parallel.workers == 2
+    # Pooled tags report the task seconds their workers spent.
+    assert parallel.serial_seconds_estimate > 0
     cache.clear()
 
 

@@ -99,31 +99,6 @@ def test_fleet_command(capsys):
     assert "aggregate" in out
 
 
-def test_bench_command_writes_json(tmp_path, capsys):
-    import json
-
-    out_path = tmp_path / "bench.json"
-    code = main(
-        [
-            "bench",
-            "--smoke",
-            "--bandwidth",
-            "1.4",
-            "--repeats",
-            "2",
-            "--output",
-            str(out_path),
-        ]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "sequence cache" in out and "streaming demod" in out
-    results = json.loads(out_path.read_text())
-    assert results["mode"] == "smoke"
-    assert results["sequence_cache"]["speedup"] > 0
-    assert "cache_stats" in results
-
-
 def test_fleet_rejects_unknown_scheme():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["fleet", "--scheme", "csma"])
@@ -139,6 +114,7 @@ def test_fleet_rejects_unknown_scheme():
         (["chaos", "--kinds", "dropout,gremlins"], "unknown chaos kind"),
         (["stress", "--max-intensity", "1.5"], "--max-intensity must be in [0, 1]"),
         (["stress", "--scenarios", "sweep-jammer,gremlins"], "unknown stress scenario"),
+        (["simulate", "--frames", "0"], "n_frames must be a whole number >= 1"),
     ],
 )
 def test_argument_validation_is_one_clean_line(capsys, argv, fragment):
@@ -315,46 +291,6 @@ def test_fleet_without_trace_ignores_stale_trace_output(tmp_path, capsys):
     )
     assert code == 0
     assert out_path.read_text() == "{}"
-
-
-def test_bench_check_passes_against_itself(tmp_path, capsys):
-    out_path = tmp_path / "bench.json"
-    args = ["bench", "--smoke", "--bandwidth", "1.4", "--repeats", "2"]
-    assert main(args + ["--output", str(out_path)]) == 0
-    capsys.readouterr()
-    # Identical hardware, same process: a generous tolerance self-check
-    # must pass (this is exactly what CI runs against the committed
-    # baseline).
-    code = main(
-        args
-        + [
-            "--output", str(tmp_path / "bench2.json"),
-            "--check", str(out_path),
-            "--tolerance", "10.0",
-        ]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "bench gate: PASSED" in out
-
-
-def test_bench_check_validation(tmp_path, capsys):
-    assert main(
-        ["bench", "--smoke", "--check", str(tmp_path / "nope.json")]
-    ) == 2
-    assert "does not exist" in capsys.readouterr().err
-    assert main(["bench", "--smoke", "--tolerance", "-1"]) == 2
-    assert "--tolerance must be >= 0" in capsys.readouterr().err
-
-
-def test_bench_smoke_defaults_to_artifacts(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(
-        ["bench", "--smoke", "--bandwidth", "1.4", "--repeats", "2"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "wrote artifacts/bench_smoke.json" in out
-    assert (tmp_path / "artifacts" / "bench_smoke.json").exists()
 
 
 def test_console_scripts_declared_and_importable():

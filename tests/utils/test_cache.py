@@ -75,3 +75,60 @@ def test_lte_sequences_are_cached_instances():
     params = LteParams.from_bandwidth(1.4)
     assert params.subcarrier_indices() is params.subcarrier_indices()
     assert not params.subcarrier_indices().flags.writeable
+
+
+#: The six caches one frame's walk of the LTE sequences goes through.
+FRAME_WALK_CACHES = (
+    "repro.lte.pss.pss_sequence",
+    "repro.lte.pss.pss_time_domain",
+    "repro.lte.sss.sss_sequence",
+    "repro.lte.crs.crs_positions",
+    "repro.lte.crs.crs_values",
+    "repro.lte.params._subcarrier_indices",
+)
+
+
+def _misses():
+    return {name: stats["misses"] for name, stats in cache_stats().items()}
+
+
+def test_warm_frame_walk_and_session_make_no_new_misses():
+    """A second walk over one frame's sequences, and a second session
+    with a new seed, are served entirely from the caches."""
+    from repro.core import LScatterSystem, SystemConfig
+    from repro.lte.crs import CRS_SYMBOLS_IN_SLOT, crs_positions, crs_values
+    from repro.lte.params import SLOTS_PER_FRAME, LteParams
+    from repro.lte.pss import pss_sequence, pss_time_domain
+    from repro.lte.sss import sss_sequence
+
+    params = LteParams.from_bandwidth(5.0)
+
+    def one_frame():
+        for n_id_2 in range(3):
+            pss_sequence(n_id_2)
+            pss_time_domain(n_id_2, params.fft_size)
+        for subframe in (0, 5):
+            sss_sequence(0, 0, subframe)
+        for slot in range(SLOTS_PER_FRAME):
+            for sym in CRS_SYMBOLS_IN_SLOT:
+                crs_positions(sym, 1, params.n_rb)
+                crs_values(slot, sym, 1, params.n_rb)
+        params.subcarrier_indices()
+
+    clear_caches()
+    one_frame()
+    cold, cold_misses = cache_stats(), _misses()
+    one_frame()
+    warm = cache_stats()
+    assert _misses() == cold_misses
+    for name in FRAME_WALK_CACHES:
+        assert name in warm, f"{name} is not memoised"
+        assert warm[name]["hits"] > cold[name]["hits"], name
+
+    config = SystemConfig(
+        bandwidth_mhz=1.4, reference_mode="decoded", sync_mode="circuit"
+    )
+    LScatterSystem(config, rng=0).run(payload_length=2000)
+    first_misses = _misses()
+    LScatterSystem(config, rng=1).run(payload_length=2000)
+    assert _misses() == first_misses
