@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from repro.utils.rng import make_rng
 
@@ -77,6 +76,16 @@ class FadingChannel:
 
     taps: np.ndarray
 
+    def __post_init__(self):
+        taps = np.asarray(self.taps)
+        if taps.ndim != 1 or len(taps) == 0:
+            raise ValueError(
+                f"taps must be a non-empty 1-D array, not shape {taps.shape}"
+            )
+        if not np.all(np.isfinite(taps)):
+            raise ValueError("taps must be finite")
+        self.taps = taps
+
     @classmethod
     def rayleigh(cls, n_taps=4, decay_db_per_tap=3.0, rng=None):
         """Multipath-rich NLoS channel (indoor)."""
@@ -93,12 +102,20 @@ class FadingChannel:
         return cls(taps=np.array([1.0 + 0.0j]))
 
     def apply(self, samples):
-        """Filter ``samples`` through the channel (keeps input length)."""
+        """Filter ``samples`` through the channel (keeps input length).
+
+        Channels have a handful of taps, so the FIR runs in direct form:
+        one scaled, delayed copy of the input per tap.  ``samples`` is
+        never written to (a fleet shares one read-only ambient).
+        """
         samples = np.asarray(samples, dtype=complex)
         if len(self.taps) == 1:
             return samples * self.taps[0]
-        out = fftconvolve(samples, self.taps, mode="full")
-        return out[: len(samples)]
+        out = samples * self.taps[0]
+        # Taps delayed past the end of a short input contribute nothing.
+        for delay, tap in enumerate(self.taps[1 : len(samples)], start=1):
+            out[delay:] += samples[:-delay] * tap
+        return out
 
     @property
     def flat_gain(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -14,6 +15,15 @@ from repro.channel.link import (
 )
 from repro.lte.frame import CellConfig
 from repro.lte.params import LteParams
+
+
+def _require_finite(name, value, minimum=None):
+    """Reject a non-numeric, NaN or infinite ``value``, naming the field."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)) or (
+        minimum is not None and value < minimum
+    ):
+        bound = "" if minimum is None else f" >= {minimum:g}"
+        raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
 
 
 @dataclass
@@ -85,8 +95,13 @@ class SystemConfig:
     substrate: str = "chip"
 
     def __post_init__(self):
+        # Zero distances are legal: path loss clamps at 0.1 m.
+        _require_finite("enb_to_tag_ft", self.enb_to_tag_ft, minimum=0.0)
+        _require_finite("tag_to_ue_ft", self.tag_to_ue_ft, minimum=0.0)
         if self.enb_to_ue_ft is None:
             self.enb_to_ue_ft = self.enb_to_tag_ft + self.tag_to_ue_ft
+        _require_finite("enb_to_ue_ft", self.enb_to_ue_ft, minimum=0.0)
+        _require_finite("tx_power_dbm", self.tx_power_dbm)
         if self.sync_mode not in ("circuit", "model"):
             raise ValueError("sync_mode must be 'circuit' or 'model'")
         if self.reference_mode not in ("decoded", "genie"):
@@ -115,6 +130,7 @@ class SystemConfig:
                 )
             self.demod_chunk_half_frames = int(self.demod_chunk_half_frames)
         if self.window_snr_gate_db is not None:
+            _require_finite("window_snr_gate_db", self.window_snr_gate_db)
             self.window_snr_gate_db = float(self.window_snr_gate_db)
         if int(self.sync_resync_attempts) < 0:
             raise ValueError(

@@ -28,6 +28,7 @@ from repro.lte.params import LteParams, SLOTS_PER_FRAME, SUBFRAMES_PER_FRAME
 from repro.lte.pss import PSS_SLOTS, PSS_SYMBOL_IN_SLOT, pss_sequence
 from repro.lte.resource_grid import ReKind, ResourceGrid, symbol_index
 from repro.lte.sss import SSS_SLOTS, SSS_SYMBOL_IN_SLOT, sss_sequence
+from repro.utils.cache import memoize
 from repro.utils.rng import make_rng
 
 #: Default code rate target for transport-block sizing (mother code is 1/3).
@@ -150,52 +151,34 @@ class FrameBuilder:
 
     # -- data ---------------------------------------------------------------
 
-    def _transport_block_size(self, n_data_res):
-        """Payload bits for a subframe with ``n_data_res`` data REs."""
-        bits_per_re = BITS_PER_SYMBOL[self.cell.modulation]
-        target = n_data_res * bits_per_re
-        size = int(target * self.cell.code_rate) - 24  # CRC-24A overhead
-        # Keep at least the encoder memory plus a little payload.
-        return max(size, 16)
-
     def _place_data(self, grid, payloads=None):
-        rows, cols = grid.data_positions()
-        # Group data REs by subframe (14 symbols each).
-        subframe_of_row = rows // 14
         blocks = []
-        bits_per_re = BITS_PER_SYMBOL[self.cell.modulation]
-        for subframe in range(SUBFRAMES_PER_FRAME):
-            in_sf = subframe_of_row == subframe
-            sf_rows, sf_cols = rows[in_sf], cols[in_sf]
-            n_res = len(sf_rows)
-            target_bits = n_res * bits_per_re
-            tb_size = self._transport_block_size(n_res)
+        for subframe, plan in enumerate(transport_plan(self.params, self.cell)):
             if payloads is None and self.rng.random() > self.cell.pdsch_load:
                 # Unscheduled subframe: data REs stay silent (light load).
                 continue
             if payloads is not None:
                 payload = np.asarray(payloads[subframe], dtype=np.int8)
-                if len(payload) != tb_size:
+                if len(payload) != plan.tb_size:
                     raise ValueError(
-                        f"subframe {subframe} payload must be {tb_size} bits"
+                        f"subframe {subframe} payload must be {plan.tb_size} bits"
                     )
             else:
-                payload = self.rng.integers(0, 2, size=tb_size).astype(np.int8)
+                payload = self.rng.integers(0, 2, size=plan.tb_size).astype(np.int8)
             with_crc = coding.crc_attach(payload, "crc24a")
             coded = coding.conv_encode(with_crc)
-            matched = coding.rate_match(coded, target_bits)
-            c_init = coding.pdsch_c_init(self.cell.rnti, subframe, self.cell.cell_id)
-            scrambled = coding.scramble_bits(matched, c_init)
+            matched = coding.rate_match(coded, plan.target_bits)
+            scrambled = coding.scramble_bits(matched, plan.c_init)
             symbols = modulate(scrambled, self.cell.modulation)
-            grid.mark_data(sf_rows, sf_cols, symbols)
+            grid.mark_data(plan.rows, plan.cols, symbols)
             blocks.append(
                 TransportBlock(
                     subframe=subframe,
                     payload_bits=payload,
                     coded_length=len(coded),
-                    n_data_res=n_res,
-                    rows=sf_rows,
-                    cols=sf_cols,
+                    n_data_res=len(plan.rows),
+                    rows=plan.rows,
+                    cols=plan.cols,
                 )
             )
         return blocks
@@ -238,3 +221,58 @@ def build_structure(params, cell=None):
     builder._place_crs(grid)
     builder._place_pbch(grid, frame_number=0)
     return grid
+
+
+@dataclass(frozen=True)
+class SubframePlan:
+    """Where one subframe's transport block is mapped, and its sizes.
+
+    ``rows``/``cols`` are the subframe's data REs in mapping order,
+    ``target_bits`` the rate-matched length they carry, ``tb_size`` the
+    payload bits before the CRC-24A, and ``c_init`` the PDSCH scrambling
+    seed.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    target_bits: int
+    tb_size: int
+    c_init: int
+
+
+#: A plan holds two int64 arrays over a frame's data REs (2.6 MB at
+#: 20 MHz), so the cache is bounded; a city grid's cells fit.
+@memoize(maxsize=32)
+def transport_plan(params, cell):
+    """The ten :class:`SubframePlan` of a cell's frames, in subframe order.
+
+    The one owner of transport-block sizing: the builder maps data with it
+    (at transmit and when rebuilding a decoded reference) and the receiver
+    demaps with it.  Data REs are whatever :func:`build_structure` leaves
+    free; neither they nor the sizes depend on the frame number.
+
+    >>> plan = transport_plan(LteParams.from_bandwidth(1.4), CellConfig())
+    >>> len(plan), plan[0].tb_size < plan[1].tb_size
+    (10, True)
+    """
+    rows, cols = build_structure(params, cell).data_positions()
+    # Group data REs by subframe (14 symbols each).
+    subframe_of_row = rows // 14
+    bits_per_re = BITS_PER_SYMBOL[cell.modulation]
+    plans = []
+    for subframe in range(SUBFRAMES_PER_FRAME):
+        in_sf = subframe_of_row == subframe
+        target_bits = int(np.count_nonzero(in_sf)) * bits_per_re
+        # CRC-24A overhead; keep at least the encoder memory plus a little
+        # payload.
+        tb_size = max(int(target_bits * cell.code_rate) - 24, 16)
+        plans.append(
+            SubframePlan(
+                rows=rows[in_sf],
+                cols=cols[in_sf],
+                target_bits=target_bits,
+                tb_size=tb_size,
+                c_init=coding.pdsch_c_init(cell.rnti, subframe, cell.cell_id),
+            )
+        )
+    return tuple(plans)

@@ -8,7 +8,9 @@ the capture and a CRC check per block — and reports throughput as
 LTE throughput in the Fig. 32 impact experiment.
 
 Scheduling knowledge (modulation, code rate, transport-block sizing) comes
-from the :class:`~repro.lte.frame.CellConfig`, standing in for the PDCCH.
+from the :class:`~repro.lte.frame.CellConfig`, standing in for the PDCCH,
+through the same :func:`~repro.lte.frame.transport_plan` the transmitter
+maps with.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 
 from repro.lte import coding
 from repro.lte.channel_est import estimate_channel
-from repro.lte.frame import CellConfig, build_structure
-from repro.lte.modulation import BITS_PER_SYMBOL, demodulate_llr
+from repro.lte.frame import CellConfig, transport_plan
+from repro.lte.modulation import demodulate_llr
 from repro.lte.ofdm import demodulate_frame
 from repro.lte.params import LteParams, SUBFRAMES_PER_FRAME, FRAME_SECONDS
 from repro.lte.resource_grid import ReKind
@@ -68,19 +70,7 @@ class LteReceiver:
     def __init__(self, params, cell=None):
         self.params = params if isinstance(params, LteParams) else LteParams.from_bandwidth(params)
         self.cell = cell or CellConfig()
-        self._structure = build_structure(self.params, self.cell)
-        rows, cols = self._structure.data_positions()
-        self._data_rows = rows
-        self._data_cols = cols
-
-    def _subframe_bits(self, subframe):
-        """Coded-bit budget and TB size for one subframe (mirrors builder)."""
-        in_sf = self._data_rows // 14 == subframe
-        n_res = int(np.count_nonzero(in_sf))
-        bits_per_re = BITS_PER_SYMBOL[self.cell.modulation]
-        target_bits = n_res * bits_per_re
-        tb_size = max(int(target_bits * self.cell.code_rate) - 24, 16)
-        return in_sf, target_bits, tb_size
+        self._plan = transport_plan(self.params, self.cell)
 
     def decode_mib(self, samples):
         """Decode the MIB from one frame of samples (PBCH bootstrap).
@@ -121,20 +111,14 @@ class LteReceiver:
         softs = []
         sizes = []
         with span("lte.demap"):
-            for subframe in range(SUBFRAMES_PER_FRAME):
-                in_sf, target_bits, tb_size = self._subframe_bits(subframe)
-                rows = self._data_rows[in_sf]
-                cols = self._data_cols[in_sf]
-                symbols = equalized[rows, cols]
-                noise = re_noise[rows, cols]
+            for plan in self._plan:
+                symbols = equalized[plan.rows, plan.cols]
+                noise = re_noise[plan.rows, plan.cols]
                 llrs = demodulate_llr(symbols, self.cell.modulation, noise)
-                c_init = coding.pdsch_c_init(
-                    self.cell.rnti, subframe, self.cell.cell_id
-                )
-                llrs = coding.descramble_llrs(llrs, c_init)
-                coded_length = 3 * (tb_size + 24)
-                softs.append(coding.rate_recover(llrs, coded_length))
-                sizes.append(tb_size + 24)
+                llrs = coding.descramble_llrs(llrs, plan.c_init)
+                n_bits = plan.tb_size + 24  # transport block plus CRC-24A
+                softs.append(coding.rate_recover(llrs, 3 * n_bits))
+                sizes.append(n_bits)
         return softs, sizes, equalized
 
     def decode(self, samples, reference_frames=None):

@@ -25,9 +25,9 @@ def db_to_linear(db):
 
     Works element-wise on arrays.
 
-    >>> db_to_linear(10.0)
+    >>> float(db_to_linear(10.0))
     10.0
-    >>> db_to_linear(0.0)
+    >>> float(db_to_linear(0.0))
     1.0
     """
     return np.power(10.0, np.asarray(db, dtype=float) / 10.0)[()]
@@ -47,9 +47,9 @@ def linear_to_db(linear):
 def dbm_to_watts(dbm):
     """Convert a power in dBm to watts.
 
-    >>> dbm_to_watts(0.0)
+    >>> float(dbm_to_watts(0.0))
     0.001
-    >>> round(dbm_to_watts(30.0), 6)
+    >>> round(float(dbm_to_watts(30.0)), 6)
     1.0
     """
     return np.power(10.0, (np.asarray(dbm, dtype=float) - 30.0) / 10.0)[()]
@@ -78,8 +78,8 @@ def thermal_noise_dbm(bandwidth_hz, noise_figure_db=0.0):
     ``kTB`` at 290 K plus a receiver noise figure.  For a 20 MHz LTE channel
     this is about -101 dBm before the noise figure.
 
-    >>> round(thermal_noise_dbm(20e6), 1)
-    -100.9
+    >>> round(float(thermal_noise_dbm(20e6)), 1)
+    -101.0
     """
     noise_watts = BOLTZMANN * T0_KELVIN * float(bandwidth_hz)
     return watts_to_dbm(noise_watts) + float(noise_figure_db)

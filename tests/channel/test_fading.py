@@ -87,3 +87,47 @@ def test_nlos_penalty():
 def test_scatter_fraction_limits():
     assert scatter_fraction(30.0) < 0.001
     assert scatter_fraction(0.0) == pytest.approx(0.5)
+
+
+def _relative_error(got, expected):
+    scale = max(float(np.max(np.abs(expected), initial=0.0)), 1e-300)
+    return float(np.max(np.abs(got - expected), initial=0.0)) / scale
+
+
+@pytest.mark.parametrize("n_taps", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n_samples", [0, 1, 2, 307_200])
+def test_apply_matches_np_convolve(n_taps, n_samples):
+    rng = make_rng(100 + n_taps)
+    taps = rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps)
+    x = rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)
+    # np.convolve rejects an empty input; the empty capture filters to empty.
+    expected = np.convolve(x, taps)[:n_samples] if n_samples else x
+    out = FadingChannel(taps=taps).apply(x)
+    assert out.shape == (n_samples,)
+    assert _relative_error(out, expected) <= 1e-12
+
+
+def test_apply_leaves_input_untouched_and_accepts_read_only():
+    rng = make_rng(4)
+    x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    original = x.copy()
+    x.setflags(write=False)
+    channel = FadingChannel(taps=np.array([0.9, 0.3 - 0.2j, 0.1j]))
+    out = channel.apply(x)
+    assert np.array_equal(x, original)
+    assert out is not x and out.flags.writeable
+    assert _relative_error(out, np.convolve(original, channel.taps)[:64]) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "taps",
+    [
+        [],
+        np.zeros((2, 2), dtype=complex),
+        [1.0, np.nan],
+        [1.0 + 0j, complex(0.0, np.inf)],
+    ],
+)
+def test_invalid_taps_rejected(taps):
+    with pytest.raises(ValueError, match="taps"):
+        FadingChannel(taps=taps)

@@ -83,6 +83,19 @@ def test_invalid_config_rejected():
     for n_frames in (0, -1, 1.5, float("nan"), "2", None):
         with pytest.raises(ValueError, match="n_frames"):
             SystemConfig(n_frames=n_frames)
+    nan, inf = float("nan"), float("inf")
+    for field, values in {
+        "enb_to_tag_ft": (nan, inf, -1.0, "3"),
+        "tag_to_ue_ft": (nan, -inf, -5.0),
+        "enb_to_ue_ft": (nan, inf, -0.5),
+        "tx_power_dbm": (nan, inf, -inf, None),
+        "window_snr_gate_db": (nan, inf),
+    }.items():
+        for value in values:
+            with pytest.raises(ValueError, match=field):
+                SystemConfig(**{field: value})
+    # Zero distances stay legal (path loss clamps at 0.1 m).
+    SystemConfig(enb_to_tag_ft=0.0, tag_to_ue_ft=0.0, enb_to_ue_ft=0.0)
 
 
 def test_artifacts_present_when_requested():

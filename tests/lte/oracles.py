@@ -1,13 +1,14 @@
 """Test oracles for the vectorised LTE paths.
 
-The vectorised OFDM, CFO and convolutional-coding paths in
+The vectorised OFDM, CFO, CRC and convolutional-coding paths in
 :mod:`repro.lte` are pinned against these straightforward per-symbol and
 bit-serial implementations: the OFDM and CFO loops are the original
-pre-vectorisation code, the encoder is a shift register built from the
-36.212 generators alone, and the Viterbi decoder is the original
-64-state ``argmax`` trellis, batched over equal-length blocks, with its
-tables rebuilt here from the same generators.  None of them shares a
-table with the package.
+pre-vectorisation code, the CRC is the original bit-serial shift
+register over the three 36.212 generators restated here, the encoder is
+a shift register built from the 36.212 generators alone, and the Viterbi
+decoder is the original 64-state ``argmax`` trellis, batched over
+equal-length blocks, with its tables rebuilt here from the same
+generators.  None of them shares a table with the package.
 They exist only to be compared against, so they live with the tests.
 Do not "optimise" them: their value is that they are obviously the
 textbook algorithm.
@@ -24,6 +25,13 @@ from repro.lte.params import (
     SYMBOLS_PER_SLOT,
 )
 from repro.lte.resource_grid import SYMBOLS_PER_FRAME, symbol_index
+
+#: 36.212 §5.1.1 CRC generators (without the leading x^L term), MSB first.
+CRC_GENERATORS = {
+    "crc24a": (24, 0x864CFB),
+    "crc16": (16, 0x1021),
+    "crc8": (8, 0x9B),
+}
 
 #: 36.212 §5.1.3.1 convolutional code: constraint length 7, generators
 #: 133/171/165 octal as 7-bit taps (MSB = newest bit).
@@ -110,6 +118,20 @@ def estimate_cfo_loop(samples, params, max_symbols=140):
     if counted == 0:
         raise ValueError("capture shorter than one OFDM symbol")
     return float(np.angle(accumulator) / (2.0 * np.pi) * SUBCARRIER_SPACING_HZ)
+
+
+def crc_compute_reference(bits, kind="crc24a"):
+    """The original bit-serial CRC: one shift-register step per bit."""
+    length, poly = CRC_GENERATORS[kind]
+    register = 0
+    mask = (1 << length) - 1
+    top = 1 << (length - 1)
+    for bit in np.asarray(bits, dtype=np.int64):
+        feedback = ((register & top) >> (length - 1)) ^ int(bit)
+        register = ((register << 1) & mask) ^ (poly if feedback else 0)
+    return np.array(
+        [(register >> (length - 1 - i)) & 1 for i in range(length)], dtype=np.int8
+    )
 
 
 def conv_encode_reference(bits):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.lte.coding import crc_attach, crc_check, crc_compute
 from repro.utils.rng import make_rng
+from tests.lte.oracles import crc_compute_reference
 
 KINDS = ("crc24a", "crc16", "crc8")
 LENGTHS = {"crc24a": 24, "crc16": 16, "crc8": 8}
@@ -62,10 +63,55 @@ def test_all_zero_payload_zero_crc():
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        crc_compute(np.zeros(8, dtype=np.int8), "crc32")
+    for fn in (crc_compute, crc_attach, crc_check):
+        with pytest.raises(ValueError, match="crc32"):
+            fn(np.zeros(32, dtype=np.int8), "crc32")
 
 
 def test_block_shorter_than_crc_rejected():
     with pytest.raises(ValueError):
         crc_check(np.zeros(10, dtype=np.int8), "crc24a")
+
+
+#: Block lengths the syndrome-table CRC is pinned on: every short length
+#: (including the empty block and each power-of-two boundary up to 64),
+#: plus transport-block scale.
+ORACLE_LENGTHS = (*range(71), 1000, 9000, 30000)
+
+
+def _oracle_cases(n, rng):
+    yield rng.integers(0, 2, size=n).astype(np.int8)
+    yield np.ones(n, dtype=np.int8)
+    if n:
+        for position in (0, n - 1):
+            single = np.zeros(n, dtype=np.int8)
+            single[position] = 1
+            yield single
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_table_crc_matches_bit_serial_oracle(kind):
+    rng = make_rng(3)
+    for n in ORACLE_LENGTHS:
+        for bits in _oracle_cases(n, rng):
+            expected = crc_compute_reference(bits, kind)
+            assert np.array_equal(crc_compute(bits, kind), expected), (kind, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(KINDS),
+    st.lists(st.integers(0, 1), min_size=0, max_size=600),
+)
+def test_table_crc_matches_oracle_property(kind, bits):
+    bits = np.array(bits, dtype=np.int8)
+    assert np.array_equal(crc_compute(bits, kind), crc_compute_reference(bits, kind))
+
+
+def test_syndrome_table_is_a_registered_cache():
+    from repro.utils.cache import cache_stats
+
+    crc_compute(np.ones(100, dtype=np.int8), "crc16")
+    crc_compute(np.ones(120, dtype=np.int8), "crc16")
+    stats = cache_stats()["repro.lte.coding.crc._syndromes"]
+    assert stats["hits"] >= 1 and stats["currsize"] >= 1

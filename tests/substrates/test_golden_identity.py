@@ -8,6 +8,9 @@ and a :class:`~repro.fleet.runner.FleetRunner` with no substrate
 argument must reproduce the recorded per-tag numbers.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.core import LScatterSystem, SystemConfig
@@ -23,6 +26,24 @@ GOLDEN_FLEET = (
     ("tag01", 4176, 0, 58, 0, 0, 1.0416666666666667),
     ("tag02", 4176, 0, 58, 0, 0, -1.0416666666666667),
 )
+
+#: The deployable receiver through the default multipath channels and
+#: thermal noise (decoded reference, circuit sync, seed 11, 4000 payload
+#: bits, 2 frames): fields, LTE block error rate and the sha256 of the
+#: decoded transport blocks.  The goldens above use flat channels, so
+#: only these pin the multi-tap channel FIR on the decoded path.
+GOLDEN_MULTIPATH_DECODED = {
+    1.4: (
+        (16704, 4, 232, 0, 0, -4.6875),
+        0.0,
+        "e683984d55c0b1737d73fb56e1c4f0f51ebb2ba55d1800148851447eade8e3fa",
+    ),
+    3.0: (
+        (41760, 2, 232, 0, 0, -2.6041666666666665),
+        0.0,
+        "d755c20f569eaeb53eec693d004a8cae98e4147761ef44c2dc5ab7d9dfa0752a",
+    ),
+}
 
 
 def _fields(report):
@@ -69,6 +90,23 @@ def test_decoded_reference_golden_unchanged():
 def test_genie_reference_golden_unchanged():
     report = LScatterSystem(_genie_config(), rng=3).run(payload_length=2000)
     assert _fields(report) == GOLDEN_GENIE_SEED3
+
+
+@pytest.mark.parametrize("bandwidth", sorted(GOLDEN_MULTIPATH_DECODED))
+def test_decoded_multipath_golden_unchanged(bandwidth):
+    fields, block_error_rate, digest = GOLDEN_MULTIPATH_DECODED[bandwidth]
+    config = SystemConfig(
+        bandwidth_mhz=bandwidth,
+        n_frames=2,
+        reference_mode="decoded",
+        sync_mode="circuit",
+    )
+    report = LScatterSystem(config, rng=11).run(payload_length=4000)
+    assert _fields(report) == fields
+    assert report.lte_block_error_rate == block_error_rate
+    front = LScatterSystem(config, rng=11).run_frontend(payload_length=4000)
+    decoded = np.concatenate([sf.decoded for sf in front.lte_result.subframes])
+    assert hashlib.sha256(decoded.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("make_config", [_decoded_config, _genie_config])
