@@ -109,8 +109,6 @@ class FadingChannel:
         never written to (a fleet shares one read-only ambient).
         """
         samples = np.asarray(samples, dtype=complex)
-        if len(self.taps) == 1:
-            return samples * self.taps[0]
         out = samples * self.taps[0]
         # Taps delayed past the end of a short input contribute nothing.
         for delay, tap in enumerate(self.taps[1 : len(samples)], start=1):
