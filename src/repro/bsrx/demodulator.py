@@ -39,7 +39,8 @@ point reaches that kernel:
 * :meth:`BackscatterDemodulator.demodulate` — one tag, whole capture, as
   a one-row stack;
 * :meth:`BackscatterDemodulator.demodulate_many` — every tag riding one
-  shared ambient capture at once;
+  shared ambient capture at once, each half-frame stacked from the
+  slices of the tags that own it;
 * :class:`repro.bsrx.streaming.StreamingDemodulator` — chunked
   consumption of arbitrarily long captures in bounded memory.
 
@@ -296,28 +297,51 @@ class BackscatterDemodulator:
     def demodulate_many(self, shifted_stack, reference_stack, half_frame_starts):
         """Demodulate every tag riding one shared ambient capture at once.
 
-        ``shifted_stack``/``reference_stack`` are ``(n_tags, n_samples)``
-        stacks — row ``t`` is what tag ``t``'s UE captured and
-        reconstructed.  All tags share the PSS-derived half-frame grid of
-        the common ambient, so each half-frame's FFTs, channel estimates,
-        offset searches and matched filters run as single batched
-        transforms over every tag.  Returns one :class:`BsDemodResult` per
-        row; a row's result does not depend on the other rows.
+        ``shifted_stack``/``reference_stack`` hold one equal-length capture
+        per tag, as an ``(n_tags, n_samples)`` array or a sequence of 1-D
+        rows: row ``t`` is what tag ``t``'s UE captured and reconstructed.
+        ``half_frame_starts`` is either one grid of PSS-derived half-frame
+        starts for every row, or one grid per row (the half-frames each
+        tag owns).  Half-frames run in ascending start order; for each,
+        the rows whose grid holds it are sliced to ``[start, start +
+        half_frame_span)``, stacked, and demodulated in one kernel call, so
+        its FFTs, channel estimates, offset searches and matched filters
+        run as single batched transforms over exactly those tags.  Returns
+        one :class:`BsDemodResult` per row; a row's result does not depend
+        on the other rows.
         """
-        shifted_stack = np.asarray(shifted_stack, dtype=complex)
-        reference_stack = np.asarray(reference_stack, dtype=complex)
-        if shifted_stack.ndim != 2:
+        shifted_rows = [np.asarray(row, dtype=complex) for row in shifted_stack]
+        reference_rows = [np.asarray(row, dtype=complex) for row in reference_stack]
+        shapes = {row.shape for row in shifted_rows}
+        if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
             raise ValueError("expected (n_tags, n_samples) stacks")
-        if shifted_stack.shape != reference_stack.shape:
+        if [row.shape for row in reference_rows] != [
+            row.shape for row in shifted_rows
+        ]:
             raise ValueError("captures and references must be sample-aligned")
+        grids = list(half_frame_starts)
+        if not (grids and np.ndim(grids[0])):
+            grids = [grids] * len(shifted_rows)
+        elif len(grids) != len(shifted_rows):
+            raise ValueError("expected one half-frame grid per row")
 
-        sinks = [_DemodSink() for _ in range(shifted_stack.shape[0])]
-        for half_start in half_frame_starts:
-            half_start = int(half_start)
-            if half_start >= 0:
-                self._demod_half_frame(
-                    shifted_stack, reference_stack, half_start, sinks
-                )
+        owners = {}
+        for row, grid in enumerate(grids):
+            for start in grid:
+                if int(start) >= 0:
+                    owners.setdefault(int(start), []).append(row)
+        sinks = [_DemodSink() for _ in shifted_rows]
+        for start in sorted(owners):
+            rows = owners[start]
+            stop = start + self.half_frame_span
+            for row in rows:
+                sinks[row].base = start
+            self._demod_half_frame(
+                np.stack([shifted_rows[row][start:stop] for row in rows]),
+                np.stack([reference_rows[row][start:stop] for row in rows]),
+                0,
+                [sinks[row] for row in rows],
+            )
         return [sink.result() for sink in sinks]
 
     # -- the kernel ----------------------------------------------------------------

@@ -22,11 +22,20 @@ def noise_std_for_bandwidth(bandwidth_hz, noise_figure_db=6.0):
 
 
 def add_thermal_noise(samples, bandwidth_hz, noise_figure_db=6.0, rng=None):
-    """Add kTB+NF complex noise to a sqrt-mW waveform."""
+    """Add kTB+NF complex noise to a sqrt-mW waveform; returns a new array.
+
+    One ``(2, n)`` standard-normal draw holds the in-phase row, then the
+    quadrature row: the same stream as two length-``n`` draws, leaving
+    the generator in the same state.  The draw is scaled in place and
+    added to a copy of ``samples`` through its ``.real``/``.imag`` views,
+    so the input is never written.  The result equals
+    ``samples + std * (a + 1j * b)`` bit for bit, since both forms round
+    ``std * a`` and ``std * b`` once and add them to the parts once.
+    """
     rng = make_rng(rng)
-    samples = np.asarray(samples, dtype=complex)
-    std = noise_std_for_bandwidth(bandwidth_hz, noise_figure_db)
-    noise = std * (
-        rng.standard_normal(len(samples)) + 1j * rng.standard_normal(len(samples))
-    )
-    return samples + noise
+    noisy = np.array(samples, dtype=complex)
+    draw = rng.standard_normal((2, len(noisy)))
+    draw *= noise_std_for_bandwidth(bandwidth_hz, noise_figure_db)
+    noisy.real += draw[0]
+    noisy.imag += draw[1]
+    return noisy

@@ -17,12 +17,17 @@ from repro.lte.frame import CellConfig
 from repro.lte.params import LteParams
 
 
-def _require_finite(name, value, minimum=None):
-    """Reject a non-numeric, NaN or infinite ``value``, naming the field."""
+def _require_finite(name, value, minimum=None, above=None):
+    """Reject a non-numeric, NaN or infinite ``value``, naming the field.
+
+    ``minimum`` is an inclusive lower bound, ``above`` an exclusive one.
+    """
     if not (isinstance(value, numbers.Real) and math.isfinite(value)) or (
-        minimum is not None and value < minimum
+        (minimum is not None and value < minimum)
+        or (above is not None and value <= above)
     ):
         bound = "" if minimum is None else f" >= {minimum:g}"
+        bound += "" if above is None else f" > {above:g}"
         raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
 
 
@@ -102,6 +107,12 @@ class SystemConfig:
             self.enb_to_ue_ft = self.enb_to_tag_ft + self.tag_to_ue_ft
         _require_finite("enb_to_ue_ft", self.enb_to_ue_ft, minimum=0.0)
         _require_finite("tx_power_dbm", self.tx_power_dbm)
+        _require_finite("carrier_hz", self.carrier_hz, above=0.0)
+        _require_finite("system_gain_db", self.system_gain_db)
+        _require_finite("tag_loss_db", self.tag_loss_db)
+        _require_finite("noise_figure_db", self.noise_figure_db)
+        _require_finite("structural_reflection_db", self.structural_reflection_db)
+        _require_finite("ue_cfo_ppm", self.ue_cfo_ppm)
         if self.sync_mode not in ("circuit", "model"):
             raise ValueError("sync_mode must be 'circuit' or 'model'")
         if self.reference_mode not in ("decoded", "genie"):

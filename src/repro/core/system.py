@@ -10,7 +10,8 @@ Two captures reach the UE: the **direct band** (the ambient LTE signal the
 UE decodes normally — also how it rebuilds the reference waveform ``x_n``)
 and the **shifted band** at ``fc + 1/Ts`` (the backscattered hybrid signal,
 represented at its own baseband — the frequency shift of paper Eq. 4 is
-implicit in the tuning).
+implicit in the tuning).  A genie-reference run with no CFO reads nothing
+from the direct band, so it is built only if someone asks for it.
 """
 
 from __future__ import annotations
@@ -55,9 +56,15 @@ class RunArtifacts:
     capture: object | None = None
     schedule: object | None = None
     demod: object | None = None
-    direct_rx: np.ndarray | None = None
     shifted_rx: np.ndarray | None = None
     sync_result: object | None = None
+    #: The run's front end; :attr:`direct_rx` reads through it, so a
+    #: deferred direct band is built at most once, and only on request.
+    front: FrontEndState | None = field(default=None, repr=False)
+
+    @property
+    def direct_rx(self):
+        return None if self.front is None else self.front.direct_rx
 
 
 @dataclass
@@ -67,22 +74,36 @@ class FrontEndState:
     :meth:`LScatterSystem.run_frontend` returns one of these;
     :meth:`LScatterSystem.finalize_run` turns it plus a demod result into
     the :class:`~repro.core.metrics.LinkReport`.  The split lets the
-    batched cross-tag runner stack many tags' front-ends into one
+    batched cross-tag runner hand many tags' front-ends to one
     :meth:`~repro.bsrx.demodulator.BackscatterDemodulator.demodulate_many`
     call without re-deriving any randomness — the RNG draws all happen
     in the front-end, in the same order as the monolithic run.
+
+    ``half_starts`` is the UE's PSS-derived half-frame grid, cut to the
+    tag's owned half-frames when the run has a MAC grant.
+    ``direct_band`` holds the direct-band capture, or, when nothing in
+    the run reads that band (a genie reference with no CFO), a
+    zero-argument builder that makes it on the first read of
+    :attr:`direct_rx` (DESIGN §16).
     """
 
     capture: object
     schedule: object
     shifted_rx: np.ndarray
-    direct_rx: np.ndarray
+    direct_band: object
     reference: np.ndarray
     half_starts: np.ndarray
     sync_failed: bool
     error_samples: int | None
     sync_result: object | None
     lte_result: object | None
+
+    @property
+    def direct_rx(self):
+        """The UE's direct-band capture, built on first read if deferred."""
+        if callable(self.direct_band):
+            self.direct_band = self.direct_band()
+        return self.direct_band
 
 
 @dataclass
@@ -424,6 +445,26 @@ class LScatterSystem:
             reflected = self.modulator.reflect(ambient_at_tag, schedule.chips)
 
         # 4. Receive both bands at the UE.
+        fs = self.params.sample_rate_hz
+        # UE oscillator error rotates both bands identically (one LO).
+        cfo_hz = config.ue_cfo_ppm * 1e-6 * config.carrier_hz
+
+        def receive_direct():
+            direct = direct_link.apply(unit)
+            # Structural (unmodulated, in-band) tag reflection leaks into
+            # the direct band as weak extra multipath.
+            leak = 10.0 ** (config.structural_reflection_db / 20.0)
+            direct = direct + leak * bs_link.apply_from_tag(ambient_at_tag)
+            if cfo_hz:
+                direct = apply_cfo(direct, cfo_hz, fs)
+            if config.add_noise:
+                # The last draw on rng_noise, so it draws the same samples
+                # whenever it runs.
+                direct = add_thermal_noise(
+                    direct, fs, config.noise_figure_db, rng_noise
+                )
+            return direct
+
         with span("system.receive"):
             shifted_rx = bs_link.apply_from_tag(reflected)
             if carrier_faults is not None:
@@ -433,39 +474,23 @@ class LScatterSystem:
                 shifted_rx = carrier_faults.apply_backscatter(
                     shifted_rx, ambient=ambient_at_tag
                 )
-            direct_rx = direct_link.apply(unit)
-            # Structural (unmodulated, in-band) tag reflection leaks into the
-            # direct band as weak extra multipath.
-            leak = 10.0 ** (config.structural_reflection_db / 20.0)
-            direct_rx = direct_rx + leak * bs_link.apply_from_tag(ambient_at_tag)
-            # UE oscillator error rotates both bands identically (one LO).
-            cfo_hz = config.ue_cfo_ppm * 1e-6 * config.carrier_hz
             if cfo_hz:
-                shifted_rx = apply_cfo(shifted_rx, cfo_hz, self.params.sample_rate_hz)
-                direct_rx = apply_cfo(direct_rx, cfo_hz, self.params.sample_rate_hz)
+                shifted_rx = apply_cfo(shifted_rx, cfo_hz, fs)
             if config.add_noise:
                 shifted_rx = add_thermal_noise(
-                    shifted_rx,
-                    self.params.sample_rate_hz,
-                    config.noise_figure_db,
-                    rng_noise,
+                    shifted_rx, fs, config.noise_figure_db, rng_noise
                 )
-                direct_rx = add_thermal_noise(
-                    direct_rx,
-                    self.params.sample_rate_hz,
-                    config.noise_figure_db,
-                    rng_noise,
-                )
+            # Only a decoded reference and the CFO estimate read the
+            # direct band; otherwise it is built on first read, if ever.
+            direct_rx = None
+            if config.reference_mode == "decoded" or cfo_hz:
+                direct_rx = receive_direct()
             if cfo_hz:
                 # The UE estimates its own offset from the cyclic prefix of
                 # the direct band and derotates both captures.
                 estimated = estimate_cfo(direct_rx, self.params)
-                shifted_rx = correct_cfo(
-                    shifted_rx, estimated, self.params.sample_rate_hz
-                )
-                direct_rx = correct_cfo(
-                    direct_rx, estimated, self.params.sample_rate_hz
-                )
+                shifted_rx = correct_cfo(shifted_rx, estimated, fs)
+                direct_rx = correct_cfo(direct_rx, estimated, fs)
 
         # 5. UE: LTE decode (for Fig. 32 and the ambient reconstruction).
         lte_result = None
@@ -479,11 +504,16 @@ class LScatterSystem:
 
         half = self.params.samples_per_frame // 2
         half_starts = np.arange(0, len(unit) - half + 1, half)
+        if owned_half_frames is not None:
+            # The receiver knows the MAC grant and demodulates only the
+            # half-frames this tag owns (exact within the DESIGN §16 bound).
+            owned = np.isin(np.arange(len(half_starts)), list(owned_half_frames))
+            half_starts = half_starts[owned]
         return FrontEndState(
             capture=capture,
             schedule=schedule,
             shifted_rx=shifted_rx,
-            direct_rx=direct_rx,
+            direct_band=receive_direct if direct_rx is None else direct_rx,
             reference=reference,
             half_starts=half_starts,
             sync_failed=sync_failed,
@@ -543,8 +573,8 @@ class LScatterSystem:
                 capture=capture,
                 schedule=schedule,
                 demod=demod,
-                direct_rx=front.direct_rx,
                 shifted_rx=front.shifted_rx,
                 sync_result=front.sync_result,
+                front=front,
             )
         return report

@@ -128,13 +128,15 @@ def _simulate_tags_batched(tasks):
 
     Front-ends (channels, tag, receive, reference) run per tag in task
     order with each task's own pre-spawned seed — exactly the RNG draws
-    of :func:`_simulate_tag` — then every participating tag's capture is
-    stacked and demodulated in a single
+    of :func:`_simulate_tag` — then one
     :meth:`~repro.bsrx.demodulator.BackscatterDemodulator.demodulate_many`
-    call.  Returns ``[(elapsed, TagResult)]`` in task order, bit-identical
-    to mapping :func:`_simulate_tag` (asserted by the fleet equality
-    tests).  All tasks must share one capture geometry (same bandwidth
-    and frame count), which every deployment/cohort guarantees.
+    call demodulates every participating tag over its own owned
+    half-frames: each half-frame stacks only its owners' slices, and no
+    whole capture is stacked.  Returns ``[(elapsed, TagResult)]`` in task
+    order, bit-identical to mapping :func:`_simulate_tag` (asserted by
+    the fleet equality tests).  All tasks must share one capture
+    geometry (same bandwidth and frame count), which every
+    deployment/cohort guarantees.
     """
     results = [None] * len(tasks)
     front_elapsed = {}
@@ -160,11 +162,11 @@ def _simulate_tags_batched(tasks):
         live.append((i, result, system, front))
     if live:
         demod_start = time.perf_counter()
-        shifted = np.stack([front.shifted_rx for (_, _, _, front) in live])
-        references = np.stack([front.reference for (_, _, _, front) in live])
-        half_starts = live[0][3].half_starts
+        fronts = [front for (_, _, _, front) in live]
         demods = live[0][2].demodulator.demodulate_many(
-            shifted, references, half_starts
+            [front.shifted_rx for front in fronts],
+            [front.reference for front in fronts],
+            [front.half_starts for front in fronts],
         )
         demod_share = (time.perf_counter() - demod_start) / len(live)
         for (i, result, system, front), demod in zip(live, demods):

@@ -110,6 +110,30 @@ def test_single_tag_stack_matches_scalar_call():
     _assert_same(demod.demodulate(shifted[0], reference[0], halves), batched)
 
 
+def test_per_row_grids_match_per_tag_calls():
+    """One grid per row (each tag's owned half-frames, a non-contiguous
+    set and an empty one included) equals one-row ``demodulate`` calls,
+    whether the rows come stacked or as a list."""
+    params, shifted, reference, halves = _stacks(4)
+    grids = [halves[[0, 3]], halves[[1]], halves[:0], halves]
+    demod = BackscatterDemodulator(params, erasure_threshold=0.35)
+    stacked = demod.demodulate_many(shifted, reference, grids)
+    listed = demod.demodulate_many(list(shifted), list(reference), grids)
+    for t, grid in enumerate(grids):
+        serial = demod.demodulate(shifted[t], reference[t], grid)
+        _assert_same(serial, stacked[t])
+        _assert_same(serial, listed[t])
+        assert {p.half_frame_start for p in stacked[t].packets} == set(grid.tolist())
+
+
+def test_per_row_grid_count_validated():
+    demod = BackscatterDemodulator(1.4)
+    with pytest.raises(ValueError, match="one half-frame grid per row"):
+        demod.demodulate_many(
+            np.zeros((2, 10), complex), np.zeros((2, 10), complex), [[0]]
+        )
+
+
 def test_batched_shape_validation():
     demod = BackscatterDemodulator(1.4)
     with pytest.raises(ValueError):

@@ -29,6 +29,40 @@ def test_add_thermal_noise_power():
     assert measured_mw == pytest.approx(expected_mw, rel=0.05)
 
 
+def _two_draw_noise(samples, bandwidth_hz, noise_figure_db, rng):
+    """Oracle: the expression ``add_thermal_noise`` computes with one draw."""
+    n = len(samples)
+    std = noise_std_for_bandwidth(bandwidth_hz, noise_figure_db)
+    return samples + std * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("n", [0, 1, 1000, 307_200])
+def test_add_thermal_noise_matches_two_draw_oracle(n):
+    """Same bits and same generator state as two length-n draws.
+
+    307 200 samples (4.9 MB) is far above numpy's 256 KiB temporary
+    elision size, where the oracle's own temporaries are reused in place.
+    """
+    samples = make_rng(1).standard_normal(n) + 1j * make_rng(2).standard_normal(n)
+    oracle_rng, rng = make_rng(7), make_rng(7)
+    expected = _two_draw_noise(samples, 15.36e6, 6.0, oracle_rng)
+    noisy = add_thermal_noise(samples, 15.36e6, 6.0, rng)
+    np.testing.assert_array_equal(noisy.view(np.uint64), expected.view(np.uint64))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_add_thermal_noise_never_writes_its_input():
+    samples = make_rng(3).standard_normal(1000) + 1j * make_rng(4).standard_normal(1000)
+    before = samples.copy()
+    noisy = add_thermal_noise(samples, 1e6, 6.0, make_rng(5))
+    np.testing.assert_array_equal(samples.view(np.uint64), before.view(np.uint64))
+    assert not np.shares_memory(noisy, samples)
+    # A read-only input (the fleet's shared ambient is one) works too.
+    samples.setflags(write=False)
+    again = add_thermal_noise(samples, 1e6, 6.0, make_rng(5))
+    np.testing.assert_array_equal(again.view(np.uint64), noisy.view(np.uint64))
+
+
 def test_budget_cascade_composition():
     budget = LinkBudget(venue="free_space", system_gain_db=0.0, tag_loss_db=8.0)
     d1, d2 = 10.0, 20.0

@@ -1,9 +1,17 @@
 """End-to-end IQ system tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.channel.link import DirectLink
 from repro.core import LScatterSystem, SystemConfig
+
+#: sha256 of ``artifacts.direct_rx`` for a 1.4 MHz genie run with
+#: multipath and noise (``n_frames=2``, ``rng=11``, 2000 payload bits),
+#: recorded while every run still built its direct band eagerly.
+DIRECT_RX_SHA256 = "3e03671d23c4c16a150544fe50ca444d341a982bf6fdb05529a6c483e806d435"
 
 
 def _run(seed=1, **kwargs):
@@ -90,6 +98,12 @@ def test_invalid_config_rejected():
         "enb_to_ue_ft": (nan, inf, -0.5),
         "tx_power_dbm": (nan, inf, -inf, None),
         "window_snr_gate_db": (nan, inf),
+        "carrier_hz": (nan, inf, 0.0, -1.0, None),
+        "system_gain_db": (nan, inf, -inf),
+        "tag_loss_db": (nan, -inf),
+        "noise_figure_db": (nan, inf),
+        "structural_reflection_db": (nan, inf, -inf),
+        "ue_cfo_ppm": (nan, inf, "0.5"),
     }.items():
         for value in values:
             with pytest.raises(ValueError, match=field):
@@ -104,3 +118,47 @@ def test_artifacts_present_when_requested():
     artifacts = report.extras["artifacts"]
     assert artifacts.capture is not None
     assert artifacts.demod.n_data_windows > 0
+
+
+def _count_direct_link_calls(monkeypatch):
+    calls = []
+    apply = DirectLink.apply
+
+    def counted(self, samples, rng=None):
+        calls.append(len(samples))
+        return apply(self, samples, rng)
+
+    monkeypatch.setattr(DirectLink, "apply", counted)
+    return calls
+
+
+def _artifacts(**kwargs):
+    config = SystemConfig(bandwidth_mhz=1.4, n_frames=2, **kwargs)
+    report = LScatterSystem(config, rng=11).run(payload_length=2000, artifacts=True)
+    return report.extras["artifacts"]
+
+
+def test_genie_run_builds_direct_band_only_when_read(monkeypatch):
+    calls = _count_direct_link_calls(monkeypatch)
+    artifacts = _artifacts(reference_mode="genie")
+    assert calls == []
+    first = artifacts.direct_rx
+    assert artifacts.direct_rx is first
+    assert calls == [len(first)]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(reference_mode="decoded"), dict(reference_mode="genie", ue_cfo_ppm=0.5)],
+)
+def test_runs_reading_the_direct_band_build_it_once(monkeypatch, overrides):
+    calls = _count_direct_link_calls(monkeypatch)
+    artifacts = _artifacts(**overrides)
+    assert len(calls) == 1
+    assert artifacts.direct_rx is artifacts.direct_rx
+    assert len(calls) == 1
+
+
+def test_deferred_direct_band_equals_eager_build():
+    direct = _artifacts(reference_mode="genie").direct_rx
+    assert hashlib.sha256(direct.tobytes()).hexdigest() == DIRECT_RX_SHA256
