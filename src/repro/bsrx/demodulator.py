@@ -33,23 +33,27 @@ One kernel, :meth:`BackscatterDemodulator._demod_half_frame`, demodulates
 one half-frame of a ``(n_tags, n_samples)`` stack.  Symbol offsets built
 once per numerology gather every tag's 2 sounding, 10 preamble and 58
 data symbols; each hypothesis then runs once over all (tag, packet) rows
-and each equalisation once over all (tag, window) rows.  Every entry
-point reaches that kernel:
+and each equalisation once over all (tag, window) rows.  Both entry
+points reach that kernel:
 
-* :meth:`BackscatterDemodulator.demodulate` — one tag, whole capture, as
-  a one-row stack;
 * :meth:`BackscatterDemodulator.demodulate_many` — every tag riding one
   shared ambient capture at once, each half-frame stacked from the
   slices of the tags that own it;
-* :class:`repro.bsrx.streaming.StreamingDemodulator` — chunked
-  consumption of arbitrarily long captures in bounded memory.
+* :meth:`BackscatterDemodulator.demodulate` — one tag, as a one-row
+  :meth:`~BackscatterDemodulator.demodulate_many` stack.
 
-A capture whose tail is shorter than a full half-frame (every streaming
-chunk boundary, and any externally truncated recording) goes through the
-same kernel: per-packet and per-window "fits" masks select the symbols
-that lie inside the capture, and packets whose sounding/preamble/data
-symbols run past the end emit erasure windows (placeholder bits the
-accounting layer excludes) instead of being silently dropped mid-grid.
+Each half-frame re-sounds the cascade on the tag's unmodulated PSS/SSS
+reflection and stands alone, so the kernel only ever sees one
+half-frame's slice of the capture: a long or memory-mapped recording is
+never loaded whole.
+
+A capture whose tail is shorter than a full half-frame (an externally
+truncated recording, or a grid that runs off the capture's end) goes
+through the same kernel: per-packet and per-window "fits" masks select
+the symbols that lie inside the capture, and packets whose
+sounding/preamble/data symbols run past the end emit erasure windows
+(placeholder bits the accounting layer excludes) instead of being
+silently dropped mid-grid.
 """
 
 from __future__ import annotations
@@ -151,9 +155,10 @@ class BsDemodResult:
 class _DemodSink:
     """Accumulates one capture's windows/packets across half-frame calls.
 
-    ``base`` is added to every emitted sample index — the streaming path
-    hands the kernel a chunk-local view and shifts results back to
-    absolute capture coordinates through it.
+    ``base`` is added to every emitted sample index —
+    :meth:`BackscatterDemodulator.demodulate_many` hands the kernel one
+    half-frame's slice and shifts results back to absolute capture
+    coordinates through it.
     """
 
     __slots__ = (
@@ -339,7 +344,6 @@ class BackscatterDemodulator:
             self._demod_half_frame(
                 np.stack([shifted_rows[row][start:stop] for row in rows]),
                 np.stack([reference_rows[row][start:stop] for row in rows]),
-                0,
                 [sinks[row] for row in rows],
             )
         return [sink.result() for sink in sinks]
@@ -356,29 +360,28 @@ class BackscatterDemodulator:
     def _preamble_errors(self, soft):
         return np.count_nonzero((soft > 0) != self._preamble, axis=-1)
 
-    def _demod_half_frame(self, shifted, reference, half_start, sinks):
+    def _demod_half_frame(self, shifted, reference, sinks):
         """Demodulate one half-frame for every row of a ``(n_tags, n)`` stack.
 
-        A half-frame reaching past the end of the stack is the truncated-
-        tail case: packets whose sounding and preamble fit demodulate
-        normally, the rest emit erasure windows.  Only symbols that fit
-        are ever read.  Emitted indices are shifted by each sink's
-        ``base``.  Returns the ``(n_tags, fft_size)`` cascade soundings,
-        or ``None`` when the PSS sounding runs past the stack.
+        Each row starts at the half-frame's first sample.  A half-frame
+        reaching past the end of the stack is the truncated-tail case:
+        packets whose sounding and preamble fit demodulate normally, the
+        rest emit erasure windows.  Only symbols that fit are ever read.
+        Emitted indices are shifted by each sink's ``base``.
         """
         n_tags, limit = shifted.shape
         fft, n_chips = self.params.fft_size, self.n_chips
         n_packets = len(self._packet_slots)
         window_packet = self._window_packet
-        data_starts = half_start + self._window_starts
+        data_starts = self._window_starts
         nominal_starts = data_starts + self.nominal_offset
         # Symbols are in time order, so the packets and windows that fit
         # are prefixes.  Every packet also needs the PSS sounding, which
         # follows packet 0's preamble.
         window_fits = data_starts + fft <= limit
         n_fit = 0
-        if half_start + self._sounding_starts[-1] + fft <= limit:
-            preamble_ends = half_start + self._preamble_starts + fft
+        if self._sounding_starts[-1] + fft <= limit:
+            preamble_ends = self._preamble_starts + fft
             n_fit = int(np.count_nonzero(preamble_ends <= limit))
 
         # Per (tag, packet) decisions; packets that do not fit keep these.
@@ -391,18 +394,16 @@ class BackscatterDemodulator:
         bits = np.zeros(soft.shape, dtype=np.int8)
         live = np.zeros(soft.shape[:2], dtype=bool)
         gated = np.zeros_like(live)
-        cascade = None
         if n_fit:
             rows = np.arange(n_tags)[:, None]
             with span("bsrx.sync"):
                 # Sound the cascade on the tag's unmodulated SSS/PSS reflection.
-                starts = half_start + self._sounding_starts
                 sounding = estimate_channel_from_known(
-                    _take(shifted, rows, starts, fft),
-                    _take(reference, rows, starts, fft),
+                    _take(shifted, rows, self._sounding_starts, fft),
+                    _take(reference, rows, self._sounding_starts, fft),
                 )
                 cascade = np.mean(sounding, axis=1)
-            starts = half_start + self._preamble_starts[:n_fit]
+            starts = self._preamble_starts[:n_fit]
             y0 = _take(shifted, rows, starts, fft)
             x0 = _take(reference, rows, starts, fft)
             with span("bsrx.phase_offset"):
@@ -521,7 +522,7 @@ class BackscatterDemodulator:
             for p, (d0, d1) in enumerate(self._packet_windows):
                 d1 = min(d1, n_emit)
                 record = PacketRecord(
-                    half_frame_start=sink.base + half_start,
+                    half_frame_start=sink.base,
                     slot=self._packet_slots[p],
                     offset=offsets[p],
                     gain=gains[p],
@@ -539,4 +540,3 @@ class BackscatterDemodulator:
                 if d1 > d0 or codes[p] != _TRUNCATED:
                     sink.packets.append(record)
             sink.truncated_windows += int(np.count_nonzero(truncated[t, :n_emit]))
-        return cascade

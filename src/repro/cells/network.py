@@ -39,8 +39,7 @@ from repro.core.config import SystemConfig
 from repro.fleet.ambient import AmbientCache
 from repro.fleet.engine import ParallelRunEngine, TaskFailure
 from repro.fleet.report import FleetReport, TagResult, capture_seconds
-from repro.bsrx.streaming import DEFAULT_CHUNK_HALF_FRAMES
-from repro.fleet.runner import TagTask, _simulate_tag, _simulate_tags_batched
+from repro.fleet.runner import TagTask, _simulate_tag
 from repro.fleet.scheduler import FleetScheduler, make_scheme
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
@@ -376,9 +375,6 @@ class NetworkRunner:
         payload_length=20000,
         max_retries=1,
         on_error="raise",
-        batch_tags=False,
-        streaming=False,
-        chunk_half_frames=None,
     ):
         if attach_mode not in ("analytic", "search"):
             raise ValueError(
@@ -397,21 +393,6 @@ class NetworkRunner:
         self.payload_length = int(payload_length)
         self.max_retries = max_retries
         self.on_error = on_error
-        #: Run each cell's cohort through one batched cross-tag demod
-        #: pass in the parent (bit-identical to the engine path).
-        self.batch_tags = bool(batch_tags)
-        #: Run each tag's demodulation through the chunked streaming
-        #: receiver (bit-identical, bounded demod working set).
-        self.streaming = bool(streaming)
-        self.chunk_half_frames = (
-            int(chunk_half_frames)
-            if chunk_half_frames is not None
-            else DEFAULT_CHUNK_HALF_FRAMES
-        )
-        if self.chunk_half_frames < 1:
-            raise ValueError(
-                f"chunk_half_frames must be >= 1, got {chunk_half_frames!r}"
-            )
 
     def close(self):
         if self._owns_cache:
@@ -484,9 +465,7 @@ class NetworkRunner:
             max_retries=self.max_retries,
             on_error=self.on_error,
         )
-        parallel = (
-            engine.workers > 1 and deployment.n_tags > 1 and not self.batch_tags
-        )
+        parallel = engine.workers > 1 and deployment.n_tags > 1
         # Workers need picklable memory-mapped handles; the serial path
         # keeps in-memory stages.  Spilled bytes round-trip exactly, so
         # the choice never changes a single result bit.
@@ -522,16 +501,11 @@ class NetworkRunner:
                     ambients,
                     max_interferers=self.max_interferers,
                 )
-                config = deployment.config_for(topology, site, tag)
-                if self.streaming:
-                    config = replace(
-                        config, demod_chunk_half_frames=self.chunk_half_frames
-                    )
                 tasks.append(
                     TagTask(
                         index=index,
                         name=tag.name,
-                        config=config,
+                        config=deployment.config_for(topology, site, tag),
                         seed=tag_seed(self.seed, tag.name),
                         owned=tuple(schedule.owned_half_frames(tag.name)),
                         collided=len(schedule.collided_half_frames(tag.name)),
@@ -547,18 +521,7 @@ class NetworkRunner:
             obs_metrics.counter_inc("cells.cohorts")
 
         start = time.perf_counter()
-        if self.batch_tags:
-            # Each cohort shares one capture geometry (one site), so its
-            # tags stack into one batched demod pass; the FFT layer
-            # spreads rows across cores itself — no engine processes.
-            engine.telemetry.workers = 1
-            raw = []
-            for cohort in cohort_tasks:
-                pairs = _simulate_tags_batched(cohort.tasks)
-                engine.telemetry.task_seconds += sum(e for e, _ in pairs)
-                raw.append([result for _, result in pairs])
-        else:
-            raw = engine.map(_simulate_cohort, cohort_tasks)
+        raw = engine.map(_simulate_cohort, cohort_tasks)
         wall = time.perf_counter() - start
 
         cells = {}

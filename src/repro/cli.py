@@ -28,6 +28,7 @@ Installed as the ``repro`` console script (and ``lscatter``, its alias).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -61,6 +62,8 @@ def _validate_substrate(name):
 
 
 def _cmd_simulate(args):
+    if args.payload < 0:
+        return _fail_usage(f"--payload must be >= 0, got {args.payload}")
     error = _validate_substrate(args.substrate)
     if error is not None:
         return error
@@ -212,30 +215,9 @@ def _validate_fleet(args):
         return _fail_usage(f"--workers must be >= 1, got {args.workers}")
     if args.frames < 1:
         return _fail_usage(f"--frames must be >= 1, got {args.frames}")
-    if args.chunk_half_frames is not None and args.chunk_half_frames < 1:
-        return _fail_usage(
-            f"--chunk-half-frames must be >= 1, got {args.chunk_half_frames}"
-        )
-    if args.batch_tags and args.trace:
-        return _fail_usage(
-            "--batch-tags shares one demod pass across tags, so per-tag "
-            "traces cannot be attributed; drop one of the two flags"
-        )
-    error = _validate_substrate(args.substrate)
-    if error is not None:
-        return error
-    if args.substrate not in (None, "chip"):
-        if args.batch_tags:
-            return _fail_usage(
-                f"--batch-tags runs the chip demodulator's batched pass, "
-                f"which substrate {args.substrate!r} does not provide"
-            )
-        if args.streaming:
-            return _fail_usage(
-                f"--streaming runs the chunked chip receiver, which "
-                f"substrate {args.substrate!r} does not support"
-            )
-    return None
+    if args.payload < 0:
+        return _fail_usage(f"--payload must be >= 0, got {args.payload}")
+    return _validate_substrate(args.substrate)
 
 
 def _cmd_fleet(args):
@@ -248,23 +230,27 @@ def _cmd_fleet(args):
             return error
     from repro.fleet import Deployment, FleetRunner
 
-    deployment = Deployment.ring(
-        args.tags,
-        venue=args.venue,
-        bandwidth_mhz=args.bandwidth,
-        n_frames=args.frames,
-    )
-    with FleetRunner(
-        deployment,
-        scheme=args.scheme,
-        workers=args.workers,
-        seed=args.seed,
-        trace=args.trace,
-        batch_tags=args.batch_tags,
-        streaming=args.streaming,
-        chunk_half_frames=args.chunk_half_frames,
-        substrate=args.substrate,
-    ) as runner:
+    try:
+        deployment = Deployment.ring(
+            args.tags,
+            venue=args.venue,
+            bandwidth_mhz=args.bandwidth,
+            n_frames=args.frames,
+        )
+        runner = FleetRunner(
+            deployment,
+            scheme=args.scheme,
+            workers=args.workers,
+            seed=args.seed,
+            trace=args.trace,
+            batch_tags=args.batch_tags,
+            substrate=args.substrate,
+        )
+    except ValueError as exc:
+        # e.g. --venue nowhere, --bandwidth 7, or --batch-tags with
+        # --trace or off the chip substrate.
+        return _fail_usage(str(exc))
+    with runner:
         report = runner.run(payload_length=args.payload)
     print(
         f"FleetReport: {report.n_tags} tag(s), scheme={report.scheme}, "
@@ -296,17 +282,15 @@ def _validate_network(args):
         return _fail_usage(f"--workers must be >= 1, got {args.workers}")
     if args.frames < 1:
         return _fail_usage(f"--frames must be >= 1, got {args.frames}")
-    if args.isd <= 0:
-        return _fail_usage(f"--isd must be positive, got {args.isd}")
+    if not (math.isfinite(args.isd) and args.isd > 0):
+        return _fail_usage(f"--isd must be positive and finite, got {args.isd}")
+    if args.payload < 0:
+        return _fail_usage(f"--payload must be >= 0, got {args.payload}")
     if args.layout == "hex" and args.rings < 0:
         return _fail_usage(f"--rings must be >= 0, got {args.rings}")
     if args.layout == "grid" and (args.rows < 1 or args.cols < 1):
         return _fail_usage(
             f"--rows/--cols must be >= 1, got {args.rows}x{args.cols}"
-        )
-    if args.chunk_half_frames is not None and args.chunk_half_frames < 1:
-        return _fail_usage(
-            f"--chunk-half-frames must be >= 1, got {args.chunk_half_frames}"
         )
     return None
 
@@ -332,30 +316,31 @@ def _cmd_network(args):
 
     n_frames = 1 if args.smoke else args.frames
     n_tags = min(args.tags, 4) if args.smoke else args.tags
-    if args.layout == "grid":
-        topology = Topology.grid(
-            args.rows, args.cols, spacing_ft=args.isd, n_frames=n_frames
+    try:
+        if args.layout == "grid":
+            topology = Topology.grid(
+                args.rows, args.cols, spacing_ft=args.isd, n_frames=n_frames
+            )
+        else:
+            rings = 1 if args.smoke else args.rings
+            topology = Topology.hex_cluster(
+                inter_site_ft=args.isd, rings=rings, n_frames=n_frames
+            )
+        deployment = NetworkDeployment.scatter(
+            n_tags, topology, seed=args.seed, margin_ft=args.isd / 3.0
         )
-    else:
-        rings = 1 if args.smoke else args.rings
-        topology = Topology.hex_cluster(
-            inter_site_ft=args.isd, rings=rings, n_frames=n_frames
+        runner = NetworkRunner(
+            topology,
+            deployment,
+            scheme=args.scheme,
+            workers=args.workers,
+            seed=args.seed,
+            attach_mode=args.attach,
+            payload_length=args.payload,
         )
-    deployment = NetworkDeployment.scatter(
-        n_tags, topology, seed=args.seed, margin_ft=args.isd / 3.0
-    )
-    with NetworkRunner(
-        topology,
-        deployment,
-        scheme=args.scheme,
-        workers=args.workers,
-        seed=args.seed,
-        attach_mode=args.attach,
-        payload_length=args.payload,
-        batch_tags=args.batch_tags,
-        streaming=args.streaming,
-        chunk_half_frames=args.chunk_half_frames,
-    ) as runner:
+    except ValueError as exc:
+        return _fail_usage(str(exc))
+    with runner:
         report = runner.run()
 
     print(
@@ -878,18 +863,6 @@ def build_parser():
         "(bit-identical to the per-tag path, runs in the parent)",
     )
     fleet.add_argument(
-        "--streaming",
-        action="store_true",
-        help="demodulate each capture in half-frame-aligned chunks "
-        "(bit-identical, bounded demod working set)",
-    )
-    fleet.add_argument(
-        "--chunk-half-frames",
-        type=int,
-        default=None,
-        help="streaming chunk size in half-frames (default 4)",
-    )
-    fleet.add_argument(
         "--substrate",
         default=None,
         help="ambient-substrate mode for the whole fleet (default: the "
@@ -957,24 +930,6 @@ def build_parser():
         "--force",
         action="store_true",
         help="overwrite --output if it already exists",
-    )
-    network.add_argument(
-        "--batch-tags",
-        action="store_true",
-        help="one batched cross-tag demod pass per cell cohort "
-        "(bit-identical to the per-cohort engine path)",
-    )
-    network.add_argument(
-        "--streaming",
-        action="store_true",
-        help="demodulate each capture in half-frame-aligned chunks "
-        "(bit-identical, bounded demod working set)",
-    )
-    network.add_argument(
-        "--chunk-half-frames",
-        type=int,
-        default=None,
-        help="streaming chunk size in half-frames (default 4)",
     )
     network.set_defaults(func=_cmd_network)
 

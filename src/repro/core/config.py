@@ -13,8 +13,9 @@ from repro.channel.link import (
     DEFAULT_TAG_LOSS_DB,
     LinkBudget,
 )
+from repro.channel.pathloss import VENUE_PRESETS
 from repro.lte.frame import CellConfig
-from repro.lte.params import LteParams
+from repro.lte.params import SUPPORTED_BANDWIDTHS_MHZ, LteParams
 
 
 def _require_finite(name, value, minimum=None, above=None):
@@ -78,12 +79,6 @@ class SystemConfig:
     #: (sync loss) instead of bits.  ``None`` disables (legacy behaviour);
     #: 0.35 is a robust default when fault injection is in play.
     erasure_threshold: float = None
-    #: Backscatter demodulation chunking: ``None`` demodulates the whole
-    #: capture at once; an integer runs the chunked streaming receiver
-    #: (:class:`repro.bsrx.streaming.StreamingDemodulator`) with that many
-    #: half-frames per chunk — bit-identical output, O(chunk) demod
-    #: working set.
-    demod_chunk_half_frames: int = None
     #: Per-window SNR-gated erasure escalation (dB): data windows whose
     #: post-detection SNR proxy falls below this are emitted as erasures
     #: even when the packet's preamble passed — graceful degradation under
@@ -100,6 +95,19 @@ class SystemConfig:
     substrate: str = "chip"
 
     def __post_init__(self):
+        if not (
+            isinstance(self.bandwidth_mhz, numbers.Real)
+            and float(self.bandwidth_mhz) in SUPPORTED_BANDWIDTHS_MHZ
+        ):
+            raise ValueError(
+                f"bandwidth_mhz must be one of {SUPPORTED_BANDWIDTHS_MHZ} MHz, "
+                f"got {self.bandwidth_mhz!r}"
+            )
+        if self.venue not in VENUE_PRESETS:
+            raise ValueError(
+                f"venue must be one of {sorted(VENUE_PRESETS)}, "
+                f"got {self.venue!r}"
+            )
         # Zero distances are legal: path loss clamps at 0.1 m.
         _require_finite("enb_to_tag_ft", self.enb_to_tag_ft, minimum=0.0)
         _require_finite("tag_to_ue_ft", self.tag_to_ue_ft, minimum=0.0)
@@ -133,13 +141,6 @@ class SystemConfig:
                 f"erasure_threshold must be in [0, 1] or None, "
                 f"got {self.erasure_threshold!r}"
             )
-        if self.demod_chunk_half_frames is not None:
-            if int(self.demod_chunk_half_frames) < 1:
-                raise ValueError(
-                    f"demod_chunk_half_frames must be >= 1 or None, "
-                    f"got {self.demod_chunk_half_frames!r}"
-                )
-            self.demod_chunk_half_frames = int(self.demod_chunk_half_frames)
         if self.window_snr_gate_db is not None:
             _require_finite("window_snr_gate_db", self.window_snr_gate_db)
             self.window_snr_gate_db = float(self.window_snr_gate_db)

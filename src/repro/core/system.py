@@ -16,6 +16,7 @@ from the direct band, so it is built only if someone asks for it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,14 +162,6 @@ class LScatterSystem:
             raise ValueError(
                 f"substrate {self.substrate.name!r} has no PSS envelope for the "
                 f"sync circuit; use sync_mode='model' or pin sync_error_samples"
-            )
-        if (
-            self.config.demod_chunk_half_frames
-            and not self.substrate.supports_streaming
-        ):
-            raise ValueError(
-                f"substrate {self.substrate.name!r} has no streaming receiver; "
-                f"leave demod_chunk_half_frames unset"
             )
 
     # -- helpers ---------------------------------------------------------------
@@ -351,6 +344,15 @@ class LScatterSystem:
         ``finalize_run(front, demodulate(front...))`` is bit-identical to
         the monolithic call.
         """
+        if payload_bits is None and not (
+            isinstance(payload_length, numbers.Real)
+            and float(payload_length).is_integer()
+            and payload_length >= 0
+        ):
+            raise ValueError(
+                f"payload_length must be a whole number >= 0, "
+                f"got {payload_length!r}"
+            )
         config = self.config
         rngs = spawn_rngs(self.rng.integers(0, 2**31 - 1), 6)
         rng_payload, rng_fade, rng_noise, rng_sync, rng_tx, rng_shadow = rngs
@@ -523,12 +525,7 @@ class LScatterSystem:
         )
 
     def _demodulate(self, front):
-        """Stage 6: substrate demodulation, whole-capture or streamed.
-
-        The chip substrate honours ``config.demod_chunk_half_frames``
-        (chunked streaming receiver, bit-identical output, bounded
-        working set); the other modes demodulate whole captures.
-        """
+        """Stage 6: the substrate demodulates the front end's capture."""
         with span("bsrx.demodulate") as sp:
             demod = self.substrate.demodulate(front)
             sp.set(

@@ -87,6 +87,10 @@ class Deployment:
                     "of them"
                 )
             positions[pos] = tag.name
+        # Every fleet-wide field meets the per-tag config's checks here,
+        # so a bad venue or bandwidth fails at construction, naming it.
+        for tag in self.tags:
+            self.config_for(tag)
 
     # -- constructors -----------------------------------------------------------
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.bsrx.streaming import DEFAULT_CHUNK_HALF_FRAMES
 from repro.core.system import LScatterSystem
 from repro.faults.infra import FaultyTask
 from repro.fleet.ambient import AmbientCache
@@ -135,8 +134,8 @@ def _simulate_tags_batched(tasks):
     whole capture is stacked.  Returns ``[(elapsed, TagResult)]`` in task
     order, bit-identical to mapping :func:`_simulate_tag` (asserted by
     the fleet equality tests).  All tasks must share one capture
-    geometry (same bandwidth and frame count), which every
-    deployment/cohort guarantees.
+    geometry (same bandwidth and frame count), which every deployment
+    guarantees.
     """
     results = [None] * len(tasks)
     front_elapsed = {}
@@ -219,8 +218,6 @@ class FleetRunner:
         infra_faults=None,
         trace=False,
         batch_tags=False,
-        streaming=False,
-        chunk_half_frames=None,
         substrate=None,
     ):
         if substrate is not None:
@@ -246,18 +243,6 @@ class FleetRunner:
         #: Stack every tag into one batched cross-tag demod pass in the
         #: parent process (bit-identical to the per-tag engine path).
         self.batch_tags = bool(batch_tags)
-        #: Run each tag's demodulation through the chunked streaming
-        #: receiver (bit-identical, bounded demod working set).
-        self.streaming = bool(streaming)
-        self.chunk_half_frames = (
-            int(chunk_half_frames)
-            if chunk_half_frames is not None
-            else DEFAULT_CHUNK_HALF_FRAMES
-        )
-        if self.chunk_half_frames < 1:
-            raise ValueError(
-                f"chunk_half_frames must be >= 1, got {chunk_half_frames!r}"
-            )
         if self.batch_tags and self.trace:
             raise ValueError(
                 "batch_tags=True shares one demod pass across tags, so "
@@ -271,20 +256,13 @@ class FleetRunner:
                 "path"
             )
         substrate_name = getattr(self.deployment, "substrate", "chip")
-        if substrate_name != "chip":
-            if self.batch_tags:
-                raise ValueError(
-                    f"batch_tags=True stacks captures through the chip "
-                    f"demodulator's demodulate_many pass, which substrate "
-                    f"{substrate_name!r} does not provide; run the per-tag "
-                    "engine path"
-                )
-            if self.streaming:
-                raise ValueError(
-                    f"streaming=True runs the chunked chip receiver, which "
-                    f"substrate {substrate_name!r} does not support; run "
-                    "the whole-capture path"
-                )
+        if self.batch_tags and substrate_name != "chip":
+            raise ValueError(
+                f"batch_tags=True stacks captures through the chip "
+                f"demodulator's demodulate_many pass, which substrate "
+                f"{substrate_name!r} does not provide; run the per-tag "
+                "engine path"
+            )
 
     def close(self):
         """Release the ambient cache's scratch files if we own the cache."""
@@ -349,16 +327,11 @@ class FleetRunner:
 
         tasks = []
         for index, placement in enumerate(deployment.tags):
-            config = deployment.config_for(placement)
-            if self.streaming:
-                config = replace(
-                    config, demod_chunk_half_frames=self.chunk_half_frames
-                )
             tasks.append(
                 TagTask(
                     index=index,
                     name=placement.name,
-                    config=config,
+                    config=deployment.config_for(placement),
                     seed=tag_seeds[index],
                     owned=tuple(schedule.owned_half_frames(placement.name)),
                     collided=len(schedule.collided_half_frames(placement.name)),

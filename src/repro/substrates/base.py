@@ -165,10 +165,6 @@ class Substrate:
     supports_decoded_reference = True
     #: Whether the analog PSS envelope sync circuit applies.
     supports_circuit_sync = True
-    #: Whether the chunked streaming receiver applies.
-    supports_streaming = False
-    #: Whether the batched cross-tag demod applies.
-    supports_batch = False
 
     def __init__(self, system):
         self.system = system

@@ -2,8 +2,7 @@
 
 Pure delegation: the schedule comes from
 :meth:`repro.tag.controller.TagController.build_schedule`, demodulation
-from :class:`repro.bsrx.demodulator.BackscatterDemodulator` (or the
-chunked :class:`repro.bsrx.streaming.StreamingDemodulator`), accounting
+from :class:`repro.bsrx.demodulator.BackscatterDemodulator`, accounting
 from :func:`repro.core.metrics.measure_link` — the exact pre-refactor
 code paths, none of which draw RNG, so a default config's output is
 bit-identical to the pre-substrate pipeline.
@@ -22,8 +21,6 @@ class ChipSubstrate(Substrate):
     ambient_kind = "lte-downlink"
     supports_decoded_reference = True
     supports_circuit_sync = True
-    supports_streaming = True
-    supports_batch = True
 
     def build_schedule(
         self,
@@ -42,19 +39,6 @@ class ChipSubstrate(Substrate):
         )
 
     def demodulate(self, front):
-        chunk = self.config.demod_chunk_half_frames
-        if chunk:
-            from repro.bsrx.streaming import StreamingDemodulator
-
-            streamer = StreamingDemodulator(
-                self.params,
-                chunk_half_frames=chunk,
-                erasure_threshold=self.system.demodulator.erasure_threshold,
-                snr_gate_db=self.system.demodulator.snr_gate_db,
-            )
-            return streamer.demodulate(
-                front.shifted_rx, front.reference, front.half_starts
-            )
         return self.system.demodulator.demodulate(
             front.shifted_rx, front.reference, front.half_starts
         )

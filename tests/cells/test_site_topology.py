@@ -28,6 +28,14 @@ def test_site_validation_messages_are_actionable():
         CellSite(cell_id=0, x_ft=0.0, y_ft=0.0, pdsch_load=1.5)
 
 
+@pytest.mark.parametrize("pitch", [0.0, float("nan"), float("inf")])
+def test_layout_pitch_must_be_finite_and_positive(pitch):
+    with pytest.raises(ValueError, match="inter_site_ft must be a finite number > 0"):
+        Topology.hex_cluster(inter_site_ft=pitch, rings=1)
+    with pytest.raises(ValueError, match="spacing_ft must be a finite number > 0"):
+        Topology.grid(1, 2, spacing_ft=pitch)
+
+
 def test_hex_cluster_seven_cells_one_ring():
     topo = Topology.hex_cluster(inter_site_ft=100.0, rings=1)
     assert topo.n_cells == 7

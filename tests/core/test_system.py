@@ -93,6 +93,8 @@ def test_invalid_config_rejected():
             SystemConfig(n_frames=n_frames)
     nan, inf = float("nan"), float("inf")
     for field, values in {
+        "bandwidth_mhz": (7, 7.0, 0.0, nan, "20", None),
+        "venue": ("nowhere", "mall", None),
         "enb_to_tag_ft": (nan, inf, -1.0, "3"),
         "tag_to_ue_ft": (nan, -inf, -5.0),
         "enb_to_ue_ft": (nan, inf, -0.5),
@@ -110,6 +112,19 @@ def test_invalid_config_rejected():
                 SystemConfig(**{field: value})
     # Zero distances stay legal (path loss clamps at 0.1 m).
     SystemConfig(enb_to_tag_ft=0.0, tag_to_ue_ft=0.0, enb_to_ue_ft=0.0)
+    # Every supported bandwidth constructs, given as int or float.
+    for bandwidth_mhz in (1.4, 3, 5.0, 10, 15.0, 20):
+        SystemConfig(bandwidth_mhz=bandwidth_mhz)
+
+
+@pytest.mark.parametrize("payload_length", [-5, 2.5, float("nan"), None])
+def test_bad_payload_length_rejected(payload_length):
+    config = SystemConfig(bandwidth_mhz=1.4, n_frames=1, reference_mode="genie")
+    system = LScatterSystem(config, rng=0)
+    with pytest.raises(ValueError, match="payload_length"):
+        system.run(payload_length=payload_length)
+    with pytest.raises(ValueError, match="payload_length"):
+        system.run_frontend(payload_length=payload_length)
 
 
 def test_artifacts_present_when_requested():

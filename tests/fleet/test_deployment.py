@@ -21,11 +21,13 @@ def test_uniform_random_deterministic_under_seed():
 
 
 def test_config_for_carries_geometry_and_shared_knobs():
-    deployment = Deployment.ring(2, bandwidth_mhz=1.4, n_frames=3, venue="office")
+    deployment = Deployment.ring(
+        2, bandwidth_mhz=1.4, n_frames=3, venue="shopping_mall"
+    )
     config = deployment.config_for(deployment.tags[1])
     assert config.bandwidth_mhz == 1.4
     assert config.n_frames == 3
-    assert config.venue == "office"
+    assert config.venue == "shopping_mall"
     assert config.enb_to_tag_ft == deployment.tags[1].enb_to_tag_ft
     assert config.reference_mode == "genie"
 
@@ -55,6 +57,17 @@ def test_invalid_deployments_rejected():
         TagPlacement("bad", -1.0, 1.0)
     with pytest.raises(ValueError):
         TagPlacement("bad", 1.0, 1.0, weight=0)
+    # Fleet-wide fields meet SystemConfig's checks at construction.
+    for field, value in {
+        "n_frames": 0,
+        "tx_power_dbm": float("nan"),
+        "venue": "nowhere",
+        "bandwidth_mhz": 7,
+        "reference_mode": "x",
+        "substrate": "nope",
+    }.items():
+        with pytest.raises(ValueError, match=field):
+            Deployment.ring(2, **{field: value})
 
 
 def test_placement_errors_name_the_tag_and_field():

@@ -1,11 +1,10 @@
 """The receiver demodulates only the half-frames a tag owns.
 
 ``run_frontend`` cuts the UE's half-frame grid to the MAC grant, so the
-serial, batched and streaming fleet paths never demodulate another
-tag's airtime.  The oracle test runs the kernel over the full grid and
-checks that the link accounting cannot tell the difference while the
-timing error stays inside the exactness bound of DESIGN §16 (183 samples
-at 1.4 MHz).
+serial and batched fleet paths never demodulate another tag's airtime.
+The oracle test runs the kernel over the full grid and checks that the
+link accounting cannot tell the difference while the timing error stays
+inside the exactness bound of DESIGN §16 (183 samples at 1.4 MHz).
 """
 
 import numpy as np

@@ -83,22 +83,10 @@ def test_srs_uplink_rejects_circuit_sync():
         LScatterSystem(config, rng=0)
 
 
-def test_non_chip_substrate_rejects_streaming_demod():
-    config = _config("crs-ook", demod_chunk_half_frames=2)
-    with pytest.raises(ValueError, match="streaming"):
-        LScatterSystem(config, rng=0)
-
-
 def test_fleet_runner_rejects_batch_tags_off_chip():
     deployment = Deployment.ring(2, bandwidth_mhz=1.4, n_frames=2)
     with pytest.raises(ValueError, match="batch_tags"):
         FleetRunner(deployment, substrate="crs-fsk", batch_tags=True)
-
-
-def test_fleet_runner_rejects_streaming_off_chip():
-    deployment = Deployment.ring(2, bandwidth_mhz=1.4, n_frames=2)
-    with pytest.raises(ValueError, match="streaming"):
-        FleetRunner(deployment, substrate="coded-pilot", streaming=True)
 
 
 def test_fleet_runs_every_mode_and_tags_decode(tmp_path):

@@ -52,14 +52,6 @@ def test_capability_flags():
     chip = get_substrate("chip")
     assert chip.supports_decoded_reference
     assert chip.supports_circuit_sync
-    assert chip.supports_streaming
-    assert chip.supports_batch
     srs = get_substrate("srs-uplink")
     assert not srs.supports_decoded_reference
     assert not srs.supports_circuit_sync
-    assert not srs.supports_streaming
-    assert not srs.supports_batch
-    for mode in ("crs-ook", "crs-fsk", "coded-pilot"):
-        cls = get_substrate(mode)
-        assert not cls.supports_streaming
-        assert not cls.supports_batch

@@ -118,14 +118,6 @@ def test_cli_simulate_srs_with_decoded_reference_fails_usage(capsys):
     assert "srs-uplink" in capsys.readouterr().err
 
 
-def test_cli_fleet_rejects_streaming_off_chip(capsys):
-    status = main(
-        ["fleet", "--tags", "2", "--substrate", "crs-ook", "--streaming"]
-    )
-    assert status == 2
-    assert "streaming" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("experiment", ["fig04"])
 def test_cli_experiment_substrate_rejected_for_unaware_experiments(
     experiment, capsys

@@ -105,6 +105,23 @@ def test_fleet_rejects_unknown_scheme():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["fleet", "--streaming"],
+        ["fleet", "--chunk-half-frames", "2"],
+        ["network", "--batch-tags"],
+        ["network", "--streaming"],
+        ["network", "--chunk-half-frames", "2"],
+    ],
+)
+def test_one_receiver_path_has_no_path_flags(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv, fragment",
     [
         (["fleet", "--tags", "0"], "--tags must be >= 1"),
@@ -115,6 +132,11 @@ def test_fleet_rejects_unknown_scheme():
         (["stress", "--max-intensity", "1.5"], "--max-intensity must be in [0, 1]"),
         (["stress", "--scenarios", "sweep-jammer,gremlins"], "unknown stress scenario"),
         (["simulate", "--frames", "0"], "n_frames must be a whole number >= 1"),
+        (["fleet", "--venue", "nowhere"], "venue must be one of"),
+        (["fleet", "--bandwidth", "7"], "bandwidth_mhz must be one of"),
+        (["fleet", "--batch-tags", "--substrate", "crs-ook"], "batch_tags=True"),
+        (["simulate", "--payload", "-5"], "--payload must be >= 0"),
+        (["fleet", "--payload", "-5"], "--payload must be >= 0"),
     ],
 )
 def test_argument_validation_is_one_clean_line(capsys, argv, fragment):
@@ -333,6 +355,9 @@ def test_console_scripts_declared_and_importable():
             ["network", "--layout", "grid", "--rows", "0"],
             "--rows/--cols must be >= 1",
         ),
+        (["network", "--isd", "nan"], "--isd must be positive and finite"),
+        (["network", "--isd", "inf"], "--isd must be positive and finite"),
+        (["network", "--payload", "-5"], "--payload must be >= 0"),
     ],
 )
 def test_network_argument_validation(capsys, argv, fragment):
