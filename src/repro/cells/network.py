@@ -138,6 +138,15 @@ class NetworkDeployment:
                     f"at {pos} ft; two tags cannot share one antenna position"
                 )
             positions[pos] = tag.name
+        # The shared knobs meet the per-tag config's checks here, so a bad
+        # mode or sync pin fails at construction, naming the field.
+        SystemConfig(
+            reference_mode=self.reference_mode,
+            sync_mode=self.sync_mode,
+            sync_error_samples=self.sync_error_samples,
+            multipath=self.multipath,
+            add_noise=self.add_noise,
+        )
 
     @classmethod
     def scatter(cls, n_tags, topology, seed=0, margin_ft=50.0, **kwargs):

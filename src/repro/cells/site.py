@@ -48,15 +48,13 @@ class CellSite:
                 f"cell {self.cell_id}: position ({self.x_ft}, {self.y_ft}) ft "
                 "must be finite"
             )
-        if self.n_frames < 1:
-            raise ValueError(
-                f"cell {self.cell_id}: n_frames must be >= 1, got {self.n_frames}"
-            )
-        if not 0.0 <= float(self.pdsch_load) <= 1.0:
-            raise ValueError(
-                f"cell {self.cell_id}: pdsch_load must be in [0, 1], "
-                f"got {self.pdsch_load}"
-            )
+        # The cell's own config checks bandwidth, power, frame count,
+        # modulation and load, so a bad field fails here, not at its
+        # first capture.
+        try:
+            self.ambient_config()
+        except ValueError as err:
+            raise ValueError(f"cell {self.cell_id}: {err}") from None
 
     # -- identity ---------------------------------------------------------------
 

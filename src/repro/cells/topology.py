@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.channel.link import DEFAULT_CARRIER_HZ, LinkBudget
 from repro.cells.site import CellSite
-from repro.core.config import _require_finite
+from repro.utils.validation import require_finite
 from repro.obs.trace import span
 from repro.utils.rng import stream_rng
 
@@ -94,7 +94,7 @@ class Topology:
         ring), so neighbouring cells automatically rotate through the
         three PSS roots.
         """
-        _require_finite("inter_site_ft", inter_site_ft, above=0.0)
+        require_finite("inter_site_ft", inter_site_ft, above=0.0)
         if rings < 0:
             raise ValueError(f"rings must be >= 0, got {rings}")
         positions = [(0.0, 0.0)]
@@ -135,7 +135,7 @@ class Topology:
         """A rows x cols rectangular street grid of sites."""
         if rows < 1 or cols < 1:
             raise ValueError(f"grid needs rows, cols >= 1, got {rows}x{cols}")
-        _require_finite("spacing_ft", spacing_ft, above=0.0)
+        require_finite("spacing_ft", spacing_ft, above=0.0)
         topology_kwargs = {
             key: site_kwargs.pop(key)
             for key in ("venue", "carrier_hz")

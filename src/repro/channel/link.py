@@ -26,6 +26,7 @@ from repro.channel.fading import FadingChannel
 from repro.channel.pathloss import PathLossModel, VENUE_PRESETS
 from repro.utils.rng import make_rng
 from repro.utils.units import db_to_linear, dbm_to_watts, feet_to_meters
+from repro.utils.validation import require_finite
 
 #: Carrier frequency used in the paper's experiments (680 MHz white space).
 DEFAULT_CARRIER_HZ = 680e6
@@ -62,6 +63,13 @@ class LinkBudget:
             raise ValueError(
                 f"unknown venue {self.venue!r}; choose from {sorted(VENUE_PRESETS)}"
             )
+        # A NaN or infinite field would reach every power as NaN, and a
+        # carrier <= 0 would reach the path-loss log10.
+        require_finite("tx_power_dbm", self.tx_power_dbm)
+        require_finite("carrier_hz", self.carrier_hz, above=0.0)
+        require_finite("system_gain_db", self.system_gain_db)
+        require_finite("tag_loss_db", self.tag_loss_db)
+        require_finite("noise_figure_db", self.noise_figure_db)
 
     @property
     def pathloss(self):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -16,20 +15,7 @@ from repro.channel.link import (
 from repro.channel.pathloss import VENUE_PRESETS
 from repro.lte.frame import CellConfig
 from repro.lte.params import SUPPORTED_BANDWIDTHS_MHZ, LteParams
-
-
-def _require_finite(name, value, minimum=None, above=None):
-    """Reject a non-numeric, NaN or infinite ``value``, naming the field.
-
-    ``minimum`` is an inclusive lower bound, ``above`` an exclusive one.
-    """
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)) or (
-        (minimum is not None and value < minimum)
-        or (above is not None and value <= above)
-    ):
-        bound = "" if minimum is None else f" >= {minimum:g}"
-        bound += "" if above is None else f" > {above:g}"
-        raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
+from repro.utils.validation import require_finite, require_whole
 
 
 @dataclass
@@ -109,31 +95,23 @@ class SystemConfig:
                 f"got {self.venue!r}"
             )
         # Zero distances are legal: path loss clamps at 0.1 m.
-        _require_finite("enb_to_tag_ft", self.enb_to_tag_ft, minimum=0.0)
-        _require_finite("tag_to_ue_ft", self.tag_to_ue_ft, minimum=0.0)
+        require_finite("enb_to_tag_ft", self.enb_to_tag_ft, minimum=0.0)
+        require_finite("tag_to_ue_ft", self.tag_to_ue_ft, minimum=0.0)
         if self.enb_to_ue_ft is None:
             self.enb_to_ue_ft = self.enb_to_tag_ft + self.tag_to_ue_ft
-        _require_finite("enb_to_ue_ft", self.enb_to_ue_ft, minimum=0.0)
-        _require_finite("tx_power_dbm", self.tx_power_dbm)
-        _require_finite("carrier_hz", self.carrier_hz, above=0.0)
-        _require_finite("system_gain_db", self.system_gain_db)
-        _require_finite("tag_loss_db", self.tag_loss_db)
-        _require_finite("noise_figure_db", self.noise_figure_db)
-        _require_finite("structural_reflection_db", self.structural_reflection_db)
-        _require_finite("ue_cfo_ppm", self.ue_cfo_ppm)
+        require_finite("enb_to_ue_ft", self.enb_to_ue_ft, minimum=0.0)
+        # The budget checks the powers, gains and carrier, naming each.
+        self.budget()
+        require_finite("structural_reflection_db", self.structural_reflection_db)
+        require_finite("ue_cfo_ppm", self.ue_cfo_ppm)
         if self.sync_mode not in ("circuit", "model"):
             raise ValueError("sync_mode must be 'circuit' or 'model'")
         if self.reference_mode not in ("decoded", "genie"):
             raise ValueError("reference_mode must be 'decoded' or 'genie'")
-        if not (
-            isinstance(self.n_frames, numbers.Real)
-            and float(self.n_frames).is_integer()
-            and self.n_frames >= 1
-        ):
-            raise ValueError(
-                f"n_frames must be a whole number >= 1, got {self.n_frames!r}"
-            )
+        require_whole("n_frames", self.n_frames, minimum=1)
         self.n_frames = int(self.n_frames)
+        if self.sync_error_samples is not None:
+            require_whole("sync_error_samples", self.sync_error_samples)
         if self.erasure_threshold is not None and not (
             0.0 <= float(self.erasure_threshold) <= 1.0
         ):
@@ -142,13 +120,9 @@ class SystemConfig:
                 f"got {self.erasure_threshold!r}"
             )
         if self.window_snr_gate_db is not None:
-            _require_finite("window_snr_gate_db", self.window_snr_gate_db)
+            require_finite("window_snr_gate_db", self.window_snr_gate_db)
             self.window_snr_gate_db = float(self.window_snr_gate_db)
-        if int(self.sync_resync_attempts) < 0:
-            raise ValueError(
-                f"sync_resync_attempts must be >= 0, "
-                f"got {self.sync_resync_attempts!r}"
-            )
+        require_whole("sync_resync_attempts", self.sync_resync_attempts, minimum=0)
         self.sync_resync_attempts = int(self.sync_resync_attempts)
         # Imported lazily: repro.substrates pulls in the mode modules,
         # which must stay importable without this config module settled.

@@ -16,7 +16,7 @@ from the direct band, so it is built only if someone asks for it.
 
 from __future__ import annotations
 
-import numbers
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from repro.bsrx.demodulator import BackscatterDemodulator
 from repro.channel.fading import FadingChannel, venue_k_factor_db
 from repro.channel.link import BackscatterLink, DirectLink
-from repro.channel.noise import add_thermal_noise
+from repro.channel.noise import NoiseDraws, add_thermal_noise
 from repro.core.config import SystemConfig
 from repro.core.metrics import LinkReport
 from repro.faults.carrier import CarrierFaultSet
@@ -42,6 +42,7 @@ from repro.tag.controller import TagController
 from repro.tag.modulator import ChipModulator
 from repro.tag.sync_circuit import SyncCircuit
 from repro.utils.rng import make_rng, spawn_rngs
+from repro.utils.validation import require_whole
 
 #: Residual sync-error distribution after the tag's calibration constant
 #: (see :mod:`repro.tag.sync_circuit`): the raw 30-40 us comparator delay
@@ -77,8 +78,10 @@ class FrontEndState:
     the :class:`~repro.core.metrics.LinkReport`.  The split lets the
     batched cross-tag runner hand many tags' front-ends to one
     :meth:`~repro.bsrx.demodulator.BackscatterDemodulator.demodulate_many`
-    call without re-deriving any randomness — the RNG draws all happen
-    in the front-end, in the same order as the monolithic run.
+    call without re-deriving any randomness.  Every RNG draw happens in
+    the front end, in the same order as the monolithic run.  The one
+    exception is a deferred direct band's noise draw, the last on its
+    stream, which happens on the first read of :attr:`direct_rx`.
 
     ``half_starts`` is the UE's PSS-derived half-frame grid, cut to the
     tag's owned half-frames when the run has a MAC grant.
@@ -182,8 +185,11 @@ class LScatterSystem:
             k_db=k_db, n_taps=n_taps, decay_db_per_tap=5.0, rng=rng
         )
 
-    def _sync_error_samples(self, ambient_at_tag, rng, edge_fault=None):
+    def _sync_error_samples(self, tag_band, rng, edge_fault=None):
         """Residual timing error of the tag, per the configured mode.
+
+        ``tag_band`` is a zero-argument builder of the noisy ambient the
+        tag's antenna sees; only circuit sync calls it.
 
         Returns ``(error_samples, sync_result)``; ``error_samples`` is
         ``None`` when the circuit detected no PSS edges at all (sync
@@ -201,7 +207,7 @@ class LScatterSystem:
                 edge_fault=edge_fault,
                 max_resync_attempts=config.sync_resync_attempts,
             )
-            result = circuit.process(ambient_at_tag)
+            result = circuit.process(tag_band())
             if len(result.edges) == 0:
                 return None, result
             timing = self.controller.timing_from_sync(
@@ -343,16 +349,16 @@ class LScatterSystem:
         and consumed here exactly as in :meth:`run`, so
         ``finalize_run(front, demodulate(front...))`` is bit-identical to
         the monolithic call.
+
+        The thermal-noise draws fill ahead on one worker thread
+        (:class:`~repro.channel.noise.NoiseDraws`), queued in the order
+        stages 2-4 add them, while this thread builds the bands.  The
+        worker is joined before stage 5, so no thread outlives the call,
+        whether it returns or raises.  With ``add_noise=False`` no worker
+        starts (DESIGN §16).
         """
-        if payload_bits is None and not (
-            isinstance(payload_length, numbers.Real)
-            and float(payload_length).is_integer()
-            and payload_length >= 0
-        ):
-            raise ValueError(
-                f"payload_length must be a whole number >= 0, "
-                f"got {payload_length!r}"
-            )
+        if payload_bits is None:
+            require_whole("payload_length", payload_length, minimum=0)
         config = self.config
         rngs = spawn_rngs(self.rng.integers(0, 2**31 - 1), 6)
         rng_payload, rng_fade, rng_noise, rng_sync, rng_tx, rng_shadow = rngs
@@ -393,106 +399,125 @@ class LScatterSystem:
             # never arrived and the preamble collapse marks the erasure.
             unit = carrier_faults.apply_ambient(unit)
 
-        # 2. Channels.
-        with span("system.channel"):
-            bs_link = BackscatterLink(
-                budget=self.budget,
-                enb_to_tag_ft=config.enb_to_tag_ft,
-                tag_to_ue_ft=config.tag_to_ue_ft,
-                fading_in=self._fading(rng_fade, config.enb_to_tag_ft),
-                fading_out=self._fading(rng_fade, config.tag_to_ue_ft),
-            )
-            direct_link = DirectLink(
-                budget=self.budget,
-                distance_ft=config.enb_to_ue_ft,
-                fading=self._fading(rng_fade, config.enb_to_ue_ft),
-            )
-
-            ambient_at_tag = bs_link.apply_to_tag(unit)
-            if config.add_noise:
-                ambient_at_tag_noisy = add_thermal_noise(
-                    ambient_at_tag,
-                    self.params.sample_rate_hz,
-                    config.noise_figure_db,
-                    rng_noise,
-                )
-            else:
-                ambient_at_tag_noisy = ambient_at_tag
-
-        # 3. Tag: sync, schedule, reflect.
-        with span("tag.sync") as sp:
-            error_samples, sync_result = self._sync_error_samples(
-                ambient_at_tag_noisy, rng_sync, edge_fault=edge_fault
-            )
-            sync_failed = error_samples is None
-            sp.set(sync_failed=sync_failed)
-        if sync_failed:
-            obs_metrics.counter_inc("system.sync_failures")
-            # The comparator never fired: the tag cannot place a single
-            # half-frame and stays silent (constant '1' chips, no windows)
-            # rather than spraying mistimed chips over the capture.
-            schedule = self.substrate.silent_schedule(len(unit))
-        else:
-            with span("tag.schedule") as sp:
-                timing = self.controller.genie_timing(0, error_samples)
-                schedule = self.substrate.build_schedule(
-                    timing,
-                    len(unit),
-                    payload_bits,
-                    owned_half_frames=owned_half_frames,
-                    drift_per_half_frame=drift_per_half_frame,
-                )
-                sp.set(n_half_frames=int(schedule.n_half_frames))
-        with span("tag.reflect"):
-            reflected = self.modulator.reflect(ambient_at_tag, schedule.chips)
-
-        # 4. Receive both bands at the UE.
+        # The session's noise draws fill on a worker thread while stages
+        # 2-4 build the bands they go into (DESIGN §16).  Leaving the block
+        # joins the worker, whether this returns or raises.
         fs = self.params.sample_rate_hz
         # UE oscillator error rotates both bands identically (one LO).
         cfo_hz = config.ue_cfo_ppm * 1e-6 * config.carrier_hz
+        # Only a decoded reference and the CFO estimate read the direct
+        # band; otherwise it is built on first read, if ever.
+        eager_direct = config.reference_mode == "decoded" or bool(cfo_hz)
+        noise = NoiseDraws(rng_noise, len(unit)) if config.add_noise else None
+        with noise or contextlib.nullcontext():
+            if noise is not None:
+                # In the order the session uses them: the tag's band, the
+                # shifted band, then the direct band if it is built now.
+                noise.submit("tag")
+                noise.submit("shifted")
+                if eager_direct:
+                    noise.submit("direct")
 
-        def receive_direct():
-            direct = direct_link.apply(unit)
-            # Structural (unmodulated, in-band) tag reflection leaks into
-            # the direct band as weak extra multipath.
-            leak = 10.0 ** (config.structural_reflection_db / 20.0)
-            direct = direct + leak * bs_link.apply_from_tag(ambient_at_tag)
-            if cfo_hz:
-                direct = apply_cfo(direct, cfo_hz, fs)
-            if config.add_noise:
-                # The last draw on rng_noise, so it draws the same samples
-                # whenever it runs.
-                direct = add_thermal_noise(
-                    direct, fs, config.noise_figure_db, rng_noise
+            # 2. Channels.
+            with span("system.channel"):
+                bs_link = BackscatterLink(
+                    budget=self.budget,
+                    enb_to_tag_ft=config.enb_to_tag_ft,
+                    tag_to_ue_ft=config.tag_to_ue_ft,
+                    fading_in=self._fading(rng_fade, config.enb_to_tag_ft),
+                    fading_out=self._fading(rng_fade, config.tag_to_ue_ft),
                 )
-            return direct
+                direct_link = DirectLink(
+                    budget=self.budget,
+                    distance_ft=config.enb_to_ue_ft,
+                    fading=self._fading(rng_fade, config.enb_to_ue_ft),
+                )
+                ambient_at_tag = bs_link.apply_to_tag(unit)
 
-        with span("system.receive"):
-            shifted_rx = bs_link.apply_from_tag(reflected)
-            if carrier_faults is not None:
-                # Jammer bursts, impulsive noise and ADC clipping hit the
-                # backscatter band's receive chain, where the signal is weakest.
-                # Co-channel ghost tags (tag-mob) reflect the tag-side ambient.
-                shifted_rx = carrier_faults.apply_backscatter(
-                    shifted_rx, ambient=ambient_at_tag
+            def tag_band():
+                # Only the sync circuit reads the tag's noisy view.  Its
+                # draw is made either way: it advances rng_noise.
+                if noise is None:
+                    return ambient_at_tag
+                return add_thermal_noise(
+                    ambient_at_tag, fs, config.noise_figure_db, draw=noise.take("tag")
                 )
-            if cfo_hz:
-                shifted_rx = apply_cfo(shifted_rx, cfo_hz, fs)
-            if config.add_noise:
-                shifted_rx = add_thermal_noise(
-                    shifted_rx, fs, config.noise_figure_db, rng_noise
+
+            # 3. Tag: sync, schedule, reflect.
+            with span("tag.sync") as sp:
+                error_samples, sync_result = self._sync_error_samples(
+                    tag_band, rng_sync, edge_fault=edge_fault
                 )
-            # Only a decoded reference and the CFO estimate read the
-            # direct band; otherwise it is built on first read, if ever.
-            direct_rx = None
-            if config.reference_mode == "decoded" or cfo_hz:
-                direct_rx = receive_direct()
-            if cfo_hz:
-                # The UE estimates its own offset from the cyclic prefix of
-                # the direct band and derotates both captures.
-                estimated = estimate_cfo(direct_rx, self.params)
-                shifted_rx = correct_cfo(shifted_rx, estimated, fs)
-                direct_rx = correct_cfo(direct_rx, estimated, fs)
+                sync_failed = error_samples is None
+                sp.set(sync_failed=sync_failed)
+            if sync_failed:
+                obs_metrics.counter_inc("system.sync_failures")
+                # The comparator never fired: the tag cannot place a single
+                # half-frame and stays silent (constant '1' chips, no windows)
+                # rather than spraying mistimed chips over the capture.
+                schedule = self.substrate.silent_schedule(len(unit))
+            else:
+                with span("tag.schedule") as sp:
+                    timing = self.controller.genie_timing(0, error_samples)
+                    schedule = self.substrate.build_schedule(
+                        timing,
+                        len(unit),
+                        payload_bits,
+                        owned_half_frames=owned_half_frames,
+                        drift_per_half_frame=drift_per_half_frame,
+                    )
+                    sp.set(n_half_frames=int(schedule.n_half_frames))
+            with span("tag.reflect"):
+                reflected = self.modulator.reflect(ambient_at_tag, schedule.chips)
+
+            # 4. Receive both bands at the UE.
+            def receive_direct(draw=None):
+                direct = direct_link.apply(unit)
+                # Structural (unmodulated, in-band) tag reflection leaks into
+                # the direct band as weak extra multipath.
+                leak = 10.0 ** (config.structural_reflection_db / 20.0)
+                direct = direct + leak * bs_link.apply_from_tag(ambient_at_tag)
+                if cfo_hz:
+                    direct = apply_cfo(direct, cfo_hz, fs)
+                if config.add_noise:
+                    # ``draw`` was made ahead for a band built now.  A
+                    # deferred build draws here, after the worker's last
+                    # draw, so it draws the same samples whenever it runs.
+                    direct = add_thermal_noise(
+                        direct, fs, config.noise_figure_db, rng_noise, draw=draw
+                    )
+                return direct
+
+            with span("system.receive"):
+                shifted_rx = bs_link.apply_from_tag(reflected)
+                if carrier_faults is not None:
+                    # Jammer bursts, impulsive noise and ADC clipping hit the
+                    # backscatter band's receive chain, where the signal is
+                    # weakest.  Co-channel ghost tags (tag-mob) reflect the
+                    # tag-side ambient.
+                    shifted_rx = carrier_faults.apply_backscatter(
+                        shifted_rx, ambient=ambient_at_tag
+                    )
+                if cfo_hz:
+                    shifted_rx = apply_cfo(shifted_rx, cfo_hz, fs)
+                if noise is not None:
+                    shifted_rx = add_thermal_noise(
+                        shifted_rx,
+                        fs,
+                        config.noise_figure_db,
+                        draw=noise.take("shifted"),
+                    )
+                direct_rx = None
+                if eager_direct:
+                    direct_rx = receive_direct(
+                        None if noise is None else noise.take("direct")
+                    )
+                if cfo_hz:
+                    # The UE estimates its own offset from the cyclic prefix
+                    # of the direct band and derotates both captures.
+                    estimated = estimate_cfo(direct_rx, self.params)
+                    shifted_rx = correct_cfo(shifted_rx, estimated, fs)
+                    direct_rx = correct_cfo(direct_rx, estimated, fs)
 
         # 5. UE: LTE decode (for Fig. 32 and the ambient reconstruction).
         lte_result = None

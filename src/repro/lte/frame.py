@@ -60,11 +60,14 @@ class CellConfig:
         if self.n_id_2 not in (0, 1, 2):
             raise ValueError("N_ID^(2) must be 0..2")
         if self.modulation not in BITS_PER_SYMBOL:
-            raise ValueError(f"unknown modulation {self.modulation!r}")
+            raise ValueError(
+                f"modulation must be one of {sorted(BITS_PER_SYMBOL)}, "
+                f"got {self.modulation!r}"
+            )
         if not 0.0 < self.code_rate <= 1.0:
             raise ValueError("code rate must be in (0, 1]")
         if not 0.0 <= self.pdsch_load <= 1.0:
-            raise ValueError("pdsch_load must be in [0, 1]")
+            raise ValueError(f"pdsch_load must be in [0, 1], got {self.pdsch_load!r}")
 
     @property
     def cell_id(self):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve, firwin
+from scipy.signal import firwin, oaconvolve
 
 from repro.utils.dsp import rc_alpha, rc_lowpass
 
@@ -66,7 +66,9 @@ class EnvelopeDetector:
         """Run the analog chain; returns an :class:`EnvelopeTrace`."""
         samples = np.asarray(samples, dtype=complex)
         if self._taps is not None:
-            selected = fftconvolve(samples, self._taps, mode="same")
+            # Overlap-add: short transforms sized to the 129 taps, not two
+            # transforms of the whole capture.
+            selected = oaconvolve(samples, self._taps, mode="same")
         else:
             selected = samples
         # Diode rectifier: instantaneous magnitude of the sub-band signal.

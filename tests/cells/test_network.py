@@ -53,6 +53,20 @@ def test_deployment_rejects_duplicates_with_names():
         NetworkDeployment(tags=[NetworkTag("a", 2.0, 3.0), NetworkTag("b", 2.0, 3.0)])
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("reference_mode", "x"),
+        ("sync_mode", "x"),
+        ("sync_error_samples", 2.5),
+        ("sync_error_samples", float("nan")),
+    ],
+)
+def test_deployment_rejects_bad_shared_knob_naming_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        NetworkDeployment(tags=[NetworkTag("a", 0.0, 0.0)], **{field: value})
+
+
 def test_scatter_is_deterministic(topo):
     a = NetworkDeployment.scatter(4, topo, seed=5)
     b = NetworkDeployment.scatter(4, topo, seed=5)

@@ -28,6 +28,22 @@ def test_site_validation_messages_are_actionable():
         CellSite(cell_id=0, x_ft=0.0, y_ft=0.0, pdsch_load=1.5)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("bandwidth_mhz", 7),
+        ("bandwidth_mhz", float("nan")),
+        ("tx_power_dbm", float("nan")),
+        ("n_frames", 2.5),
+        ("modulation", "x"),
+        ("pdsch_load", float("nan")),
+    ],
+)
+def test_site_rejects_bad_field_naming_cell_and_field(field, value):
+    with pytest.raises(ValueError, match=f"^cell 9: {field} must be"):
+        CellSite(cell_id=9, x_ft=0.0, y_ft=0.0, **{field: value})
+
+
 @pytest.mark.parametrize("pitch", [0.0, float("nan"), float("inf")])
 def test_layout_pitch_must_be_finite_and_positive(pitch):
     with pytest.raises(ValueError, match="inter_site_ft must be a finite number > 0"):

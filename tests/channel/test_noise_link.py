@@ -1,10 +1,12 @@
 """Noise and link-budget tests."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.channel.link import BackscatterLink, DirectLink, LinkBudget
-from repro.channel.noise import add_thermal_noise, noise_std_for_bandwidth
+from repro.channel.noise import NoiseDraws, add_thermal_noise, noise_std_for_bandwidth
 from repro.utils.rng import make_rng
 from repro.utils.units import dbm_to_watts
 
@@ -63,6 +65,58 @@ def test_add_thermal_noise_never_writes_its_input():
     np.testing.assert_array_equal(again.view(np.uint64), noisy.view(np.uint64))
 
 
+def test_draws_made_ahead_equal_inline_draws():
+    """Same samples, same generator end state, an unread draw included."""
+    n = 10_000
+    samples = make_rng(1).standard_normal(n) + 1j * make_rng(2).standard_normal(n)
+    inline_rng, ahead_rng = make_rng(9), make_rng(9)
+    first = add_thermal_noise(samples, 1e6, 6.0, inline_rng)
+    inline_rng.standard_normal((2, n))  # the draw nobody adds
+    third = add_thermal_noise(samples, 1e6, 6.0, inline_rng)
+    with NoiseDraws(ahead_rng, n) as draws:
+        for name in ("first", "unread", "third"):
+            draws.submit(name)
+        ahead_third = add_thermal_noise(samples, 1e6, 6.0, draw=draws.take("third"))
+        ahead_first = add_thermal_noise(samples, 1e6, 6.0, draw=draws.take("first"))
+    np.testing.assert_array_equal(ahead_first.view(np.uint64), first.view(np.uint64))
+    np.testing.assert_array_equal(ahead_third.view(np.uint64), third.view(np.uint64))
+    assert ahead_rng.bit_generator.state == inline_rng.bit_generator.state
+
+
+def test_draw_made_ahead_must_fit_the_samples():
+    with NoiseDraws(make_rng(0), 100) as draws:
+        draws.submit("short")
+        with pytest.raises(ValueError, match="does not fit 99 samples"):
+            add_thermal_noise(np.zeros(99, dtype=complex), 1e6, draw=draws.take("short"))
+
+
+def test_noise_draws_close_joins_the_worker():
+    before = set(threading.enumerate())
+    draws = NoiseDraws(make_rng(0), 1000)
+    assert set(threading.enumerate()) == before  # no thread before a submit
+    draws.submit("a")
+    draws.submit("b")
+    future = draws.take("a")
+    draws.close()
+    assert future.done()
+    assert set(threading.enumerate()) == before
+    with pytest.raises(KeyError):
+        draws.take("b")  # never taken, so dropped at close
+
+
+def test_noise_draws_close_reads_untaken_draws():
+    """A failed draw that nobody took still raises at close."""
+
+    class Broken:
+        def standard_normal(self, shape):
+            raise MemoryError("injected")
+
+    draws = NoiseDraws(Broken(), 10)
+    draws.submit("unread")
+    with pytest.raises(MemoryError, match="injected"):
+        draws.close()
+
+
 def test_budget_cascade_composition():
     budget = LinkBudget(venue="free_space", system_gain_db=0.0, tag_loss_db=8.0)
     d1, d2 = 10.0, 20.0
@@ -87,6 +141,25 @@ def test_snr_decreases_with_distance():
 def test_unknown_venue_rejected():
     with pytest.raises(ValueError):
         LinkBudget(venue="moon")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tx_power_dbm", float("nan")),
+        ("tx_power_dbm", float("inf")),
+        ("carrier_hz", -1.0),
+        ("carrier_hz", 0.0),
+        ("carrier_hz", float("nan")),
+        ("system_gain_db", float("inf")),
+        ("tag_loss_db", -float("inf")),
+        ("noise_figure_db", float("nan")),
+        ("noise_figure_db", None),
+    ],
+)
+def test_link_budget_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        LinkBudget(**{field: value})
 
 
 def test_direct_link_scales_waveform():

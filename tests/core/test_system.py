@@ -117,6 +117,25 @@ def test_invalid_config_rejected():
         SystemConfig(bandwidth_mhz=bandwidth_mhz)
 
 
+@pytest.mark.parametrize("value", [2.5, -0.5, float("nan"), float("inf"), "3"])
+def test_sync_error_pin_must_be_whole(value):
+    with pytest.raises(ValueError, match="sync_error_samples must be a whole number"):
+        SystemConfig(sync_error_samples=value)
+
+
+@pytest.mark.parametrize("value", [2.5, -1, float("nan"), "1"])
+def test_resync_budget_must_be_whole(value):
+    with pytest.raises(
+        ValueError, match="sync_resync_attempts must be a whole number >= 0"
+    ):
+        SystemConfig(sync_resync_attempts=value)
+
+
+def test_whole_sync_error_pins_accepted():
+    for value in (None, 0, -4, 3.0, np.int64(7)):
+        SystemConfig(sync_error_samples=value)
+
+
 @pytest.mark.parametrize("payload_length", [-5, 2.5, float("nan"), None])
 def test_bad_payload_length_rejected(payload_length):
     config = SystemConfig(bandwidth_mhz=1.4, n_frames=1, reference_mode="genie")

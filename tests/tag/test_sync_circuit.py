@@ -35,6 +35,28 @@ def test_envelope_peaks_at_sync_symbols(capture):
     assert pss_level > 1.3 * baseline
 
 
+def test_envelope_matches_direct_convolution_chain():
+    """Overlap-add filtering leaves the envelope where direct FIR puts it.
+
+    The oracle builds the same matched band-pass, rectifier and RC chain
+    on ``np.convolve``, over a 10 MHz two-frame capture (307 200
+    samples, well past one overlap-add block).
+    """
+    from scipy.signal import firwin
+
+    from repro.tag.envelope import PSS_BANDWIDTH_HZ
+    from repro.utils.dsp import rc_alpha, rc_lowpass
+
+    wide = LteTransmitter(10, rng=2).transmit(2)
+    fs = wide.params.sample_rate_hz
+    taps = firwin(129, PSS_BANDWIDTH_HZ / 2.0, fs=fs)
+    selected = np.convolve(wide.samples, taps, mode="same")
+    expected = rc_lowpass(np.abs(selected), rc_alpha(25e-6, fs))
+    envelope = EnvelopeDetector(fs).detect(wide.samples).envelope
+    assert envelope.shape == expected.shape
+    np.testing.assert_allclose(envelope, expected, rtol=0, atol=1e-12)
+
+
 def test_edges_appear_every_5ms(capture):
     params = capture.params
     rng = make_rng(1)
