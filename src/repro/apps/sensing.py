@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
 
 from repro.channel.link import LinkBudget
 from repro.core.link_budget import LScatterLinkModel

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.channel.link import LinkBudget
 from repro.core.link_budget import rayleigh_bpsk_ber
-from repro.utils.rng import make_rng
 from repro.wifi.params import SYMBOL_SAMPLES, SYMBOL_SECONDS
 from repro.wifi.receiver import PREAMBLE_SAMPLES
 

@@ -221,18 +221,14 @@ def _take(samples, rows, starts, width):
 class BackscatterDemodulator:
     """Demodulate tag chips from a shifted-band capture."""
 
-    def __init__(
-        self, params, search_slack=None, erasure_threshold=None, snr_gate_db=None
-    ):
+    def __init__(self, params, erasure_threshold=None, snr_gate_db=None):
         self.params = (
             params if isinstance(params, LteParams) else LteParams.from_bandwidth(params)
         )
         self.n_chips = self.params.n_subcarriers
         self.nominal_offset = (self.params.fft_size - self.n_chips) // 2
-        # By default search the whole guard either side of nominal.
-        self.search_slack = (
-            int(search_slack) if search_slack is not None else self.nominal_offset
-        )
+        # The offset search reaches across the whole guard either side.
+        self.search_slack = self.nominal_offset
         self._preamble = preamble_bits(self.n_chips)
         self._preamble_signs = (2 * self._preamble - 1).astype(float)
         #: Erasure detection: when the better of the two per-packet

@@ -30,32 +30,29 @@ import numpy as np
 from repro.lte.ofdm import row_fft, row_ifft
 from repro.utils.cache import memoize
 
-#: Default smoothing window (bins).  A W-bin boxcar tolerates delay spreads
-#: up to ~N/W samples; channels here are <= a handful of taps.
-DEFAULT_SMOOTH_BINS = 15
+#: Smoothing window (bins).  A W-bin boxcar tolerates delay spreads up to
+#: ~N/W samples; channels here are <= a handful of taps.
+SMOOTH_BINS = 15
 
 
 @memoize()
-def _smoothing_response(n, window):
-    """Frequency response of the circular ``window``-bin boxcar over ``n`` bins."""
+def _smoothing_response(n):
+    """Frequency response of the circular ``SMOOTH_BINS`` boxcar over ``n`` bins."""
     kernel = np.zeros(n)
-    half = window // 2
+    half = SMOOTH_BINS // 2
     kernel[: half + 1] = 1.0
     kernel[-half:] = 1.0
     kernel /= kernel.sum()
     return np.fft.fft(kernel)
 
 
-def _circular_smooth_rows(values, window):
+def _circular_smooth_rows(values):
     """Circular moving average along the last axis of a complex array."""
-    window = int(window)
-    if window <= 1:
-        return values.copy()
-    response = _smoothing_response(values.shape[-1], window)
+    response = _smoothing_response(values.shape[-1])
     return row_ifft(np.multiply(row_fft(values), response))
 
 
-def estimate_channel_from_known(observed, expected, smooth_bins=DEFAULT_SMOOTH_BINS):
+def estimate_channel_from_known(observed, expected):
     """Per-bin channel from symbols whose content is known.
 
     ``observed``/``expected`` are same-shape time-domain useful symbols,
@@ -69,8 +66,8 @@ def estimate_channel_from_known(observed, expected, smooth_bins=DEFAULT_SMOOTH_B
         raise ValueError("observed and expected must be the same shape")
     y = row_fft(observed)
     e = row_fft(expected)
-    cross = _circular_smooth_rows(np.multiply(y, np.conj(e)), smooth_bins)
-    power = _circular_smooth_rows((np.abs(e) ** 2).astype(complex), smooth_bins).real
+    cross = _circular_smooth_rows(np.multiply(y, np.conj(e)))
+    power = _circular_smooth_rows((np.abs(e) ** 2).astype(complex)).real
     lam = 0.01 * np.mean(power, axis=-1, keepdims=True) + 1e-30
     return cross / (power + lam)
 

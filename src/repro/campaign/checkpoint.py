@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 import numpy as np
 
-from repro.utils.integrity import crc32_bytes
+from repro.utils.integrity import crc32_bytes, write_json
 
 #: Bumped when the checkpoint layout changes; mismatches read as stale.
 CHECKPOINT_VERSION = 1
@@ -87,18 +86,7 @@ class CheckpointStore:
         }
         record = {"crc32": crc32_bytes(_canonical(payload).encode()),
                   "payload": payload}
-        path = self.path(shard)
-        fd, tmp = tempfile.mkstemp(
-            prefix=f".{shard.shard_id}-", suffix=".tmp", dir=self.run_dir
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(record, fh, indent=2, sort_keys=True)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        return path
+        return write_json(self.path(shard), record)
 
     def verify(self, shard):
         """``(status, row)`` for a shard's checkpoint.
@@ -158,15 +146,4 @@ class CheckpointStore:
             "shard_index": None if shard_index is None else int(shard_index),
             "shards": _jsonify(entries),
         }
-        path = self.manifest_path(n_shards, shard_index)
-        fd, tmp = tempfile.mkstemp(
-            prefix=".manifest-", suffix=".tmp", dir=self.run_dir
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(manifest, fh, indent=2, sort_keys=True)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        return path
+        return write_json(self.manifest_path(n_shards, shard_index), manifest)

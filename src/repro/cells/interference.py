@@ -79,25 +79,18 @@ class NeighbourRecipe:
     offset_samples: int
 
 
-def neighbour_recipes(
-    topology, serving_site, x_ft, y_ft, ambients, max_interferers=None
-):
+def neighbour_recipes(topology, serving_site, x_ft, y_ft, ambients):
     """Build the interferer list for a tag at ``(x_ft, y_ft)``.
 
     ``ambients`` maps cell id -> stage or handle (from
-    :meth:`~repro.cells.topology.Topology.prepare_ambients`).  With
-    ``max_interferers`` only the strongest K neighbours (ties broken by
-    cell id) are kept — the rest are below the noise anyway in large
-    layouts.  The returned list is sorted by cell id, which fixes the
-    superposition order.
+    :meth:`~repro.cells.topology.Topology.prepare_ambients`).  Every
+    neighbour interferes.  The returned list is sorted by cell id, which
+    fixes the superposition order.
     """
     entries = []
     for site in topology.neighbours_of(serving_site.cell_id):
         rel_db = relative_amplitude_db(topology, serving_site, site, x_ft, y_ft)
         entries.append((site.cell_id, float(np.sqrt(db_to_linear(rel_db)))))
-    if max_interferers is not None:
-        entries.sort(key=lambda entry: (-entry[1], entry[0]))
-        entries = entries[: max(0, int(max_interferers))]
     params = topology.sites[0].ambient_config(venue=topology.venue).params
     recipes = [
         NeighbourRecipe(

@@ -25,7 +25,7 @@ bit-identical at any ``--workers`` value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 import math
 import time
 
@@ -179,9 +179,6 @@ class NetworkDeployment:
     def names(self):
         return [tag.name for tag in self.tags]
 
-    def with_tags(self, tags):
-        return replace(self, tags=list(tags))
-
     def config_for(self, topology, site, tag):
         """The per-tag :class:`SystemConfig` on its serving cell."""
         x, y = tag.position
@@ -233,14 +230,6 @@ def mac_seed(seed, cell_id):
     return int(
         stream_rng(seed, "cells.mac", int(cell_id)).integers(0, 2**63 - 1)
     )
-
-
-@dataclass
-class CellReport:
-    """One cell's slice of a network run."""
-
-    cell_id: int
-    fleet: FleetReport
 
 
 @dataclass
@@ -379,7 +368,6 @@ class NetworkRunner:
         seed=0,
         cache=None,
         attach_mode="analytic",
-        max_interferers=None,
         handover_policy=None,
         payload_length=20000,
         max_retries=1,
@@ -397,7 +385,6 @@ class NetworkRunner:
         self._owns_cache = cache is None
         self.cache = cache if cache is not None else AmbientCache()
         self.attach_mode = attach_mode
-        self.max_interferers = max_interferers
         self.handover_policy = handover_policy or HandoverPolicy()
         self.payload_length = int(payload_length)
         self.max_retries = max_retries
@@ -502,14 +489,7 @@ class NetworkRunner:
             tasks = []
             for index, tag in enumerate(members):
                 x, y = tag.position
-                recipes = neighbour_recipes(
-                    topology,
-                    site,
-                    x,
-                    y,
-                    ambients,
-                    max_interferers=self.max_interferers,
-                )
+                recipes = neighbour_recipes(topology, site, x, y, ambients)
                 tasks.append(
                     TagTask(
                         index=index,

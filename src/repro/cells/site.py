@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from repro.core.config import SystemConfig
 from repro.lte.frame import CellConfig
+from repro.utils.validation import require_whole
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,8 @@ class CellSite:
     modulation: str = "qpsk"
 
     def __post_init__(self):
-        if not 0 <= int(self.cell_id) <= 503:
+        require_whole("cell_id", self.cell_id, minimum=0)
+        if self.cell_id > 503:
             raise ValueError(
                 f"cell_id must be a physical cell identity in [0, 503], "
                 f"got {self.cell_id}"

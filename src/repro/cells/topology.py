@@ -67,6 +67,9 @@ class Topology:
                     f"at {pos} ft; move one of them"
                 )
             seen_pos[pos] = site.cell_id
+        # The venue and carrier are shared by every site's budget: a bad
+        # one fails here, naming the field, not at the first radio query.
+        self.budget_for(self.sites[0])
         first = self.sites[0]
         for site in self.sites[1:]:
             if site.bandwidth_mhz != first.bandwidth_mhz:

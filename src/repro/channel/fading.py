@@ -1,4 +1,4 @@
-"""Small-scale fading: tapped-delay-line Rayleigh/Rician channels.
+"""Small-scale fading: tapped-delay-line Rician channels.
 
 Indoor venues are "multipath rich" (paper §4.3) — an exponential power
 delay profile with several taps; outdoor links are closer to LoS with a
@@ -87,11 +87,6 @@ class FadingChannel:
         self.taps = taps
 
     @classmethod
-    def rayleigh(cls, n_taps=4, decay_db_per_tap=3.0, rng=None):
-        """Multipath-rich NLoS channel (indoor)."""
-        return cls(taps=tdl_taps(n_taps, decay_db_per_tap, rng=rng))
-
-    @classmethod
     def rician(cls, k_db=10.0, n_taps=2, decay_db_per_tap=6.0, rng=None):
         """Mostly-LoS channel (outdoor / short range)."""
         return cls(taps=tdl_taps(n_taps, decay_db_per_tap, rician_k_db=k_db, rng=rng))
@@ -115,7 +110,3 @@ class FadingChannel:
             out[delay:] += samples[:-delay] * tap
         return out
 
-    @property
-    def flat_gain(self):
-        """Aggregate narrowband gain (sum of taps) — used by budgets."""
-        return complex(np.sum(self.taps))

@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.channel.fading import FadingChannel
-from repro.channel.pathloss import PathLossModel, VENUE_PRESETS
-from repro.utils.rng import make_rng
-from repro.utils.units import db_to_linear, dbm_to_watts, feet_to_meters
+from repro.channel.pathloss import VENUE_PRESETS
+from repro.utils.units import db_to_linear, dbm_to_watts
 from repro.utils.validation import require_finite
 
 #: Carrier frequency used in the paper's experiments (680 MHz white space).

@@ -299,9 +299,8 @@ def _cmd_network(args):
     error = _validate_network(args)
     if error is not None:
         return error
-    import json
-
     from repro.cells import NetworkDeployment, NetworkRunner, Topology
+    from repro.utils.integrity import write_json
 
     # Mirror chaos: smoke runs default to artifacts/ so CI never
     # clobbers the committed full-mode report (NETWORK_PR6.json).
@@ -349,12 +348,7 @@ def _cmd_network(args):
         f"scheme={report.scheme}"
     )
     print(report.format_table())
-    directory = os.path.dirname(output)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(output, "w") as fh:
-        json.dump(report.summary(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(output, report.summary())
     print(f"wrote {output}")
     return 0
 

@@ -79,30 +79,6 @@ def hourly_throughput_row(
     }
 
 
-def hourly_throughput_rows(
-    venue_budget,
-    traffic_venue,
-    hours,
-    seed,
-    enb_to_tag_ft=5.0,
-    tag_to_ue_ft=8.0,
-    bandwidth_mhz=20.0,
-):
-    """Per-hour throughput rows — one :func:`hourly_throughput_row` each."""
-    return [
-        hourly_throughput_row(
-            venue_budget,
-            traffic_venue,
-            hour,
-            seed,
-            enb_to_tag_ft=enb_to_tag_ft,
-            tag_to_ue_ft=tag_to_ue_ft,
-            bandwidth_mhz=bandwidth_mhz,
-        )
-        for hour in hours
-    ]
-
-
 def occupancy_rows(rows):
     """Project the occupancy columns out of diurnal throughput rows."""
     return [

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bsrx.phase_offset import apply_phase_offset, eliminate_phase_offset
+from repro.bsrx.phase_offset import apply_phase_offset
 from repro.experiments.registry import ExperimentResult
 from repro.utils.rng import make_rng
 

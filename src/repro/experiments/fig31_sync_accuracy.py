@@ -13,7 +13,6 @@ import numpy as np
 from repro.experiments.registry import ExperimentResult
 from repro.lte import LteTransmitter
 from repro.lte.params import PSS_PERIOD_SECONDS
-from repro.lte.pss import PSS_SYMBOL_IN_SLOT
 from repro.tag.sync_circuit import SyncCircuit
 from repro.utils.dsp import awgn
 from repro.utils.rng import make_rng

@@ -54,8 +54,8 @@ class ExperimentResult:
                     cols.append(key)
         return cols
 
-    def format_table(self, float_fmt="{:.4g}"):
-        """Plain-text table of the rows."""
+    def format_table(self):
+        """Plain-text table of the rows (floats to 4 significant digits)."""
         cols = self.columns()
         lines = ["\t".join(cols)]
         for row in self.rows:
@@ -63,7 +63,7 @@ class ExperimentResult:
             for col in cols:
                 value = row.get(col, "")
                 if isinstance(value, float):
-                    value = float_fmt.format(value)
+                    value = f"{value:.4g}"
                 cells.append(str(value))
             lines.append("\t".join(cells))
         return "\n".join(lines)

@@ -96,12 +96,11 @@ class OfdmChipTag:
 class OfdmChipReceiver:
     """Generic chip demodulation given the carrier reference."""
 
-    def __init__(self, layout, search_slack=None):
+    def __init__(self, layout):
         self.layout = layout
         self._preamble = preamble_bits(layout.n_chips)
-        self.search_slack = (
-            int(search_slack) if search_slack is not None else layout.chip_offset
-        )
+        # The offset search reaches across the whole guard either side.
+        self.search_slack = layout.chip_offset
 
     def demodulate(self, hybrid, reference, n_payload_bits):
         """Recover payload bits from one modulated transmission."""

@@ -11,10 +11,9 @@ random-access scheduler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.config import SystemConfig
-from repro.utils.rng import make_rng
 
 
 @dataclass(frozen=True)
@@ -115,20 +114,6 @@ class Deployment:
         ]
         return cls(tags=tags, **kwargs)
 
-    @classmethod
-    def uniform_random(cls, n_tags, max_enb_ft=30.0, max_ue_ft=15.0, rng=None, **kwargs):
-        """Tags placed uniformly at random (deterministic under ``rng``)."""
-        rng = make_rng(rng)
-        tags = [
-            TagPlacement(
-                name=f"tag{i:02d}",
-                enb_to_tag_ft=float(rng.uniform(1.0, max_enb_ft)),
-                tag_to_ue_ft=float(rng.uniform(1.0, max_ue_ft)),
-            )
-            for i in range(int(n_tags))
-        ]
-        return cls(tags=tags, **kwargs)
-
     # -- derived views ----------------------------------------------------------
 
     @property
@@ -184,6 +169,3 @@ class Deployment:
         """Tag name -> priority weight, for the EPC-style scheme."""
         return {tag.name: tag.weight for tag in self.tags}
 
-    def with_tags(self, tags):
-        """A copy of this deployment over a different tag list."""
-        return replace(self, tags=list(tags))

@@ -92,10 +92,6 @@ class FleetSchedule:
         """Half-frame indices ``name`` successfully owns."""
         return [s.index for s in self.slots if s.winner == name]
 
-    def attempted_half_frames(self, name):
-        """Half-frame indices ``name`` transmitted in (won or lost)."""
-        return [s.index for s in self.slots if name in s.transmitters]
-
     def collided_half_frames(self, name):
         """Half-frame indices where ``name`` transmitted but lost."""
         return [

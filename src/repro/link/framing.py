@@ -53,8 +53,3 @@ def parse_frame(bits):
     if ok and length != len(payload):
         ok = False
     return LinkFrame(sequence=sequence, payload=payload, valid=bool(ok))
-
-
-def frame_bits_for_payload(payload_bits):
-    """Total on-air bits for a payload of the given size."""
-    return FRAME_HEADER_BITS + int(payload_bits) + FRAME_CRC_BITS

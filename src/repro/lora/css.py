@@ -33,14 +33,6 @@ class LoraParams:
         return 1 << self.spreading_factor
 
     @property
-    def symbol_seconds(self):
-        return self.n_chips / self.bandwidth_hz
-
-    @property
-    def symbol_rate_hz(self):
-        return 1.0 / self.symbol_seconds
-
-    @property
     def bits_per_symbol(self):
         return self.spreading_factor
 

@@ -20,8 +20,7 @@ from scipy.signal import fftconvolve
 
 from repro.lte.params import LteParams
 from repro.lte.pss import PSS_SYMBOL_IN_SLOT, pss_sequence, pss_time_domain
-from repro.lte.sss import SSS_SYMBOL_IN_SLOT, detect_sss
-from repro.lte.resource_grid import ResourceGrid
+from repro.lte.sss import detect_sss
 
 
 #: Relative metric slack within which two PSS roots count as tied and the

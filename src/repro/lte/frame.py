@@ -26,7 +26,7 @@ from repro.lte.crs import CRS_SYMBOLS_IN_SLOT, crs_positions, crs_values
 from repro.lte.modulation import BITS_PER_SYMBOL, modulate
 from repro.lte.params import LteParams, SLOTS_PER_FRAME, SUBFRAMES_PER_FRAME
 from repro.lte.pss import PSS_SLOTS, PSS_SYMBOL_IN_SLOT, pss_sequence
-from repro.lte.resource_grid import ReKind, ResourceGrid, symbol_index
+from repro.lte.resource_grid import ReKind, ResourceGrid
 from repro.lte.sss import SSS_SLOTS, SSS_SYMBOL_IN_SLOT, sss_sequence
 from repro.utils.cache import memoize
 from repro.utils.rng import make_rng

@@ -88,17 +88,6 @@ def modulate(bits, scheme):
     return _CONSTELLATIONS[scheme][values]
 
 
-def demodulate_hard(symbols, scheme):
-    """Nearest-neighbour hard demapping back to bits."""
-    symbols = np.asarray(symbols, dtype=complex)
-    points = _CONSTELLATIONS[scheme]
-    distances = np.abs(symbols[:, None] - points[None, :]) ** 2
-    values = np.argmin(distances, axis=1)
-    n_bits = BITS_PER_SYMBOL[scheme]
-    shifts = np.arange(n_bits - 1, -1, -1)
-    return ((values[:, None] >> shifts[None, :]) & 1).astype(np.int8).reshape(-1)
-
-
 def demodulate_llr(symbols, scheme, noise_variance=1.0):
     """Max-log LLRs per bit; positive means bit 0 is more likely.
 

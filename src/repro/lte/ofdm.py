@@ -105,15 +105,6 @@ def row_ifft(values):
     return _scipy_fft.ifft(values, axis=-1, workers=FFT_WORKERS)
 
 
-def modulate_symbol(params, subcarrier_values, symbol_in_slot):
-    """IFFT one symbol's subcarriers and prepend its cyclic prefix."""
-    bins = np.zeros(params.fft_size, dtype=complex)
-    bins[params.subcarrier_indices()] = subcarrier_values
-    useful = np.fft.ifft(bins) * np.sqrt(params.fft_size)
-    cp = params.cp_length(symbol_in_slot)
-    return np.concatenate([useful[-cp:], useful])
-
-
 def modulate_frame(grid):
     """Serialise a full :class:`ResourceGrid` to one frame of IQ samples.
 
@@ -162,20 +153,6 @@ def _modulate_frame(grid):
     return out
 
 
-def demodulate_symbol(params, samples, symbol_in_slot):
-    """FFT one symbol back to its subcarrier values.
-
-    ``samples`` must contain the full CP + useful symbol.
-    """
-    cp = params.cp_length(symbol_in_slot)
-    expected = cp + params.fft_size
-    if len(samples) != expected:
-        raise ValueError(f"expected {expected} samples, got {len(samples)}")
-    useful = samples[cp:]
-    bins = np.fft.fft(useful) / np.sqrt(params.fft_size)
-    return bins[params.subcarrier_indices()]
-
-
 def demodulate_frame(params, samples):
     """FFT a frame of IQ samples back into a subcarrier array.
 
@@ -220,16 +197,3 @@ def _demodulate_frame(params, samples):
         np.divide(bins[:, fft_size - half :], scale, out=rows[:, :half])
         np.divide(bins[:, 1 : half + 1], scale, out=rows[:, half:])
     return out
-
-
-def useful_sample_grid(params):
-    """Start offset and length of each symbol's useful part within a frame.
-
-    Returns ``(starts, lengths)`` arrays of shape (140,).  The tag's
-    scheduler uses this to know where basic-timing units live.
-    """
-    layout = frame_layout(params)
-    starts = layout.useful_starts.copy()
-    lengths = np.full(SYMBOLS_PER_FRAME, params.fft_size, dtype=np.int64)
-    return starts, lengths
-

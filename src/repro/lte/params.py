@@ -101,16 +101,6 @@ class LteParams:
         n_rb, fft_size = _BANDWIDTH_TABLE[key]
         return cls(bandwidth_mhz=key, n_rb=n_rb, fft_size=fft_size)
 
-    @property
-    def basic_timing_unit_seconds(self):
-        """Duration of one basic-timing unit (= one sample), the paper's Ts."""
-        return 1.0 / self.sample_rate_hz
-
-    @property
-    def shift_hz(self):
-        """Backscatter frequency shift 1/Ts — equal to the sample rate."""
-        return self.sample_rate_hz
-
     def symbol_length(self, symbol_in_slot):
         """Total samples (CP + useful) of symbol ``symbol_in_slot`` (0..6)."""
         if not 0 <= symbol_in_slot < SYMBOLS_PER_SLOT:

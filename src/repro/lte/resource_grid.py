@@ -18,9 +18,6 @@ from repro.lte.params import (
     SLOTS_PER_FRAME,
     SYMBOLS_PER_SLOT,
 )
-from repro.lte.pss import PSS_SLOTS, PSS_SYMBOL_IN_SLOT
-from repro.lte.sss import SSS_SLOTS, SSS_SYMBOL_IN_SLOT
-from repro.lte.crs import CRS_SYMBOLS_IN_SLOT, crs_positions
 
 
 class ReKind(IntEnum):
@@ -100,24 +97,3 @@ class ResourceGrid:
         """Fill PDSCH data REs."""
         self.values[rows, cols] = values
         self.kinds[rows, cols] = ReKind.DATA
-
-    # -- structural queries -------------------------------------------------
-
-    def sync_symbol_rows(self):
-        """Frame-symbol rows carrying PSS or SSS (the tag must avoid these)."""
-        rows = []
-        for slot in PSS_SLOTS:
-            rows.append(symbol_index(slot, PSS_SYMBOL_IN_SLOT))
-        for slot in SSS_SLOTS:
-            rows.append(symbol_index(slot, SSS_SYMBOL_IN_SLOT))
-        return sorted(rows)
-
-    def crs_mask(self, cell_id):
-        """Boolean mask (same shape as values) of CRS positions."""
-        mask = np.zeros_like(self.kinds, dtype=bool)
-        for slot in range(SLOTS_PER_FRAME):
-            for sym in CRS_SYMBOLS_IN_SLOT:
-                row = symbol_index(slot, sym)
-                cols = crs_positions(sym, cell_id, self.params.n_rb)
-                mask[row, cols] = True
-        return mask

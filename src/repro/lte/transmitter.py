@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.lte.frame import CellConfig, FrameBuilder, LteFrame
+from repro.lte.frame import CellConfig, FrameBuilder
 from repro.lte.ofdm import modulate_frame
 from repro.lte.params import LteParams
 from repro.obs.trace import span
@@ -31,11 +31,6 @@ class LteCapture:
     @property
     def duration_seconds(self):
         return len(self.samples) / self.params.sample_rate_hz
-
-    def frame_samples(self, index):
-        """Slice the IQ samples of frame ``index``."""
-        n = self.params.samples_per_frame
-        return self.samples[index * n : (index + 1) * n]
 
 
 class LteTransmitter:

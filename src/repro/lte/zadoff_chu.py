@@ -34,15 +34,3 @@ def zadoff_chu(root, length):
     n = np.arange(length)
     return np.exp(-1j * np.pi * root * n * (n + 1) / length)
 
-
-def cyclic_autocorrelation(sequence):
-    """Normalised cyclic autocorrelation at every lag.
-
-    For an ideal Zadoff-Chu sequence the result is 1 at lag 0 and ~0
-    elsewhere.
-    """
-    sequence = np.asarray(sequence, dtype=complex)
-    n = len(sequence)
-    spectrum = np.fft.fft(sequence)
-    corr = np.fft.ifft(spectrum * np.conj(spectrum))
-    return np.abs(corr) / float(n)

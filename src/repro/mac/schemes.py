@@ -21,9 +21,6 @@ from repro.utils.rng import make_rng
 #: Power advantage (dB) at which the strongest colliding tag survives.
 CAPTURE_THRESHOLD_DB = 10.0
 
-#: Tag packets per second (2 half-frames x 10 slots per 10 ms).
-SLOTS_PER_SECOND = 2000.0
-
 
 @dataclass
 class ContentionReport:
@@ -41,9 +38,6 @@ class ContentionReport:
         """Successful packets per slot across all tags."""
         total = sum(self.per_tag_success.values())
         return total / self.slots if self.slots else 0.0
-
-    def per_tag_packets_per_second(self, name):
-        return self.per_tag_success[name] / self.slots * SLOTS_PER_SECOND
 
 
 class TdmaScheme:

@@ -9,7 +9,7 @@ substrate already covers the "does the ambient decode survive" question.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -8,7 +8,7 @@ modulation runs proportionally faster on NR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,10 +65,6 @@ class NrNumerology:
     @property
     def samples_per_frame(self):
         return self.slots_per_frame * self.samples_per_slot
-
-    @property
-    def basic_timing_unit_seconds(self):
-        return 1.0 / self.sample_rate_hz
 
     def subcarrier_indices(self):
         """FFT bins of the occupied subcarriers (DC unused), low first."""

@@ -66,16 +66,3 @@ def detect_nr_pss_sequence(observed):
         if metric > best[1]:
             best = (n_id_2, metric)
     return best
-
-
-def detect_nr_sss_sequence(observed, n_id_2):
-    """Identify N_ID^(1) from an observed SSS; returns (id, metric)."""
-    observed = np.asarray(observed, dtype=complex)
-    best = (-1, -np.inf)
-    for n_id_1 in range(336):
-        metric = float(
-            np.real(np.vdot(nr_sss(n_id_1, n_id_2).astype(complex), observed))
-        )
-        if metric > best[1]:
-            best = (n_id_1, metric)
-    return best

@@ -5,7 +5,7 @@ Two orthogonal, process-local facilities:
 * :mod:`repro.obs.trace` — hierarchical spans (``span("bsrx.phase_offset")``)
   with wall/CPU time, user attributes and merge-by-name aggregation, off by
   default with a strict no-op fast path;
-* :mod:`repro.obs.metrics` — counters/gauges/histograms plus pull-style
+* :mod:`repro.obs.metrics` — counters and gauges plus pull-style
   collectors (the sequence cache reports through one).
 
 :mod:`repro.obs.export` turns span trees into Chrome trace-event JSON
@@ -33,7 +33,6 @@ from repro.obs.metrics import (
     counters_snapshot,
     gauge_set,
     metrics_snapshot,
-    observe,
     register_collector,
     reset_metrics,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "counters_snapshot",
     "gauge_set",
     "metrics_snapshot",
-    "observe",
     "register_collector",
     "reset_metrics",
     "chrome_trace_events",

@@ -12,11 +12,10 @@ that were entered hundreds of times.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 
 from repro.obs.metrics import metrics_snapshot
 from repro.obs.trace import from_dict
+from repro.utils.integrity import write_json
 
 _ATTR_TYPES = (str, int, float, bool)
 
@@ -31,10 +30,10 @@ def _clean_attrs(attrs, extra=None):
     return out
 
 
-def _emit(node, pid, tid, base_offset, events):
+def _emit(node, pid, tid, events):
     if isinstance(node, dict):
         node = from_dict(node)
-    ts = (node.start_offset + base_offset) * 1e6
+    ts = node.start_offset * 1e6
     events.append(
         {
             "name": node.name,
@@ -50,10 +49,10 @@ def _emit(node, pid, tid, base_offset, events):
         }
     )
     for child in node.children.values():
-        _emit(child, pid, tid, base_offset, events)
+        _emit(child, pid, tid, events)
 
 
-def chrome_trace_events(roots, pid=1, tid=1, label=None, base_offset=0.0):
+def chrome_trace_events(roots, pid=1, tid=1, label=None):
     """Trace events for one span forest on one (pid, tid) track.
 
     ``label`` adds a thread-name metadata event so multi-track traces
@@ -71,7 +70,7 @@ def chrome_trace_events(roots, pid=1, tid=1, label=None, base_offset=0.0):
             }
         )
     for node in roots:
-        _emit(node, pid, tid, base_offset, events)
+        _emit(node, pid, tid, events)
     return events
 
 
@@ -98,36 +97,21 @@ def write_chrome_trace(path, roots=None, tracks=None):
     return len(events)
 
 
-def write_live_snapshot(path, extra=None, include_metrics=True):
+def write_live_snapshot(path, extra=None):
     """Atomically write a live metrics snapshot JSON; returns the path.
 
     Unlike the post-hoc exporters above, this is meant to be called
     repeatedly from a *running* process (the fleet service exports one
-    every N completed sessions): the payload is staged into a temp file
-    in the destination directory and ``os.replace``\\ d into place, so a
-    reader polling the path always sees a complete, parseable document —
-    never a half-written one.  ``extra`` keys merge on top of the
-    ``metrics`` section (:func:`repro.obs.metrics.metrics_snapshot`).
+    every N completed sessions), so it goes through
+    :func:`repro.utils.integrity.write_json`: a reader polling the path
+    always sees a complete, parseable document — never a half-written
+    one.  ``extra`` keys merge on top of the ``metrics`` section
+    (:func:`repro.obs.metrics.metrics_snapshot`).
     """
-    payload = {}
-    if include_metrics:
-        payload["metrics"] = metrics_snapshot()
+    payload = {"metrics": metrics_snapshot()}
     if extra:
         payload.update(extra)
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        prefix=".snapshot-", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return path
+    return write_json(path, payload)
 
 
 def format_span_tree(roots, indent=0):

@@ -1,4 +1,4 @@
-"""Process-local metrics registry: counters, gauges, histograms, collectors.
+"""Process-local metrics registry: counters, gauges and collectors.
 
 Push-style instruments for event counts the code observes as it runs
 (erasures, sync failures, fault activations, engine retries), plus
@@ -19,7 +19,6 @@ import threading
 _LOCK = threading.Lock()
 _counters = {}
 _gauges = {}
-_histograms = {}
 _collectors = {}
 
 
@@ -33,29 +32,6 @@ def gauge_set(name, value):
     """Set the gauge ``name`` to ``value`` (last write wins)."""
     with _LOCK:
         _gauges[name] = value
-
-
-def observe(name, value):
-    """Record one observation into the histogram ``name``.
-
-    Histograms keep count/sum/min/max — enough for mean and range without
-    a bucketing scheme to mis-pick.
-    """
-    value = float(value)
-    with _LOCK:
-        h = _histograms.get(name)
-        if h is None:
-            _histograms[name] = {
-                "count": 1,
-                "sum": value,
-                "min": value,
-                "max": value,
-            }
-        else:
-            h["count"] += 1
-            h["sum"] += value
-            h["min"] = min(h["min"], value)
-            h["max"] = max(h["max"], value)
 
 
 def register_collector(name, fn):
@@ -75,32 +51,26 @@ def counters_snapshot():
         return dict(_counters)
 
 
-def metrics_snapshot(include_collectors=True):
-    """Full snapshot: counters, gauges, histograms, collected values."""
+def metrics_snapshot():
+    """Full snapshot: counters, gauges and collected values."""
     with _LOCK:
-        out = {
-            "counters": dict(_counters),
-            "gauges": dict(_gauges),
-            "histograms": {name: dict(h) for name, h in _histograms.items()},
-        }
+        out = {"counters": dict(_counters), "gauges": dict(_gauges)}
         collectors = list(_collectors.items())
-    if include_collectors:
-        collected = {}
-        for name, fn in collectors:
-            try:
-                collected[name] = dict(fn())
-            except Exception as exc:  # a broken collector must not sink a run
-                collected[name] = {"error": f"{type(exc).__name__}: {exc}"}
-        out["collected"] = collected
+    collected = {}
+    for name, fn in collectors:
+        try:
+            collected[name] = dict(fn())
+        except Exception as exc:  # a broken collector must not sink a run
+            collected[name] = {"error": f"{type(exc).__name__}: {exc}"}
+    out["collected"] = collected
     return out
 
 
 def reset_metrics():
-    """Zero counters, gauges and histograms (collectors stay registered)."""
+    """Zero counters and gauges (collectors stay registered)."""
     with _LOCK:
         _counters.clear()
         _gauges.clear()
-        _histograms.clear()
 
 
 def counter_delta(before, after):

@@ -29,10 +29,7 @@ exercises the pool-swap path under load.
 
 from __future__ import annotations
 
-import json
-import os
 import resource
-import tempfile
 import time
 
 import numpy as np
@@ -42,6 +39,7 @@ from repro.campaign.spec import Shard
 from repro.fleet.deployment import Deployment
 from repro.fleet.runner import FleetRunner
 from repro.service.service import FleetService
+from repro.utils.integrity import write_json
 
 #: Bumped when the soak grid or row layout changes; stale checkpoints
 #: are re-run instead of merged.
@@ -214,21 +212,6 @@ def _aggregates(spec, shards, rows):
     }
 
 
-def _write_report(path, report):
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=".soak-", suffix=".tmp", dir=directory)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return path
-
-
 def run_soak(
     output,
     run_dir,
@@ -238,16 +221,14 @@ def run_soak(
     resume=False,
     snapshot_path=None,
     snapshot_every=8,
-    equivalence_cohorts=1,
     after_cohort=None,
 ):
     """Run (or resume) a soak; writes and returns the report dict.
 
     ``after_cohort(index)`` is a test hook invoked after each cohort is
     checkpointed — the kill-and-resume drill raises from it to die at a
-    chosen point.  ``equivalence_cohorts`` bounds how many cohorts are
-    re-run through the batch path for the bit-identity gate (every
-    checked cohort doubles its cost).
+    chosen point.  The first cohort is re-run through the batch path for
+    the bit-identity gate (every checked cohort doubles its cost).
     """
     shards = build_soak_shards(spec)
     store = CheckpointStore(run_dir)
@@ -299,15 +280,14 @@ def run_soak(
             )
         rows.append(row)
 
-    equivalence = []
-    for shard in shards[: max(0, int(equivalence_cohorts))]:
-        batch_row = run_cohort_batch(shard.params, shard.seed)
-        equivalence.append(
-            {
-                "shard_id": shard.shard_id,
-                "identical": batch_row == rows[shard.index],
-            }
-        )
+    equivalence = [
+        {
+            "shard_id": shard.shard_id,
+            "identical": run_cohort_batch(shard.params, shard.seed)
+            == rows[shard.index],
+        }
+        for shard in shards[:1]
+    ]
 
     latency = service.telemetry.stage_percentiles()
     queue_counters = service.queue.counters()
@@ -353,5 +333,5 @@ def run_soak(
         },
         "passed": all(e["identical"] for e in equivalence),
     }
-    _write_report(output, report)
+    write_json(output, report)
     return report

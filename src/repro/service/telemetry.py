@@ -72,11 +72,6 @@ class ServiceTelemetry:
                 and self._since_export >= self.snapshot_every
             )
 
-    @property
-    def sessions_recorded(self):
-        with self._lock:
-            return len(self._samples["session"])
-
     def stage_percentiles(self):
         """``{stage: {count, mean, p50, p99, max}}`` over every sample."""
         with self._lock:

@@ -2,7 +2,6 @@
 
 from repro.substrates.base import (
     Substrate,
-    SubstrateDemodResult,
     ambient_kind_for,
     available_substrates,
     get_substrate,
@@ -16,7 +15,6 @@ from repro.substrates.srs import SrsUplinkSubstrate, build_srs_capture
 
 __all__ = [
     "Substrate",
-    "SubstrateDemodResult",
     "ambient_kind_for",
     "available_substrates",
     "get_substrate",

@@ -29,10 +29,9 @@ mentions substrates stays bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from repro.bsrx.demodulator import BsDemodResult
 from repro.core.metrics import measure_link
 # iter_half_frames is re-exported: every substrate schedules through it.
 from repro.tag.controller import ChipSchedule, iter_half_frames  # noqa: F401
@@ -83,36 +82,8 @@ def ambient_kind_for(name):
 # -- shared helpers -----------------------------------------------------------
 
 
-@dataclass
-class SubstrateDemodResult:
-    """Demodulation output of the non-chip substrates.
-
-    Field-compatible with :class:`repro.bsrx.demodulator.BsDemodResult`
-    where the accounting layer (:func:`repro.core.metrics.measure_link`)
-    and the tracing spans look (``starts`` / ``window_bits`` /
-    ``window_erased`` / ``n_data_windows`` / ``n_erased_windows``), plus
-    per-window soft values for the coded mode's LLR stream.
-    """
-
-    bits: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int8))
-    soft: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    starts: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    window_bits: list = field(default_factory=list)
-    window_erased: list = field(default_factory=list)
-    window_soft: list = field(default_factory=list)
-    packets: list = field(default_factory=list)
-
-    @property
-    def n_data_windows(self):
-        return len(self.window_bits)
-
-    @property
-    def n_erased_windows(self):
-        return int(sum(bool(flag) for flag in self.window_erased))
-
-
 class _WindowSink:
-    """Accumulates per-window demod output into a result."""
+    """Accumulates per-window demod output into a :class:`BsDemodResult`."""
 
     def __init__(self):
         self.window_bits = []
@@ -135,13 +106,12 @@ class _WindowSink:
         else:
             bits = np.zeros(0, dtype=np.int8)
             soft = np.zeros(0)
-        return SubstrateDemodResult(
+        return BsDemodResult(
             bits=bits,
             soft=soft,
             starts=np.asarray(self.starts, dtype=np.int64),
             window_bits=self.window_bits,
             window_erased=self.window_erased,
-            window_soft=self.window_soft,
         )
 
 

@@ -230,7 +230,8 @@ class CodedPilotSubstrate(Substrate):
         n_info = len(info)
         out = BerBreakdown(n_windows=len(pairs))
         llrs = np.zeros(3 * n_info)
-        window_soft = getattr(demod, "window_soft", None)
+        # Every window this mode demodulates holds n_chips soft values.
+        window_soft = demod.soft.reshape(-1, self.n_chips)
         for j, (s_index, d_index) in enumerate(pairs):
             lo = j * self.n_chips
             n_positions = max(0, min(self.n_chips, 3 * n_info - lo))
@@ -242,15 +243,9 @@ class CodedPilotSubstrate(Substrate):
                 continue
             if n_positions == 0:
                 continue
-            soft = (
-                window_soft[d_index]
-                if window_soft is not None
-                else np.zeros(self.n_chips)
-            )
-            if len(soft) >= n_positions:
-                # Matched-filter soft > 0 means coded bit 1; the decoder
-                # wants positive LLRs for coded bit 0.
-                llrs[lo : lo + n_positions] = -soft[:n_positions]
+            # Matched-filter soft > 0 means coded bit 1; the decoder wants
+            # positive LLRs for coded bit 0.
+            llrs[lo : lo + n_positions] = -window_soft[d_index, :n_positions]
         if n_info:
             decoded = viterbi_decode(llrs, n_info)
             out.n_bits = n_info

@@ -26,15 +26,13 @@ verdicts, and ``passed`` only when every check held.
 
 from __future__ import annotations
 
-import json
-import os
-
 from repro.core.config import SystemConfig
 from repro.core.system import LScatterSystem
 from repro.experiments.gates import step_violation
 from repro.experiments.subgrid import DISTANCE_ARMS, base_config
 from repro.faults.plan import FaultPlan
 from repro.substrates.base import ambient_kind_for, available_substrates
+from repro.utils.integrity import write_json
 
 #: Close-range link check: any BER above this means the receiver broke.
 LINK_BER_CEILING = 0.05
@@ -146,12 +144,7 @@ def run_suite(output, smoke=False, seed=0, substrate=None):
         )
         if not all(c["passed"] for c in checks.values()):
             report["passed"] = False
-    directory = os.path.dirname(output)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(output, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(output, report)
     return report
 
 

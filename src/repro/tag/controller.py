@@ -22,12 +22,7 @@ import numpy as np
 
 from repro.lte.params import LteParams
 from repro.lte.sss import SSS_SYMBOL_IN_SLOT
-from repro.tag.framing import (
-    SLOTS_PER_HALF_FRAME,
-    packetize,
-    preamble_bits,
-    slot_plan,
-)
+from repro.tag.framing import packetize, preamble_bits, slot_plan
 from repro.tag.sync_circuit import COMPARATOR_DELAY_SECONDS
 from repro.utils.rng import make_rng
 
@@ -64,12 +59,6 @@ class ChipSchedule:
     windows: list = field(default_factory=list)
     payload_bits: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int8))
     n_half_frames: int = 0  # half-frames actually scheduled
-
-    @property
-    def data_bit_count(self):
-        return int(
-            sum(w.n_chips for w in self.windows if w.kind == "data")
-        )
 
 
 def iter_half_frames(

@@ -20,6 +20,9 @@ from repro.utils.dsp import rc_alpha, rc_lowpass
 #: PSS occupied bandwidth — what the matching network is tuned to.
 PSS_BANDWIDTH_HZ = 0.93e6
 
+#: Length of the matching network's FIR band-pass (taps).
+MATCHING_FILTER_TAPS = 129
+
 
 @dataclass
 class EnvelopeTrace:
@@ -47,7 +50,6 @@ class EnvelopeDetector:
         sample_rate_hz,
         matching_bandwidth_hz=PSS_BANDWIDTH_HZ,
         tau_seconds=25e-6,
-        n_filter_taps=129,
     ):
         self.sample_rate_hz = float(sample_rate_hz)
         self.matching_bandwidth_hz = float(matching_bandwidth_hz)
@@ -59,7 +61,7 @@ class EnvelopeDetector:
         else:
             cutoff = self.matching_bandwidth_hz / 2.0
             self._taps = firwin(
-                int(n_filter_taps), cutoff, fs=self.sample_rate_hz
+                MATCHING_FILTER_TAPS, cutoff, fs=self.sample_rate_hz
             ).astype(float)
 
     def detect(self, samples):

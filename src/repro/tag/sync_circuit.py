@@ -11,11 +11,11 @@ errors of paper Fig. 31.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.tag.envelope import EnvelopeDetector, EnvelopeTrace
+from repro.tag.envelope import EnvelopeDetector
 from repro.utils.dsp import rc_alpha, rc_lowpass
 from repro.utils.rng import make_rng
 

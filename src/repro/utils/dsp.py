@@ -9,40 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def normalized_correlation(signal, template):
-    """Sliding normalised cross-correlation of ``template`` over ``signal``.
-
-    Returns a real array of length ``len(signal) - len(template) + 1`` whose
-    values lie in [0, 1]; 1.0 means a perfect (scaled/rotated) match.  Used
-    by cell search and WiFi preamble detection.
-    """
-    signal = np.asarray(signal, dtype=complex)
-    template = np.asarray(template, dtype=complex)
-    n = len(template)
-    if len(signal) < n:
-        raise ValueError("signal shorter than template")
-    # Cross-correlation via FFT-free sliding dot product; n is small enough
-    # (<= a few thousand samples) that a strided approach is fine.
-    corr = np.correlate(signal, template, mode="valid")
-    # Rolling energy of the signal under the template window.
-    power = np.abs(signal) ** 2
-    window_energy = np.convolve(power, np.ones(n), mode="valid")
-    template_energy = float(np.sum(np.abs(template) ** 2))
-    denom = np.sqrt(window_energy * template_energy)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(denom > 0, np.abs(corr) / denom, 0.0)
-    return out
-
-
-def moving_average(x, window):
-    """Simple moving average with edge truncation (same length as input)."""
-    x = np.asarray(x, dtype=float)
-    if window <= 1:
-        return x.copy()
-    kernel = np.ones(int(window)) / float(window)
-    return np.convolve(x, kernel, mode="same")
-
-
 def rc_lowpass(x, alpha):
     """First-order RC low-pass filter: ``y[n] = y[n-1] + alpha (x[n] - y[n-1])``.
 
@@ -62,14 +28,6 @@ def rc_alpha(tau_seconds, sample_rate_hz):
     """Convert an RC time constant to the discrete filter coefficient."""
     dt = 1.0 / float(sample_rate_hz)
     return dt / (float(tau_seconds) + dt)
-
-
-def frequency_shift(samples, shift_hz, sample_rate_hz, initial_phase=0.0):
-    """Mix ``samples`` by ``shift_hz`` (complex exponential multiply)."""
-    samples = np.asarray(samples, dtype=complex)
-    n = np.arange(len(samples))
-    mixer = np.exp(1j * (2.0 * np.pi * shift_hz * n / sample_rate_hz + initial_phase))
-    return samples * mixer
 
 
 def awgn(samples, snr_db, rng):

@@ -9,7 +9,6 @@ from repro.wifi.params import (
     FFT_SIZE,
     GI_SAMPLES,
     PILOT_BINS,
-    pilot_polarity,
 )
 
 #: Short-training-field frequency pattern (bins -26..26, every 4th).

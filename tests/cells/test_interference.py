@@ -40,17 +40,10 @@ def test_relative_amplitude_negative_near_serving_site(topo):
     assert rel < 0  # the neighbour is much farther than the serving cell
 
 
-def test_recipes_sorted_by_cell_id_and_capped_by_strength(topo, ambients):
+def test_recipes_sorted_by_cell_id(topo, ambients):
     serving = topo.site(0)
     recipes = neighbour_recipes(topo, serving, 5.0, 0.0, ambients)
     assert [r.cell_id for r in recipes] == [1, 2, 3, 4, 5, 6]
-    # Strongest-2 cap keeps the two nearest cells (still id-sorted).
-    capped = neighbour_recipes(
-        topo, serving, 95.0, 0.0, ambients, max_interferers=2
-    )
-    assert len(capped) == 2
-    assert capped == sorted(capped, key=lambda r: r.cell_id)
-    assert 1 in [r.cell_id for r in capped]  # cell 1 sits at (100, 0)
 
 
 def test_serving_only_returns_clean_stage(topo, ambients):

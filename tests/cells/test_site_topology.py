@@ -28,6 +28,12 @@ def test_site_validation_messages_are_actionable():
         CellSite(cell_id=0, x_ft=0.0, y_ft=0.0, pdsch_load=1.5)
 
 
+@pytest.mark.parametrize("cell_id", [2.5, "7", float("nan"), -1, 504])
+def test_site_cell_id_must_be_a_whole_identity(cell_id):
+    with pytest.raises(ValueError, match="cell_id"):
+        CellSite(cell_id=cell_id, x_ft=0.0, y_ft=0.0)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -50,6 +56,20 @@ def test_layout_pitch_must_be_finite_and_positive(pitch):
         Topology.hex_cluster(inter_site_ft=pitch, rings=1)
     with pytest.raises(ValueError, match="spacing_ft must be a finite number > 0"):
         Topology.grid(1, 2, spacing_ft=pitch)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("carrier_hz", float("nan")),
+        ("carrier_hz", 0.0),
+        ("carrier_hz", -1.0),
+        ("venue", "nowhere"),
+    ],
+)
+def test_topology_checks_venue_and_carrier_at_construction(field, value):
+    with pytest.raises(ValueError, match=field):
+        Topology.hex_cluster(rings=1, **{field: value})
 
 
 def test_hex_cluster_seven_cells_one_ring():

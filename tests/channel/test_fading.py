@@ -37,7 +37,7 @@ def test_flat_channel_identity():
 
 def test_apply_preserves_length():
     rng = make_rng(2)
-    channel = FadingChannel.rayleigh(n_taps=5, rng=rng)
+    channel = FadingChannel.rician(n_taps=5, rng=rng)
     x = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
     assert len(channel.apply(x)) == 1000
 
@@ -48,11 +48,6 @@ def test_apply_is_fir_filtering():
     x = np.array([1.0, 0.0, 0.0], dtype=complex)
     out = channel.apply(x)
     assert np.allclose(out, [1.0, 0.5j, 0.0])
-
-
-def test_flat_gain_is_tap_sum():
-    channel = FadingChannel(taps=np.array([0.6, 0.3 + 0.1j]))
-    assert channel.flat_gain == pytest.approx(0.9 + 0.1j)
 
 
 def test_need_at_least_one_tap():

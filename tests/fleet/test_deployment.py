@@ -12,14 +12,6 @@ def test_ring_layout_deterministic():
     assert [t.enb_to_tag_ft for t in a.tags] == [t.enb_to_tag_ft for t in b.tags]
 
 
-def test_uniform_random_deterministic_under_seed():
-    a = Deployment.uniform_random(5, rng=7)
-    b = Deployment.uniform_random(5, rng=7)
-    c = Deployment.uniform_random(5, rng=8)
-    assert [t.enb_to_tag_ft for t in a.tags] == [t.enb_to_tag_ft for t in b.tags]
-    assert [t.enb_to_tag_ft for t in a.tags] != [t.enb_to_tag_ft for t in c.tags]
-
-
 def test_config_for_carries_geometry_and_shared_knobs():
     deployment = Deployment.ring(
         2, bandwidth_mhz=1.4, n_frames=3, venue="shopping_mall"

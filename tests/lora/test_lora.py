@@ -20,7 +20,6 @@ from repro.utils.rng import make_rng
 def test_params_basic():
     params = LoraParams(spreading_factor=7, bandwidth_hz=125e3)
     assert params.n_chips == 128
-    assert params.symbol_seconds == pytest.approx(1.024e-3)
     assert params.bits_per_symbol == 7
 
 

@@ -9,6 +9,8 @@ a shift register built from the 36.212 generators alone, and the Viterbi
 decoder is the original 64-state ``argmax`` trellis, batched over
 equal-length blocks, with its tables rebuilt here from the same
 generators.  None of them shares a table with the package.
+The single-symbol OFDM pair and the Zadoff-Chu cyclic autocorrelation
+are the textbook FFT forms that the OFDM and PSS property tests use.
 They exist only to be compared against, so they live with the tests.
 Do not "optimise" them: their value is that they are obviously the
 textbook algorithm.
@@ -81,6 +83,42 @@ def demodulate_frame_loop(params, samples):
             out[row] = bins[_loop_subcarrier_indices(params)]
             offset += length
     return out
+
+
+def modulate_symbol(params, subcarrier_values, symbol_in_slot):
+    """IFFT one symbol's subcarriers and prepend its cyclic prefix."""
+    bins = np.zeros(params.fft_size, dtype=complex)
+    bins[params.subcarrier_indices()] = subcarrier_values
+    useful = np.fft.ifft(bins) * np.sqrt(params.fft_size)
+    cp = params.cp_length(symbol_in_slot)
+    return np.concatenate([useful[-cp:], useful])
+
+
+def demodulate_symbol(params, samples, symbol_in_slot):
+    """FFT one symbol back to its subcarrier values.
+
+    ``samples`` must contain the full CP + useful symbol.
+    """
+    cp = params.cp_length(symbol_in_slot)
+    expected = cp + params.fft_size
+    if len(samples) != expected:
+        raise ValueError(f"expected {expected} samples, got {len(samples)}")
+    useful = samples[cp:]
+    bins = np.fft.fft(useful) / np.sqrt(params.fft_size)
+    return bins[params.subcarrier_indices()]
+
+
+def cyclic_autocorrelation(sequence):
+    """Normalised cyclic autocorrelation at every lag.
+
+    For an ideal Zadoff-Chu sequence the result is 1 at lag 0 and ~0
+    elsewhere.
+    """
+    sequence = np.asarray(sequence, dtype=complex)
+    n = len(sequence)
+    spectrum = np.fft.fft(sequence)
+    corr = np.fft.ifft(spectrum * np.conj(spectrum))
+    return np.abs(corr) / float(n)
 
 
 def estimate_cfo_loop(samples, params, max_symbols=140):

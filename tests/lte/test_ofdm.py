@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 
 from repro.lte.frame import FrameBuilder
-from repro.lte.ofdm import (
-    demodulate_frame,
-    demodulate_symbol,
-    modulate_frame,
-    modulate_symbol,
-    useful_sample_grid,
-)
+from repro.lte.ofdm import demodulate_frame, modulate_frame
 from repro.lte.params import LteParams
 from repro.utils.rng import make_rng
+
+from tests.lte.oracles import demodulate_symbol, modulate_symbol
 
 
 @pytest.fixture
@@ -62,15 +58,6 @@ def test_demodulate_wrong_length_raises(params):
         demodulate_symbol(params, np.zeros(10, complex), 0)
     with pytest.raises(ValueError):
         demodulate_frame(params, np.zeros(100, complex))
-
-
-def test_useful_sample_grid_consistent(params):
-    starts, lengths = useful_sample_grid(params)
-    assert len(starts) == 140
-    assert np.all(lengths == params.fft_size)
-    assert starts[0] == params.cp_first
-    # Row 7 is slot 1 symbol 0.
-    assert starts[7] == params.symbol_start(1, 0) + params.cp_first
 
 
 def test_timing_shift_rotates_phase_only(params):

@@ -14,7 +14,12 @@ from repro.lte.params import LteParams, SLOTS_PER_FRAME, SYMBOLS_PER_SLOT
 from repro.lte.resource_grid import ResourceGrid, SYMBOLS_PER_FRAME
 from repro.utils.rng import make_rng
 
-from tests.lte.oracles import demodulate_frame_loop, modulate_frame_loop
+from tests.lte.oracles import (
+    demodulate_frame_loop,
+    demodulate_symbol,
+    modulate_frame_loop,
+    modulate_symbol,
+)
 
 BANDWIDTHS = (1.4, 5.0, 20.0)
 
@@ -67,10 +72,10 @@ def test_symbol_and_frame_paths_agree(bandwidth):
         slot, sym = divmod(row, SYMBOLS_PER_SLOT)
         start = int(layout.starts[row])
         length = int(layout.lengths[row])
-        piece = ofdm.modulate_symbol(params, grid.values[row], sym)
+        piece = modulate_symbol(params, grid.values[row], sym)
         assert np.array_equal(frame[start : start + length], piece)
         assert np.array_equal(
-            ofdm.demodulate_symbol(params, frame[start : start + length], sym),
+            demodulate_symbol(params, frame[start : start + length], sym),
             ofdm.demodulate_frame(params, frame)[row],
         )
 
@@ -107,14 +112,3 @@ def test_frame_layout_is_cached_and_read_only():
     assert not a.starts.flags.writeable
     with pytest.raises(ValueError):
         a.starts[0] = 1
-
-
-def test_useful_sample_grid_matches_layout():
-    params = LteParams.from_bandwidth(1.4)
-    starts, lengths = ofdm.useful_sample_grid(params)
-    layout = ofdm.frame_layout(params)
-    assert np.array_equal(starts, layout.useful_starts)
-    assert np.all(lengths == params.fft_size)
-    # The returned starts are a private copy, not the cached array.
-    starts[0] = -1
-    assert ofdm.frame_layout(params).useful_starts[0] == layout.useful_starts[0]

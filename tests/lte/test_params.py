@@ -97,11 +97,10 @@ def test_subcarrier_indices_avoid_dc():
 
 def test_basic_timing_unit_is_one_sample():
     params = LteParams.from_bandwidth(20.0)
-    # Paper: Ts = 66.7us / K.
-    assert params.basic_timing_unit_seconds == pytest.approx(
+    # Paper: Ts = 66.7us / K, one sample at the carrier's sample rate.
+    assert 1.0 / params.sample_rate_hz == pytest.approx(
         USEFUL_SYMBOL_SECONDS / params.fft_size
     )
-    assert params.shift_hz == params.sample_rate_hz
 
 
 def test_out_of_range_indices_raise():

@@ -59,15 +59,3 @@ def test_mark_data(grid):
     grid.mark_data(rows, cols, np.array([1 + 1j, 2 + 2j]))
     assert grid.kinds[5, 1] == ReKind.DATA
     assert grid.values[5, 2] == 2 + 2j
-
-
-def test_sync_symbol_rows(grid):
-    rows = grid.sync_symbol_rows()
-    # SSS at (0,5),(10,5); PSS at (0,6),(10,6).
-    assert rows == [5, 6, 75, 76]
-
-
-def test_crs_mask_density(grid):
-    mask = grid.crs_mask(cell_id=7)
-    # 2 CRS symbols per slot x 20 slots, 2 pilots per RB each.
-    assert mask.sum() == 40 * 2 * 6

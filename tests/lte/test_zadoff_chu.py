@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.lte.zadoff_chu import cyclic_autocorrelation, zadoff_chu
+from repro.lte.zadoff_chu import zadoff_chu
+
+from tests.lte.oracles import cyclic_autocorrelation
 
 
 @pytest.mark.parametrize("root", [25, 29, 34])

@@ -12,7 +12,6 @@ from repro.nr import (
     nr_pss,
     nr_sss,
 )
-from repro.nr.sync import detect_nr_sss_sequence
 
 
 def test_numerology_scaling():
@@ -52,20 +51,6 @@ def test_pss_values_and_detection():
 def test_pss_cross_correlation_low():
     a, b = nr_pss(0), nr_pss(1)
     assert abs(np.dot(a, b)) / 127 < 0.3
-
-
-def test_sss_detection_roundtrip():
-    for nid1 in (0, 123, 335):
-        got, _ = detect_nr_sss_sequence(nr_sss(nid1, 2).astype(complex), 2)
-        assert got == nid1
-
-
-def test_sss_detection_with_noise():
-    rng = np.random.default_rng(0)
-    observed = nr_sss(200, 0).astype(complex)
-    observed += 0.4 * (rng.standard_normal(127) + 1j * rng.standard_normal(127))
-    got, _ = detect_nr_sss_sequence(observed, 0)
-    assert got == 200
 
 
 def test_frame_builder_shapes():

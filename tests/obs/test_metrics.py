@@ -24,13 +24,6 @@ def test_gauge_last_write_wins():
     assert metrics.metrics_snapshot()["gauges"]["level"] == 2.5
 
 
-def test_histogram_tracks_count_sum_min_max():
-    for v in (3.0, 1.0, 2.0):
-        metrics.observe("lat", v)
-    h = metrics.metrics_snapshot()["histograms"]["lat"]
-    assert h == {"count": 3, "sum": 6.0, "min": 1.0, "max": 3.0}
-
-
 def test_collector_runs_at_snapshot_time():
     calls = []
 
@@ -42,8 +35,6 @@ def test_collector_runs_at_snapshot_time():
     assert not calls  # pull-style: nothing until a snapshot asks
     snap = metrics.metrics_snapshot()
     assert snap["collected"]["test.collector"] == {"value": 42}
-    assert len(calls) == 1
-    metrics.metrics_snapshot(include_collectors=False)
     assert len(calls) == 1
 
 

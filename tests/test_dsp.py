@@ -8,36 +8,11 @@ from repro.utils.dsp import (
     awgn,
     bit_errors,
     bits_to_int,
-    frequency_shift,
     int_to_bits,
-    moving_average,
-    normalized_correlation,
     rc_alpha,
     rc_lowpass,
 )
 from repro.utils.rng import make_rng
-
-
-def test_normalized_correlation_perfect_match():
-    rng = make_rng(0)
-    template = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    signal = np.concatenate([np.zeros(30, complex), template, np.zeros(30, complex)])
-    corr = normalized_correlation(signal, template)
-    assert int(np.argmax(corr)) == 30
-    assert corr[30] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_normalized_correlation_scale_invariant():
-    rng = make_rng(1)
-    template = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    signal = np.concatenate([np.zeros(10, complex), 5.0 * template * np.exp(1j)])
-    corr = normalized_correlation(signal, template)
-    assert corr[10] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_normalized_correlation_rejects_short_signal():
-    with pytest.raises(ValueError):
-        normalized_correlation(np.zeros(3, complex), np.zeros(10, complex))
 
 
 def test_rc_lowpass_converges_to_step():
@@ -68,21 +43,6 @@ def test_awgn_hits_target_snr():
     noise = noisy - signal
     snr = 10 * np.log10(np.mean(np.abs(signal) ** 2) / np.mean(np.abs(noise) ** 2))
     assert snr == pytest.approx(10.0, abs=0.1)
-
-
-def test_frequency_shift_moves_tone():
-    fs = 1000.0
-    n = np.arange(1000)
-    tone = np.exp(1j * 2 * np.pi * 100 * n / fs)
-    shifted = frequency_shift(tone, 50.0, fs)
-    spectrum = np.abs(np.fft.fft(shifted))
-    assert int(np.argmax(spectrum)) == 150
-
-
-def test_moving_average_flat_interior():
-    # Edges taper (zero padding); the interior of a flat input stays flat.
-    out = moving_average(np.ones(50), 7)
-    assert np.allclose(out[4:-4], 1.0)
 
 
 @given(st.integers(min_value=0, max_value=2**20 - 1))
