@@ -6,8 +6,8 @@ campaign-capable registry experiment into a deterministic shard grid that
 executes through the fleet's :class:`~repro.fleet.engine.ParallelRunEngine`,
 checkpoints every completed shard (JSON + CRC-32) into a run directory,
 skips verified checkpoints on ``--resume``, and aggregates the full grid
-back into the exact :class:`ExperimentResult` the monolithic experiment
-produces.
+back into the exact :class:`ExperimentResult` that ``run_experiment``
+produces from the same grid.
 
 Entry point: ``repro campaign <experiment> [--shards N --shard-index I
 --resume]``; the sharding interface is what CI uses to split a sweep
@@ -15,7 +15,6 @@ across matrix jobs.  See DESIGN.md §13.
 """
 
 from repro.campaign.checkpoint import CheckpointStore, canonical_crc
-from repro.campaign.registry import CampaignDef, campaign_capable, get_campaign
 from repro.campaign.runner import (
     CampaignReport,
     CampaignRunner,
@@ -27,6 +26,11 @@ from repro.campaign.spec import (
     Shard,
     build_shards,
     select_shards,
+)
+from repro.experiments.registry import (
+    CampaignDef,
+    campaign_capable,
+    get_campaign,
 )
 
 __all__ = [

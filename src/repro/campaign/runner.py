@@ -15,7 +15,7 @@ The runner glues the campaign substrates together:
    hook, so a campaign killed mid-flight keeps everything it finished;
 4. a per-job manifest records shard statuses, and when every shard of
    the *full* grid has a verified checkpoint the rows are aggregated, in
-   grid order, into the exact result the monolithic experiment produces.
+   grid order, into the exact result ``run_experiment`` produces.
 
 IQ-level points executed inside long-lived workers share eNodeB captures
 through :func:`repro.fleet.ambient.process_cache`.
@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.campaign.checkpoint import CheckpointStore
-from repro.campaign.registry import get_campaign
+from repro.experiments.registry import get_campaign
 from repro.campaign.spec import build_shards, select_shards
 from repro.fleet.engine import ParallelRunEngine, TaskFailure
 from repro.obs import metrics as obs_metrics

@@ -3,12 +3,12 @@
 A :class:`CampaignSpec` names a registry experiment plus the knobs that
 shape its parameter grid (seed, smoke mode).  :func:`build_shards`
 expands the spec into the full ordered list of :class:`Shard`\\ s — one
-per grid point, each carrying its JSON-safe parameter dict and its own
+per grid point, each carrying its JSON-safe parameter dict and the spec
 seed — and :func:`select_shards` picks the round-robin subset a single
 job (a CI matrix entry, a crashed-and-resumed rerun) is responsible for.
 
 Determinism contract: the same spec always produces the same shards in
-the same order with the same seeds, independent of how they are later
+the same order with the same seed, independent of how they are later
 partitioned or executed.  Everything downstream (checkpoint identity,
 resume, sharded-vs-monolithic equality) leans on this.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.campaign.registry import get_campaign
+from repro.experiments.registry import get_campaign
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class CampaignSpec:
 
 @dataclass
 class Shard:
-    """One seeded grid point of a campaign."""
+    """One grid point of a campaign; every shard takes the spec seed."""
 
     #: Position in the full grid (stable across any partitioning).
     index: int
@@ -49,21 +49,16 @@ def build_shards(spec):
     definition = get_campaign(spec.experiment)
     points = definition.points(seed=spec.seed, smoke=spec.smoke)
     prefix = f"{spec.experiment}{'-smoke' if spec.smoke else ''}"
-    shards = []
-    for index, params in enumerate(points):
-        params = dict(params)
-        # A grid may pin per-point seeds; the spec seed is the default.
-        seed = int(params.pop("seed", spec.seed))
-        shards.append(
-            Shard(
-                index=index,
-                shard_id=f"{prefix}-{index:04d}",
-                experiment=spec.experiment,
-                params=params,
-                seed=seed,
-            )
+    return [
+        Shard(
+            index=index,
+            shard_id=f"{prefix}-{index:04d}",
+            experiment=spec.experiment,
+            params=dict(params),
+            seed=spec.seed,
         )
-    return shards
+        for index, params in enumerate(points)
+    ]
 
 
 def select_shards(shards, n_shards, shard_index):

@@ -16,24 +16,18 @@ import numpy as np
 from repro.utils.rng import make_rng
 
 
-def venue_k_factor_db(venue, distance_ft, nlos=False):
+def venue_k_factor_db(venue, distance_ft):
     """Rician K factor (dB) for a hop of ``distance_ft`` in a venue.
 
     Short hops are dominated by the direct path: at sample-level chip
     rates, excess-delay taps need metres of extra path, which carry very
     little energy when the endpoints are feet apart.  K shrinks with
-    distance faster indoors than outdoors; NLoS knocks a further 12 dB off.
+    distance faster indoors than outdoors.
     """
     distance_ft = float(distance_ft)
     if venue.startswith("outdoor"):
-        k_db = 30.0 - 0.12 * distance_ft
-        k_db = float(np.clip(k_db, 10.0, 30.0))
-    else:
-        k_db = 32.0 - 1.3 * distance_ft
-        k_db = float(np.clip(k_db, 3.0, 30.0))
-    if nlos:
-        k_db -= 12.0
-    return k_db
+        return float(np.clip(30.0 - 0.12 * distance_ft, 10.0, 30.0))
+    return float(np.clip(32.0 - 1.3 * distance_ft, 3.0, 30.0))
 
 
 def scatter_fraction(k_db):
@@ -41,7 +35,7 @@ def scatter_fraction(k_db):
     return 1.0 / (1.0 + 10.0 ** (float(k_db) / 10.0))
 
 
-def tdl_taps(n_taps, decay_db_per_tap, rician_k_db=None, rng=None):
+def tdl_taps(n_taps, decay_db_per_tap, rician_k_db, rng=None):
     """Draw complex tap gains for an exponential power-delay profile.
 
     Total *mean* power is normalised to 1 so fading does not change the
@@ -55,13 +49,9 @@ def tdl_taps(n_taps, decay_db_per_tap, rician_k_db=None, rng=None):
         raise ValueError("need at least one tap")
     profile = 10.0 ** (-decay_db_per_tap * np.arange(n_taps) / 10.0)
     profile /= profile.sum()
-    if rician_k_db is None:
-        scatter_total = 1.0
-        los = 0.0
-    else:
-        k = 10.0 ** (rician_k_db / 10.0)
-        scatter_total = 1.0 / (k + 1.0)
-        los = np.sqrt(k / (k + 1.0))
+    k = 10.0 ** (rician_k_db / 10.0)
+    scatter_total = 1.0 / (k + 1.0)
+    los = np.sqrt(k / (k + 1.0))
     scatter_powers = profile * scatter_total
     taps = np.sqrt(scatter_powers / 2.0) * (
         rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps)

@@ -165,6 +165,13 @@ def _cmd_trace(args):
     error = _refuse_overwrite(args.output, args.force)
     if error is not None:
         return error
+    if args.id:
+        from repro.experiments.registry import resolve_module
+
+        try:
+            resolve_module(args.id)
+        except KeyError as exc:
+            return _fail_usage(exc.args[0])
     from repro.obs import metrics as obs_metrics
     from repro.obs import trace as obs_trace
     from repro.obs.export import format_span_tree, write_chrome_trace

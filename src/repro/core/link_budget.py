@@ -92,7 +92,7 @@ class LScatterLinkModel:
             enb_to_tag_ft, tag_to_ue_ft, self.params.sample_rate_hz, rng
         )
 
-    def _self_interference(self, enb_to_tag_ft, tag_to_ue_ft, nlos=False):
+    def _self_interference(self, enb_to_tag_ft, tag_to_ue_ft):
         """Scatter fraction of the *shorter* (un-equalised) hop.
 
         The dual-model receiver fully equalises the longer hop's
@@ -101,18 +101,18 @@ class LScatterLinkModel:
         residual behaves as interference at SIR = 1 / scatter.
         """
         shorter = min(float(enb_to_tag_ft), float(tag_to_ue_ft))
-        k_db = venue_k_factor_db(self.budget.venue, shorter, nlos)
+        k_db = venue_k_factor_db(self.budget.venue, shorter)
         return scatter_fraction(k_db)
 
-    def sinr_linear(self, enb_to_tag_ft, tag_to_ue_ft, nlos=False, rng=None):
+    def sinr_linear(self, enb_to_tag_ft, tag_to_ue_ft, rng=None):
         """Effective chip SINR: thermal noise plus multipath residual."""
         snr = 10.0 ** (self.snr_db(enb_to_tag_ft, tag_to_ue_ft, rng) / 10.0)
-        interference = self._self_interference(enb_to_tag_ft, tag_to_ue_ft, nlos)
+        interference = self._self_interference(enb_to_tag_ft, tag_to_ue_ft)
         return 1.0 / (1.0 / max(snr, 1e-12) + interference)
 
-    def ber(self, enb_to_tag_ft, tag_to_ue_ft, nlos=False, rng=None):
+    def ber(self, enb_to_tag_ft, tag_to_ue_ft, rng=None):
         """Chip error rate for one geometry."""
-        sinr = self.sinr_linear(enb_to_tag_ft, tag_to_ue_ft, nlos, rng)
+        sinr = self.sinr_linear(enb_to_tag_ft, tag_to_ue_ft, rng)
         raw = rayleigh_bpsk_ber(sinr)
         return float(np.clip(raw + self.ber_floor, 0.0, 0.5))
 
@@ -134,10 +134,10 @@ class LScatterLinkModel:
         margin = self.tag_incident_dbm(enb_to_tag_ft) - TAG_SENSITIVITY_DBM
         return float(norm.cdf(margin / sigma))
 
-    def predict(self, enb_to_tag_ft, tag_to_ue_ft, nlos=False, rng=None):
+    def predict(self, enb_to_tag_ft, tag_to_ue_ft, rng=None):
         """Full prediction for one geometry."""
         snr_db = self.snr_db(enb_to_tag_ft, tag_to_ue_ft, rng)
-        sinr = self.sinr_linear(enb_to_tag_ft, tag_to_ue_ft, nlos, rng)
+        sinr = self.sinr_linear(enb_to_tag_ft, tag_to_ue_ft, rng)
         ber = float(np.clip(rayleigh_bpsk_ber(sinr) + self.ber_floor, 0.0, 0.5))
         return LinkPrediction(
             snr_db=float(snr_db),

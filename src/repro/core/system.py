@@ -169,7 +169,7 @@ class LScatterSystem:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _fading(self, rng, distance_ft, nlos=False):
+    def _fading(self, rng, distance_ft):
         """Small-scale fading for one hop.
 
         The Rician K factor grows as the hop shrinks — a tag a few feet
@@ -179,7 +179,7 @@ class LScatterSystem:
         """
         if not self.config.multipath:
             return FadingChannel.flat()
-        k_db = venue_k_factor_db(self.config.venue, distance_ft, nlos)
+        k_db = venue_k_factor_db(self.config.venue, distance_ft)
         n_taps = 2 if self.config.venue == "outdoor" else 3
         return FadingChannel.rician(
             k_db=k_db, n_taps=n_taps, decay_db_per_tap=5.0, rng=rng

@@ -1,16 +1,17 @@
 """Experiment harness: one module per table/figure of the paper.
 
-Every module exposes ``run(seed=0, **kwargs) -> ExperimentResult`` whose
-rows are the series the paper plots; the registry maps experiment ids
-("fig16", "table1", ...) to those callables.  ``python -m
+The registry maps experiment ids ("fig16", "table1", ...) to their
+modules.  A sweep module exposes the campaign protocol
+(``campaign_points`` / ``run_point`` / ``aggregate``), which both
+:func:`run_experiment` and :mod:`repro.campaign` run; every other module
+exposes ``run(seed=0, **kwargs) -> ExperimentResult``.  ``python -m
 repro.experiments <id>`` prints any experiment as a table.
 """
 
 from repro.experiments.registry import (
     ExperimentResult,
     REGISTRY,
-    get_experiment,
     run_experiment,
 )
 
-__all__ = ["ExperimentResult", "REGISTRY", "get_experiment", "run_experiment"]
+__all__ = ["ExperimentResult", "REGISTRY", "run_experiment"]

@@ -5,7 +5,17 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.experiments.registry import REGISTRY, run_experiment
+from repro.experiments.registry import (
+    REGISTRY,
+    experiment_keywords,
+    run_experiment,
+)
+
+
+def _fail_usage(message):
+    """One-line argument error; exit code 2 like argparse."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    return 2
 
 
 def main(argv=None):
@@ -32,25 +42,23 @@ def main(argv=None):
             print(f"{key:8s} {REGISTRY[key][1]}")
         return 0
 
+    try:
+        keywords = experiment_keywords(args.experiment)
+    except KeyError as exc:
+        return _fail_usage(exc.args[0])
     kwargs = {}
     if args.substrate is not None:
-        import inspect
+        from repro.substrates import get_substrate
 
-        from repro.experiments.registry import get_experiment
-
-        try:
-            run_fn = get_experiment(args.experiment)
-        except KeyError:
-            run_fn = None
-        if run_fn is not None and "substrate" not in inspect.signature(
-            run_fn
-        ).parameters:
-            print(
-                f"repro: error: experiment {args.experiment!r} does not "
-                "take a --substrate filter",
-                file=sys.stderr,
+        if "substrate" not in keywords:
+            return _fail_usage(
+                f"experiment {args.experiment!r} does not take a "
+                "--substrate filter"
             )
-            return 2
+        try:
+            get_substrate(args.substrate)
+        except KeyError as exc:
+            return _fail_usage(exc.args[0])
         kwargs["substrate"] = args.substrate
     result = run_experiment(args.experiment, seed=args.seed, **kwargs)
     print(f"# {result.name}: {result.description}")

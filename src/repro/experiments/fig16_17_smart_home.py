@@ -58,20 +58,3 @@ def aggregate_fig17(rows, seed=0):
         rows=occupancy_rows(rows),
         notes="LTE stays at 1.0 through the night; WiFi peaks in the evening.",
     )
-
-
-def _rows(seed):
-    return [run_point(p, seed) for p in campaign_points(seed=seed)]
-
-
-def run_fig16(seed=0):
-    """Throughput box-plot series: WiFi backscatter vs LScatter."""
-    return aggregate_fig16(_rows(seed), seed=seed)
-
-
-def run_fig17(seed=0):
-    """Traffic occupancy ratio of WiFi and LTE over the same day."""
-    return aggregate_fig17(_rows(seed), seed=seed)
-
-
-run = run_fig16

@@ -5,20 +5,20 @@ bandwidth: throughput must scale with the subcarrier count, and NLoS must
 cost less than ~10 %.
 
 Campaign-capable: one shard per bandwidth.  The LoS and NLoS arms of a
-point share one eNodeB capture through the fleet's ambient cache (the
-venue changes the channel, not the transmitter), and campaign workers
-keep the capture in their process-global cache across shard retries.
+point share one eNodeB capture through the process-global ambient cache
+(the venue changes the channel, not the transmitter), which also keeps
+the capture across shard retries.
 """
 
 from __future__ import annotations
 
 from repro.core import LScatterSystem, SystemConfig
 from repro.experiments.registry import ExperimentResult
-from repro.fleet.ambient import AmbientCache, process_cache
+from repro.fleet.ambient import process_cache
 from repro.lte.params import SUPPORTED_BANDWIDTHS_MHZ
 
 
-def _measure(bandwidth_mhz, nlos, seed, n_frames, ambient_seed, cache):
+def _measure(bandwidth_mhz, nlos, seed, n_frames, ambient_seed):
     config = SystemConfig(
         bandwidth_mhz=bandwidth_mhz,
         venue="smart_home_nlos" if nlos else "smart_home",
@@ -29,7 +29,7 @@ def _measure(bandwidth_mhz, nlos, seed, n_frames, ambient_seed, cache):
     )
     # The ambient key ignores the venue, so the LoS and NLoS arms reuse
     # one transmit + OFDM modulation; only the channel rng differs.
-    ambient = cache.get(config, ambient_seed)
+    ambient = process_cache().get(config, ambient_seed)
     system = LScatterSystem(config, rng=seed)
     return system.run(payload_length=10_000_000, ambient=ambient)
 
@@ -46,16 +46,12 @@ def campaign_points(seed=0, smoke=False, bandwidths=None, n_frames=2):
     ]
 
 
-def run_point(params, seed, cache=None):
+def run_point(params, seed):
     """LoS + NLoS runs at one bandwidth; returns the figure row."""
-    if cache is None:
-        cache = process_cache()
     bw = params["bandwidth_mhz"]
     n_frames = int(params.get("n_frames", 2))
-    los = _measure(bw, False, seed, n_frames, ambient_seed=seed, cache=cache)
-    nlos = _measure(
-        bw, True, seed + 1, n_frames, ambient_seed=seed, cache=cache
-    )
+    los = _measure(bw, False, seed, n_frames, ambient_seed=seed)
+    nlos = _measure(bw, True, seed + 1, n_frames, ambient_seed=seed)
     drop = 1.0 - nlos.throughput_bps / max(los.throughput_bps, 1e-9)
     return {
         "bandwidth_mhz": float(bw),
@@ -77,13 +73,3 @@ def aggregate(rows, seed=0):
             "NLoS costs <10% (paper §4.3.2)."
         ),
     )
-
-
-def run(seed=0, n_frames=2, bandwidths=None):
-    """Rows: bandwidth x {LoS, NLoS} -> throughput and BER."""
-    points = campaign_points(
-        seed=seed, bandwidths=bandwidths, n_frames=n_frames
-    )
-    with AmbientCache() as cache:
-        rows = [run_point(p, seed, cache=cache) for p in points]
-    return aggregate(rows, seed=seed)

@@ -51,9 +51,3 @@ def aggregate(rows, seed=0):
             "'if the tag is too far away from both, throughput drops quickly')."
         ),
     )
-
-
-def run(seed=0, bandwidth_mhz=20.0):
-    """Smart-home matrix at 10 dBm; one row per eNodeB-to-tag distance."""
-    points = campaign_points(seed=seed, bandwidth_mhz=bandwidth_mhz)
-    return aggregate([run_point(p, seed) for p in points], seed=seed)

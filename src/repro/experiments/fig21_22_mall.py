@@ -57,20 +57,3 @@ def aggregate_fig22(rows, seed=0):
         rows=occupancy_rows(rows),
         notes="WiFi occupancy approaches ~0.5 around 8 pm; LTE pegged at 1.0.",
     )
-
-
-def _rows(seed):
-    return [run_point(p, seed) for p in campaign_points(seed=seed)]
-
-
-def run_fig21(seed=0):
-    """Throughput 10am-9pm: WiFi backscatter fluctuates, LScatter is flat."""
-    return aggregate_fig21(_rows(seed), seed=seed)
-
-
-def run_fig22(seed=0):
-    """Occupancy over mall hours."""
-    return aggregate_fig22(_rows(seed), seed=seed)
-
-
-run = run_fig21

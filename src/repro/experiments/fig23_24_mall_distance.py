@@ -97,18 +97,3 @@ def aggregate_fig24(rows, seed=0):
             "at 150 ft (paper <1%)."
         ),
     )
-
-
-def run_fig23(seed=0):
-    """Throughput vs distance (log-scale y in the paper)."""
-    points = campaign_points(seed=seed)
-    return aggregate_fig23([run_point_fig23(p, seed) for p in points], seed)
-
-
-def run_fig24(seed=0):
-    """BER vs distance (log-scale y in the paper)."""
-    points = campaign_points(seed=seed)
-    return aggregate_fig24([run_point_fig24(p, seed) for p in points], seed)
-
-
-run = run_fig23

@@ -79,18 +79,6 @@ def aggregate_fig27(rows, seed=0):
     )
 
 
-def run_fig26(seed=0):
-    """Outdoor 24 h throughput: WiFi backscatter starves, LScatter holds."""
-    points = _diurnal_points(seed=seed)
-    return aggregate_fig26([_diurnal_point(p, seed) for p in points], seed)
-
-
-def run_fig27(seed=0):
-    """Outdoor occupancy: sparse WiFi, LTE at 1.0."""
-    points = _diurnal_points(seed=seed)
-    return aggregate_fig27([_diurnal_point(p, seed) for p in points], seed)
-
-
 # -- distance points (Figs 28/29) -----------------------------------------------
 
 
@@ -163,18 +151,3 @@ def aggregate_fig29(rows, seed=0):
             "200 ft; WiFi arm rises sharply past 120 ft)."
         ),
     )
-
-
-def run_fig28(seed=0):
-    """Outdoor throughput vs distance — less multipath, longer reach."""
-    points = _distance_points(seed=seed)
-    return aggregate_fig28([run_point_fig28(p, seed) for p in points], seed)
-
-
-def run_fig29(seed=0):
-    """Outdoor BER vs distance."""
-    points = _distance_points(seed=seed)
-    return aggregate_fig29([run_point_fig29(p, seed) for p in points], seed)
-
-
-run = run_fig26

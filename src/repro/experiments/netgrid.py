@@ -145,9 +145,3 @@ def aggregate(rows, seed=0):
             "monotone (goodput non-increasing, BER non-decreasing in k)."
         ),
     )
-
-
-def run(seed=0, smoke=False):
-    """Both sweeps, monolithic; identical to any sharded campaign run."""
-    points = campaign_points(seed=seed, smoke=smoke)
-    return aggregate([run_point(p, seed) for p in points], seed=seed)

@@ -1,8 +1,25 @@
-"""Experiment registry and result container."""
+"""Experiment registry, result container, and the one experiment protocol.
+
+A sweep experiment (one of the paper's parameter sweeps) is
+*campaign-capable*: its module exposes three callables, shared or
+suffixed ``_<id>`` in a module that covers several figures:
+
+* ``campaign_points(seed=, smoke=, ...)`` — the ordered, JSON-safe
+  parameter grid; its keywords are the experiment's keywords;
+* ``run_point(params, seed)`` — one pure grid point returning one row;
+* ``aggregate(rows, seed=)`` — the rows, in grid order, into the
+  :class:`ExperimentResult`.
+
+:func:`run_experiment` runs a sweep's whole grid as points → run_point →
+aggregate, and :mod:`repro.campaign` shards the same grid, so sharded and
+unsharded runs agree by construction.  Every other experiment is its
+module's ``run(seed=0, **kwargs)``.
+"""
 
 from __future__ import annotations
 
 import importlib
+import inspect
 from dataclasses import dataclass, field
 
 #: Experiment id -> (module, one-line description).
@@ -69,12 +86,19 @@ class ExperimentResult:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class CampaignDef:
+    """The resolved campaign protocol of one sweep experiment."""
+
+    points: object
+    run_point: object
+    aggregate: object
+
+
 def resolve_module(experiment_id):
     """Import and return the module backing an experiment id.
 
-    Shared by the experiment runner and the campaign layer
-    (:mod:`repro.campaign`), which probes the module for the
-    ``campaign_points`` / ``run_point`` / ``aggregate`` protocol.
+    Unknown ids raise a ``KeyError`` naming every known id.
     """
     experiment_id = experiment_id.lower()
     if experiment_id not in _EXPERIMENTS:
@@ -85,15 +109,70 @@ def resolve_module(experiment_id):
     return importlib.import_module(module_name)
 
 
-def get_experiment(experiment_id):
-    """Resolve an experiment id to its ``run`` callable."""
+def _resolve(module, base, experiment_id):
+    """``<base>_<id>`` in a multi-figure module, else the shared ``<base>``."""
+    specific = getattr(module, f"{base}_{experiment_id}", None)
+    return specific if specific is not None else getattr(module, base, None)
+
+
+def _campaign(experiment_id):
+    """The id's :class:`CampaignDef`, or ``None`` when it is not a sweep."""
     experiment_id = experiment_id.lower()
     module = resolve_module(experiment_id)
-    # Modules covering several figures expose run_<id>; single ones, run.
-    specific = getattr(module, f"run_{experiment_id}", None)
-    return specific if specific is not None else module.run
+    parts = [
+        _resolve(module, base, experiment_id)
+        for base in ("campaign_points", "run_point", "aggregate")
+    ]
+    if any(part is None for part in parts):
+        return None
+    return CampaignDef(*parts)
+
+
+def get_campaign(experiment_id):
+    """The :class:`CampaignDef` for an experiment id.
+
+    Raises ``KeyError`` for unknown experiments and for registry
+    experiments that are not sweeps.
+    """
+    definition = _campaign(experiment_id)
+    if definition is None:
+        raise KeyError(
+            f"experiment {experiment_id.lower()!r} has no campaign support; "
+            f"campaign-capable experiments: {', '.join(campaign_capable())}"
+        )
+    return definition
+
+
+def campaign_capable():
+    """Sorted ids of every registry experiment that is a sweep."""
+    return [i for i in sorted(REGISTRY) if _campaign(i) is not None]
+
+
+def _run(experiment_id):
+    """The ``run`` of an experiment that is not a sweep."""
+    experiment_id = experiment_id.lower()
+    return _resolve(resolve_module(experiment_id), "run", experiment_id)
+
+
+def experiment_keywords(experiment_id):
+    """The keywords :func:`run_experiment` takes for an id, besides ``seed``.
+
+    A sweep declares them in its ``campaign_points``.
+    """
+    definition = _campaign(experiment_id)
+    declaring = _run(experiment_id) if definition is None else definition.points
+    return tuple(
+        name for name in inspect.signature(declaring).parameters if name != "seed"
+    )
 
 
 def run_experiment(experiment_id, seed=0, **kwargs):
-    """Run one experiment by id."""
-    return get_experiment(experiment_id)(seed=seed, **kwargs)
+    """Run one experiment by id; a sweep runs its whole campaign grid."""
+    definition = _campaign(experiment_id)
+    if definition is None:
+        return _run(experiment_id)(seed=seed, **kwargs)
+    rows = [
+        definition.run_point(params, seed)
+        for params in definition.points(seed=seed, **kwargs)
+    ]
+    return definition.aggregate(rows, seed=seed)

@@ -119,9 +119,3 @@ def aggregate(rows, seed=0):
             "in intensity, per scenario."
         ),
     )
-
-
-def run(seed=0, smoke=False):
-    """The full grid, monolithic; identical to any sharded campaign run."""
-    points = campaign_points(seed=seed, smoke=smoke)
-    return aggregate([run_point(p, seed) for p in points], seed=seed)

@@ -166,9 +166,3 @@ def aggregate(rows, seed=0):
             "monotone (goodput non-increasing, BER non-decreasing)."
         ),
     )
-
-
-def run(seed=0, smoke=False, substrate=None):
-    """The whole grid, monolithic; identical to any sharded campaign run."""
-    points = campaign_points(seed=seed, smoke=smoke, substrate=substrate)
-    return aggregate([run_point(p, seed) for p in points], seed=seed)

@@ -20,7 +20,7 @@ construction instead of by luck (see :mod:`repro.faults.chaos`).
 
 A plan also carries the :mod:`repro.stress` stressors, which
 :class:`~repro.faults.carrier.CarrierFaultSet` chains after the carrier
-injectors; :class:`~repro.stress.plan.StressPlan` only adds a label.
+injectors.
 """
 
 from __future__ import annotations

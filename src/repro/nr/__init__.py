@@ -8,7 +8,7 @@ same generic machinery as the LTE one.
 """
 
 from repro.nr.params import NrNumerology, NR_PRESETS
-from repro.nr.sync import nr_pss, nr_sss, detect_nr_pss_sequence
+from repro.nr.sync import nr_pss, nr_sss
 from repro.nr.frame import NrFrameBuilder, NrCapture
 from repro.nr.backscatter import nr_backscatter_trial, NrBackscatterResult
 
@@ -17,7 +17,6 @@ __all__ = [
     "NR_PRESETS",
     "nr_pss",
     "nr_sss",
-    "detect_nr_pss_sequence",
     "NrFrameBuilder",
     "NrCapture",
     "nr_backscatter_trial",

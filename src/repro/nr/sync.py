@@ -53,16 +53,3 @@ def nr_sss(n_id_1, n_id_2):
     s0 = 1 - 2 * _SSS_X0[(n + m0) % NR_SYNC_LENGTH]
     s1 = 1 - 2 * _SSS_X1[(n + m1) % NR_SYNC_LENGTH]
     return (s0 * s1).astype(float)
-
-
-def detect_nr_pss_sequence(observed):
-    """Identify N_ID^(2) from an observed (equalised) PSS; returns (id, metric)."""
-    observed = np.asarray(observed, dtype=complex)
-    if observed.shape != (NR_SYNC_LENGTH,):
-        raise ValueError("observed PSS must have 127 elements")
-    best = (-1, -np.inf)
-    for n_id_2 in (0, 1, 2):
-        metric = float(np.real(np.vdot(nr_pss(n_id_2).astype(complex), observed)))
-        if metric > best[1]:
-            best = (n_id_2, metric)
-    return best

@@ -10,7 +10,7 @@ congestion backoff), and sweeps them into gated degradation curves
 it shares with ``repro chaos`` (:mod:`repro.stress.perturbations`).
 """
 
-from repro.stress.plan import StressFaultSet, StressPlan
+from repro.stress.plan import StressFaultSet
 from repro.stress.scenarios import SCENARIOS, SYNC_COUPLED, make_scenario_plan
 from repro.stress.stressors import (
     BurstyPdsch,
@@ -30,7 +30,6 @@ __all__ = [
     "SYNC_COUPLED",
     "SignallingStorm",
     "StressFaultSet",
-    "StressPlan",
     "SweepJammer",
     "TagMob",
     "make_scenario_plan",

@@ -27,7 +27,6 @@ from repro.core.config import SystemConfig
 from repro.core.system import LScatterSystem
 from repro.faults.plan import CarrierFaults, FaultPlan, TagFaults
 from repro.lte.params import LteParams
-from repro.stress.plan import StressPlan
 from repro.stress.stressors import (
     BurstyPdsch,
     PssJammer,
@@ -70,13 +69,8 @@ def _drift(intensity, params, seed):
 def _scenario(stressor_cls):
     # Single-stressor, so a curve attributes every lost bit to one cause.
     def build(intensity, params, seed):
-        intensity = float(intensity)
-        return StressPlan(
-            seed=int(seed),
-            scenario=stressor_cls.name,
-            intensity=intensity,
-            stressors=(stressor_cls(intensity, params),),
-        )
+        stressor = stressor_cls(float(intensity), params)
+        return FaultPlan(seed=int(seed), stressors=(stressor,))
 
     return build
 

@@ -1,12 +1,11 @@
-"""Stress plans: named adversarial scenarios on top of the fault machinery.
+"""The stress layer's name for the one fault set.
 
-A :class:`StressPlan` is a frozen :class:`~repro.faults.plan.FaultPlan`
-labelled with the scenario and attack intensity that built it.  Its
+A stress scenario is a plain :class:`~repro.faults.plan.FaultPlan` whose
 *stressors* — protocol-aware attackers and congestion processes (see
-:mod:`repro.stress.stressors`) — live on the base plan, so the pipeline
-applies them through the same :class:`~repro.faults.carrier.CarrierFaultSet`
-chain and the same two hook points as the carrier injectors.  The plan
-inherits the whole fault contract:
+:mod:`repro.stress.stressors`) — the pipeline applies through the same
+:class:`~repro.faults.carrier.CarrierFaultSet` chain and the same two
+hook points as the carrier injectors.  The plan keeps the whole fault
+contract:
 
 * **intensity 0 is a bit-identical no-op** — every stressor at zero
   returns its input array object untouched and consumes no randomness any
@@ -20,23 +19,7 @@ inherits the whole fault contract:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.faults.carrier import CarrierFaultSet
-from repro.faults.plan import FaultPlan, _check_unit
 
 #: The one fault set applies stressors too; the name stays importable.
 StressFaultSet = CarrierFaultSet
-
-
-@dataclass(frozen=True)
-class StressPlan(FaultPlan):
-    """One named adversarial scenario at one attack intensity."""
-
-    #: Scenario name (see :data:`repro.stress.scenarios.SCENARIOS`).
-    scenario: str = ""
-    #: Attack intensity in [0, 1]; 0 is the bit-identical no-op.
-    intensity: float = 0.0
-
-    def __post_init__(self):
-        _check_unit("intensity", self.intensity)

@@ -2,10 +2,10 @@
 
 Each scenario is an entry of
 :data:`repro.stress.perturbations.PERTURBATIONS` mapping an attack
-intensity in [0, 1] to a :class:`~repro.stress.plan.StressPlan` for one
-adversary/congestion model.  Scenarios are deliberately single-stressor —
-the suite's degradation curves then attribute every lost bit to one
-mechanism — but :class:`~repro.faults.plan.FaultPlan` carries any tuple
+intensity in [0, 1] to a :class:`~repro.faults.plan.FaultPlan` that
+carries one adversary/congestion model's stressor.  Scenarios are
+deliberately single-stressor — the suite's degradation curves then
+attribute every lost bit to one mechanism — but a plan carries any tuple
 of stressors, so tests and campaigns can stack them when they want a
 combined storm.
 """
@@ -25,7 +25,7 @@ SYNC_COUPLED = frozenset({"pss-jammer", "signalling-storm"})
 
 
 def make_scenario_plan(scenario, intensity, params, seed=0):
-    """Build the :class:`StressPlan` for one scenario at one intensity."""
+    """Build the fault plan for one scenario at one intensity."""
     if scenario not in SCENARIOS:
         raise ValueError(
             f"unknown stress scenario {scenario!r}; choose from {SCENARIOS}"

@@ -4,8 +4,8 @@
 
 1. **No-op contract** — every scenario at intensity 0 must be
    bit-identical to a run with no plan at all: same metrics, same
-   received IQ.  Inherited from the :mod:`repro.faults` contract via
-   :class:`~repro.stress.plan.StressPlan`.
+   received IQ.  Inherited from the :mod:`repro.faults` contract: a
+   scenario is a :class:`~repro.faults.plan.FaultPlan` with a stressor.
 2. **Degradation sweeps** — each scenario's intensity is swept from 0 to
    ``max_intensity`` with erasure marking and the per-window SNR gate on.
    Stressor placement is intensity-independent and coverage nests (see

@@ -23,6 +23,12 @@ PSS_BANDWIDTH_HZ = 0.93e6
 #: Length of the matching network's FIR band-pass (taps).
 MATCHING_FILTER_TAPS = 129
 
+#: RC time constant of the envelope filter.  The paper requires
+#: ``1/f_c < tau < 1/f_pss`` so the detector smooths over the carrier and
+#: intra-symbol fluctuation but tracks the 200 Hz PSS cadence; 25 us
+#: averages roughly a third of an OFDM symbol.
+ENVELOPE_TAU_SECONDS = 25e-6
+
 
 @dataclass
 class EnvelopeTrace:
@@ -39,27 +45,18 @@ class EnvelopeTrace:
 class EnvelopeDetector:
     """Band-pass + rectifier + RC low-pass, at IQ sample level.
 
-    ``tau_seconds`` is the RC time constant; the paper requires
-    ``1/f_c < tau < 1/f_pss`` so the detector smooths over the carrier and
-    intra-symbol fluctuation but tracks the 200 Hz PSS cadence.  The
-    default (25 us) averages roughly a third of an OFDM symbol.
+    The band-pass is matched to :data:`PSS_BANDWIDTH_HZ` and the RC filter
+    has time constant :data:`ENVELOPE_TAU_SECONDS`.
     """
 
-    def __init__(
-        self,
-        sample_rate_hz,
-        matching_bandwidth_hz=PSS_BANDWIDTH_HZ,
-        tau_seconds=25e-6,
-    ):
+    def __init__(self, sample_rate_hz):
         self.sample_rate_hz = float(sample_rate_hz)
-        self.matching_bandwidth_hz = float(matching_bandwidth_hz)
-        self.tau_seconds = float(tau_seconds)
-        if self.matching_bandwidth_hz >= self.sample_rate_hz:
+        if PSS_BANDWIDTH_HZ >= self.sample_rate_hz:
             # Narrowband carriers (1.4 MHz) are already inside the matched
             # band; no selection needed.
             self._taps = None
         else:
-            cutoff = self.matching_bandwidth_hz / 2.0
+            cutoff = PSS_BANDWIDTH_HZ / 2.0
             self._taps = firwin(
                 MATCHING_FILTER_TAPS, cutoff, fs=self.sample_rate_hz
             ).astype(float)
@@ -75,6 +72,6 @@ class EnvelopeDetector:
             selected = samples
         # Diode rectifier: instantaneous magnitude of the sub-band signal.
         rectified = np.abs(selected)
-        alpha = rc_alpha(self.tau_seconds, self.sample_rate_hz)
+        alpha = rc_alpha(ENVELOPE_TAU_SECONDS, self.sample_rate_hz)
         envelope = rc_lowpass(rectified, alpha)
         return EnvelopeTrace(sample_rate_hz=self.sample_rate_hz, envelope=envelope)

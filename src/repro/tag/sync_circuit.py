@@ -22,6 +22,13 @@ from repro.utils.rng import make_rng
 #: Comparator propagation delay (seconds), from the MAX931 datasheet.
 COMPARATOR_DELAY_SECONDS = 12e-6
 
+#: RC time constant of the averaging circuit, the comparator's reference.
+AVERAGE_TAU_SECONDS = 5e-3
+
+#: Comparator hold-off: an edge this soon after the previous accepted one
+#: is chatter on envelope ripple (PSS events are 5 ms apart).
+HOLDOFF_SECONDS = 4e-3
+
 #: One-sigma jitter of the effective detection instant.  Covers comparator
 #: overdrive dependence and RC charge-state variation between frames.
 COMPARATOR_JITTER_SECONDS = 2.5e-6
@@ -78,24 +85,19 @@ class SyncCircuit:
     def __init__(
         self,
         sample_rate_hz,
-        detector=None,
-        average_tau_seconds=5e-3,
         threshold_margin=1.6,
         propagation_delay_seconds=COMPARATOR_DELAY_SECONDS,
         jitter_seconds=COMPARATOR_JITTER_SECONDS,
-        holdoff_seconds=4e-3,
         warmup_seconds=12e-3,
         rng=None,
         edge_fault=None,
         max_resync_attempts=0,
     ):
         self.sample_rate_hz = float(sample_rate_hz)
-        self.detector = detector or EnvelopeDetector(sample_rate_hz)
-        self.average_tau_seconds = float(average_tau_seconds)
+        self.detector = EnvelopeDetector(sample_rate_hz)
         self.threshold_margin = float(threshold_margin)
         self.propagation_delay_seconds = float(propagation_delay_seconds)
         self.jitter_seconds = float(jitter_seconds)
-        self.holdoff_seconds = float(holdoff_seconds)
         #: The averaging RC starts uncharged; edges before it settles are
         #: comparator start-up artefacts and are suppressed.
         self.warmup_seconds = float(warmup_seconds)
@@ -124,7 +126,7 @@ class SyncCircuit:
 
         # Debounce: ignore edges inside the hold-off window of the previous
         # accepted edge (the comparator chatters on envelope ripple).
-        holdoff = int(self.holdoff_seconds * self.sample_rate_hz)
+        holdoff = int(HOLDOFF_SECONDS * self.sample_rate_hz)
         accepted = []
         last = -holdoff - 1
         for edge in edges:
@@ -137,7 +139,7 @@ class SyncCircuit:
         """Run the circuit over a tag-side capture; returns a SyncResult."""
         trace = self.detector.detect(samples)
         envelope = trace.envelope
-        alpha = rc_alpha(self.average_tau_seconds, self.sample_rate_hz)
+        alpha = rc_alpha(AVERAGE_TAU_SECONDS, self.sample_rate_hz)
         average = rc_lowpass(envelope, alpha)
 
         # First pass at the configured margin; adaptive re-sync relaxes it

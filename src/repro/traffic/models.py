@@ -97,13 +97,6 @@ class OnOffTraffic:
             busy = not busy
         return out
 
-    def occupancy_ratio(self, duration_s, intervals=None):
-        """Measured busy fraction over a window."""
-        if intervals is None:
-            intervals = self.intervals(duration_s)
-        busy = sum(iv.duration for iv in intervals)
-        return busy / float(duration_s) if duration_s > 0 else 0.0
-
     def presence_mask(self, duration_s, resolution_s=1e-3, intervals=None):
         """Boolean busy mask sampled every ``resolution_s``."""
         if intervals is None:
@@ -126,9 +119,6 @@ class ContinuousTraffic:
 
     def intervals(self, duration_s):
         return [BusyInterval(0.0, float(duration_s))]
-
-    def occupancy_ratio(self, duration_s, intervals=None):
-        return 1.0
 
     def presence_mask(self, duration_s, resolution_s=1e-3, intervals=None):
         n = int(np.ceil(duration_s / resolution_s))

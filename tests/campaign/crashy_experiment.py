@@ -34,8 +34,3 @@ def aggregate(rows, seed=0):
         rows=list(rows),
         notes=f"seed={seed}",
     )
-
-
-def run(seed=0):
-    rows = [run_point(params, seed) for params in campaign_points(seed=seed)]
-    return aggregate(rows, seed=seed)

@@ -93,7 +93,7 @@ def test_kill_mid_campaign_then_resume_completes_remaining(tmp_path, crashy):
     assert report.completed == 2  # ...only the remainder executed
     assert report.failed == 0
     assert report.result is not None
-    assert report.result.rows == crashy.run(seed=0).rows
+    assert report.result.rows == run_experiment("crashy", seed=0).rows
 
 
 def test_failed_shards_reported_in_partial_mode(tmp_path, crashy):

@@ -14,7 +14,10 @@ from repro.utils.rng import make_rng
 
 def test_taps_unit_mean_power():
     rng = make_rng(0)
-    powers = [np.sum(np.abs(tdl_taps(4, 3.0, rng=rng)) ** 2) for _ in range(3000)]
+    powers = [
+        np.sum(np.abs(tdl_taps(4, 3.0, rician_k_db=0.0, rng=rng)) ** 2)
+        for _ in range(3000)
+    ]
     assert np.mean(powers) == pytest.approx(1.0, abs=0.05)
 
 
@@ -52,7 +55,7 @@ def test_apply_is_fir_filtering():
 
 def test_need_at_least_one_tap():
     with pytest.raises(ValueError):
-        tdl_taps(0, 3.0)
+        tdl_taps(0, 3.0, rician_k_db=10.0)
 
 
 def test_k_factor_shrinks_with_distance():
@@ -71,12 +74,6 @@ def test_outdoor_street_uses_outdoor_branch():
     assert venue_k_factor_db("outdoor_street", 50.0) == venue_k_factor_db(
         "outdoor", 50.0
     )
-
-
-def test_nlos_penalty():
-    los = venue_k_factor_db("smart_home", 5.0)
-    nlos = venue_k_factor_db("smart_home", 5.0, nlos=True)
-    assert los - nlos == pytest.approx(12.0)
 
 
 def test_scatter_fraction_limits():

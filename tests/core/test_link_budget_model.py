@@ -51,11 +51,6 @@ def test_mall_anchors():
     assert model.ber(5, 40) < model.ber(5, 150)
 
 
-def test_nlos_increases_ber():
-    model = LScatterLinkModel(20.0, LinkBudget(venue="smart_home"))
-    assert model.ber(3, 3, nlos=True) > model.ber(3, 3, nlos=False)
-
-
 def test_throughput_close_range_near_raw_rate():
     model = LScatterLinkModel(20.0, LinkBudget(venue="smart_home"))
     prediction = model.predict(3, 3)

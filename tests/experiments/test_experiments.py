@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments import REGISTRY, get_experiment, run_experiment
+from repro.experiments import REGISTRY, run_experiment
 
 
 def test_registry_covers_every_table_and_figure():
@@ -17,8 +17,8 @@ def test_registry_covers_every_table_and_figure():
 
 
 def test_unknown_experiment_rejected():
-    with pytest.raises(KeyError):
-        get_experiment("fig99")
+    with pytest.raises(KeyError, match="unknown experiment 'fig99'"):
+        run_experiment("fig99")
 
 
 def test_table1_lscatter_unique_winner():

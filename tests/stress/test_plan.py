@@ -1,4 +1,4 @@
-"""StressPlan contracts, the one fault-set chain, and the scenario registry."""
+"""Scenario plan contracts, the one fault-set chain, and the scenario registry."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.stress import (
     SCENARIOS,
     SYNC_COUPLED,
     StressFaultSet,
-    StressPlan,
     make_scenario_plan,
 )
 from repro.stress.stressors import BurstyPdsch
@@ -34,8 +33,6 @@ def test_registry_covers_all_scenarios(params):
     assert SYNC_COUPLED <= set(SCENARIOS)
     for scenario in SCENARIOS:
         plan = make_scenario_plan(scenario, 0.5, params, seed=4)
-        assert plan.scenario == scenario
-        assert plan.intensity == 0.5
         assert len(plan.stressors) == 1
         assert plan.stressors[0].name == scenario
 
@@ -49,7 +46,7 @@ def test_intensity_validated(params):
     with pytest.raises(ValueError):
         make_scenario_plan("sweep-jammer", 1.5, params)
     with pytest.raises(ValueError):
-        StressPlan(intensity=-0.1)
+        make_scenario_plan("sweep-jammer", -0.1, params)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -116,7 +113,7 @@ def test_ambient_chain_runs_dropout_then_stressor(params, samples):
     the stressor (stream ``"stress:bursty-pdsch"``) applied to its result.
     """
     stressor = BurstyPdsch(0.8, params)
-    plan = StressPlan(
+    plan = FaultPlan(
         carrier=CarrierFaults(dropout_rate=0.3),
         seed=7,
         stressors=(stressor,),
@@ -140,8 +137,8 @@ def test_base_fault_plan_carries_stressors(params, samples):
     assert CarrierFaultSet(idle).apply_ambient(samples) is samples
     plan = FaultPlan(seed=7, stressors=(BurstyPdsch(0.8, params),))
     assert not plan.is_noop
-    labelled = make_scenario_plan("bursty-pdsch", 0.8, params, seed=7)
+    scenario = make_scenario_plan("bursty-pdsch", 0.8, params, seed=7)
     np.testing.assert_array_equal(
         CarrierFaultSet(plan).apply_ambient(samples),
-        CarrierFaultSet(labelled).apply_ambient(samples),
+        CarrierFaultSet(scenario).apply_ambient(samples),
     )

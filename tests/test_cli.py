@@ -137,6 +137,11 @@ def test_one_receiver_path_has_no_path_flags(argv, capsys):
         (["fleet", "--batch-tags", "--substrate", "crs-ook"], "batch_tags=True"),
         (["simulate", "--payload", "-5"], "--payload must be >= 0"),
         (["fleet", "--payload", "-5"], "--payload must be >= 0"),
+        (["experiment", "fig99"], "unknown experiment 'fig99'; known:"),
+        (
+            ["experiment", "subgrid", "--substrate", "bogus"],
+            "unknown substrate 'bogus'; registered substrates: chip",
+        ),
     ],
 )
 def test_argument_validation_is_one_clean_line(capsys, argv, fragment):
@@ -145,6 +150,33 @@ def test_argument_validation_is_one_clean_line(capsys, argv, fragment):
     assert fragment in err
     assert err.startswith("repro: error:")
     assert err.count("\n") == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["fig99"], "unknown experiment 'fig99'; known:"),
+        (["subgrid", "--substrate", "bogus"], "unknown substrate 'bogus'"),
+    ],
+)
+def test_experiments_module_rejects_unknown_ids(capsys, argv, fragment):
+    """``python -m repro.experiments`` fails at the boundary too."""
+    from repro.experiments.__main__ import main as experiments_main
+
+    assert experiments_main(argv) == 2
+    err = capsys.readouterr().err
+    assert fragment in err
+    assert err.startswith("repro: error:")
+    assert err.count("\n") == 1
+
+
+def test_trace_rejects_unknown_experiment_before_tracing(tmp_path, capsys):
+    out_path = tmp_path / "x.json"
+    assert main(["trace", "fig99", "--output", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: unknown experiment 'fig99'")
+    assert err.count("\n") == 1
+    assert not out_path.exists()
 
 
 def test_chaos_command_smoke(tmp_path, capsys):

@@ -15,16 +15,23 @@ from repro.traffic import (
 from repro.utils.rng import make_rng
 
 
+def _busy_fraction(model, duration_s, intervals=None):
+    """Measured busy fraction of ``model`` over ``[0, duration_s)``."""
+    if intervals is None:
+        intervals = model.intervals(duration_s)
+    return sum(iv.duration for iv in intervals) / duration_s
+
+
 def test_onoff_converges_to_target_occupancy():
     model = OnOffTraffic(occupancy=0.3, mean_busy_s=2e-3, rng=make_rng(0))
-    assert model.occupancy_ratio(200.0) == pytest.approx(0.3, abs=0.03)
+    assert _busy_fraction(model, 200.0) == pytest.approx(0.3, abs=0.03)
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.floats(min_value=0.05, max_value=0.9))
 def test_onoff_occupancy_property(target):
     model = OnOffTraffic(occupancy=target, mean_busy_s=5e-3, rng=make_rng(1))
-    assert model.occupancy_ratio(100.0) == pytest.approx(target, abs=0.08)
+    assert _busy_fraction(model, 100.0) == pytest.approx(target, abs=0.08)
 
 
 def test_onoff_intervals_ordered_and_bounded():
@@ -38,7 +45,7 @@ def test_onoff_intervals_ordered_and_bounded():
 def test_zero_occupancy_no_intervals():
     model = OnOffTraffic(occupancy=0.0, rng=make_rng(3))
     assert model.intervals(10.0) == []
-    assert model.occupancy_ratio(10.0) == 0.0
+    assert _busy_fraction(model, 10.0) == 0.0
 
 
 def test_invalid_occupancy_rejected():
@@ -51,13 +58,13 @@ def test_presence_mask_matches_ratio():
     intervals = model.intervals(50.0)
     mask = model.presence_mask(50.0, 1e-3, intervals)
     assert mask.mean() == pytest.approx(
-        model.occupancy_ratio(50.0, intervals), abs=0.01
+        _busy_fraction(model, 50.0, intervals), abs=0.01
     )
 
 
 def test_continuous_traffic_always_on():
     model = ContinuousTraffic()
-    assert model.occupancy_ratio(5.0) == 1.0
+    assert _busy_fraction(model, 5.0) == 1.0
     assert model.presence_mask(1.0).all()
 
 
