@@ -13,9 +13,8 @@ import time
 
 from repro.experiments.registry import REGISTRY, run_experiment
 
-#: Experiments that run sample-level simulations (seconds-to-minutes).
-HEAVY_EXPERIMENTS = ("fig08", "fig16", "fig17", "fig18", "fig21", "fig22",
-                     "fig26", "fig27", "fig28", "fig29", "fig31", "fig32")
+#: Experiments that run the IQ pipeline (seconds each); skipped by default.
+HEAVY_EXPERIMENTS = tuple(key for key, (_, _, iq) in REGISTRY.items() if iq)
 
 
 def build_report(seed=0, include_heavy=False, experiment_ids=None):

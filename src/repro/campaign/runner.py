@@ -28,10 +28,11 @@ from dataclasses import dataclass, field
 
 from repro.campaign.checkpoint import CheckpointStore
 from repro.experiments.registry import get_campaign
-from repro.campaign.spec import build_shards, select_shards
+from repro.campaign.spec import build_shards, check_slice, select_shards
 from repro.fleet.engine import ParallelRunEngine, TaskFailure
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
+from repro.utils.validation import require_whole
 
 
 @dataclass
@@ -123,17 +124,19 @@ class CampaignRunner:
         shard_index=None,
         resume=False,
         max_retries=1,
-        task_timeout_seconds=None,
         on_error="raise",
     ):
+        require_whole("workers", workers, minimum=1)
+        require_whole("n_shards", n_shards, minimum=1)
+        if shard_index is not None:
+            check_slice(n_shards, shard_index)
         self.spec = spec
         self.run_dir = str(run_dir)
-        self.workers = workers
-        self.n_shards = max(1, int(n_shards))
-        self.shard_index = shard_index
+        self.workers = int(workers)
+        self.n_shards = int(n_shards)
+        self.shard_index = None if shard_index is None else int(shard_index)
         self.resume = bool(resume)
         self.max_retries = max_retries
-        self.task_timeout_seconds = task_timeout_seconds
         self.on_error = on_error
 
     def _owned(self, shards):
@@ -183,7 +186,6 @@ class CampaignRunner:
         engine = ParallelRunEngine(
             workers=self.workers,
             max_retries=self.max_retries,
-            task_timeout_seconds=self.task_timeout_seconds,
             on_error=self.on_error,
         )
 

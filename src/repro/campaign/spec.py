@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.registry import get_campaign
+from repro.utils.validation import require_whole
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,16 @@ def build_shards(spec):
     ]
 
 
+def check_slice(n_shards, shard_index):
+    """Reject a job slice that is not one of ``n_shards`` round-robin slices."""
+    require_whole("n_shards", n_shards, minimum=1)
+    require_whole("shard_index", shard_index)
+    if not 0 <= shard_index < n_shards:
+        raise ValueError(
+            f"shard_index must be in [0, {n_shards}), got {shard_index}"
+        )
+
+
 def select_shards(shards, n_shards, shard_index):
     """The round-robin subset of the grid owned by one of ``n_shards`` jobs.
 
@@ -68,12 +79,5 @@ def select_shards(shards, n_shards, shard_index):
     equal even when the grid is ordered cheap-to-expensive (distance and
     bandwidth sweeps usually are).
     """
-    n_shards = int(n_shards)
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    shard_index = int(shard_index)
-    if not 0 <= shard_index < n_shards:
-        raise ValueError(
-            f"shard_index must be in [0, {n_shards}), got {shard_index}"
-        )
+    check_slice(n_shards, shard_index)
     return [shard for shard in shards if shard.index % n_shards == shard_index]

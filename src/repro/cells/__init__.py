@@ -21,7 +21,6 @@ from repro.cells.interference import (
     timing_offset_samples,
 )
 from repro.cells.network import (
-    CohortTask,
     NetworkDeployment,
     NetworkReport,
     NetworkRunner,
@@ -35,7 +34,6 @@ __all__ = [
     "AttachDecision",
     "CellAmbient",
     "CellSite",
-    "CohortTask",
     "HandoverEvent",
     "HandoverPolicy",
     "HandoverTrace",

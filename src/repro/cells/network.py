@@ -11,9 +11,9 @@ topology.  The moving parts:
   ambient capture per cell (:meth:`Topology.prepare_ambients`), attaches
   every tag (analytic ranking by default, IQ-verified cell search with
   ``attach_mode="search"``), schedules each cell's MAC independently,
-  and fans out one :class:`CohortTask` per *(cell, tag-cohort)* through
-  :class:`~repro.fleet.engine.ParallelRunEngine` — the campaign-shardable
-  unit of work.
+  runs every served tag as a fleet :class:`~repro.fleet.runner.TagTask`
+  in one :class:`~repro.fleet.engine.ParallelRunEngine` map, and builds
+  each cell's report with the fleet's :func:`~repro.fleet.report.fleet_report`.
 
 Determinism is inherited, not re-argued: per-tag seeds and per-cell MAC
 seeds come from :func:`repro.utils.rng.stream_rng` keyed on stable names,
@@ -37,13 +37,14 @@ from repro.cells.handover import HandoverPolicy, simulate_handover
 from repro.cells.interference import CellAmbient, neighbour_recipes
 from repro.core.config import SystemConfig
 from repro.fleet.ambient import AmbientCache
-from repro.fleet.engine import ParallelRunEngine, TaskFailure
-from repro.fleet.report import FleetReport, TagResult, capture_seconds
+from repro.fleet.engine import EngineTelemetry, ParallelRunEngine
+from repro.fleet.report import capture_seconds, fleet_report
 from repro.fleet.runner import TagTask, _simulate_tag
 from repro.fleet.scheduler import FleetScheduler, make_scheme
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.utils.rng import stream_rng
+from repro.utils.validation import require_whole
 
 #: eNodeB-to-tag distances below this (ft) are clamped — a tag cannot sit
 #: inside the transmit antenna, and the pathloss model floors there anyway.
@@ -199,27 +200,6 @@ class NetworkDeployment:
         )
 
 
-@dataclass
-class CohortTask:
-    """One *(cell, tag-cohort)* unit of work — picklable, self-contained."""
-
-    cell_id: int
-    tasks: list = field(default_factory=list)
-
-
-def _simulate_cohort(cohort):
-    """Run every tag of one cell's cohort serially inside one worker.
-
-    Returns ``(elapsed, [TagResult, ...])`` in cohort order.  Each member
-    task is the same pure :func:`repro.fleet.runner._simulate_tag` payload
-    a single-cell fleet would run, so per-tag results are bit-identical
-    whether the cohort executes in the parent or in any worker.
-    """
-    start = time.perf_counter()
-    results = [_simulate_tag(task)[1] for task in cohort.tasks]
-    return time.perf_counter() - start, results
-
-
 def tag_seed(seed, name):
     """Per-tag simulation seed, independent of cohort composition."""
     return int(stream_rng(seed, "cells.tag", name).integers(0, 2**63 - 1))
@@ -370,25 +350,23 @@ class NetworkRunner:
         attach_mode="analytic",
         handover_policy=None,
         payload_length=20000,
-        max_retries=1,
-        on_error="raise",
     ):
         if attach_mode not in ("analytic", "search"):
             raise ValueError(
                 f"attach_mode must be 'analytic' or 'search', got {attach_mode!r}"
             )
+        require_whole("workers", workers, minimum=1)
+        require_whole("payload_length", payload_length, minimum=0)
         self.topology = topology
         self.deployment = deployment
         self.scheme = scheme
-        self.workers = workers
+        self.workers = int(workers)
         self.seed = int(seed)
         self._owns_cache = cache is None
         self.cache = cache if cache is not None else AmbientCache()
         self.attach_mode = attach_mode
         self.handover_policy = handover_policy or HandoverPolicy()
         self.payload_length = int(payload_length)
-        self.max_retries = max_retries
-        self.on_error = on_error
 
     def close(self):
         if self._owns_cache:
@@ -456,11 +434,7 @@ class NetworkRunner:
         topology = self.topology
         deployment = self.deployment
 
-        engine = ParallelRunEngine(
-            workers=self.workers,
-            max_retries=self.max_retries,
-            on_error=self.on_error,
-        )
+        engine = ParallelRunEngine(workers=self.workers)
         parallel = engine.workers > 1 and deployment.n_tags > 1
         # Workers need picklable memory-mapped handles; the serial path
         # keeps in-memory stages.  Spilled bytes round-trip exactly, so
@@ -481,12 +455,11 @@ class NetworkRunner:
         cohorts = self._cohorts(decisions)
 
         schedules = {}
-        cohort_tasks = []
+        tasks = []
         for cell_id, members in cohorts.items():
             site = topology.site(cell_id)
             schedule = self._schedule_cell(site, members)
             schedules[cell_id] = schedule
-            tasks = []
             for index, tag in enumerate(members):
                 x, y = tag.position
                 recipes = neighbour_recipes(topology, site, x, y, ambients)
@@ -506,44 +479,23 @@ class NetworkRunner:
                         ),
                     )
                 )
-            cohort_tasks.append(CohortTask(cell_id=cell_id, tasks=tasks))
             obs_metrics.counter_inc("cells.cohorts")
 
         start = time.perf_counter()
-        raw = engine.map(_simulate_cohort, cohort_tasks)
+        results = engine.map(_simulate_tag, tasks)
         wall = time.perf_counter() - start
 
+        # Tasks go cohort after cohort, so each cell's results are one slice.
         cells = {}
-        for cohort, outcome in zip(cohort_tasks, raw):
-            schedule = schedules[cohort.cell_id]
-            if isinstance(outcome, TaskFailure):
-                results = [
-                    TagResult(
-                        name=task.name,
-                        enb_to_tag_ft=task.enb_to_tag_ft,
-                        tag_to_ue_ft=task.tag_to_ue_ft,
-                        failed=True,
-                        error=outcome.error,
-                    )
-                    for task in cohort.tasks
-                ]
-            else:
-                results = outcome
-            cells[cohort.cell_id] = FleetReport(
-                scheme=schedule.scheme,
-                n_tags=len(cohort.tasks),
-                n_half_frames=schedule.n_half_frames,
-                duration_seconds=capture_seconds(schedule.n_half_frames),
-                tags=results,
-                collision_fraction=schedule.collision_fraction,
-                idle_fraction=schedule.idle_fraction,
-                airtime_utilisation=schedule.airtime_utilisation,
-                workers=engine.workers,
-                failed_tags=sum(
-                    1 for r in results if getattr(r, "failed", False)
-                ),
-                transmit_invocations=self.cache.transmit_calls,
+        first = 0
+        for cell_id, members in cohorts.items():
+            cells[cell_id] = fleet_report(
+                schedules[cell_id],
+                results[first : first + len(members)],
+                EngineTelemetry(workers=engine.workers),
+                self.cache.transmit_calls,
             )
+            first += len(members)
 
         handovers = {}
         mobility_factor = {}

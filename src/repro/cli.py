@@ -3,8 +3,8 @@
 Commands:
 
 * ``simulate`` — run one end-to-end IQ simulation from flags;
-* ``experiment`` — regenerate a paper table/figure (same as
-  ``python -m repro.experiments``);
+* ``experiment`` — regenerate a paper table/figure (``python -m
+  repro.experiments`` runs this command);
 * ``survey`` — print the ambient-traffic survey for a venue;
 * ``fleet`` — multi-tag network simulation over one shared ambient cell;
 * ``network`` — city-scale multi-cell simulation: cell search/attach,
@@ -101,17 +101,53 @@ def _cmd_simulate(args):
     return 0
 
 
-def _cmd_experiment(args):
-    from repro.experiments.__main__ import main as experiments_main
+def _experiment(experiment_id, substrate=None):
+    """Check an experiment id and its ``--substrate`` filter.
 
-    argv = [args.id] if args.id else ["--list"]
-    # `is not None`, not truthiness: an explicit `--seed 0` must be passed
-    # through rather than silently dropped.
-    if args.seed is not None:
-        argv += ["--seed", str(args.seed)]
-    if args.substrate is not None:
-        argv += ["--substrate", args.substrate]
-    return experiments_main(argv)
+    Returns ``run(seed)``, which runs the experiment and prints its table,
+    or ``None`` after a one-line usage error.
+    """
+    from repro.experiments.registry import experiment_keywords, run_experiment
+    from repro.substrates import get_substrate
+
+    kwargs = {}
+    try:
+        keywords = experiment_keywords(experiment_id)
+        if substrate is not None:
+            if "substrate" not in keywords:
+                _fail_usage(
+                    f"experiment {experiment_id!r} does not take a "
+                    "--substrate filter"
+                )
+                return None
+            get_substrate(substrate)
+            kwargs["substrate"] = substrate
+    except KeyError as exc:
+        _fail_usage(exc.args[0])
+        return None
+
+    def run(seed):
+        result = run_experiment(experiment_id, seed=seed, **kwargs)
+        print(f"# {result.name}: {result.description}")
+        print(result.format_table())
+        if result.notes:
+            print(f"# {result.notes}")
+
+    return run
+
+
+def _cmd_experiment(args):
+    if args.list or not args.id:
+        from repro.experiments.registry import REGISTRY
+
+        for key in sorted(REGISTRY):
+            print(f"{key:8s} {REGISTRY[key][1]}")
+        return 0
+    run = _experiment(args.id, args.substrate)
+    if run is None:
+        return 2
+    run(args.seed)
+    return 0
 
 
 def _run_pipeline_probe(seed=0):
@@ -165,13 +201,12 @@ def _cmd_trace(args):
     error = _refuse_overwrite(args.output, args.force)
     if error is not None:
         return error
+    run = None
     if args.id:
-        from repro.experiments.registry import resolve_module
-
-        try:
-            resolve_module(args.id)
-        except KeyError as exc:
-            return _fail_usage(exc.args[0])
+        # An unknown id fails here, before tracing starts or a file is written.
+        run = _experiment(args.id)
+        if run is None:
+            return 2
     from repro.obs import metrics as obs_metrics
     from repro.obs import trace as obs_trace
     from repro.obs.export import format_span_tree, write_chrome_trace
@@ -179,17 +214,11 @@ def _cmd_trace(args):
     obs_trace.enable()
     obs_trace.reset()
     obs_metrics.reset_metrics()
-    status = 0
     try:
-        if args.id:
-            from repro.experiments.__main__ import main as experiments_main
-
-            argv = [args.id]
-            if args.seed is not None:
-                argv += ["--seed", str(args.seed)]
-            status = experiments_main(argv) or 0
+        if run is not None:
+            run(args.seed)
         if not args.no_probe:
-            _run_pipeline_probe(seed=args.seed if args.seed is not None else 0)
+            _run_pipeline_probe(seed=args.seed)
     finally:
         obs_trace.disable()
     roots = obs_trace.snapshot()
@@ -206,7 +235,7 @@ def _cmd_trace(args):
             + ", ".join(f"{k}={v}" for k, v in sorted(counters.items()))
         )
     print(f"wrote {args.output} ({n_events} events)")
-    return status
+    return 0
 
 
 def _fail_usage(message):
@@ -243,6 +272,7 @@ def _cmd_fleet(args):
             venue=args.venue,
             bandwidth_mhz=args.bandwidth,
             n_frames=args.frames,
+            substrate=args.substrate,
         )
         runner = FleetRunner(
             deployment,
@@ -251,7 +281,6 @@ def _cmd_fleet(args):
             seed=args.seed,
             trace=args.trace,
             batch_tags=args.batch_tags,
-            substrate=args.substrate,
         )
     except ValueError as exc:
         # e.g. --venue nowhere, --bandwidth 7, or --batch-tags with
@@ -785,9 +814,8 @@ def build_parser():
 
     experiment = sub.add_parser("experiment", help="regenerate a table/figure")
     experiment.add_argument("id", nargs="?", help="experiment id (omit to list)")
-    # default=None so each experiment's own default seed applies unless
-    # the user passes one explicitly (including --seed 0).
-    experiment.add_argument("--seed", type=int, default=None)
+    experiment.add_argument("--list", action="store_true", help="list experiments")
+    experiment.add_argument("--seed", type=int, default=0)
     experiment.add_argument(
         "--substrate",
         default=None,
@@ -802,7 +830,7 @@ def build_parser():
     trace.add_argument(
         "id", nargs="?", help="experiment id to trace (optional; probe always runs)"
     )
-    trace.add_argument("--seed", type=int, default=None)
+    trace.add_argument("--seed", type=int, default=0)
     trace.add_argument(
         "--output",
         default="TRACE_PR4.json",
@@ -865,9 +893,8 @@ def build_parser():
     )
     fleet.add_argument(
         "--substrate",
-        default=None,
-        help="ambient-substrate mode for the whole fleet (default: the "
-        "deployment's, normally chip)",
+        default="chip",
+        help="ambient-substrate mode for the whole fleet (default chip)",
     )
     fleet.set_defaults(func=_cmd_fleet)
 
@@ -913,7 +940,7 @@ def build_parser():
         "--workers",
         type=int,
         default=1,
-        help="worker processes for the (cell, cohort) stages (results are "
+        help="worker processes for the per-tag stages (results are "
         "bit-identical for any value)",
     )
     network.add_argument(

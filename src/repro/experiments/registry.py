@@ -22,36 +22,36 @@ import importlib
 import inspect
 from dataclasses import dataclass, field
 
-#: Experiment id -> (module, one-line description).
-_EXPERIMENTS = {
-    "table1": ("repro.experiments.table1_features", "Excitation-signal feature matrix"),
-    "fig04": ("repro.experiments.fig04_traffic_cdf", "Traffic occupancy CDFs (week)"),
-    "fig08": ("repro.experiments.fig08_sync_stages", "Sync-circuit stage outputs"),
-    "fig12": ("repro.experiments.fig12_constellation", "Phase-offset constellations"),
-    "fig16": ("repro.experiments.fig16_17_smart_home", "Smart home 24 h throughput"),
-    "fig17": ("repro.experiments.fig16_17_smart_home", "Smart home 24 h occupancy"),
-    "fig18": ("repro.experiments.fig18_bandwidth", "Throughput vs LTE bandwidth"),
-    "fig19": ("repro.experiments.fig19_distance_matrix", "Distance-matrix throughput"),
-    "fig21": ("repro.experiments.fig21_22_mall", "Mall 10am-9pm throughput"),
-    "fig22": ("repro.experiments.fig21_22_mall", "Mall occupancy"),
-    "fig23": ("repro.experiments.fig23_24_mall_distance", "Mall throughput vs distance"),
-    "fig24": ("repro.experiments.fig23_24_mall_distance", "Mall BER vs distance"),
-    "fig26": ("repro.experiments.fig26_29_outdoor", "Outdoor 24 h throughput"),
-    "fig27": ("repro.experiments.fig26_29_outdoor", "Outdoor occupancy"),
-    "fig28": ("repro.experiments.fig26_29_outdoor", "Outdoor throughput vs distance"),
-    "fig29": ("repro.experiments.fig26_29_outdoor", "Outdoor BER vs distance"),
-    "fig30": ("repro.experiments.fig30_amplified", "40 dBm range matrix"),
-    "fig31": ("repro.experiments.fig31_sync_accuracy", "Sync error CDF"),
-    "fig32": ("repro.experiments.fig32_lte_impact", "Impact on LTE throughput"),
-    "fig33": ("repro.experiments.fig33_auth", "Continuous-auth update rate"),
-    "power": ("repro.experiments.power_table", "Tag power consumption (§4.8)"),
-    "fleetn": ("repro.experiments.fleet_scaling", "Network throughput vs. tag count"),
-    "netgrid": ("repro.experiments.netgrid", "Multi-cell goodput vs ISD / interferers"),
-    "stressgrid": ("repro.experiments.stressgrid", "Goodput vs attack intensity per stress scenario"),
-    "subgrid": ("repro.experiments.subgrid", "Cross-substrate goodput/BER vs distance and occupancy"),
-}
 
-REGISTRY = dict(_EXPERIMENTS)
+#: Experiment id -> (module, one-line description, whether it runs the IQ
+#: pipeline: ``LScatterSystem``, ``SyncCircuit``, a fleet or a network).
+REGISTRY = {
+    "table1": ("repro.experiments.table1_features", "Excitation-signal feature matrix", False),
+    "fig04": ("repro.experiments.fig04_traffic_cdf", "Traffic occupancy CDFs (week)", False),
+    "fig08": ("repro.experiments.fig08_sync_stages", "Sync-circuit stage outputs", True),
+    "fig12": ("repro.experiments.fig12_constellation", "Phase-offset constellations", False),
+    "fig16": ("repro.experiments.fig16_17_smart_home", "Smart home 24 h throughput", False),
+    "fig17": ("repro.experiments.fig16_17_smart_home", "Smart home 24 h occupancy", False),
+    "fig18": ("repro.experiments.fig18_bandwidth", "Throughput vs LTE bandwidth", True),
+    "fig19": ("repro.experiments.fig19_distance_matrix", "Distance-matrix throughput", False),
+    "fig21": ("repro.experiments.fig21_22_mall", "Mall 10am-9pm throughput", False),
+    "fig22": ("repro.experiments.fig21_22_mall", "Mall occupancy", False),
+    "fig23": ("repro.experiments.fig23_24_mall_distance", "Mall throughput vs distance", False),
+    "fig24": ("repro.experiments.fig23_24_mall_distance", "Mall BER vs distance", False),
+    "fig26": ("repro.experiments.fig26_29_outdoor", "Outdoor 24 h throughput", False),
+    "fig27": ("repro.experiments.fig26_29_outdoor", "Outdoor occupancy", False),
+    "fig28": ("repro.experiments.fig26_29_outdoor", "Outdoor throughput vs distance", False),
+    "fig29": ("repro.experiments.fig26_29_outdoor", "Outdoor BER vs distance", False),
+    "fig30": ("repro.experiments.fig30_amplified", "40 dBm range matrix", False),
+    "fig31": ("repro.experiments.fig31_sync_accuracy", "Sync error CDF", True),
+    "fig32": ("repro.experiments.fig32_lte_impact", "Impact on LTE throughput", True),
+    "fig33": ("repro.experiments.fig33_auth", "Continuous-auth update rate", False),
+    "power": ("repro.experiments.power_table", "Tag power consumption (§4.8)", False),
+    "fleetn": ("repro.experiments.fleet_scaling", "Network throughput vs. tag count", True),
+    "netgrid": ("repro.experiments.netgrid", "Multi-cell goodput vs ISD / interferers", True),
+    "stressgrid": ("repro.experiments.stressgrid", "Goodput vs attack intensity per stress scenario", True),
+    "subgrid": ("repro.experiments.subgrid", "Cross-substrate goodput/BER vs distance and occupancy", True),
+}
 
 
 @dataclass
@@ -101,11 +101,11 @@ def resolve_module(experiment_id):
     Unknown ids raise a ``KeyError`` naming every known id.
     """
     experiment_id = experiment_id.lower()
-    if experiment_id not in _EXPERIMENTS:
+    if experiment_id not in REGISTRY:
         raise KeyError(
-            f"unknown experiment {experiment_id!r}; known: {sorted(_EXPERIMENTS)}"
+            f"unknown experiment {experiment_id!r}; known: {sorted(REGISTRY)}"
         )
-    module_name, _ = _EXPERIMENTS[experiment_id]
+    module_name, _, _ = REGISTRY[experiment_id]
     return importlib.import_module(module_name)
 
 

@@ -1,8 +1,8 @@
 """Fleet geometry: many tags around one eNodeB and its UEs.
 
 A :class:`Deployment` pins down everything the fleet shares — venue, LTE
-bandwidth, capture length, transmit power — plus one :class:`TagPlacement`
-per tag (its two hop distances, its serving UE and its scheduling weight).
+bandwidth, capture length, transmit power, substrate — plus one
+:class:`TagPlacement` per tag (its two hop distances and scheduling weight).
 From a placement it derives the per-tag :class:`~repro.core.config.SystemConfig`
 that the per-tag simulation stage consumes, and from the link budget the
 per-tag received backscatter powers that drive capture resolution in the
@@ -23,8 +23,6 @@ class TagPlacement:
     name: str
     enb_to_tag_ft: float
     tag_to_ue_ft: float
-    #: Which UE decodes this tag (several tags may share one receiver).
-    ue: int = 0
     #: Scheduling weight for the EPC-style priority scheme (QCI-like).
     weight: int = 1
 
@@ -76,14 +74,13 @@ class Deployment:
             )
         positions = {}
         for tag in self.tags:
-            pos = (tag.enb_to_tag_ft, tag.tag_to_ue_ft, tag.ue)
+            pos = (tag.enb_to_tag_ft, tag.tag_to_ue_ft)
             if pos in positions:
                 raise ValueError(
                     f"tags {positions[pos]!r} and {tag.name!r} occupy the "
                     f"same position (enb_to_tag_ft={tag.enb_to_tag_ft}, "
-                    f"tag_to_ue_ft={tag.tag_to_ue_ft}, ue={tag.ue}); two "
-                    "tags cannot share one antenna position — offset one "
-                    "of them"
+                    f"tag_to_ue_ft={tag.tag_to_ue_ft}); two tags cannot "
+                    "share one antenna position — offset one of them"
                 )
             positions[pos] = tag.name
         # Every fleet-wide field meets the per-tag config's checks here,

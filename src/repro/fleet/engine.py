@@ -23,7 +23,6 @@ Design rules:
 from __future__ import annotations
 
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures import TimeoutError as FuturesTimeout
@@ -31,6 +30,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro.obs import metrics as obs_metrics
+from repro.utils.validation import require_whole
 
 #: Grace added to the pool timeout budget for executor spin-up.
 _POOL_SPINUP_GRACE_SECONDS = 1.0
@@ -92,9 +92,8 @@ class ParallelRunEngine:
     on_error: str = "raise"
 
     def __post_init__(self):
-        if self.workers is None:
-            self.workers = os.cpu_count() or 1
-        self.workers = max(1, int(self.workers))
+        require_whole("workers", self.workers, minimum=1)
+        self.workers = int(self.workers)
         if self.on_error not in ("raise", "partial"):
             raise ValueError("on_error must be 'raise' or 'partial'")
         self.telemetry = EngineTelemetry(workers=self.workers)

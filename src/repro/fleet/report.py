@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.lte.params import FRAME_SECONDS
+from repro.obs import trace as obs_trace
 
 
 @dataclass
@@ -174,6 +175,40 @@ class FleetReport:
             )
             lines.append(f"  counters: {pairs}")
         return "\n".join(lines)
+
+
+def fleet_report(schedule, results, telemetry, transmit_invocations):
+    """One MAC schedule's per-tag results, in tag order, as a report.
+
+    Traced results merge: same-named stages sum across tags and counter
+    deltas add up — the per-fleet view of what each stage cost.
+    """
+    stage_breakdown = {}
+    counters = {}
+    for result in results:
+        obs_trace.flatten_stages(result.trace, into=stage_breakdown)
+        for name, value in result.metrics.items():
+            counters[name] = counters.get(name, 0) + value
+    return FleetReport(
+        scheme=schedule.scheme,
+        n_tags=len(results),
+        n_half_frames=schedule.n_half_frames,
+        duration_seconds=capture_seconds(schedule.n_half_frames),
+        tags=results,
+        collision_fraction=schedule.collision_fraction,
+        idle_fraction=schedule.idle_fraction,
+        airtime_utilisation=schedule.airtime_utilisation,
+        workers=telemetry.workers,
+        wall_seconds=telemetry.wall_seconds,
+        serial_seconds_estimate=telemetry.task_seconds,
+        speedup=telemetry.speedup,
+        retried_tasks=telemetry.retried,
+        failed_tags=sum(1 for r in results if r.failed),
+        timed_out_tasks=telemetry.timed_out,
+        transmit_invocations=transmit_invocations,
+        stage_breakdown=stage_breakdown,
+        counters=counters,
+    )
 
 
 def capture_seconds(n_half_frames):

@@ -22,18 +22,19 @@ of sinking the whole fleet.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.system import LScatterSystem
 from repro.faults.infra import FaultyTask
 from repro.fleet.ambient import AmbientCache
-from repro.fleet.engine import EngineTelemetry, ParallelRunEngine, TaskFailure
-from repro.fleet.report import FleetReport, TagResult, capture_seconds
+from repro.fleet.engine import ParallelRunEngine, TaskFailure
+from repro.fleet.report import TagResult, fleet_report
 from repro.fleet.scheduler import FleetScheduler, make_scheme
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.utils.validation import require_whole
 
 
 @dataclass
@@ -54,26 +55,38 @@ class TagTask:
     #: Collect a span tree + counter delta for this task and ship both
     #: back through the result pickle (see :mod:`repro.obs`).
     trace: bool = False
-    extras: dict = field(default_factory=dict)
 
 
-def _run_tag_stage(task, result):
+def _tag_result(task, report=None):
+    """The task's :class:`TagResult`, with ``report``'s counters if it ran."""
+    result = TagResult(
+        name=task.name,
+        enb_to_tag_ft=task.enb_to_tag_ft,
+        tag_to_ue_ft=task.tag_to_ue_ft,
+        owned_half_frames=len(task.owned),
+        collided_half_frames=task.collided,
+    )
+    if report is not None:
+        result.n_bits = report.n_bits
+        result.n_errors = report.n_errors
+        result.n_windows = report.n_windows
+        result.n_lost_windows = report.n_lost_windows
+        result.n_erased_windows = report.n_erased_windows
+        result.sync_error_us = report.sync_error_us
+    return result
+
+
+def _run_tag_stage(task):
     """The traced body of :func:`_simulate_tag`: one system run."""
     ambient = task.ambient
     if hasattr(ambient, "load"):
         ambient = ambient.load()
     system = LScatterSystem(task.config, rng=task.seed)
-    report = system.run(
+    return system.run(
         payload_length=task.payload_length,
         ambient=ambient,
         owned_half_frames=task.owned,
     )
-    result.n_bits = report.n_bits
-    result.n_errors = report.n_errors
-    result.n_windows = report.n_windows
-    result.n_lost_windows = report.n_lost_windows
-    result.n_erased_windows = report.n_erased_windows
-    result.sync_error_us = report.sync_error_us
 
 
 def _simulate_tag(task):
@@ -89,37 +102,21 @@ def _simulate_tag(task):
     counters would double-count).
     """
     start = time.perf_counter()
-    result = TagResult(
-        name=task.name,
-        enb_to_tag_ft=task.enb_to_tag_ft,
-        tag_to_ue_ft=task.tag_to_ue_ft,
-        owned_half_frames=len(task.owned),
-        collided_half_frames=task.collided,
-    )
-    if task.owned:
-        if task.trace:
-            before = obs_metrics.counters_snapshot()
-            with obs_trace.collect() as collection:
-                _run_tag_stage(task, result)
-            result.trace = [obs_trace.to_dict(n) for n in collection.roots]
-            result.metrics = obs_metrics.counter_delta(
-                before, obs_metrics.counters_snapshot()
-            )
-        else:
-            _run_tag_stage(task, result)
+    if not task.owned:
+        result = _tag_result(task)
+    elif task.trace:
+        before = obs_metrics.counters_snapshot()
+        with obs_trace.collect() as collection:
+            result = _tag_result(task, _run_tag_stage(task))
+        result.trace = [obs_trace.to_dict(n) for n in collection.roots]
+        result.metrics = obs_metrics.counter_delta(
+            before, obs_metrics.counters_snapshot()
+        )
+    else:
+        result = _tag_result(task, _run_tag_stage(task))
     elapsed = time.perf_counter() - start
     result.elapsed_seconds = elapsed
     return elapsed, result
-
-
-def _empty_tag_result(task):
-    return TagResult(
-        name=task.name,
-        enb_to_tag_ft=task.enb_to_tag_ft,
-        tag_to_ue_ft=task.tag_to_ue_ft,
-        owned_half_frames=len(task.owned),
-        collided_half_frames=task.collided,
-    )
 
 
 def _simulate_tags_batched(tasks):
@@ -142,8 +139,8 @@ def _simulate_tags_batched(tasks):
     live = []
     for i, task in enumerate(tasks):
         start = time.perf_counter()
-        result = _empty_tag_result(task)
         if not task.owned:
+            result = _tag_result(task)
             elapsed = time.perf_counter() - start
             result.elapsed_seconds = elapsed
             results[i] = (elapsed, result)
@@ -158,25 +155,19 @@ def _simulate_tags_batched(tasks):
             owned_half_frames=task.owned,
         )
         front_elapsed[i] = time.perf_counter() - start
-        live.append((i, result, system, front))
+        live.append((i, system, front))
     if live:
         demod_start = time.perf_counter()
-        fronts = [front for (_, _, _, front) in live]
-        demods = live[0][2].demodulator.demodulate_many(
+        fronts = [front for (_, _, front) in live]
+        demods = live[0][1].demodulator.demodulate_many(
             [front.shifted_rx for front in fronts],
             [front.reference for front in fronts],
             [front.half_starts for front in fronts],
         )
         demod_share = (time.perf_counter() - demod_start) / len(live)
-        for (i, result, system, front), demod in zip(live, demods):
+        for (i, system, front), demod in zip(live, demods):
             finalize_start = time.perf_counter()
-            report = system.finalize_run(front, demod)
-            result.n_bits = report.n_bits
-            result.n_errors = report.n_errors
-            result.n_windows = report.n_windows
-            result.n_lost_windows = report.n_lost_windows
-            result.n_erased_windows = report.n_erased_windows
-            result.sync_error_us = report.sync_error_us
+            result = _tag_result(tasks[i], system.finalize_run(front, demod))
             elapsed = (
                 front_elapsed[i]
                 + demod_share
@@ -212,25 +203,21 @@ class FleetRunner:
         workers=1,
         seed=0,
         cache=None,
-        max_retries=1,
         task_timeout_seconds=None,
         on_error="raise",
         infra_faults=None,
         trace=False,
         batch_tags=False,
-        substrate=None,
     ):
-        if substrate is not None:
-            deployment = replace(deployment, substrate=str(substrate))
+        require_whole("workers", workers, minimum=1)
         self.deployment = deployment
         self.scheme = scheme
-        self.workers = workers
+        self.workers = int(workers)
         self.seed = int(seed)
         #: A caller-provided cache is shared (the caller closes it); one
         #: we created ourselves is ours to clean up in :meth:`close`.
         self._owns_cache = cache is None
         self.cache = cache if cache is not None else AmbientCache()
-        self.max_retries = max_retries
         self.task_timeout_seconds = task_timeout_seconds
         self.on_error = on_error
         #: Optional :class:`repro.faults.plan.InfraFaults` — wraps the
@@ -255,12 +242,11 @@ class FleetRunner:
                 "injection targets worker tasks — use the per-tag engine "
                 "path"
             )
-        substrate_name = getattr(self.deployment, "substrate", "chip")
-        if self.batch_tags and substrate_name != "chip":
+        if self.batch_tags and deployment.substrate != "chip":
             raise ValueError(
                 f"batch_tags=True stacks captures through the chip "
                 f"demodulator's demodulate_many pass, which substrate "
-                f"{substrate_name!r} does not provide; run the per-tag "
+                f"{deployment.substrate!r} does not provide; run the per-tag "
                 "engine path"
             )
 
@@ -281,7 +267,7 @@ class FleetRunner:
             return make_scheme(self.scheme, weights=self.deployment.weights())
         return self.scheme
 
-    def plan(self, payload_length=20000, parallel=None):
+    def plan(self, payload_length=20000, parallel=False):
         """Build the deterministic :class:`FleetPlan` for this fleet.
 
         Seeds — one stream for the MAC scheme, one per tag — are all
@@ -290,9 +276,9 @@ class FleetRunner:
         picks the ambient sharing mode: a memory-mapped
         :class:`~repro.fleet.ambient.AmbientHandle` for worker processes,
         or the in-memory stage for anything running in this process
-        (serial, batched, and the service's worker threads).  ``None``
-        infers it from the runner's own worker count.
+        (serial, batched, and the service's worker threads).
         """
+        require_whole("payload_length", payload_length, minimum=0)
         deployment = self.deployment
         n_tags = deployment.n_tags
 
@@ -310,10 +296,6 @@ class FleetRunner:
         )
 
         base_config = deployment.base_config()
-        if parallel is None:
-            parallel = (
-                self.workers > 1 and n_tags > 1 and not self.batch_tags
-            )
         if parallel:
             ambient = self.cache.handle(
                 base_config,
@@ -348,7 +330,6 @@ class FleetRunner:
         """Simulate the fleet; returns a :class:`FleetReport`."""
         engine = ParallelRunEngine(
             workers=self.workers,
-            max_retries=self.max_retries,
             task_timeout_seconds=self.task_timeout_seconds,
             on_error=self.on_error,
         )
@@ -377,63 +358,28 @@ class FleetRunner:
             raw = engine.map(task_fn, tasks)
         return self.assemble_report(schedule, raw, telemetry=engine.telemetry)
 
-    def assemble_report(self, schedule, raw, telemetry=None):
+    def assemble_report(self, schedule, raw, telemetry):
         """Fold per-tag results back into a :class:`FleetReport`.
 
         ``raw`` holds one entry per deployment tag, in tag order — either
         a :class:`~repro.fleet.report.TagResult` or a
         :class:`~repro.fleet.engine.TaskFailure` sentinel (converted to a
         ``failed=True`` row).  ``telemetry`` is the executing substrate's
-        :class:`~repro.fleet.engine.EngineTelemetry`; the service passes
-        its own view, a plain default is used when omitted.
+        :class:`~repro.fleet.engine.EngineTelemetry`: the engine's, or the
+        service's own view.
         """
-        deployment = self.deployment
-        if telemetry is None:
-            telemetry = EngineTelemetry(workers=self.workers)
-        results = []
-        for index, result in enumerate(raw):
-            if isinstance(result, TaskFailure):
-                placement = deployment.tags[index]
-                results.append(
-                    TagResult(
-                        name=placement.name,
-                        enb_to_tag_ft=placement.enb_to_tag_ft,
-                        tag_to_ue_ft=placement.tag_to_ue_ft,
-                        failed=True,
-                        error=result.error,
-                    )
-                )
-            else:
-                results.append(result)
-
-        # Merge telemetry: same-named stages sum across tags, counter
-        # deltas add up — the per-fleet view of what each stage cost.
-        stage_breakdown = {}
-        counters = {}
-        if self.trace:
-            for result in results:
-                roots = [obs_trace.from_dict(d) for d in result.trace]
-                obs_trace.flatten_stages(roots, into=stage_breakdown)
-                for name, value in result.metrics.items():
-                    counters[name] = counters.get(name, 0) + value
-
-        return FleetReport(
-            scheme=schedule.scheme,
-            n_tags=deployment.n_tags,
-            n_half_frames=schedule.n_half_frames,
-            duration_seconds=capture_seconds(schedule.n_half_frames),
-            tags=results,
-            collision_fraction=schedule.collision_fraction,
-            idle_fraction=schedule.idle_fraction,
-            airtime_utilisation=schedule.airtime_utilisation,
-            workers=telemetry.workers,
-            wall_seconds=telemetry.wall_seconds,
-            serial_seconds_estimate=telemetry.task_seconds,
-            speedup=telemetry.speedup,
-            retried_tasks=telemetry.retried,
-            failed_tags=sum(1 for r in results if getattr(r, "failed", False)),
-            timed_out_tasks=telemetry.timed_out,
-            transmit_invocations=self.cache.transmit_calls,
-            stage_breakdown=stage_breakdown,
-            counters=counters,
+        results = [
+            TagResult(
+                name=placement.name,
+                enb_to_tag_ft=placement.enb_to_tag_ft,
+                tag_to_ue_ft=placement.tag_to_ue_ft,
+                failed=True,
+                error=result.error,
+            )
+            if isinstance(result, TaskFailure)
+            else result
+            for placement, result in zip(self.deployment.tags, raw)
+        ]
+        return fleet_report(
+            schedule, results, telemetry, self.cache.transmit_calls
         )

@@ -3,10 +3,11 @@
 The tag's scheduling period is the 5 ms PSS cycle (one half-frame), so a
 capture of ``F`` frames offers ``2F`` MAC slots.  The scheduler runs one of
 the :mod:`repro.mac.schemes` over those slots, resolves simultaneous
-transmissions with the same capture rule the contention model uses
-(strongest tag survives a collision if its received power clears
-``CAPTURE_THRESHOLD_DB``), and emits a :class:`FleetSchedule`: which tag
-successfully owns which half-frame, plus collision/idle accounting.
+transmissions with the contention model's own capture rule,
+:func:`~repro.mac.schemes.capture_winner` (strongest tag survives a
+collision if its received power clears ``CAPTURE_THRESHOLD_DB``), and
+emits a :class:`FleetSchedule`: which tag successfully owns which
+half-frame, plus collision/idle accounting.
 
 Keeping collision resolution analytic (power-based capture, calibrated by
 :func:`repro.mac.collision.two_tag_collision`) lets the IQ stage simulate
@@ -18,13 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.mac.schemes import (
     CAPTURE_THRESHOLD_DB,
     PriorityScheme,
     SlottedAlohaScheme,
     TdmaScheme,
+    capture_winner,
 )
 from repro.utils.rng import make_rng
 
@@ -109,19 +109,6 @@ class FleetScheduler:
         self.capture_threshold_db = float(capture_threshold_db)
         self.rng = make_rng(rng)
 
-    def _resolve(self, transmitters, tag_powers_dbm):
-        """Capture rule: sole transmitter wins; else strongest if it clears
-        the threshold over the runner-up; else everyone loses."""
-        if not transmitters:
-            return None
-        if len(transmitters) == 1:
-            return transmitters[0]
-        powers = np.array([tag_powers_dbm[name] for name in transmitters])
-        order = np.argsort(powers)[::-1]
-        if powers[order[0]] - powers[order[1]] >= self.capture_threshold_db:
-            return transmitters[int(order[0])]
-        return None
-
     def assign(self, tag_names, n_half_frames, tag_powers_dbm=None):
         """Run the scheme over ``n_half_frames`` slots.
 
@@ -137,10 +124,9 @@ class FleetScheduler:
             transmitters = list(
                 self.scheme.transmitters(index, tag_names, self.rng)
             )
-            if tag_powers_dbm is None and len(transmitters) > 1:
-                winner = None
-            else:
-                winner = self._resolve(transmitters, tag_powers_dbm or {})
+            winner = capture_winner(
+                transmitters, tag_powers_dbm, self.capture_threshold_db
+            )
             slots.append(
                 SlotOutcome(index=index, transmitters=transmitters, winner=winner)
             )

@@ -137,6 +137,25 @@ class PriorityScheme:
         return [winner]
 
 
+def capture_winner(
+    transmitters, tag_powers_dbm, capture_threshold_db=CAPTURE_THRESHOLD_DB
+):
+    """The capture rule: the tag whose packet survives a slot, or ``None``.
+
+    A sole transmitter wins; of several, the strongest wins if it clears
+    the runner-up by ``capture_threshold_db`` (never without powers).
+    """
+    if len(transmitters) == 1:
+        return transmitters[0]
+    if not transmitters or tag_powers_dbm is None:
+        return None
+    powers = np.array([tag_powers_dbm[name] for name in transmitters])
+    order = np.argsort(powers)[::-1]
+    if powers[order[0]] - powers[order[1]] >= capture_threshold_db:
+        return transmitters[int(order[0])]
+    return None
+
+
 def simulate_contention(
     tag_powers_dbm,
     scheme,
@@ -159,18 +178,13 @@ def simulate_contention(
     idle = 0
     for slot in range(int(n_slots)):
         active = scheme.transmitters(slot, names, rng)
-        if not active:
-            idle += 1
-            continue
-        if len(active) == 1:
-            success[active[0]] += 1
-            continue
-        powers = np.array([tag_powers_dbm[name] for name in active])
-        order = np.argsort(powers)[::-1]
-        if powers[order[0]] - powers[order[1]] >= capture_threshold_db:
-            success[active[order[0]]] += 1
-        else:
+        winner = capture_winner(active, tag_powers_dbm, capture_threshold_db)
+        if winner is not None:
+            success[winner] += 1
+        elif active:
             collisions += 1
+        else:
+            idle += 1
     return ContentionReport(
         scheme=scheme.name,
         n_tags=len(names),

@@ -8,12 +8,10 @@ from tests.campaign import crashy_experiment
 def crashy(monkeypatch):
     """Register the crash-injection fixture experiment as ``crashy``.
 
-    Yields the fixture module with a clean crash set; both registry views
-    (module resolution and descriptions) are patched so the campaign
-    layer resolves it like any real experiment.
+    Yields the fixture module with a clean crash set; the registry is
+    patched so the campaign layer resolves it like any real experiment.
     """
-    entry = ("tests.campaign.crashy_experiment", crashy_experiment.DESCRIPTION)
-    monkeypatch.setitem(experiments_registry._EXPERIMENTS, "crashy", entry)
+    entry = ("tests.campaign.crashy_experiment", crashy_experiment.DESCRIPTION, False)
     monkeypatch.setitem(experiments_registry.REGISTRY, "crashy", entry)
     crashy_experiment.CRASH_ON.clear()
     yield crashy_experiment

@@ -63,3 +63,25 @@ def test_non_campaign_experiment_raises_with_capable_list():
     # fig08 is a real registry experiment without the campaign protocol.
     with pytest.raises(KeyError, match="campaign-capable"):
         build_shards(CampaignSpec(experiment="fig08"))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"workers": 2.5}, "^workers must be a whole number >= 1"),
+        ({"workers": 0}, "^workers must be a whole number >= 1"),
+        ({"n_shards": 2.5}, "^n_shards must be a whole number >= 1"),
+        ({"n_shards": 0}, "^n_shards must be a whole number >= 1"),
+        ({"n_shards": 2, "shard_index": 2}, r"^shard_index must be in \[0, 2\)"),
+        ({"n_shards": 2, "shard_index": 0.5}, "^shard_index must be a whole number"),
+    ],
+)
+def test_campaign_runner_rejects_bad_slices_naming_the_field(
+    tmp_path, kwargs, message
+):
+    from repro.campaign import CampaignRunner
+
+    spec = CampaignSpec(experiment="fig19", smoke=True)
+    with pytest.raises(ValueError, match=message):
+        CampaignRunner(spec, tmp_path, **kwargs)
+

@@ -11,6 +11,8 @@ from repro.cells import (
     rank_cells,
 )
 from repro.fleet.ambient import AmbientCache
+from repro.fleet.engine import ParallelRunEngine
+from repro.fleet.runner import TagTask, _simulate_tag
 
 
 def _tag_rows(report):
@@ -75,6 +77,38 @@ def test_scatter_is_deterministic(topo):
     assert [(t.x_ft, t.y_ft) for t in a.tags] != [(t.x_ft, t.y_ft) for t in c.tags]
 
 
+#: ``_tag_rows`` of the hex-7, five-tag, seed-11 run (payload 4000),
+#: recorded when each cell's tags still ran as one serial cohort task.
+GOLDEN_TAG_ROWS = [
+    (1, "tag001", 4176, 109, 58, 0, 0, 1),
+    (1, "tag004", 0, 0, 0, 0, 0, 1),
+    (2, "tag002", 4176, 316, 58, 0, 0, 1),
+    (2, "tag003", 4176, 270, 58, 0, 0, 1),
+    (5, "tag000", 8352, 990, 116, 0, 0, 2),
+]
+
+
+def test_run_maps_one_tag_task_per_tag_once(topo, deployment, monkeypatch):
+    """Every served tag is one pool task of the fleet's per-tag function."""
+    calls = []
+    real_map = ParallelRunEngine.map
+
+    def spy(self, fn, tasks, on_result=None):
+        calls.append((fn, list(tasks)))
+        return real_map(self, fn, tasks, on_result)
+
+    monkeypatch.setattr(ParallelRunEngine, "map", spy)
+    with NetworkRunner(topo, deployment, seed=11, payload_length=2000) as r:
+        report = r.run()
+    assert len(calls) == 1
+    fn, tasks = calls[0]
+    assert fn is _simulate_tag
+    assert all(isinstance(task, TagTask) for task in tasks)
+    assert sorted(task.name for task in tasks) == sorted(deployment.names)
+    # Each cell's report holds its own slice of the results, in task order.
+    assert [row[1] for row in _tag_rows(report)] == [t.name for t in tasks]
+
+
 def test_seven_cell_run_bit_identical_across_worker_counts(topo, deployment):
     """Acceptance: the hex-7 network reproduces exactly at any --workers."""
     with NetworkRunner(topo, deployment, seed=11, payload_length=4000) as r:
@@ -83,7 +117,8 @@ def test_seven_cell_run_bit_identical_across_worker_counts(topo, deployment):
         topo, deployment, seed=11, payload_length=4000, workers=3
     ) as r:
         pooled = r.run()
-    assert _tag_rows(serial) == _tag_rows(pooled)
+    assert _tag_rows(serial) == GOLDEN_TAG_ROWS
+    assert _tag_rows(pooled) == GOLDEN_TAG_ROWS
     assert serial.aggregate_goodput_bps == pooled.aggregate_goodput_bps
     assert {c: r.collision_fraction for c, r in serial.cells.items()} == {
         c: r.collision_fraction for c, r in pooled.cells.items()
@@ -161,3 +196,20 @@ def test_report_summary_is_json_ready(topo, deployment):
 def test_invalid_attach_mode_rejected(topo, deployment):
     with pytest.raises(ValueError, match="attach_mode"):
         NetworkRunner(topo, deployment, attach_mode="psychic")
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"workers": 2.5}, "^workers must be a whole number >= 1"),
+        ({"workers": 0}, "^workers must be a whole number >= 1"),
+        ({"payload_length": 2.5}, "^payload_length must be a whole number >= 0"),
+        ({"payload_length": -5}, "^payload_length must be a whole number >= 0"),
+    ],
+)
+def test_runner_rejects_bad_counts_naming_the_field(
+    topo, deployment, kwargs, message
+):
+    with pytest.raises(ValueError, match=message):
+        NetworkRunner(topo, deployment, **kwargs)
+

@@ -134,6 +134,23 @@ def test_engine_retries_failed_task_serially():
         engine.map(_flaky, ["ok", "boom"])
 
 
-def test_engine_defaults_workers_to_cpu_count():
-    engine = ParallelRunEngine(workers=None)
-    assert engine.workers >= 1
+@pytest.mark.parametrize("workers", [2.5, -3, 0, None])
+def test_engine_rejects_fractional_or_nonpositive_workers(workers):
+    with pytest.raises(ValueError, match="^workers must be a whole number >= 1"):
+        ParallelRunEngine(workers=workers)
+
+
+@pytest.mark.parametrize("workers", [2.5, 0])
+def test_fleet_runner_rejects_bad_workers(workers):
+    with pytest.raises(ValueError, match="^workers must be a whole number >= 1"):
+        FleetRunner(_deployment(2), workers=workers)
+
+
+@pytest.mark.parametrize("payload_length", [2.5, -5])
+def test_fleet_plan_rejects_bad_payload_length(payload_length):
+    with FleetRunner(_deployment(2)) as runner:
+        with pytest.raises(
+            ValueError, match="^payload_length must be a whole number >= 0"
+        ):
+            runner.plan(payload_length=payload_length)
+

@@ -140,10 +140,10 @@ def test_fleet_golden_unchanged_without_substrate_argument():
 
 
 def test_fleet_explicit_chip_matches_default():
-    deployment = Deployment.ring(3, bandwidth_mhz=1.4, n_frames=2)
-    with FleetRunner(
-        deployment, scheme="tdma", seed=0, substrate="chip"
-    ) as runner:
+    deployment = Deployment.ring(
+        3, bandwidth_mhz=1.4, n_frames=2, substrate="chip"
+    )
+    with FleetRunner(deployment, scheme="tdma", seed=0) as runner:
         explicit = runner.run(payload_length=2000)
     rows = tuple(
         (tag.name, tag.n_bits, tag.n_errors, tag.sync_error_us)

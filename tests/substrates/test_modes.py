@@ -84,17 +84,19 @@ def test_srs_uplink_rejects_circuit_sync():
 
 
 def test_fleet_runner_rejects_batch_tags_off_chip():
-    deployment = Deployment.ring(2, bandwidth_mhz=1.4, n_frames=2)
+    deployment = Deployment.ring(
+        2, bandwidth_mhz=1.4, n_frames=2, substrate="crs-fsk"
+    )
     with pytest.raises(ValueError, match="batch_tags"):
-        FleetRunner(deployment, substrate="crs-fsk", batch_tags=True)
+        FleetRunner(deployment, batch_tags=True)
 
 
 def test_fleet_runs_every_mode_and_tags_decode(tmp_path):
     for mode in MODES:
-        deployment = Deployment.ring(2, bandwidth_mhz=1.4, n_frames=2)
-        with FleetRunner(
-            deployment, scheme="tdma", seed=0, substrate=mode
-        ) as runner:
+        deployment = Deployment.ring(
+            2, bandwidth_mhz=1.4, n_frames=2, substrate=mode
+        )
+        with FleetRunner(deployment, scheme="tdma", seed=0) as runner:
             report = runner.run(payload_length=2000)
         assert report.failed_tags == 0
         assert all(tag.n_bits > 0 for tag in report.tags), mode

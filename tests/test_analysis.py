@@ -35,6 +35,21 @@ def test_heavy_set_covers_only_registered_ids():
     assert set(HEAVY_EXPERIMENTS) <= set(REGISTRY)
 
 
+def test_heavy_set_is_exactly_the_iq_level_experiments():
+    assert sorted(HEAVY_EXPERIMENTS) == [
+        "fig08", "fig18", "fig31", "fig32",
+        "fleetn", "netgrid", "stressgrid", "subgrid",
+    ]
+
+
+def test_default_report_renders_closed_form_sweeps_and_skips_iq_grids():
+    text = build_report(experiment_ids=["fig16", "netgrid"])
+    fig16, netgrid = text.split("## fig16")[1].split("## netgrid")
+    assert "skipped" not in fig16
+    assert "| hour |" in fig16
+    assert "skipped: IQ-level experiment" in netgrid
+
+
 def test_cli_report_command(tmp_path, capsys):
     from repro.cli import main
 
