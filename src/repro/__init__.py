@@ -2,7 +2,7 @@
 
 A from-scratch Python implementation of the system described in
 "Leveraging Ambient LTE Traffic for Ubiquitous Passive Communication"
-(SIGCOMM 2020), including the LTE/WiFi/LoRa PHY substrates, the tag
+(SIGCOMM 2020), including the LTE and WiFi PHY substrates, the tag
 (analog sync circuit + chip modulator), the backscatter receiver, the
 wireless channel, the baselines the paper compares against, and the
 experiment harness that regenerates every table and figure.
@@ -17,14 +17,14 @@ Quickstart::
 
 Sub-packages:
 
-* ``repro.lte`` / ``repro.wifi`` / ``repro.lora`` — the PHY substrates;
+* ``repro.lte`` / ``repro.wifi`` — the PHY substrates;
 * ``repro.channel`` — path loss, fading, noise, backscatter link budgets;
 * ``repro.tag`` — envelope detector, sync circuit, scheduler, modulator,
   power model;
 * ``repro.bsrx`` — the backscatter receiver pipeline;
 * ``repro.core`` — the end-to-end system and the calibrated link model;
-* ``repro.baselines`` — FreeRider-style WiFi backscatter, symbol-level
-  LTE backscatter, PLoRa;
+* ``repro.baselines`` — models of FreeRider-style WiFi backscatter,
+  symbol-level LTE backscatter and PLoRa;
 * ``repro.traffic`` — ambient traffic occupancy models;
 * ``repro.apps`` — continuous authentication and smart-home sensing;
 * ``repro.experiments`` — one module per table/figure of the paper.

@@ -2,16 +2,14 @@
 
 The tag flips the phase of *entire* OFDM symbols: one backscatter bit per
 two WiFi symbols (8 us/bit -> 125 kbps ceiling), encoded differentially so
-the receiver needs only relative symbol phases.  Two layers:
+the receiver needs only relative symbol phases.
 
-* an IQ-level tag/receiver pair operating on the real 802.11 PHY of
-  :mod:`repro.wifi` (used by tests and the granularity ablation);
-* :class:`WifiBackscatterModel`, the occupancy-gated throughput model the
-  24 h and distance experiments use.  Its link budget carries a large
-  calibrated system gain — like the paper's enhanced baseline, whose tag
-  was triggered by a USRP X300 detector — chosen so the baseline matches
-  FreeRider's published operating points; the gain is then held fixed
-  across every experiment.
+:class:`WifiBackscatterModel` is the occupancy-gated throughput model the
+24 h and distance experiments use.  Its link budget carries a large
+calibrated system gain — like the paper's enhanced baseline, whose tag
+was triggered by a USRP X300 detector — chosen so the baseline matches
+FreeRider's published operating points; the gain is then held fixed
+across every experiment.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import numpy as np
 from repro.channel.link import LinkBudget
 from repro.core.link_budget import rayleigh_bpsk_ber
 from repro.wifi.params import SYMBOL_SAMPLES, SYMBOL_SECONDS
-from repro.wifi.receiver import PREAMBLE_SAMPLES
 
 #: WiFi carrier (channel 6).
 WIFI_CARRIER_HZ = 2.437e9
@@ -43,61 +40,6 @@ BITS_PER_PACKET = 500
 #: symbol-level LTE backscatter (paper Fig. 23), and the sharp BER rise
 #: past ~120 ft (Figs 24/29).
 WIFI_SYSTEM_GAIN_DB = 17.0
-
-
-class FreeRiderTag:
-    """Symbol-level phase flipping on a WiFi packet (IQ level)."""
-
-    def modulate(self, packet_samples, bits, data_start=PREAMBLE_SAMPLES + SYMBOL_SAMPLES):
-        """Differentially embed ``bits`` from ``data_start`` onwards.
-
-        Each bit spans two OFDM symbols; bit 1 toggles the reflection
-        phase for its pair, bit 0 keeps it.  The preamble and SIGNAL
-        symbol are never modulated (the WiFi receiver needs them intact —
-        the analogue of LScatter avoiding the PSS/SSS).
-        """
-        samples = np.array(packet_samples, dtype=complex)
-        bits = np.asarray(bits, dtype=np.int8)
-        phase = 1.0
-        offset = int(data_start)
-        used = 0
-        for bit in bits:
-            span = SYMBOLS_PER_BIT * SYMBOL_SAMPLES
-            if offset + span > len(samples):
-                break
-            if bit:
-                phase = -phase
-            samples[offset : offset + span] *= phase
-            offset += span
-            used += 1
-        return samples, used
-
-
-class FreeRiderReceiver:
-    """Recover symbol-level phase flips from a hybrid WiFi packet."""
-
-    def demodulate(self, hybrid, reference, n_bits, data_start=PREAMBLE_SAMPLES + SYMBOL_SAMPLES):
-        """Differential demodulation against the clean reference packet."""
-        hybrid = np.asarray(hybrid, dtype=complex)
-        reference = np.asarray(reference, dtype=complex)
-        phases = []
-        offset = int(data_start)
-        for _ in range(int(n_bits)):
-            span = SYMBOLS_PER_BIT * SYMBOL_SAMPLES
-            if offset + span > len(hybrid):
-                break
-            ref = reference[offset : offset + span]
-            corr = np.vdot(ref, hybrid[offset : offset + span])
-            phases.append(np.sign(np.real(corr)))
-            offset += span
-        phases = np.asarray(phases)
-        # Differential decode: a bit is 1 when the phase toggled.
-        bits = np.empty(len(phases), dtype=np.int8)
-        previous = 1.0
-        for i, p in enumerate(phases):
-            bits[i] = 1 if p != previous else 0
-            previous = p
-        return bits
 
 
 @dataclass

@@ -111,11 +111,12 @@ class NetworkTag:
 
 @dataclass
 class NetworkDeployment:
-    """The tag population of a multi-cell network plus shared sim knobs."""
+    """The tag population of a multi-cell network plus shared sim knobs.
+
+    Every network tag runs with a genie reference and model sync.
+    """
 
     tags: list = field(default_factory=list)
-    reference_mode: str = "genie"
-    sync_mode: str = "model"
     add_noise: bool = True
     multipath: bool = True
     sync_error_samples: int = None
@@ -140,10 +141,8 @@ class NetworkDeployment:
                 )
             positions[pos] = tag.name
         # The shared knobs meet the per-tag config's checks here, so a bad
-        # mode or sync pin fails at construction, naming the field.
+        # sync pin fails at construction, naming the field.
         SystemConfig(
-            reference_mode=self.reference_mode,
-            sync_mode=self.sync_mode,
             sync_error_samples=self.sync_error_samples,
             multipath=self.multipath,
             add_noise=self.add_noise,
@@ -192,8 +191,8 @@ class NetworkDeployment:
             carrier_hz=topology.carrier_hz,
             cell=site.cell_config(),
             n_frames=site.n_frames,
-            reference_mode=self.reference_mode,
-            sync_mode=self.sync_mode,
+            reference_mode="genie",
+            sync_mode="model",
             sync_error_samples=self.sync_error_samples,
             multipath=self.multipath,
             add_noise=self.add_noise,
@@ -439,12 +438,7 @@ class NetworkRunner:
         # Workers need picklable memory-mapped handles; the serial path
         # keeps in-memory stages.  Spilled bytes round-trip exactly, so
         # the choice never changes a single result bit.
-        ambients = topology.prepare_ambients(
-            self.cache,
-            self.seed,
-            handles=parallel,
-            include_frames=deployment.reference_mode == "decoded",
-        )
+        ambients = topology.prepare_ambients(self.cache, self.seed, handles=parallel)
         if self.attach_mode == "search" and parallel:
             # Search-attach runs in the parent over in-memory stages.
             stage_ambients = topology.prepare_ambients(self.cache, self.seed)

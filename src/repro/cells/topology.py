@@ -89,13 +89,13 @@ class Topology:
     # -- constructors -----------------------------------------------------------
 
     @classmethod
-    def hex_cluster(cls, inter_site_ft=300.0, rings=1, start_cell_id=0, **site_kwargs):
+    def hex_cluster(cls, inter_site_ft=300.0, rings=1, **site_kwargs):
         """The classic hexagonal cluster: a centre cell plus ``rings`` rings.
 
         ``rings=1`` gives the 7-cell pattern.  Cell ids are assigned
-        consecutively from ``start_cell_id`` (centre first, then ring by
-        ring), so neighbouring cells automatically rotate through the
-        three PSS roots.
+        consecutively from 0 (centre first, then ring by ring), so
+        neighbouring cells automatically rotate through the three PSS
+        roots.
         """
         require_finite("inter_site_ft", inter_site_ft, above=0.0)
         if rings < 0:
@@ -124,7 +124,7 @@ class Topology:
         }
         sites = [
             CellSite(
-                cell_id=start_cell_id + index,
+                cell_id=index,
                 x_ft=round(x, 9),
                 y_ft=round(y, 9),
                 **site_kwargs,
@@ -134,8 +134,8 @@ class Topology:
         return cls(sites=sites, **topology_kwargs)
 
     @classmethod
-    def grid(cls, rows, cols, spacing_ft=300.0, start_cell_id=0, **site_kwargs):
-        """A rows x cols rectangular street grid of sites."""
+    def grid(cls, rows, cols, spacing_ft=300.0, **site_kwargs):
+        """A rows x cols rectangular street grid of sites, ids row-major from 0."""
         if rows < 1 or cols < 1:
             raise ValueError(f"grid needs rows, cols >= 1, got {rows}x{cols}")
         require_finite("spacing_ft", spacing_ft, above=0.0)
@@ -149,7 +149,7 @@ class Topology:
             for col in range(int(cols)):
                 sites.append(
                     CellSite(
-                        cell_id=start_cell_id + row * int(cols) + col,
+                        cell_id=row * int(cols) + col,
                         x_ft=col * spacing_ft,
                         y_ft=row * spacing_ft,
                         **site_kwargs,
@@ -232,7 +232,7 @@ class Topology:
 
     # -- ambient captures -------------------------------------------------------
 
-    def prepare_ambients(self, cache, seed, handles=False, include_frames=False):
+    def prepare_ambients(self, cache, seed, handles=False):
         """One cached ambient per cell: ``{cell_id: stage-or-handle}``.
 
         Captures are generated (or reused) through ``cache`` in ascending
@@ -247,9 +247,7 @@ class Topology:
                 config = site.ambient_config(venue=self.venue)
                 cell_seed = ambient_seed(seed, site.cell_id)
                 if handles:
-                    ambients[site.cell_id] = cache.handle(
-                        config, cell_seed, include_frames=include_frames
-                    )
+                    ambients[site.cell_id] = cache.handle(config, cell_seed)
                 else:
                     ambients[site.cell_id] = cache.get(config, cell_seed)
             sp.set(n_cells=self.n_cells, transmit_calls=cache.transmit_calls)

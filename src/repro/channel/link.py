@@ -76,9 +76,9 @@ class LinkBudget:
 
     # -- powers --------------------------------------------------------------
 
-    def direct_rx_dbm(self, distance_ft, rng=None):
+    def direct_rx_dbm(self, distance_ft):
         """Received ambient LTE power at the UE (direct path)."""
-        loss = self.pathloss.loss_db_feet(distance_ft, self.carrier_hz, rng)
+        loss = self.pathloss.loss_db_feet(distance_ft, self.carrier_hz)
         # Half the system gain applies (one eNodeB->UE pass, no tag).
         return self.tx_power_dbm - loss + self.system_gain_db / 2.0
 
@@ -106,9 +106,9 @@ class LinkBudget:
             bandwidth_hz
         )
 
-    def direct_snr_db(self, distance_ft, bandwidth_hz, rng=None):
+    def direct_snr_db(self, distance_ft, bandwidth_hz):
         """SNR of the ambient LTE signal at the UE."""
-        return self.direct_rx_dbm(distance_ft, rng) - self.noise_dbm(bandwidth_hz)
+        return self.direct_rx_dbm(distance_ft) - self.noise_dbm(bandwidth_hz)
 
 
 @dataclass
@@ -119,9 +119,9 @@ class DirectLink:
     distance_ft: float
     fading: FadingChannel = field(default_factory=FadingChannel.flat)
 
-    def apply(self, samples, rng=None):
+    def apply(self, samples):
         """Scale + filter a unit-power waveform to its received version."""
-        rx_dbm = self.budget.direct_rx_dbm(self.distance_ft, rng)
+        rx_dbm = self.budget.direct_rx_dbm(self.distance_ft)
         return self.fading.apply(np.asarray(samples, dtype=complex)) * _amplitude_from_dbm(rx_dbm)
 
 
@@ -139,26 +139,26 @@ class BackscatterLink:
     fading_in: FadingChannel = field(default_factory=FadingChannel.flat)
     fading_out: FadingChannel = field(default_factory=FadingChannel.flat)
 
-    def tag_rx_dbm(self, rng=None):
+    def tag_rx_dbm(self):
         """Power arriving at the tag antenna."""
         loss = self.budget.pathloss.loss_db_feet(
-            self.enb_to_tag_ft, self.budget.carrier_hz, rng
+            self.enb_to_tag_ft, self.budget.carrier_hz
         )
         return self.budget.tx_power_dbm - loss + self.budget.system_gain_db / 2.0
 
-    def apply_to_tag(self, samples, rng=None):
+    def apply_to_tag(self, samples):
         """eNodeB waveform as seen at the tag."""
-        scale = _amplitude_from_dbm(self.tag_rx_dbm(rng))
+        scale = _amplitude_from_dbm(self.tag_rx_dbm())
         return self.fading_in.apply(np.asarray(samples, dtype=complex)) * scale
 
-    def apply_from_tag(self, reflected, rng=None):
+    def apply_from_tag(self, reflected):
         """Tag-reflected waveform as seen at the UE.
 
         ``reflected`` must still be normalised to the *tag input* level;
         this applies the tag conversion loss and the outgoing hop.
         """
         loss2 = self.budget.pathloss.loss_db_feet(
-            self.tag_to_ue_ft, self.budget.carrier_hz, rng
+            self.tag_to_ue_ft, self.budget.carrier_hz
         )
         gain_db = (
             -self.budget.tag_loss_db - loss2 + self.budget.system_gain_db / 2.0

@@ -7,7 +7,7 @@ long-duration and distance-sweep experiments.
 """
 
 from repro.core.config import SystemConfig
-from repro.core.metrics import LinkReport, align_windows, measure_ber
+from repro.core.metrics import LinkReport, align_windows
 from repro.core.system import AmbientStage, LScatterSystem
 from repro.core.link_budget import LScatterLinkModel, LinkPrediction
 
@@ -15,7 +15,6 @@ __all__ = [
     "SystemConfig",
     "LinkReport",
     "align_windows",
-    "measure_ber",
     "AmbientStage",
     "LScatterSystem",
     "LScatterLinkModel",

@@ -5,13 +5,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 
-from repro.channel.link import (
-    DEFAULT_CARRIER_HZ,
-    DEFAULT_NOISE_FIGURE_DB,
-    DEFAULT_SYSTEM_GAIN_DB,
-    DEFAULT_TAG_LOSS_DB,
-    LinkBudget,
-)
+from repro.channel.link import DEFAULT_CARRIER_HZ, LinkBudget
 from repro.channel.pathloss import VENUE_PRESETS
 from repro.lte.frame import CellConfig
 from repro.lte.params import SUPPORTED_BANDWIDTHS_MHZ, LteParams
@@ -32,9 +26,6 @@ class SystemConfig:
     enb_to_ue_ft: float = None  # defaults to enb_to_tag + tag_to_ue
     tx_power_dbm: float = 10.0
     carrier_hz: float = DEFAULT_CARRIER_HZ
-    system_gain_db: float = DEFAULT_SYSTEM_GAIN_DB
-    tag_loss_db: float = DEFAULT_TAG_LOSS_DB
-    noise_figure_db: float = DEFAULT_NOISE_FIGURE_DB
     cell: CellConfig = field(default_factory=CellConfig)
     n_frames: int = 2
     #: "circuit" runs the analog sync simulation; "model" draws the sync
@@ -100,7 +91,7 @@ class SystemConfig:
         if self.enb_to_ue_ft is None:
             self.enb_to_ue_ft = self.enb_to_tag_ft + self.tag_to_ue_ft
         require_finite("enb_to_ue_ft", self.enb_to_ue_ft, minimum=0.0)
-        # The budget checks the powers, gains and carrier, naming each.
+        # The budget checks the power and carrier, naming each.
         self.budget()
         require_finite("structural_reflection_db", self.structural_reflection_db)
         require_finite("ue_cfo_ppm", self.ue_cfo_ppm)
@@ -140,11 +131,9 @@ class SystemConfig:
         return LteParams.from_bandwidth(self.bandwidth_mhz)
 
     def budget(self):
+        """The run's :class:`LinkBudget`: the default gains and noise figure."""
         return LinkBudget(
             tx_power_dbm=self.tx_power_dbm,
             carrier_hz=self.carrier_hz,
             venue=self.venue,
-            system_gain_db=self.system_gain_db,
-            tag_loss_db=self.tag_loss_db,
-            noise_figure_db=self.noise_figure_db,
         )

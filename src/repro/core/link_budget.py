@@ -34,6 +34,9 @@ from repro.tag.framing import slot_plan
 #: Error floor from residual implementation losses (see module docstring).
 DEFAULT_BER_FLOOR = 5e-5
 
+#: Upper end of the :meth:`LScatterLinkModel.max_range_ft` bisection (ft).
+MAX_RANGE_SEARCH_FT = 2000.0
+
 #: Sensitivity of the tag's passive diode envelope detector (dBm).  Below
 #: this incident power the sync circuit cannot find the PSS and the tag
 #: never transmits — the mechanism that limits the eNodeB-to-tag range in
@@ -110,9 +113,9 @@ class LScatterLinkModel:
         interference = self._self_interference(enb_to_tag_ft, tag_to_ue_ft)
         return 1.0 / (1.0 / max(snr, 1e-12) + interference)
 
-    def ber(self, enb_to_tag_ft, tag_to_ue_ft, rng=None):
+    def ber(self, enb_to_tag_ft, tag_to_ue_ft):
         """Chip error rate for one geometry."""
-        sinr = self.sinr_linear(enb_to_tag_ft, tag_to_ue_ft, rng)
+        sinr = self.sinr_linear(enb_to_tag_ft, tag_to_ue_ft)
         raw = rayleigh_bpsk_ber(sinr)
         return float(np.clip(raw + self.ber_floor, 0.0, 0.5))
 
@@ -146,12 +149,13 @@ class LScatterLinkModel:
             sync_availability=self.sync_availability(enb_to_tag_ft),
         )
 
-    def max_range_ft(self, enb_to_tag_ft, ber_target=0.1, hi_ft=2000.0):
+    def max_range_ft(self, enb_to_tag_ft, ber_target=0.1):
         """Largest tag-to-UE distance keeping BER under ``ber_target``.
 
-        Bisection over distance; used by the Fig. 30 range experiment.
+        Bisection over distance up to ``MAX_RANGE_SEARCH_FT``; used by the
+        Fig. 30 range experiment.
         """
-        lo, hi = 0.5, float(hi_ft)
+        lo, hi = 0.5, MAX_RANGE_SEARCH_FT
         if self.ber(enb_to_tag_ft, lo) > ber_target:
             return 0.0
         if self.ber(enb_to_tag_ft, hi) <= ber_target:

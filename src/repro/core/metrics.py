@@ -142,20 +142,3 @@ def measure_link(schedule, demod_result, tolerance):
     if out.n_erased:
         obs_metrics.counter_inc("link.erased_windows", out.n_erased)
     return out
-
-
-def measure_ber(schedule, demod_result, tolerance):
-    """Count bit errors between a tag schedule and a demodulation result.
-
-    Unmatched (lost) windows count every bit as errored.
-    Returns ``(n_bits, n_errors, n_windows, n_lost)`` — the legacy view of
-    :func:`measure_link` (erased windows, if any, are excluded from the
-    bit counts there too).
-    """
-    breakdown = measure_link(schedule, demod_result, tolerance)
-    return (
-        breakdown.n_bits,
-        breakdown.n_errors,
-        breakdown.n_windows,
-        breakdown.n_lost,
-    )

@@ -51,6 +51,15 @@ RESIDUAL_SYNC_MEAN_SECONDS = 1e-6
 RESIDUAL_SYNC_STD_SECONDS = 2.5e-6
 
 
+def _require_finite_samples(name, samples):
+    """Fail before the demodulator slices a NaN or inf into bits (one sum,
+    non-finite whenever any sample is, is cheaper than a per-sample check)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        finite = np.isfinite(np.sum(samples))
+    if not finite:
+        raise ValueError(f"{name} holds a non-finite sample entering bsrx.demodulate")
+
+
 @dataclass
 class RunArtifacts:
     """Intermediate waveforms, for examples and debugging."""
@@ -345,7 +354,7 @@ class LScatterSystem:
     ):
         """Stages 1-5: everything up to (not including) demodulation.
 
-        Returns a :class:`FrontEndState`.  All six RNG streams are spawned
+        Returns a :class:`FrontEndState`.  All five RNG streams are spawned
         and consumed here exactly as in :meth:`run`, so
         ``finalize_run(front, demodulate(front...))`` is bit-identical to
         the monolithic call.
@@ -355,20 +364,21 @@ class LScatterSystem:
         stages 2-4 add them, while this thread builds the bands.  The
         worker is joined before stage 5, so no thread outlives the call,
         whether it returns or raises.  With ``add_noise=False`` no worker
-        starts (DESIGN §16).
+        starts (DESIGN §16).  A NaN or inf in the shifted band or the
+        reference raises ``ValueError`` here, naming the array.
         """
         if payload_bits is None:
             require_whole("payload_length", payload_length, minimum=0)
         config = self.config
-        rngs = spawn_rngs(self.rng.integers(0, 2**31 - 1), 6)
-        rng_payload, rng_fade, rng_noise, rng_sync, rng_tx, rng_shadow = rngs
+        rngs = spawn_rngs(self.rng.integers(0, 2**31 - 1), 5)
+        rng_payload, rng_fade, rng_noise, rng_sync, rng_tx = rngs
 
         if payload_bits is None:
             payload_bits = rng_payload.integers(0, 2, size=int(payload_length))
         payload_bits = np.asarray(payload_bits, dtype=np.int8)
 
         # Fault injection: all fault randomness lives in streams derived
-        # from the plan's own seed (FaultPlan.rng_for), never in the six
+        # from the plan's own seed (FaultPlan.rng_for), never in the five
         # simulation streams above — an all-zero plan is a bit-identical
         # no-op by construction.
         fault_plan = config.faults
@@ -403,6 +413,7 @@ class LScatterSystem:
         # 2-4 build the bands they go into (DESIGN §16).  Leaving the block
         # joins the worker, whether this returns or raises.
         fs = self.params.sample_rate_hz
+        noise_figure_db = self.budget.noise_figure_db
         # UE oscillator error rotates both bands identically (one LO).
         cfo_hz = config.ue_cfo_ppm * 1e-6 * config.carrier_hz
         # Only a decoded reference and the CFO estimate read the direct
@@ -440,7 +451,7 @@ class LScatterSystem:
                 if noise is None:
                     return ambient_at_tag
                 return add_thermal_noise(
-                    ambient_at_tag, fs, config.noise_figure_db, draw=noise.take("tag")
+                    ambient_at_tag, fs, noise_figure_db, draw=noise.take("tag")
                 )
 
             # 3. Tag: sync, schedule, reflect.
@@ -484,7 +495,7 @@ class LScatterSystem:
                     # deferred build draws here, after the worker's last
                     # draw, so it draws the same samples whenever it runs.
                     direct = add_thermal_noise(
-                        direct, fs, config.noise_figure_db, rng_noise, draw=draw
+                        direct, fs, noise_figure_db, rng_noise, draw=draw
                     )
                 return direct
 
@@ -504,7 +515,7 @@ class LScatterSystem:
                     shifted_rx = add_thermal_noise(
                         shifted_rx,
                         fs,
-                        config.noise_figure_db,
+                        noise_figure_db,
                         draw=noise.take("shifted"),
                     )
                 direct_rx = None
@@ -528,6 +539,8 @@ class LScatterSystem:
                 sp.set(block_error_rate=float(lte_result.block_error_rate))
         with span("system.reference"):
             reference = self._reconstruct_reference(direct_rx, capture, lte_result)
+        _require_finite_samples("shifted_rx", shifted_rx)
+        _require_finite_samples("reference", reference)
 
         half = self.params.samples_per_frame // 2
         half_starts = np.arange(0, len(unit) - half + 1, half)

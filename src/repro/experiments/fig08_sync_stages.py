@@ -10,19 +10,24 @@ from repro.tag.sync_circuit import SyncCircuit
 from repro.utils.dsp import awgn
 from repro.utils.rng import make_rng
 
+#: The figure's 1.4 MHz cell at 25 dB SNR, about 2000 rows per 20 ms trace.
+BANDWIDTH_MHZ = 1.4
+SNR_DB = 25.0
+DECIMATE_TO = 2000
 
-def run(seed=0, bandwidth_mhz=1.4, snr_db=25.0, decimate_to=2000):
+
+def run(seed=0):
     """Run the analog chain on four frames; rows sample the *last* 20 ms
     of the three traces (the first frames warm the averaging RC up)."""
     rng = make_rng(seed)
-    capture = LteTransmitter(bandwidth_mhz, rng=rng).transmit(4)
-    noisy = awgn(capture.samples, snr_db, rng)
+    capture = LteTransmitter(BANDWIDTH_MHZ, rng=rng).transmit(4)
+    noisy = awgn(capture.samples, SNR_DB, rng)
     circuit = SyncCircuit(capture.params.sample_rate_hz, rng=rng)
     result = circuit.process(noisy)
 
     fs = capture.params.sample_rate_hz
     window_start = len(result.envelope) - int(20e-3 * fs)
-    stride = max((len(result.envelope) - window_start) // int(decimate_to), 1)
+    stride = max((len(result.envelope) - window_start) // DECIMATE_TO, 1)
     idx = np.arange(window_start, len(result.envelope), stride)
     peak = float(np.max(result.envelope)) or 1.0
     rows = [

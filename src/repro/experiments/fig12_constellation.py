@@ -9,22 +9,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bsrx.phase_offset import apply_phase_offset
+from repro.bsrx.phase_offset import apply_phase_offset, eliminate_phase_offset
 from repro.experiments.registry import ExperimentResult
 from repro.utils.rng import make_rng
 
+#: Chips in the constellation and the common rotation the clock offset adds.
+N_POINTS = 256
+PHI_DEGREES = 35.0
 
-def run(seed=0, n_points=256, phi_degrees=35.0):
+
+def run(seed=0):
     """BPSK chip constellation before/after Eq. 6 elimination."""
     rng = make_rng(seed)
-    chips = 1.0 - 2.0 * rng.integers(0, 2, size=int(n_points)).astype(float)
-    noise = 0.05 * (rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points))
+    chips = 1.0 - 2.0 * rng.integers(0, 2, size=N_POINTS).astype(float)
+    noise = 0.05 * (rng.standard_normal(N_POINTS) + 1j * rng.standard_normal(N_POINTS))
     ideal = chips + noise
-    phi = np.deg2rad(phi_degrees)
+    phi = np.deg2rad(PHI_DEGREES)
     rotated = apply_phase_offset(ideal, phi)
-    # Reference: a known pilot chip (+1) through the same rotation.
-    reference = apply_phase_offset(np.array([1.0 + 0j]), phi)[0]
-    corrected = rotated * np.conj(reference)
+    # Reference: a known pilot chip (+1) through the same rotation, appended
+    # as the reference subcarrier of Eq. 6.
+    pilot = apply_phase_offset(np.array([1.0 + 0j]), phi)
+    corrected = eliminate_phase_offset(np.append(rotated, pilot), -1)[:-1]
 
     def angle_spread(values):
         angles = np.angle(values * np.sign(np.real(values) + 1e-12))
@@ -38,7 +43,7 @@ def run(seed=0, n_points=256, phi_degrees=35.0):
         },
         {
             "constellation": "phase-offset",
-            "mean_rotation_deg": float(phi_degrees),
+            "mean_rotation_deg": PHI_DEGREES,
             "decision_errors": int(np.sum((np.real(rotated) > 0) != (chips > 0))),
         },
         {

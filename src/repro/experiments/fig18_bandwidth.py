@@ -34,12 +34,9 @@ def _measure(bandwidth_mhz, nlos, seed, n_frames, ambient_seed):
     return system.run(payload_length=10_000_000, ambient=ambient)
 
 
-def campaign_points(seed=0, smoke=False, bandwidths=None, n_frames=2):
+def campaign_points(seed=0, smoke=False, n_frames=2):
     """One point per LTE bandwidth (smoke: the two narrowest)."""
-    if bandwidths is None:
-        bandwidths = (
-            SUPPORTED_BANDWIDTHS_MHZ[:2] if smoke else SUPPORTED_BANDWIDTHS_MHZ
-        )
+    bandwidths = SUPPORTED_BANDWIDTHS_MHZ[:2] if smoke else SUPPORTED_BANDWIDTHS_MHZ
     return [
         {"bandwidth_mhz": float(bw), "n_frames": int(n_frames)}
         for bw in bandwidths

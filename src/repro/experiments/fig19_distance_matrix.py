@@ -15,14 +15,15 @@ from repro.experiments.registry import ExperimentResult
 #: Grid of the paper's matrix (feet).
 DISTANCES_FT = (1, 5, 10, 15, 20, 25)
 
+#: The figure's 20 MHz cell.  Each point carries it and ``run_point``
+#: reads it there, so a checkpoint's params name the bandwidth it ran at.
+BANDWIDTH_MHZ = 20.0
 
-def campaign_points(seed=0, smoke=False, bandwidth_mhz=20.0):
+
+def campaign_points(seed=0, smoke=False):
     """One point per eNodeB-to-tag distance (smoke: the first two)."""
     grid = DISTANCES_FT[:2] if smoke else DISTANCES_FT
-    return [
-        {"enb_to_tag_ft": d1, "bandwidth_mhz": float(bandwidth_mhz)}
-        for d1 in grid
-    ]
+    return [{"enb_to_tag_ft": d1, "bandwidth_mhz": BANDWIDTH_MHZ} for d1 in grid]
 
 
 def run_point(params, seed):

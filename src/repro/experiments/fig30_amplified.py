@@ -19,11 +19,14 @@ ENB_TO_TAG_FT = (2, 8, 16, 24, 32, 40)
 #: stopped logging the link as working.
 BER_TARGET = 3e-3
 
+#: The figure's 20 MHz cell.
+BANDWIDTH_MHZ = 20.0
 
-def run(seed=0, bandwidth_mhz=20.0):
+
+def run(seed=0):
     """Maximum workable tag-to-UE range per eNodeB-to-tag distance."""
     model = LScatterLinkModel(
-        bandwidth_mhz,
+        BANDWIDTH_MHZ,
         LinkBudget(venue="outdoor_street", tx_power_dbm=40.0),
     )
     rows = []

@@ -17,8 +17,13 @@ from repro.tag.sync_circuit import SyncCircuit
 from repro.utils.dsp import awgn
 from repro.utils.rng import make_rng
 
+#: The figure's run: 20 frames (40 PSS events) of a 1.4 MHz cell at 20 dB SNR.
+BANDWIDTH_MHZ = 1.4
+SNR_DB = 20.0
+N_FRAMES = 20
 
-def measure_sync_errors(seed=0, bandwidth_mhz=1.4, n_frames=20, snr_db=20.0):
+
+def measure_sync_errors(seed=0, n_frames=N_FRAMES):
     """Sync errors (seconds) for every PSS event in ``n_frames`` frames.
 
     The error convention follows the paper: comparator edge time minus
@@ -29,9 +34,9 @@ def measure_sync_errors(seed=0, bandwidth_mhz=1.4, n_frames=20, snr_db=20.0):
     from repro.lte.sss import SSS_SYMBOL_IN_SLOT
 
     rng = make_rng(seed)
-    capture = LteTransmitter(bandwidth_mhz, rng=rng).transmit(n_frames)
+    capture = LteTransmitter(BANDWIDTH_MHZ, rng=rng).transmit(n_frames)
     params = capture.params
-    noisy = awgn(capture.samples, snr_db, rng)
+    noisy = awgn(capture.samples, SNR_DB, rng)
     circuit = SyncCircuit(params.sample_rate_hz, rng=rng)
     result = circuit.process(noisy)
 
@@ -42,9 +47,9 @@ def measure_sync_errors(seed=0, bandwidth_mhz=1.4, n_frames=20, snr_db=20.0):
     return np.asarray(errors)
 
 
-def run(seed=0, n_frames=20):
+def run(seed=0):
     """Rows: the error CDF on a microsecond grid."""
-    errors_us = measure_sync_errors(seed=seed, n_frames=n_frames) * 1e6
+    errors_us = measure_sync_errors(seed=seed) * 1e6
     grid = np.arange(0, 81, 5)
     rows = [
         {

@@ -13,8 +13,12 @@ import numpy as np
 from repro.core import LScatterSystem, SystemConfig
 from repro.experiments.registry import ExperimentResult
 
+#: One-frame captures of a 64-QAM cell.
+N_FRAMES = 1
+MODULATION = "64qam"
 
-def _throughputs(bandwidth_mhz, with_tag, seed, n_captures, n_frames, modulation):
+
+def _throughputs(bandwidth_mhz, with_tag, seed, n_captures):
     from repro.lte.frame import CellConfig
 
     values = []
@@ -23,9 +27,9 @@ def _throughputs(bandwidth_mhz, with_tag, seed, n_captures, n_frames, modulation
             bandwidth_mhz=bandwidth_mhz,
             enb_to_tag_ft=3.0,
             tag_to_ue_ft=3.0,
-            n_frames=n_frames,
+            n_frames=N_FRAMES,
             reference_mode="decoded",
-            cell=CellConfig(modulation=modulation, code_rate=0.5),
+            cell=CellConfig(modulation=MODULATION, code_rate=0.5),
             # "Without backscatter": push the structural reflection to
             # nothing and park the tag idle (all chips +1 = pure shift).
             structural_reflection_db=-15.0 if with_tag else -200.0,
@@ -37,12 +41,12 @@ def _throughputs(bandwidth_mhz, with_tag, seed, n_captures, n_frames, modulation
     return np.array(values)
 
 
-def run(seed=0, bandwidths=(1.4, 5.0, 20.0), n_captures=4, n_frames=1, modulation="64qam"):
+def run(seed=0, bandwidths=(1.4, 5.0, 20.0), n_captures=4):
     """Rows: per-bandwidth LTE throughput with/without backscatter."""
     rows = []
     for bw in bandwidths:
-        without = _throughputs(bw, False, seed, n_captures, n_frames, modulation)
-        with_tag = _throughputs(bw, True, seed + 100, n_captures, n_frames, modulation)
+        without = _throughputs(bw, False, seed, n_captures)
+        with_tag = _throughputs(bw, True, seed + 100, n_captures)
         rows.append(
             {
                 "bandwidth_mhz": float(bw),

@@ -17,33 +17,26 @@ from __future__ import annotations
 from repro.experiments.registry import ExperimentResult
 from repro.fleet import AmbientCache, Deployment, FleetRunner
 
-DEFAULT_TAG_COUNTS = (1, 2, 4, 8)
-DEFAULT_SCHEMES = ("tdma", "aloha", "priority")
+TAG_COUNTS = (1, 2, 4, 8)
+SCHEMES = ("tdma", "aloha", "priority")
+
+#: The one shared cell: 1.4 MHz, four frames per run.
+BANDWIDTH_MHZ = 1.4
+N_FRAMES = 4
 
 
-def run(
-    seed=0,
-    tag_counts=DEFAULT_TAG_COUNTS,
-    schemes=DEFAULT_SCHEMES,
-    bandwidth_mhz=1.4,
-    n_frames=4,
-    workers=1,
-):
+def run(seed=0):
     """Sweep fleet size per scheme; returns an :class:`ExperimentResult`."""
     cache = AmbientCache()
     rows = []
     try:
-        for scheme in schemes:
-            for n_tags in tag_counts:
+        for scheme in SCHEMES:
+            for n_tags in TAG_COUNTS:
                 deployment = Deployment.ring(
-                    n_tags, bandwidth_mhz=bandwidth_mhz, n_frames=n_frames
+                    n_tags, bandwidth_mhz=BANDWIDTH_MHZ, n_frames=N_FRAMES
                 )
                 report = FleetRunner(
-                    deployment,
-                    scheme=scheme,
-                    workers=workers,
-                    seed=seed,
-                    cache=cache,
+                    deployment, scheme=scheme, seed=seed, cache=cache
                 ).run(payload_length=50_000)
                 rows.append(
                     {
@@ -65,7 +58,7 @@ def run(
         description="Network throughput vs. number of tags (one shared cell)",
         rows=rows,
         notes=(
-            f"{bandwidth_mhz} MHz cell, {n_frames} frames per run, shared "
+            f"{BANDWIDTH_MHZ} MHz cell, {N_FRAMES} frames per run, shared "
             f"ambient ({cache.transmit_calls} eNodeB transmit call(s) total); "
             "granted schemes divide airtime, ALOHA pays the contention tax"
         ),

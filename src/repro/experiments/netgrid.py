@@ -52,7 +52,6 @@ def _deployment(tags):
     # Interference-only physics: see the module docstring.
     return NetworkDeployment(
         tags=tags,
-        reference_mode="genie",
         add_noise=False,
         multipath=False,
         sync_error_samples=0,

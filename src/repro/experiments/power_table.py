@@ -7,9 +7,9 @@ from repro.lte.params import SUPPORTED_BANDWIDTHS_MHZ
 from repro.tag.power import TagPowerModel
 
 
-def run(seed=0, clock_technology="cots"):
+def run(seed=0):
     """Rows: one per bandwidth with the four component powers (uW)."""
-    model = TagPowerModel(clock_technology)
+    model = TagPowerModel("cots")
     ring = TagPowerModel("ring")
     rows = []
     for bw in SUPPORTED_BANDWIDTHS_MHZ:

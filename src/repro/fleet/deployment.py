@@ -15,6 +15,9 @@ from dataclasses import dataclass, field
 
 from repro.core.config import SystemConfig
 
+#: Tag-to-UE hop of every :meth:`Deployment.ring` tag (feet).
+RING_TAG_TO_UE_FT = 5.0
+
 
 @dataclass(frozen=True)
 class TagPlacement:
@@ -91,13 +94,14 @@ class Deployment:
     # -- constructors -----------------------------------------------------------
 
     @classmethod
-    def ring(cls, n_tags, enb_to_tag_ft=4.0, tag_to_ue_ft=5.0, spread_ft=2.0, **kwargs):
+    def ring(cls, n_tags, enb_to_tag_ft=4.0, spread_ft=2.0, **kwargs):
         """Tags spread deterministically on a ring around the eNodeB.
 
         Tag ``i`` sits at ``enb_to_tag_ft + spread_ft * i / n`` from the
-        eNodeB — close enough in power that random access exhibits real
-        collisions (no universal capture), distinct enough that results
-        are per-tag distinguishable.
+        eNodeB and ``RING_TAG_TO_UE_FT`` from its UE — close enough in
+        power that random access exhibits real collisions (no universal
+        capture), distinct enough that results are per-tag
+        distinguishable.
         """
         if n_tags < 1:
             raise ValueError("need at least one tag")
@@ -105,7 +109,7 @@ class Deployment:
             TagPlacement(
                 name=f"tag{i:02d}",
                 enb_to_tag_ft=enb_to_tag_ft + spread_ft * i / n_tags,
-                tag_to_ue_ft=tag_to_ue_ft,
+                tag_to_ue_ft=RING_TAG_TO_UE_FT,
             )
             for i in range(int(n_tags))
         ]

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.mac.schemes import (
-    CAPTURE_THRESHOLD_DB,
     PriorityScheme,
     SlottedAlohaScheme,
     TdmaScheme,
@@ -104,9 +103,8 @@ class FleetSchedule:
 class FleetScheduler:
     """Assign capture half-frames to tags under a MAC scheme."""
 
-    def __init__(self, scheme, capture_threshold_db=CAPTURE_THRESHOLD_DB, rng=None):
+    def __init__(self, scheme, rng=None):
         self.scheme = scheme
-        self.capture_threshold_db = float(capture_threshold_db)
         self.rng = make_rng(rng)
 
     def assign(self, tag_names, n_half_frames, tag_powers_dbm=None):
@@ -124,9 +122,7 @@ class FleetScheduler:
             transmitters = list(
                 self.scheme.transmitters(index, tag_names, self.rng)
             )
-            winner = capture_winner(
-                transmitters, tag_powers_dbm, self.capture_threshold_db
-            )
+            winner = capture_winner(transmitters, tag_powers_dbm)
             slots.append(
                 SlotOutcome(index=index, transmitters=transmitters, winner=winner)
             )

@@ -22,13 +22,11 @@ from repro.lte.params import (
 from repro.lte.resource_grid import SYMBOLS_PER_FRAME
 
 
-def apply_cfo(samples, cfo_hz, sample_rate_hz, initial_phase=0.0):
+def apply_cfo(samples, cfo_hz, sample_rate_hz):
     """Impair a waveform with a carrier frequency offset."""
     samples = np.asarray(samples, dtype=complex)
     n = np.arange(len(samples))
-    rotation = np.exp(
-        1j * (2.0 * np.pi * float(cfo_hz) * n / float(sample_rate_hz) + initial_phase)
-    )
+    rotation = np.exp(1j * (2.0 * np.pi * float(cfo_hz) * n / float(sample_rate_hz)))
     return samples * rotation
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bsrx.demodulator import BackscatterDemodulator
-from repro.core.metrics import measure_ber
+from repro.core.metrics import measure_link
 from repro.lte import LteTransmitter
 from repro.tag.controller import TagController
 from repro.tag.modulator import ChipModulator
@@ -67,11 +67,9 @@ def two_tag_collision(
     half = params.samples_per_frame // 2
     halves = np.arange(0, len(hybrid) - half + 1, half)
     result = demod.demodulate(hybrid, capture.samples, halves)
-    n_bits, n_errors, _, _ = measure_ber(
-        schedule_a, result, params.fft_size // 2
-    )
+    counts = measure_link(schedule_a, result, params.fft_size // 2)
     return CollisionOutcome(
         power_advantage_db=float(power_advantage_db),
-        strong_tag_ber=n_errors / max(n_bits, 1),
-        n_bits=n_bits,
+        strong_tag_ber=counts.n_errors / max(counts.n_bits, 1),
+        n_bits=counts.n_bits,
     )

@@ -4,7 +4,7 @@ The batch fleet machinery simulates a deployment and exits; *ubiquitous*
 passive communication means a receiver that never does.  This package
 refactors the fleet into a long-lived service:
 
-* :mod:`repro.service.queue` — bounded priority-FIFO job queue with
+* :mod:`repro.service.queue` — bounded FIFO job queue with
   backpressure: submissions beyond the depth are shed, not buffered;
 * :mod:`repro.service.service` — :class:`FleetService`: a worker-thread
   pool executing the same pure, pre-seeded tag-session tasks the batch

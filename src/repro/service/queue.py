@@ -1,25 +1,23 @@
-"""Bounded priority job queue with backpressure, drain and reload.
+"""Bounded FIFO job queue with backpressure, drain and reload.
 
 The queue is the admission-control half of the service: submissions
 beyond ``max_depth`` are *shed* immediately (raising
 :class:`BackpressureShed`) rather than buffered without bound, so a
 burst of tag-session requests degrades into a measured shed rate instead
-of unbounded memory growth.  Ordering is strict FIFO per priority level:
-jobs pop in ascending ``(priority, submission order)``, so a lower
-priority number always drains first, and two jobs of equal priority pop
-in the order they were accepted — the invariant the property tests pin.
+of unbounded memory growth.  Ordering is strict FIFO: jobs pop in the
+order they were accepted — the invariant the property tests pin.
 
 ``close()`` flips the queue into drain mode (new submissions raise
 :class:`QueueClosed`; already-accepted jobs remain poppable) and
 ``reopen()`` re-admits.  Jobs are handed out exactly once — a popped job
-is gone from the heap under the same lock that admitted it — which is
+is gone from the deque under the same lock that admitted it — which is
 what makes the service's no-loss/no-duplication guarantee hold across
 drain and reload.
 """
 
 from __future__ import annotations
 
-import heapq
+import collections
 import threading
 import time
 from dataclasses import dataclass, field
@@ -38,7 +36,6 @@ class Job:
     """One accepted unit of work."""
 
     job_id: int
-    priority: int
     payload: object
     #: ``perf_counter`` timestamp at admission; queue-wait latency is
     #: measured from here.
@@ -46,14 +43,14 @@ class Job:
 
 
 class JobQueue:
-    """Thread-safe bounded priority-FIFO queue."""
+    """Thread-safe bounded FIFO queue."""
 
     def __init__(self, max_depth=64):
         max_depth = int(max_depth)
         if max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {max_depth}")
         self.max_depth = max_depth
-        self._heap = []  # (priority, seq, Job)
+        self._jobs = collections.deque()
         self._not_empty = threading.Condition(threading.Lock())
         self._seq = 0
         self._closed = False
@@ -66,14 +63,14 @@ class JobQueue:
     @property
     def depth(self):
         with self._not_empty:
-            return len(self._heap)
+            return len(self._jobs)
 
     @property
     def closed(self):
         with self._not_empty:
             return self._closed
 
-    def submit(self, payload, priority=0):
+    def submit(self, payload):
         """Admit one job; returns it, or raises the backpressure errors."""
         with self._not_empty:
             if self._closed:
@@ -81,16 +78,16 @@ class JobQueue:
                 raise QueueClosed(
                     "queue is closed to new submissions (draining)"
                 )
-            if len(self._heap) >= self.max_depth:
+            if len(self._jobs) >= self.max_depth:
                 self.shed += 1
                 raise BackpressureShed(
-                    f"queue depth {len(self._heap)} is at max_depth "
+                    f"queue depth {len(self._jobs)} is at max_depth "
                     f"{self.max_depth}; session shed"
                 )
             self._seq += 1
             self.submitted += 1
-            job = Job(job_id=self._seq, priority=int(priority), payload=payload)
-            heapq.heappush(self._heap, (job.priority, self._seq, job))
+            job = Job(job_id=self._seq, payload=payload)
+            self._jobs.append(job)
             self._not_empty.notify()
             return job
 
@@ -102,11 +99,11 @@ class JobQueue:
         reload or shutdown never waits out a full timeout.
         """
         with self._not_empty:
-            if not self._heap:
+            if not self._jobs:
                 self._not_empty.wait(timeout)
-            if not self._heap:
+            if not self._jobs:
                 return None
-            _, _, job = heapq.heappop(self._heap)
+            job = self._jobs.popleft()
             self.popped += 1
             return job
 
@@ -130,7 +127,7 @@ class JobQueue:
         """Flat snapshot of the admission counters."""
         with self._not_empty:
             return {
-                "depth": len(self._heap),
+                "depth": len(self._jobs),
                 "max_depth": self.max_depth,
                 "submitted": self.submitted,
                 "shed": self.shed,

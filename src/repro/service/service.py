@@ -213,7 +213,7 @@ class FleetService:
 
     # -- sessions ----------------------------------------------------------------
 
-    def submit(self, fn, task, priority=0):
+    def submit(self, fn, task):
         """Admit one session ``fn(task)``; returns a :class:`SessionTicket`.
 
         Raises :class:`~repro.service.queue.BackpressureShed` when the
@@ -225,7 +225,7 @@ class FleetService:
                 f"cannot submit in state {self.state!r}; start() the service"
             )
         try:
-            job = self.queue.submit((fn, task), priority=priority)
+            job = self.queue.submit((fn, task))
         except BackpressureShed:
             obs_metrics.counter_inc("service.sessions_shed")
             raise
@@ -254,7 +254,7 @@ class FleetService:
 
     # -- fleet scheduling --------------------------------------------------------
 
-    def submit_fleet(self, runner, payload_length=20000, priority=0):
+    def submit_fleet(self, runner, payload_length=20000):
         """Schedule a whole fleet as per-tag sessions; returns a ticket.
 
         The runner's :meth:`~repro.fleet.runner.FleetRunner.plan` fixes
@@ -269,9 +269,7 @@ class FleetService:
         for task in plan.tasks:
             while True:
                 try:
-                    tickets.append(
-                        self.submit(_simulate_tag, task, priority=priority)
-                    )
+                    tickets.append(self.submit(_simulate_tag, task))
                     break
                 except BackpressureShed:
                     if self._stop.is_set():

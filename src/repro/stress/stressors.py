@@ -91,10 +91,8 @@ class BurstyPdsch(_Stressor):
     BUSY_FRACTION_AT_FULL = 0.6
     #: Overload power relative to the carrier RMS (heavy-traffic cell).
     OVERLOAD_AMPLITUDE_REL = 2.0
-
-    def __init__(self, intensity, params, n_bursts=6):
-        super().__init__(intensity, params)
-        self.n_bursts = max(1, int(n_bursts))
+    #: Nested busy windows the burst load is spread over.
+    N_BURSTS = 6
 
     def apply(self, samples, rng, ambient=None):
         if not self.active:
@@ -104,7 +102,7 @@ class BurstyPdsch(_Stressor):
         # burst centres inside nested_busy_mask.
         delay = int(rng.integers(1, max(n, 2)))
         mask = nested_busy_mask(
-            n, self.BUSY_FRACTION_AT_FULL * self.intensity, self.n_bursts, rng
+            n, self.BUSY_FRACTION_AT_FULL * self.intensity, self.N_BURSTS, rng
         )
         idx = np.flatnonzero(mask)
         if not len(idx):
@@ -167,10 +165,8 @@ class SweepJammer(_Stressor):
     COVER_AT_FULL = 0.5
     #: Chirp amplitude relative to the receive-chain RMS.
     AMPLITUDE_REL = 4.0
-
-    def __init__(self, intensity, params, n_bursts=3):
-        super().__init__(intensity, params)
-        self.n_bursts = max(1, int(n_bursts))
+    #: Nested bursts the chirp is keyed on.
+    N_BURSTS = 3
 
     def apply(self, samples, rng, ambient=None):
         if not self.active:
@@ -182,7 +178,7 @@ class SweepJammer(_Stressor):
         phase = float(rng.uniform(0.0, 2.0 * np.pi))
         span_cycles = float(rng.uniform(0.2, 0.45))
         mask = nested_busy_mask(
-            n, self.COVER_AT_FULL * self.intensity, self.n_bursts, rng
+            n, self.COVER_AT_FULL * self.intensity, self.N_BURSTS, rng
         )
         idx = np.flatnonzero(mask)
         if not len(idx):
@@ -288,9 +284,9 @@ class TagMob(_Stressor):
     stream at its own deterministic timing offset
     (:func:`repro.cells.interference.ghost_tag_offsets`) — co-channel
     interference in the shifted band that no filter separates.  Ghost
-    ``g`` transmits only in half-frames with ``h % n_ghosts == g``, so
+    ``g`` transmits only in half-frames with ``h % N_GHOSTS == g``, so
     the ghosts' footprints are disjoint and intensity (which activates
-    ``ceil(intensity * n_ghosts)`` ghosts, a nested set) grows the
+    ``ceil(intensity * N_GHOSTS)`` ghosts, a nested set) grows the
     affected sample set without touching already-interfered samples.
     Sync symbols are left clean: real tags keep quiet during PSS/SSS too.
     """
@@ -301,10 +297,8 @@ class TagMob(_Stressor):
     #: Ghost reflection amplitude relative to the receive-chain RMS
     #: (comparable-power co-channel tags at similar range).
     AMPLITUDE_REL = 1.0
-
-    def __init__(self, intensity, params, n_ghosts=4):
-        super().__init__(intensity, params)
-        self.n_ghosts = max(1, int(n_ghosts))
+    #: Ghost tags in the mob at intensity 1.
+    N_GHOSTS = 4
 
     def _sync_clean_mask(self, n):
         """True where ghosts may transmit (everything but sync symbols)."""
@@ -330,7 +324,7 @@ class TagMob(_Stressor):
         chip_len = max(1, self.params.fft_size // 2)
         n_chips = n // chip_len + 1
         chips_all = (
-            rng.integers(0, 2, size=(self.n_ghosts, n_chips)) * 2 - 1
+            rng.integers(0, 2, size=(self.N_GHOSTS, n_chips)) * 2 - 1
         ).astype(np.int8)
         base = np.asarray(ambient if ambient is not None else samples)
         m = min(n, len(base))
@@ -339,17 +333,17 @@ class TagMob(_Stressor):
         # path loss baked into the ambient.
         base = base[:m] / _rms(base[:m])
         offsets = ghost_tag_offsets(
-            self.n_ghosts, self.params.samples_per_frame
+            self.N_GHOSTS, self.params.samples_per_frame
         )
         clean = self._sync_clean_mask(n)
         amp = self.AMPLITUDE_REL * _rms(samples)
-        k = int(np.ceil(self.intensity * self.n_ghosts))
+        k = int(np.ceil(self.intensity * self.N_GHOSTS))
         out = np.array(samples)
         positions = np.arange(m)
         half_frame_of = positions // half
         for g in range(k):
             stream = np.repeat(chips_all[g], chip_len)[:m]
-            owned = (half_frame_of % self.n_ghosts) == g
+            owned = (half_frame_of % self.N_GHOSTS) == g
             idx = np.flatnonzero(owned & clean[:m])
             if not len(idx):
                 continue

@@ -26,7 +26,7 @@ from repro.tag.framing import packetize, preamble_bits, slot_plan
 from repro.tag.sync_circuit import COMPARATOR_DELAY_SECONDS
 from repro.utils.rng import make_rng
 
-#: Default calibration constant: the tag subtracts the nominal analog
+#: Calibration constant: the tag subtracts the nominal analog
 #: delay from the start of the boosted SSS+PSS region to the comparator
 #: edge (RC rise time + comparator propagation), learned at manufacturing
 #: time.  Matches the mean of the Fig. 31 error distribution.
@@ -92,16 +92,10 @@ def iter_half_frames(
 class TagController:
     """Schedule chips against the tag's (imperfect) notion of LTE timing."""
 
-    def __init__(
-        self,
-        params,
-        calibration_seconds=DEFAULT_CALIBRATION_SECONDS,
-        rng=None,
-    ):
+    def __init__(self, params, rng=None):
         self.params = (
             params if isinstance(params, LteParams) else LteParams.from_bandwidth(params)
         )
-        self.calibration_seconds = float(calibration_seconds)
         self.rng = make_rng(rng)
         self.n_chips = self.params.n_subcarriers
         # Chips are centred in the useful symbol: equal guard either side.
@@ -121,7 +115,7 @@ class TagController:
             raise ValueError("no sync edges detected — tag cannot transmit")
         fs = self.params.sample_rate_hz
         sync_start = self.params.symbol_start(0, SSS_SYMBOL_IN_SLOT)
-        calibration = int(round(self.calibration_seconds * fs))
+        calibration = int(round(DEFAULT_CALIBRATION_SECONDS * fs))
         half = self.params.samples_per_frame // 2
         # Average every detection back to the first half-frame boundary —
         # the FPGA's crystal is stable over a capture, so averaging N PSS

@@ -33,6 +33,10 @@ HOLDOFF_SECONDS = 4e-3
 #: overdrive dependence and RC charge-state variation between frames.
 COMPARATOR_JITTER_SECONDS = 2.5e-6
 
+#: Comparator threshold: the envelope must exceed its own average by
+#: this factor, which only the boosted SSS+PSS symbols do.
+THRESHOLD_MARGIN = 1.6
+
 #: Adaptive re-sync: each retry multiplies the threshold margin by this
 #: factor (bounded exponential backoff towards ``MIN_THRESHOLD_MARGIN``).
 RESYNC_MARGIN_BACKOFF = 0.75
@@ -85,7 +89,6 @@ class SyncCircuit:
     def __init__(
         self,
         sample_rate_hz,
-        threshold_margin=1.6,
         propagation_delay_seconds=COMPARATOR_DELAY_SECONDS,
         jitter_seconds=COMPARATOR_JITTER_SECONDS,
         warmup_seconds=12e-3,
@@ -95,7 +98,6 @@ class SyncCircuit:
     ):
         self.sample_rate_hz = float(sample_rate_hz)
         self.detector = EnvelopeDetector(sample_rate_hz)
-        self.threshold_margin = float(threshold_margin)
         self.propagation_delay_seconds = float(propagation_delay_seconds)
         self.jitter_seconds = float(jitter_seconds)
         #: The averaging RC starts uncharged; edges before it settles are
@@ -142,10 +144,10 @@ class SyncCircuit:
         alpha = rc_alpha(AVERAGE_TAU_SECONDS, self.sample_rate_hz)
         average = rc_lowpass(envelope, alpha)
 
-        # First pass at the configured margin; adaptive re-sync relaxes it
+        # First pass at THRESHOLD_MARGIN; adaptive re-sync relaxes it
         # geometrically only when the pass found nothing, so a clean
         # capture's result is bit-identical whatever the attempt budget.
-        margin = self.threshold_margin
+        margin = THRESHOLD_MARGIN
         attempts = 0
         comparator, accepted = self._comparator_edges(envelope, average, margin)
         while len(accepted) == 0 and attempts < self.max_resync_attempts:

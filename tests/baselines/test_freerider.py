@@ -1,53 +1,17 @@
-"""WiFi-backscatter baseline tests (IQ tag/receiver + throughput model)."""
+"""WiFi-backscatter baseline tests (the occupancy-gated throughput model)."""
 
-import numpy as np
 import pytest
 
 from repro.baselines.freerider import (
     BITS_PER_PACKET,
     RAW_BIT_RATE_BPS,
-    FreeRiderReceiver,
-    FreeRiderTag,
     WifiBackscatterModel,
 )
-from repro.utils.rng import make_rng
-from repro.wifi import WifiReceiver, WifiTransmitter
 
 
 def test_raw_rate_is_symbol_level():
     # 1 bit per two 4-us WiFi symbols = 125 kbps.
     assert RAW_BIT_RATE_BPS == pytest.approx(125e3)
-
-
-def test_iq_roundtrip_clean():
-    rng = make_rng(0)
-    packet = WifiTransmitter(12.0, rng=rng).transmit(psdu_bytes=200)
-    bits = rng.integers(0, 2, size=8).astype(np.int8)
-    tag = FreeRiderTag()
-    hybrid, used = tag.modulate(packet.samples, bits)
-    assert used == len(bits)
-    recovered = FreeRiderReceiver().demodulate(hybrid, packet.samples, used)
-    assert np.array_equal(recovered, bits)
-
-
-def test_iq_preamble_untouched():
-    rng = make_rng(1)
-    packet = WifiTransmitter(6.0, rng=rng).transmit(psdu_bytes=150)
-    bits = rng.integers(0, 2, size=10).astype(np.int8)
-    hybrid, _ = FreeRiderTag().modulate(packet.samples, bits)
-    # Preamble + SIGNAL samples are bit-exact.
-    assert np.array_equal(hybrid[:400], packet.samples[:400])
-
-
-def test_hybrid_packet_still_decodable_by_wifi_receiver():
-    # Symbol-level BPSK flips look like slow channel-phase jumps; with
-    # bit 0 (no flip) the packet is untouched and must decode cleanly.
-    rng = make_rng(2)
-    packet = WifiTransmitter(12.0, rng=rng).transmit(psdu_bytes=100)
-    hybrid, _ = FreeRiderTag().modulate(packet.samples, np.zeros(5, np.int8))
-    result = WifiReceiver().decode(hybrid, ltf1_start=192)
-    assert result.detected
-    assert result.errors_against(packet.psdu_bits) == 0
 
 
 def test_throughput_scales_with_occupancy():

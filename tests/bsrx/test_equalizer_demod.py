@@ -69,10 +69,10 @@ def _end_to_end(error_samples=0, fading=None, snr_db=None, payload_len=20000, se
     half = params.samples_per_frame // 2
     halves = np.arange(0, len(hybrid) - half + 1, half)
     result = demod.demodulate(hybrid, capture.samples, halves)
-    from repro.core.metrics import measure_ber
+    from repro.core.metrics import measure_link
 
-    n_bits, n_errors, _, _ = measure_ber(schedule, result, params.fft_size // 2)
-    return n_errors / n_bits, result, schedule
+    counts = measure_link(schedule, result, params.fft_size // 2)
+    return counts.n_errors / counts.n_bits, result, schedule
 
 
 def test_ideal_channel_near_error_free():

@@ -58,8 +58,6 @@ def test_deployment_rejects_duplicates_with_names():
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("reference_mode", "x"),
-        ("sync_mode", "x"),
         ("sync_error_samples", 2.5),
         ("sync_error_samples", float("nan")),
     ],

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.metrics import LinkReport, align_windows, measure_ber
+from repro.core.metrics import BerBreakdown, LinkReport, align_windows, measure_link
 from repro.tag.controller import ChipSchedule, ChipWindow
 
 
@@ -106,8 +106,9 @@ def test_measure_ber_counts_errors():
         windows=[_window(10, [1, 0, 1, 0]), _window(20, [1, 1, 1, 1])],
     )
     demod = _FakeDemod([10, 20], [[1, 0, 0, 0], [1, 1, 1, 1]])
-    n_bits, n_errors, n_windows, n_lost = measure_ber(schedule, demod, 3)
-    assert (n_bits, n_errors, n_windows, n_lost) == (8, 1, 2, 0)
+    assert measure_link(schedule, demod, 3) == BerBreakdown(
+        n_bits=8, n_errors=1, n_windows=2, n_lost=0
+    )
 
 
 def test_measure_ber_lost_window_fully_errored():
@@ -115,8 +116,8 @@ def test_measure_ber_lost_window_fully_errored():
         chips=np.ones(1, np.int8), windows=[_window(10, [1, 0, 1])]
     )
     demod = _FakeDemod([500], [[1, 0, 1]])
-    n_bits, n_errors, n_windows, n_lost = measure_ber(schedule, demod, 3)
-    assert (n_bits, n_errors, n_lost) == (3, 3, 1)
+    counts = measure_link(schedule, demod, 3)
+    assert (counts.n_bits, counts.n_errors, counts.n_lost) == (3, 3, 1)
 
 
 def test_measure_ber_length_mismatch_is_lost():
@@ -124,8 +125,8 @@ def test_measure_ber_length_mismatch_is_lost():
         chips=np.ones(1, np.int8), windows=[_window(10, [1, 0, 1])]
     )
     demod = _FakeDemod([10], [[1, 0]])
-    _, n_errors, _, n_lost = measure_ber(schedule, demod, 3)
-    assert (n_errors, n_lost) == (3, 1)
+    counts = measure_link(schedule, demod, 3)
+    assert (counts.n_errors, counts.n_lost) == (3, 1)
 
 
 def test_measure_ber_mismatched_window_counts_all_bits_lost():
@@ -136,8 +137,9 @@ def test_measure_ber_mismatched_window_counts_all_bits_lost():
         windows=[_window(10, [1, 0, 1, 0]), _window(20, [1, 1])],
     )
     demod = _FakeDemod([10, 20], [[1, 0, 1, 0, 1, 1], [1, 1]])
-    n_bits, n_errors, n_windows, n_lost = measure_ber(schedule, demod, 3)
-    assert (n_bits, n_errors, n_windows, n_lost) == (6, 4, 2, 1)
+    assert measure_link(schedule, demod, 3) == BerBreakdown(
+        n_bits=6, n_errors=4, n_windows=2, n_lost=1
+    )
 
 
 def test_measure_ber_duplicate_demod_window_counts_lost():
@@ -151,8 +153,9 @@ def test_measure_ber_duplicate_demod_window_counts_lost():
         windows=[_window(10, [1, 0, 1]), _window(14, [1, 0, 1])],
     )
     demod = _FakeDemod([13], [[1, 0, 1]])
-    n_bits, n_errors, n_windows, n_lost = measure_ber(schedule, demod, 5)
-    assert (n_bits, n_errors, n_windows, n_lost) == (6, 3, 2, 1)
+    assert measure_link(schedule, demod, 5) == BerBreakdown(
+        n_bits=6, n_errors=3, n_windows=2, n_lost=1
+    )
 
 
 def test_measure_ber_no_demod_windows_at_all():
@@ -160,5 +163,6 @@ def test_measure_ber_no_demod_windows_at_all():
         chips=np.ones(1, np.int8), windows=[_window(10, [1, 0, 1])]
     )
     demod = _FakeDemod([], [])
-    n_bits, n_errors, n_windows, n_lost = measure_ber(schedule, demod, 3)
-    assert (n_bits, n_errors, n_windows, n_lost) == (3, 3, 1, 1)
+    assert measure_link(schedule, demod, 3) == BerBreakdown(
+        n_bits=3, n_errors=3, n_windows=1, n_lost=1
+    )

@@ -1,12 +1,13 @@
 """End-to-end IQ system tests."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.channel.link import DirectLink
-from repro.core import LScatterSystem, SystemConfig
+from repro.core import AmbientStage, LScatterSystem, SystemConfig
 
 #: sha256 of ``artifacts.direct_rx`` for a 1.4 MHz genie run with
 #: multipath and noise (``n_frames=2``, ``rng=11``, 2000 payload bits),
@@ -101,9 +102,6 @@ def test_invalid_config_rejected():
         "tx_power_dbm": (nan, inf, -inf, None),
         "window_snr_gate_db": (nan, inf),
         "carrier_hz": (nan, inf, 0.0, -1.0, None),
-        "system_gain_db": (nan, inf, -inf),
-        "tag_loss_db": (nan, -inf),
-        "noise_figure_db": (nan, inf),
         "structural_reflection_db": (nan, inf, -inf),
         "ue_cfo_ppm": (nan, inf, "0.5"),
     }.items():
@@ -115,6 +113,30 @@ def test_invalid_config_rejected():
     # Every supported bandwidth constructs, given as int or float.
     for bandwidth_mhz in (1.4, 3, 5.0, 10, 15.0, 20):
         SystemConfig(bandwidth_mhz=bandwidth_mhz)
+
+
+@pytest.mark.parametrize(
+    "poisoned, array",
+    [("unit", "shifted_rx"), ("capture", "reference")],
+)
+def test_non_finite_ambient_fails_at_the_demod_boundary(poisoned, array):
+    """One NaN in an injected ambient raises, naming the array and stage,
+    instead of demodulating into a normal-looking report."""
+    config = SystemConfig(
+        bandwidth_mhz=1.4, reference_mode="genie", sync_mode="model"
+    )
+    clean = LScatterSystem(config, rng=0).prepare_ambient(rng=7)
+    capture, unit = clean.capture, clean.unit
+    samples = (unit if poisoned == "unit" else capture.samples).copy()
+    samples[1000] = np.nan
+    if poisoned == "unit":
+        unit = samples
+    else:
+        capture = replace(capture, samples=samples)
+    stage = AmbientStage(capture=capture, unit=unit)
+    system = LScatterSystem(config, rng=1)
+    with pytest.raises(ValueError, match=f"^{array} .*entering bsrx.demodulate"):
+        system.run(payload_length=4000, ambient=stage)
 
 
 @pytest.mark.parametrize("value", [2.5, -0.5, float("nan"), float("inf"), "3"])
@@ -158,9 +180,9 @@ def _count_direct_link_calls(monkeypatch):
     calls = []
     apply = DirectLink.apply
 
-    def counted(self, samples, rng=None):
+    def counted(self, samples):
         calls.append(len(samples))
-        return apply(self, samples, rng)
+        return apply(self, samples)
 
     monkeypatch.setattr(DirectLink, "apply", counted)
     return calls

@@ -8,9 +8,13 @@ to the serial per-tag path.  These tests pin that contract at the
 demodulator-level equality tests in ``tests/bsrx/test_batch_demod.py``.
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.cells import NetworkDeployment, NetworkRunner, Topology
+from repro.core import AmbientStage
 from repro.fleet import Deployment, FleetRunner
 
 
@@ -46,6 +50,22 @@ def test_batched_fleet_matches_engine_paths():
     batched2, report2 = _fleet_keys(workers=4, batch_tags=True)
     assert batched2 == batched
     assert report2.workers == 1
+
+
+def test_batched_pass_rejects_a_non_finite_ambient(monkeypatch):
+    """The batched pass demodulates through the same front end as ``run``,
+    so a NaN in the shared ambient fails before the cross-tag demod."""
+    runner = FleetRunner(_deployment(), scheme="tdma", seed=5, batch_tags=True)
+    with runner:
+        stage = runner.cache.get(runner.deployment.base_config(), runner.seed)
+        samples = stage.unit.copy()
+        samples[1000] = np.nan
+        poisoned = AmbientStage(
+            capture=replace(stage.capture, samples=samples), unit=samples
+        )
+        monkeypatch.setattr(runner.cache, "get", lambda config, seed: poisoned)
+        with pytest.raises(ValueError, match="^shifted_rx .*bsrx.demodulate"):
+            runner.run(payload_length=3000)
 
 
 def test_batch_tags_rejects_incompatible_modes():

@@ -105,25 +105,6 @@ def test_coded_payload_through_iq_chain():
     assert errors <= 2
 
 
-def test_wifi_backscatter_iq_through_channel():
-    """FreeRider IQ baseline survives a realistic WiFi channel."""
-    from repro.baselines import FreeRiderReceiver, FreeRiderTag
-    from repro.channel.fading import FadingChannel
-    from repro.utils.dsp import awgn
-    from repro.utils.rng import make_rng
-    from repro.wifi import WifiTransmitter
-
-    rng = make_rng(14)
-    packet = WifiTransmitter(12.0, rng=rng).transmit(psdu_bytes=300)
-    bits = rng.integers(0, 2, size=12).astype(np.int8)
-    hybrid, used = FreeRiderTag().modulate(packet.samples, bits)
-    channel = FadingChannel.rician(k_db=12.0, n_taps=2, rng=rng)
-    received = awgn(channel.apply(hybrid), 15.0, rng)
-    reference = channel.apply(packet.samples)
-    recovered = FreeRiderReceiver().demodulate(received, reference, used)
-    assert np.array_equal(recovered, bits[:used])
-
-
 def test_all_bandwidths_round_numbers():
     """Throughput scales exactly with the subcarrier count at IQ level."""
     rates = {}

@@ -1,9 +1,9 @@
-"""Property tests for the bounded priority-FIFO job queue.
+"""Property tests for the bounded FIFO job queue.
 
 The queue's contract (see ``repro.service.queue``) has three invariants
 worth pinning with generated inputs rather than examples:
 
-* strict FIFO *within* a priority level, priorities drained ascending;
+* strict FIFO: jobs pop in admission order;
 * conservation — every accepted job is popped exactly once, across any
   interleaving of submits, pops, close/reopen cycles;
 * backpressure shed count is monotone non-decreasing in offered load at
@@ -27,34 +27,19 @@ def _drain_all(queue):
         out.append(job)
 
 
-@given(
-    priorities=st.lists(st.integers(min_value=0, max_value=3), max_size=40)
-)
+@given(n_jobs=st.integers(min_value=0, max_value=40))
 @settings(max_examples=60, deadline=None)
-def test_pops_sorted_by_priority_then_admission_order(priorities):
+def test_pops_in_admission_order(n_jobs):
     queue = JobQueue(max_depth=64)
-    for i, priority in enumerate(priorities):
-        queue.submit(("job", i), priority=priority)
+    accepted = [queue.submit(("job", i)).job_id for i in range(n_jobs)]
     popped = _drain_all(queue)
-    keys = [(job.priority, job.job_id) for job in popped]
-    assert keys == sorted(keys)
-    # FIFO within each priority level: payload indices ascend.
-    for level in set(job.priority for job in popped):
-        indices = [
-            job.payload[1] for job in popped if job.priority == level
-        ]
-        assert indices == sorted(indices)
+    assert [job.job_id for job in popped] == accepted
+    assert [job.payload[1] for job in popped] == list(range(n_jobs))
 
 
 @given(
     ops=st.lists(
-        st.one_of(
-            st.tuples(st.just("submit"), st.integers(0, 3)),
-            st.just(("pop", None)),
-            st.just(("close", None)),
-            st.just(("reopen", None)),
-        ),
-        max_size=60,
+        st.sampled_from(("submit", "pop", "close", "reopen")), max_size=60
     )
 )
 @settings(max_examples=60, deadline=None)
@@ -62,11 +47,11 @@ def test_no_job_lost_or_duplicated_across_close_reopen(ops):
     queue = JobQueue(max_depth=8)
     accepted, popped = [], []
     serial = 0
-    for op, arg in ops:
+    for op in ops:
         if op == "submit":
             serial += 1
             try:
-                job = queue.submit(("payload", serial), priority=arg)
+                job = queue.submit(("payload", serial))
             except (BackpressureShed, QueueClosed):
                 continue
             accepted.append(job.job_id)

@@ -1,8 +1,9 @@
 """Cross-module property-based tests (hypothesis).
 
 Invariants that must hold for *any* input, spanning module boundaries:
-OFDM transparency, schedule safety, link-model monotonicity, and the
-end-to-end "critical information" guarantee.
+OFDM transparency, schedule safety, link-model monotonicity, the
+end-to-end "critical information" guarantee, and no undocumented NaN in
+the report of any valid config.
 """
 
 import numpy as np
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.channel.link import LinkBudget
+from repro.core import LScatterSystem, SystemConfig
 from repro.core.link_budget import LScatterLinkModel
 from repro.lte.modulation import BITS_PER_SYMBOL, demodulate_llr, modulate
 from repro.lte.params import LteParams
+from repro.substrates import available_substrates, get_substrate
 from repro.tag.controller import TagController
 from repro.utils.rng import make_rng
 
@@ -261,3 +264,61 @@ def test_zero_severity_faults_are_object_identical_noops(
     np.testing.assert_array_equal(
         injector(edges, n_samples, 1.92e6), np.asarray(edges, dtype=np.int64)
     )
+
+
+@st.composite
+def valid_system_configs(draw):
+    """A random valid config: every substrate with the modes it supports."""
+    substrate = draw(st.sampled_from(available_substrates()))
+    mode = get_substrate(substrate)
+    reference_modes = ("genie",)
+    if mode.supports_decoded_reference:
+        reference_modes += ("decoded",)
+    sync_modes = ("model",)
+    if mode.supports_circuit_sync:
+        sync_modes += ("circuit",)
+    return SystemConfig(
+        bandwidth_mhz=draw(st.sampled_from((1.4, 3.0))),
+        n_frames=draw(st.integers(min_value=1, max_value=2)),
+        substrate=substrate,
+        reference_mode=draw(st.sampled_from(reference_modes)),
+        sync_mode=draw(st.sampled_from(sync_modes)),
+        enb_to_tag_ft=draw(st.floats(min_value=0.0, max_value=500.0)),
+        tag_to_ue_ft=draw(st.floats(min_value=0.0, max_value=500.0)),
+        tx_power_dbm=draw(st.floats(min_value=-60.0, max_value=30.0)),
+        add_noise=draw(st.booleans()),
+        multipath=draw(st.booleans()),
+        ue_cfo_ppm=draw(st.sampled_from((0.0, 0.5))),
+        erasure_threshold=draw(st.one_of(st.none(), st.floats(0.0, 1.0))),
+        window_snr_gate_db=draw(st.one_of(st.none(), st.floats(-10.0, 30.0))),
+        sync_resync_attempts=draw(st.integers(min_value=0, max_value=2)),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=valid_system_configs(), seed=st.integers(0, 2**31 - 1))
+def test_valid_config_reports_no_undocumented_nan(config, seed):
+    """Every LinkReport field is finite but for the documented NaNs: BER
+    with no bits, the sync error after a sync failure, and the LTE fields
+    when nothing was decoded (genie reference)."""
+    report = LScatterSystem(config, rng=seed).run(payload_length=2000)
+    allowed = set()
+    if report.n_bits == 0:
+        allowed.add("ber")
+    if report.sync_failed:
+        allowed.add("sync_error_us")
+    if config.reference_mode == "genie":
+        allowed |= {"lte_block_error_rate", "lte_throughput_bps"}
+    fields = {
+        name: getattr(report, name)
+        for name in (
+            "n_bits", "n_errors", "duration_seconds", "n_windows",
+            "n_lost_windows", "n_erased_windows", "sync_error_us",
+            "lte_block_error_rate", "lte_throughput_bps", "ber",
+            "throughput_bps",
+        )
+    }
+    not_finite = sorted(
+        name for name, value in fields.items() if not np.isfinite(value)
+    )
+    assert set(not_finite) <= allowed, (not_finite, config)

@@ -43,12 +43,8 @@ def test_capture_bitstreams_deterministic():
 
 
 def test_wifi_and_lora_deterministic():
-    from repro.lora import LoraTransmitter
     from repro.wifi import WifiTransmitter
 
     a = WifiTransmitter(12.0, rng=4).transmit(psdu_bytes=50).samples
     b = WifiTransmitter(12.0, rng=4).transmit(psdu_bytes=50).samples
     assert np.array_equal(a, b)
-    c = LoraTransmitter(rng=4).transmit(payload_bytes=8).samples
-    d = LoraTransmitter(rng=4).transmit(payload_bytes=8).samples
-    assert np.array_equal(c, d)
