@@ -51,13 +51,13 @@ RESIDUAL_SYNC_MEAN_SECONDS = 1e-6
 RESIDUAL_SYNC_STD_SECONDS = 2.5e-6
 
 
-def _require_finite_samples(name, samples):
-    """Fail before the demodulator slices a NaN or inf into bits (one sum,
+def _require_finite_samples(name, samples, stage):
+    """Fail before ``stage`` turns a NaN or inf into bits (one sum,
     non-finite whenever any sample is, is cheaper than a per-sample check)."""
     with np.errstate(invalid="ignore", over="ignore"):
         finite = np.isfinite(np.sum(samples))
     if not finite:
-        raise ValueError(f"{name} holds a non-finite sample entering bsrx.demodulate")
+        raise ValueError(f"{name} holds a non-finite sample entering {stage}")
 
 
 @dataclass
@@ -365,7 +365,8 @@ class LScatterSystem:
         worker is joined before stage 5, so no thread outlives the call,
         whether it returns or raises.  With ``add_noise=False`` no worker
         starts (DESIGN §16).  A NaN or inf in the shifted band or the
-        reference raises ``ValueError`` here, naming the array.
+        reference, or in the direct band a decoded reference reads, raises
+        ``ValueError`` here, naming the array and the stage it was entering.
         """
         if payload_bits is None:
             require_whole("payload_length", payload_length, minimum=0)
@@ -533,14 +534,15 @@ class LScatterSystem:
         # 5. UE: LTE decode (for Fig. 32 and the ambient reconstruction).
         lte_result = None
         if config.reference_mode == "decoded":
+            _require_finite_samples("direct_rx", direct_rx, "lte.decode")
             with span("lte.decode") as sp:
                 ue = LteReceiver(self.params, config.cell)
                 lte_result = ue.decode(direct_rx, reference_frames=capture.frames)
                 sp.set(block_error_rate=float(lte_result.block_error_rate))
         with span("system.reference"):
             reference = self._reconstruct_reference(direct_rx, capture, lte_result)
-        _require_finite_samples("shifted_rx", shifted_rx)
-        _require_finite_samples("reference", reference)
+        _require_finite_samples("shifted_rx", shifted_rx, "bsrx.demodulate")
+        _require_finite_samples("reference", reference, "bsrx.demodulate")
 
         half = self.params.samples_per_frame // 2
         half_starts = np.arange(0, len(unit) - half + 1, half)

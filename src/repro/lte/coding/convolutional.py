@@ -5,13 +5,25 @@ encoder is tail-biting: the shift register starts loaded with the last six
 message bits, so the start and end states coincide and no tail bits are
 transmitted.
 
-Performance notes.  The encoder is a vectorised circular XOR (tail-biting
-makes every output a cyclic convolution of the message with the generator
-taps).  The decoder is a numpy Viterbi over the 64 states that decodes
-every block it is given, whatever their lengths, in one trellis sweep: an
-LTE receiver hands it all the transport blocks of a capture at once.
+Performance notes.  Tail-biting makes every coded stream a cyclic
+convolution of the message with one generator's taps, so the encoder XORs
+slices of one copy of the message with its last six bits in front.
+
+The decoder first tries the algebra.  Written as polynomials in the delay,
+the first two generators have a0·g0 + a1·g1 = 1 over GF(2)[x] (derived
+below by extended Euclid), so ``u = a0 ⊛ d0 ⊕ a1 ⊛ d1`` inverts the
+encoder on the hard-decision streams d0, d1.  When the hard decisions of
+a block already form a codeword (``conv_encode(u)`` equals all three
+streams) and its LLRs hold no zero and span less than 2**30, ``u`` is the
+block's answer, bit for bit the one the trellis would give (DESIGN.md §10,
+"One-sweep Viterbi", has the argument).  The counter
+``lte.viterbi_fast_blocks`` counts those blocks.
+
+Every other block goes through a numpy Viterbi over the 64 states that
+decodes them all, whatever their lengths, in one trellis sweep: an LTE
+receiver hands it all the transport blocks of a capture at once.
 Tail-biting is handled with a wrap margin: the received LLRs are extended
-circularly by ``wrap_margin`` steps on each side so the survivor paths
+circularly by ``_WRAP_MARGIN`` steps on each side so the survivor paths
 converge onto the circular trellis before the bits that are kept.
 
 Each step is a butterfly add-compare-select over a ``(2, 32, n_blocks)``
@@ -25,6 +37,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.obs import metrics as obs_metrics
+
 #: Constraint length K.
 CONSTRAINT_LENGTH = 7
 
@@ -34,12 +48,19 @@ CODE_RATE_INVERSE = 3
 #: Generator polynomials, octal 133/171/165, as K-bit taps (MSB = newest bit).
 _GENERATORS = (0o133, 0o171, 0o165)
 
-_N_STATES = 1 << (CONSTRAINT_LENGTH - 1)
+#: Encoder memory: the register bits besides the input.
+_MEMORY = CONSTRAINT_LENGTH - 1
+
+_N_STATES = 1 << _MEMORY
 _HALF = _N_STATES // 2
 
 #: Steps of circular extension on each side of the trellis; ~14 constraint
 #: lengths, ample for survivor-path convergence.
-DEFAULT_WRAP_MARGIN = 96
+_WRAP_MARGIN = 96
+
+#: The fast path needs min|LLR| above this fraction of max|LLR|, so the
+#: sweep's rounding stays far below the gap it would have to close.
+_LLR_SPAN_GUARD = 2.0**-30
 
 #: Trellis steps whose branch values are built, and whose decisions are
 #: packed, in one go; bounds the sweep's scratch buffers.
@@ -74,44 +95,109 @@ def _butterfly_patterns():
 _PATTERN_SIGNS, _BUTTERFLY_PATTERN = _butterfly_patterns()
 
 
+def _delay_polynomial(g):
+    """Generator ``g`` as a polynomial in the delay, held as an int: bit
+    ``d`` (x^d) is the tap ``d`` steps back, bit ``K - 1 - d`` of ``g``."""
+    return sum(1 << d for d in range(CONSTRAINT_LENGTH) if (g >> (_MEMORY - d)) & 1)
+
+
+def _delays(poly):
+    """Tap delays of a polynomial held as an int (bit ``d`` is x^d)."""
+    return tuple(d for d in range(poly.bit_length()) if (poly >> d) & 1)
+
+
+def _gf2_multiply(a, b):
+    """Product of two GF(2)[x] polynomials held as ints."""
+    product = 0
+    for d in _delays(b):
+        product ^= a << d
+    return product
+
+
+def _encoder_inverse():
+    """Tap delays of ``a0, a1`` with ``a0·g0 + a1·g1 = 1`` over GF(2)[x].
+
+    Extended Euclid on g0 and g1: every remainder ``r`` is kept as
+    ``a·g0 + b·g1``, and the last nonzero one is 1 since the two are
+    coprime.
+    """
+    g0, g1 = (_delay_polynomial(g) for g in _GENERATORS[:2])
+    (r, a, b), (r_next, a_next, b_next) = (g0, 1, 0), (g1, 0, 1)
+    while r_next:
+        while r.bit_length() >= r_next.bit_length():
+            shift = r.bit_length() - r_next.bit_length()
+            r ^= r_next << shift
+            a ^= a_next << shift
+            b ^= b_next << shift
+        (r, a, b), (r_next, a_next, b_next) = (r_next, a_next, b_next), (r, a, b)
+    assert _gf2_multiply(a, g0) ^ _gf2_multiply(b, g1) == 1, "encoder inverse"
+    assert max(a.bit_length(), b.bit_length()) <= CONSTRAINT_LENGTH, "taps fit the padding"
+    return _delays(a), _delays(b)
+
+
+#: Each generator's tap delays (0 = the input bit).
+_GENERATOR_TAPS = tuple(_delays(_delay_polynomial(g)) for g in _GENERATORS)
+
+#: Tap delays of a0 = x^2 + x^4 and a1 = 1 + x + x^2 + x^3 + x^4.
+_INVERSE_TAPS = _encoder_inverse()
+
+
+def _with_tail_in_front(bits):
+    """``bits`` with its last six entries copied in front of it."""
+    return np.concatenate([bits[len(bits) - _MEMORY :], bits])
+
+
+def _cyclic_xor(padded, taps):
+    """XOR of a message delayed by each of ``taps`` (at most six), circularly.
+
+    ``padded`` is :func:`_with_tail_in_front` of the message, so the
+    message delayed by ``d`` is the slice that starts ``d`` before it.
+    """
+    first, *rest = taps
+    out = padded[_MEMORY - first : len(padded) - first].copy()
+    for d in rest:
+        out ^= padded[_MEMORY - d : len(padded) - d]
+    return out
+
+
 def conv_encode(bits):
     """Encode a message; returns ``3 * len(bits)`` coded bits.
 
     Coded bits are interleaved per step: d0(0), d1(0), d2(0), d0(1), ...
-    Tail-biting makes each stream a circular convolution, so the whole
-    encoder is seven rolled XORs.
+    Tail-biting makes each stream a circular convolution, so each stream
+    is an XOR of slices of one circularly padded copy of the message.
 
     >>> coded = conv_encode(np.array([1, 0, 1, 1, 0, 0, 1], dtype=np.int8))
     >>> len(coded)
     21
     """
     bits = np.asarray(bits, dtype=np.int8)
-    if len(bits) < CONSTRAINT_LENGTH - 1:
+    if len(bits) < _MEMORY:
         raise ValueError("message shorter than the encoder memory")
+    padded = _with_tail_in_front(bits)
     coded = np.empty((len(bits), CODE_RATE_INVERSE), dtype=np.int8)
-    for g_index, g in enumerate(_GENERATORS):
-        acc = np.zeros(len(bits), dtype=np.int8)
-        for delay in range(CONSTRAINT_LENGTH):
-            if (g >> (CONSTRAINT_LENGTH - 1 - delay)) & 1:
-                acc ^= np.roll(bits, delay)
-        coded[:, g_index] = acc
+    for g_index, taps in enumerate(_GENERATOR_TAPS):
+        coded[:, g_index] = _cyclic_xor(padded, taps)
     return coded.reshape(-1)
 
 
-def viterbi_decode(llrs, n_bits, wrap_margin=DEFAULT_WRAP_MARGIN):
+def viterbi_decode(llrs, n_bits):
     """Decode ``n_bits`` message bits from coded-bit LLRs.
 
     ``llrs`` has length ``3 * n_bits``; positive LLR means the coded bit is
     more likely 0.  Erased (punctured) positions should carry LLR 0.
     """
-    return viterbi_decode_many([llrs], [n_bits], wrap_margin)[0]
+    return viterbi_decode_many([llrs], [n_bits])[0]
 
 
-def viterbi_decode_many(llrs_list, n_bits_list, wrap_margin=DEFAULT_WRAP_MARGIN):
-    """Decode several blocks, of any lengths, in one trellis sweep.
+def viterbi_decode_many(llrs_list, n_bits_list):
+    """Decode several blocks, of any lengths; one trellis sweep at most.
 
-    Raises ``ValueError`` naming the block when its LLR count is not
-    ``3 * n_bits`` or it holds a non-finite LLR.
+    A block whose hard decisions already form a codeword, with no zero
+    LLR and a bounded LLR span, is inverted algebraically; the rest share
+    one sweep.  Results keep block order.  Raises ``ValueError`` naming
+    the block when its LLR count is not ``3 * n_bits`` or it holds a
+    non-finite LLR.
     """
     if len(llrs_list) != len(n_bits_list):
         raise ValueError("need one bit count per LLR block")
@@ -119,7 +205,42 @@ def viterbi_decode_many(llrs_list, n_bits_list, wrap_margin=DEFAULT_WRAP_MARGIN)
         _checked_block(index, llrs, int(n_bits))
         for index, (llrs, n_bits) in enumerate(zip(llrs_list, n_bits_list))
     ]
-    margins = [min(int(wrap_margin), len(block)) for block in blocks]
+    decoded = [_codeword_message(block) for block in blocks]
+    swept = [b for b, message in enumerate(decoded) if message is None]
+    obs_metrics.counter_inc("lte.viterbi_fast_blocks", len(blocks) - len(swept))
+    if swept:
+        messages = _decode_swept([blocks[b] for b in swept])
+        for b, message in zip(swept, messages):
+            decoded[b] = message
+    return decoded
+
+
+def _codeword_message(block):
+    """The message of an ``(n_bits, 3)`` LLR block whose hard decisions
+    form a codeword, or ``None`` when the block needs the trellis.
+
+    The block qualifies only with ``n_bits >= 6`` (the encoder's domain)
+    and ``min|LLR| > 2**-30 * max|LLR|``, which also rules out a zero
+    LLR: then the codeword is the unique ML answer and the sweep returns
+    it exactly (DESIGN.md §10).
+    """
+    if len(block) < _MEMORY:
+        return None
+    magnitudes = np.abs(block)
+    if magnitudes.min() <= _LLR_SPAN_GUARD * magnitudes.max():
+        return None
+    hard = (block < 0).view(np.int8)
+    a0_taps, a1_taps = _INVERSE_TAPS
+    message = _cyclic_xor(_with_tail_in_front(hard[:, 0]), a0_taps)
+    message ^= _cyclic_xor(_with_tail_in_front(hard[:, 1]), a1_taps)
+    if not np.array_equal(conv_encode(message), hard.reshape(-1)):
+        return None
+    return message
+
+
+def _decode_swept(blocks):
+    """Decode ``(n_bits, 3)`` LLR blocks in one wrap-margin trellis sweep."""
+    margins = [min(_WRAP_MARGIN, len(block)) for block in blocks]
     lengths = [len(block) + 2 * margin for block, margin in zip(blocks, margins)]
     n_steps = max(lengths, default=0)
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.cache import memoize
+
 #: Column permutation pattern for the convolutional-code sub-block
 #: interleaver (36.212 Table 5.1.4-2).
 _COLUMN_PERMUTATION = np.array(
@@ -38,13 +40,15 @@ def _subblock_permutation(d):
     return permuted.T.reshape(-1)
 
 
+@memoize(maxsize=64)
 def _circular_buffer_map(d):
     """Map circular-buffer position -> original coded-bit index (length 3d).
 
     Positions corresponding to <NULL> padding are dropped, so the result has
     exactly ``3 * d`` entries, a permutation of ``0 .. 3d-1`` where stream
     ``i`` bit ``n`` sits at original index ``3 n + i`` (the encoder's
-    interleaved output order).
+    interleaved output order).  Memoised and read-only: both callers index
+    through an ``np.tile`` copy.
     """
     per_stream = _subblock_permutation(d)
     buffers = []

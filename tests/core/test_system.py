@@ -8,6 +8,7 @@ import pytest
 
 from repro.channel.link import DirectLink
 from repro.core import AmbientStage, LScatterSystem, SystemConfig
+from repro.obs import metrics as obs_metrics
 
 #: sha256 of ``artifacts.direct_rx`` for a 1.4 MHz genie run with
 #: multipath and noise (``n_frames=2``, ``rng=11``, 2000 payload bits),
@@ -117,13 +118,18 @@ def test_invalid_config_rejected():
 
 @pytest.mark.parametrize(
     "poisoned, array",
-    [("unit", "shifted_rx"), ("capture", "reference")],
+    [("unit", "shifted_rx"), ("capture", "reference"), ("unit", "direct_rx")],
 )
 def test_non_finite_ambient_fails_at_the_demod_boundary(poisoned, array):
     """One NaN in an injected ambient raises, naming the array and stage,
-    instead of demodulating into a normal-looking report."""
+    instead of demodulating into a normal-looking report.  A decoded
+    reference reads the direct band first, so that run stops entering
+    the LTE decode."""
+    decoded = array == "direct_rx"
     config = SystemConfig(
-        bandwidth_mhz=1.4, reference_mode="genie", sync_mode="model"
+        bandwidth_mhz=1.4,
+        reference_mode="decoded" if decoded else "genie",
+        sync_mode="model",
     )
     clean = LScatterSystem(config, rng=0).prepare_ambient(rng=7)
     capture, unit = clean.capture, clean.unit
@@ -135,8 +141,45 @@ def test_non_finite_ambient_fails_at_the_demod_boundary(poisoned, array):
         capture = replace(capture, samples=samples)
     stage = AmbientStage(capture=capture, unit=unit)
     system = LScatterSystem(config, rng=1)
-    with pytest.raises(ValueError, match=f"^{array} .*entering bsrx.demodulate"):
+    entering = "lte.decode" if decoded else "bsrx.demodulate"
+    with pytest.raises(ValueError, match=f"^{array} .*entering {entering}$"):
         system.run(payload_length=4000, ambient=stage)
+
+
+def _fast_viterbi_blocks():
+    return obs_metrics.counters_snapshot().get("lte.viterbi_fast_blocks", 0)
+
+
+def test_clean_decoded_session_skips_the_trellis_for_every_block():
+    """Every transport block of a clean decoded session already is a
+    codeword, so each one takes the Viterbi's algebraic fast path."""
+    config = SystemConfig(bandwidth_mhz=1.4, n_frames=1, reference_mode="decoded")
+    before = _fast_viterbi_blocks()
+    front = LScatterSystem(config, rng=2).run_frontend(payload_length=2000)
+    n_blocks = len(front.lte_result.subframes)
+    assert n_blocks == 10
+    assert front.lte_result.block_error_rate == 0.0
+    assert _fast_viterbi_blocks() - before == n_blocks
+
+
+def test_erased_coded_pilot_windows_take_the_trellis():
+    """A coded-pilot session's erased windows decode as zero LLRs, which
+    only the sweep may decode.  A pinned 40-sample sync error loses the
+    preamble of some half-frames, whose data windows are then erased."""
+    config = SystemConfig(
+        bandwidth_mhz=1.4,
+        n_frames=2,
+        reference_mode="genie",
+        sync_mode="model",
+        sync_error_samples=40,
+        multipath=False,
+        substrate="coded-pilot",
+    )
+    before = _fast_viterbi_blocks()
+    report = LScatterSystem(config, rng=0).run(payload_length=4000)
+    assert report.n_erased_windows > 0
+    assert report.n_bits > 0
+    assert _fast_viterbi_blocks() == before
 
 
 @pytest.mark.parametrize("value", [2.5, -0.5, float("nan"), float("inf"), "3"])

@@ -10,6 +10,7 @@ from repro.lte.coding import (
     viterbi_decode,
     viterbi_decode_many,
 )
+from repro.obs import metrics as obs_metrics
 from repro.utils.rng import make_rng
 
 from tests.lte.oracles import conv_encode_reference, viterbi_decode_reference
@@ -121,6 +122,7 @@ def _assert_matches_reference(llrs_list, n_bits_list):
     for index, (got, want) in enumerate(zip(decoded, expected)):
         assert got.dtype == want.dtype, index
         assert np.array_equal(got, want), index
+    return expected
 
 
 def test_capture_batch_matches_reference():
@@ -185,6 +187,124 @@ def test_lengths_around_wrap_margin_match_reference():
 def test_mixed_length_batches_match_reference_property(blocks):
     llrs = [block.astype(float) for block in blocks]
     _assert_matches_reference(llrs, [len(block) // 3 for block in blocks])
+
+
+# -- the algebraic fast path -----------------------------------------------------
+
+
+def _fast_blocks():
+    return obs_metrics.counters_snapshot().get("lte.viterbi_fast_blocks", 0)
+
+
+def _is_fast(llrs, decoded):
+    """Oracle for the fast path: no LLR below 2**-30 of the largest, and
+    the hard decisions are the reference encoding of the decoded block."""
+    magnitudes = np.abs(llrs)
+    hard = (np.asarray(llrs) < 0).astype(np.int8)
+    return (
+        len(decoded) >= 6
+        and magnitudes.min() > 2.0**-30 * magnitudes.max()
+        and np.array_equal(conv_encode_reference(decoded), hard)
+    )
+
+
+def _assert_routed_like_reference(llrs_list, n_bits_list):
+    """Decoded bits equal the reference's, and exactly the blocks whose
+    hard decisions form a codeword (within the LLR-span guard) skip the
+    sweep.  Returns how many did."""
+    before = _fast_blocks()
+    expected = _assert_matches_reference(llrs_list, n_bits_list)
+    n_fast = sum(_is_fast(llrs, want) for llrs, want in zip(llrs_list, expected))
+    assert _fast_blocks() - before == n_fast
+    return n_fast
+
+
+def _awgn_llrs(rng, bits, snr_db):
+    sigma = 10.0 ** (-snr_db / 20.0)
+    clean = 1.0 - 2.0 * conv_encode_reference(bits).astype(float)
+    return 2.0 * (clean + rng.normal(0, sigma, size=len(clean))) / sigma**2
+
+
+def test_noiseless_blocks_all_skip_the_sweep():
+    rng = make_rng(12)
+    sizes = [6, 7, 40, 96, 97, 5333]
+    llrs = [
+        _llrs_from_bits(conv_encode(rng.integers(0, 2, size=n).astype(np.int8)))
+        for n in sizes
+    ]
+    assert _assert_routed_like_reference(llrs, sizes) == len(sizes)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(6, 10_700),
+            st.floats(-3.0, 12.0),
+            st.integers(0, 2**32 - 1),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_fast_path_matches_reference_property(specs):
+    # Random AWGN blocks, plus a noiseless block that always takes the
+    # fast path and a block with one erased bit that never does, so every
+    # batch mixes the two routes.
+    llrs, sizes = [], []
+    for n_bits, snr_db, seed in specs:
+        rng = make_rng(seed)
+        bits = rng.integers(0, 2, size=n_bits).astype(np.int8)
+        llrs.append(_awgn_llrs(rng, bits, snr_db))
+        sizes.append(n_bits)
+    rng = make_rng(specs[0][2] + 1)
+    bits = rng.integers(0, 2, size=50).astype(np.int8)
+    erased = _awgn_llrs(rng, bits, 6.0)
+    erased[7] = 0.0
+    llrs += [_llrs_from_bits(conv_encode_reference(bits)), erased]
+    sizes += [50, 50]
+    n_fast = _assert_routed_like_reference(llrs, sizes)
+    assert 1 <= n_fast < len(sizes)
+
+
+@pytest.mark.parametrize(
+    "weak", [0.0, 2.0**-31, 2.0**-40], ids=["zero", "2**-31", "2**-40"]
+)
+def test_zero_or_tiny_llr_takes_the_sweep(weak):
+    # A codeword's hard decisions, but one LLR is erased or below 2**-30
+    # of the largest: only the sweep may decide such a block.
+    bits = make_rng(13).integers(0, 2, size=64).astype(np.int8)
+    llrs = _llrs_from_bits(conv_encode(bits), scale=1.0)
+    llrs[10] *= weak
+    assert _assert_routed_like_reference([llrs], [64]) == 0
+
+
+def test_wide_range_codeword_block_takes_the_sweep():
+    # Found by a random search: a codeword at |LLR| 2**60 with eight
+    # coded bits at |LLR| 1.  Rounding in the sweep swallows the small
+    # LLRs, so the trellis decodes a different message than the codeword
+    # the hard decisions form; the LLR-span guard keeps the sweep's answer.
+    bits = np.array([1, 0, 0, 1, 1, 1], dtype=np.int8)
+    magnitudes = np.full(18, 2.0**60)
+    magnitudes[[0, 1, 3, 6, 8, 11, 12, 14]] = 1.0
+    llrs = _llrs_from_bits(conv_encode(bits), scale=1.0) * magnitudes
+    assert not np.array_equal(viterbi_decode(llrs, 6), bits)
+    assert _assert_routed_like_reference([llrs], [6]) == 0
+
+
+def test_third_stream_is_checked_too():
+    # d0 and d1 are message A's at |LLR| 1, d2 is message B's at |LLR| 50,
+    # and B differs from A in one bit: the first two streams invert to A,
+    # whose third stream disagrees with the hard decisions.
+    rng = make_rng(14)
+    message_a = rng.integers(0, 2, size=40).astype(np.int8)
+    message_b = message_a.copy()
+    message_b[17] ^= 1
+    llrs = _llrs_from_bits(conv_encode(message_a), scale=1.0).reshape(-1, 3)
+    llrs[:, 2] = _llrs_from_bits(conv_encode(message_b), scale=50.0)[2::3]
+    llrs = llrs.reshape(-1)
+    assert not np.array_equal(viterbi_decode(llrs, 40), message_a)
+    assert _assert_routed_like_reference([llrs], [40]) == 0
 
 
 # -- malformed input -----------------------------------------------------------
