@@ -247,7 +247,7 @@ class LScatterSystem:
         n = self.params.samples_per_frame
         n_frames = len(tx_capture.samples) // n
         builder = FrameBuilder(self.params, self.config.cell, rng=0)
-        ref_power = np.mean(np.abs(tx_capture.samples[:n]) ** 2)
+        ref_power = None
         by_frame = {}
         for sf in lte_result.subframes:
             by_frame.setdefault(sf.frame, []).append(sf)
@@ -258,17 +258,48 @@ class LScatterSystem:
                 sf.crc_ok for sf in subframes
             ):
                 payloads = [sf.decoded for sf in subframes]
-                frame = builder.build(frame_number=f, payloads=payloads)
-                pieces.append(modulate_frame(frame.grid))
+                grid = self._sent_grid(tx_capture, f, payloads)
+                if grid is None:
+                    grid = builder.build(frame_number=f, payloads=payloads).grid
+                pieces.append(modulate_frame(grid))
             else:
                 # CRC failure or missing frame: no clean reconstruction;
                 # use the (scaled) received samples as the best available
                 # reference so later frames stay aligned.
+                if ref_power is None:
+                    ref_power = np.mean(np.abs(tx_capture.samples[:n]) ** 2)
                 chunk = direct_rx[f * n : (f + 1) * n]
                 power = np.mean(np.abs(chunk) ** 2)
                 scale = np.sqrt(ref_power / max(power, 1e-30))
                 pieces.append(chunk * scale)
         return np.concatenate(pieces)
+
+    def _sent_grid(self, tx_capture, f, payloads):
+        """Frame ``f``'s transmitted grid, if rebuilding it from ``payloads``
+        would give the same grid; otherwise ``None``.
+
+        A rebuilt grid is a function of (params, cell, frame number,
+        payloads) alone, so when those match the sent frame's, its grid is
+        the rebuild.  The grid is reused rather than ``tx_capture.samples``,
+        which a fleet or network capture holds unit-normalised.
+        """
+        if f >= len(tx_capture.frames):
+            return None
+        sent = tx_capture.frames[f]
+        # One transport block per subframe: every subframe was scheduled.
+        blocks = sent.transport_blocks
+        if (
+            sent.frame_number != f
+            or sent.params != self.params
+            or sent.cell != self.config.cell
+            or len(blocks) != len(payloads)
+            or not all(
+                np.array_equal(block.payload_bits, payload)
+                for block, payload in zip(blocks, payloads)
+            )
+        ):
+            return None
+        return sent.grid
 
     # -- ambient stage ----------------------------------------------------------
 

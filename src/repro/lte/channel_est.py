@@ -15,6 +15,7 @@ import numpy as np
 from repro.lte.crs import CRS_SYMBOLS_IN_SLOT, crs_positions, crs_values
 from repro.lte.params import LteParams, SLOTS_PER_FRAME
 from repro.lte.resource_grid import SYMBOLS_PER_FRAME, symbol_index
+from repro.utils.cache import memoize
 
 
 @dataclass
@@ -31,6 +32,98 @@ class ChannelEstimate:
         return observed * np.conj(h) / np.maximum(power, 1e-12)
 
 
+@dataclass(frozen=True)
+class _Knots:
+    """Where ``np.interp(x, xp, fp)`` places each ``x`` among the knots ``xp``.
+
+    numpy copies ``fp[j]`` when ``x == xp[j]``, clamps to ``fp[0]`` and
+    ``fp[-1]`` outside the knots, and otherwise returns
+    ``slope * (x - xp[j]) + fp[j]`` with
+    ``slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])``, ``xp[j] < x``
+    being the last knot below ``x``.
+    """
+
+    line_at: np.ndarray  # the x between two knots
+    line_knot: np.ndarray  # their j
+    line_gap: np.ndarray  # xp[j + 1] - xp[j], as float
+    line_offset: np.ndarray  # x - xp[j], as float
+    copy_at: np.ndarray  # the x that take a knot's value
+    copy_knot: np.ndarray  # that knot
+
+
+def _knots(x, xp):
+    """Place every ``x`` among the increasing knots ``xp`` as ``np.interp``
+    does."""
+    x = np.asarray(x, dtype=float)
+    xp = np.asarray(xp, dtype=float)
+    j = np.searchsorted(xp, x, side="right") - 1
+    knot = np.clip(j, 0, len(xp) - 1)
+    copy = (j < 0) | (j >= len(xp) - 1) | (xp[knot] == x)
+    line = j[~copy]
+    return _Knots(
+        line_at=np.flatnonzero(~copy),
+        line_knot=line,
+        line_gap=xp[line + 1] - xp[line],
+        line_offset=x[~copy] - xp[line],
+        copy_at=np.flatnonzero(copy),
+        copy_knot=knot[copy],
+    )
+
+
+def _interp_leading(fp, knots, out):
+    """Write ``np.interp`` of complex ``fp`` along its leading axis into
+    ``out``, for the real and imaginary part of every trailing column.
+
+    Each part goes through numpy's own sequence of IEEE operations, so for
+    finite ``fp`` the result equals per-column ``np.interp`` calls bit for
+    bit.
+    """
+    lo = fp[knots.line_knot]
+    line = fp[knots.line_knot + 1] - lo
+    parts = line.view(float).reshape(line.shape + (2,))
+    per_x = (-1,) + (1,) * line.ndim
+    parts /= knots.line_gap.reshape(per_x)
+    parts *= knots.line_offset.reshape(per_x)
+    line += lo
+    out[knots.line_at] = line
+    out[knots.copy_at] = fp[knots.copy_knot]
+
+
+@dataclass(frozen=True)
+class _PilotLayout:
+    """A frame's 40 CRS symbols for one ``(cell_id, n_rb)``, in slot order."""
+
+    rows: np.ndarray  # (40,) grid rows
+    cols: np.ndarray  # (40, 2 * n_rb) pilot subcarriers
+    conj_pilots: np.ndarray  # (40, 2 * n_rb)
+    pilot_power: np.ndarray  # (40, 2 * n_rb) |pilot|^2
+    frequency: tuple  # per CRS symbol of a slot: its comb -> every subcarrier
+    time: _Knots  # pilot rows -> all 140 rows
+
+
+@memoize(maxsize=64)
+def _pilot_layout(cell_id, n_rb):
+    rows, cols, pilots = [], [], []
+    for slot in range(SLOTS_PER_FRAME):
+        for sym in CRS_SYMBOLS_IN_SLOT:
+            rows.append(symbol_index(slot, sym))
+            cols.append(crs_positions(sym, cell_id, n_rb))
+            pilots.append(crs_values(slot, sym, cell_id, n_rb))
+    pilots = np.asarray(pilots)
+    subcarriers = np.arange(12 * n_rb)
+    return _PilotLayout(
+        rows=np.asarray(rows),
+        cols=np.asarray(cols),
+        conj_pilots=np.conj(pilots),
+        pilot_power=np.abs(pilots) ** 2,
+        frequency=tuple(
+            _knots(subcarriers, crs_positions(sym, cell_id, n_rb))
+            for sym in CRS_SYMBOLS_IN_SLOT
+        ),
+        time=_knots(np.arange(SYMBOLS_PER_FRAME), rows),
+    )
+
+
 def estimate_channel(observed_grid, cell_id, params):
     """Estimate the channel from one observed frame grid.
 
@@ -43,49 +136,42 @@ def estimate_channel(observed_grid, cell_id, params):
     observed_grid = np.asarray(observed_grid, dtype=complex)
     if observed_grid.shape != (SYMBOLS_PER_FRAME, n_sc):
         raise ValueError(f"grid shape {observed_grid.shape} unexpected")
+    layout = _pilot_layout(cell_id, params.n_rb)
 
-    pilot_rows = []
-    ls_rows = []
-    residual_energy = 0.0
-    residual_count = 0
-    subcarriers = np.arange(n_sc)
+    ls = (
+        observed_grid[layout.rows[:, None], layout.cols]
+        * layout.conj_pilots
+        / layout.pilot_power
+    )
+    # Smooth across each comb (the channel varies slowly over six
+    # subcarriers).  One np.convolve per symbol: numpy's complex
+    # convolution sums through BLAS, so a 2-D three-term sum would not
+    # give the same bits.
+    kernel = np.ones(3) / 3.0
+    smoothed = np.stack(
+        [
+            np.convolve(np.concatenate([row[:1], row, row[-1:]]), kernel, mode="valid")
+            for row in ls
+        ]
+    )
 
-    for slot in range(SLOTS_PER_FRAME):
-        for sym in CRS_SYMBOLS_IN_SLOT:
-            row = symbol_index(slot, sym)
-            cols = crs_positions(sym, cell_id, params.n_rb)
-            pilots = crs_values(slot, sym, cell_id, params.n_rb)
-            ls = observed_grid[row, cols] * np.conj(pilots) / np.abs(pilots) ** 2
-            # Smooth across the comb (the channel varies slowly over six
-            # subcarriers) and interpolate to every subcarrier.
-            kernel = np.ones(3) / 3.0
-            padded = np.concatenate([ls[:1], ls, ls[-1:]])
-            smoothed = np.convolve(padded, kernel, mode="valid")
-            interp_real = np.interp(subcarriers, cols, smoothed.real)
-            interp_imag = np.interp(subcarriers, cols, smoothed.imag)
-            full = interp_real + 1j * interp_imag
-            pilot_rows.append(row)
-            ls_rows.append(full)
-            # Pilot residuals after smoothing measure the noise (the
-            # 3-tap average leaves ~2/3 of the noise in the residual).
-            residual = ls - smoothed
-            residual_energy += float(np.sum(np.abs(residual) ** 2)) * 1.5
-            residual_count += len(cols)
-
-    pilot_rows = np.asarray(pilot_rows)
-    ls_rows = np.asarray(ls_rows)  # (n_pilot_symbols, n_sc)
-
-    # Time interpolation: linear between pilot symbols, held at the edges.
+    # Interpolate to every subcarrier (the symbols at one position in
+    # their slots share a comb), then across time: linear between pilot
+    # symbols, held at the edges.
+    per_slot = len(CRS_SYMBOLS_IN_SLOT)
+    across = np.empty((len(ls), n_sc), dtype=complex)
+    for first, knots in enumerate(layout.frequency):
+        _interp_leading(smoothed[first::per_slot].T, knots, across[first::per_slot].T)
     gains = np.empty((SYMBOLS_PER_FRAME, n_sc), dtype=complex)
-    all_rows = np.arange(SYMBOLS_PER_FRAME)
-    gains_real = np.empty((SYMBOLS_PER_FRAME, n_sc))
-    gains_imag = np.empty((SYMBOLS_PER_FRAME, n_sc))
-    for col in range(n_sc):
-        gains_real[:, col] = np.interp(all_rows, pilot_rows, ls_rows[:, col].real)
-        gains_imag[:, col] = np.interp(all_rows, pilot_rows, ls_rows[:, col].imag)
-    gains = gains_real + 1j * gains_imag
+    _interp_leading(across, layout.time, gains)
 
-    noise_variance = residual_energy / max(residual_count, 1)
+    # Pilot residuals after smoothing measure the noise (the 3-tap
+    # average leaves ~2/3 of the noise in the residual); the symbols'
+    # energies add up in frame order.
+    residual_energy = 0.0
+    for energy in (np.sum(np.abs(ls - smoothed) ** 2, axis=1) * 1.5).tolist():
+        residual_energy += energy
+    noise_variance = residual_energy / max(ls.size, 1)
     # The LS-vs-smoothed residual under-counts noise slightly (the smoothing
     # absorbs some of it); keep a floor so LLRs never blow up.
     noise_variance = max(noise_variance, 1e-10)

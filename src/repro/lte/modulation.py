@@ -102,12 +102,13 @@ def demodulate_llr(symbols, scheme, noise_variance=1.0):
         np.maximum(np.asarray(noise_variance, dtype=float), 1e-12), symbols.shape
     )
 
-    distances = np.abs(symbols[:, None] - points[None, :]) ** 2
+    # (points, symbols): the points whose bit is 0 (or 1) are whole rows.
+    distances = np.abs(symbols[None, :] - points[:, None]) ** 2
     values = np.arange(len(points))
     llrs = np.empty((len(symbols), n_bits))
     for bit in range(n_bits):
         mask = ((values >> (n_bits - 1 - bit)) & 1).astype(bool)
-        d0 = distances[:, ~mask].min(axis=1)
-        d1 = distances[:, mask].min(axis=1)
+        d0 = distances[~mask].min(axis=0)
+        d1 = distances[mask].min(axis=0)
         llrs[:, bit] = (d1 - d0) / sigma2
     return llrs.reshape(-1)

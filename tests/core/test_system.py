@@ -8,6 +8,7 @@ import pytest
 
 from repro.channel.link import DirectLink
 from repro.core import AmbientStage, LScatterSystem, SystemConfig
+from repro.lte import coding
 from repro.obs import metrics as obs_metrics
 
 #: sha256 of ``artifacts.direct_rx`` for a 1.4 MHz genie run with
@@ -180,6 +181,31 @@ def test_erased_coded_pilot_windows_take_the_trellis():
     assert report.n_erased_windows > 0
     assert report.n_bits > 0
     assert _fast_viterbi_blocks() == before
+
+
+def test_coded_pilot_decodes_through_the_package_viterbi(monkeypatch):
+    """A coded-pilot block goes through ``repro.lte.coding.viterbi_decode_many``,
+    the name ``LteReceiver.decode`` calls and perfbench's ledger wraps, so
+    a wrapper there sees it (a genie session decodes no LTE block)."""
+    calls = []
+    decode_many = coding.viterbi_decode_many
+
+    def spy(llrs_list, n_bits_list):
+        calls.append(len(llrs_list))
+        return decode_many(llrs_list, n_bits_list)
+
+    monkeypatch.setattr(coding, "viterbi_decode_many", spy)
+    config = SystemConfig(
+        bandwidth_mhz=1.4,
+        n_frames=1,
+        reference_mode="genie",
+        sync_mode="model",
+        multipath=False,
+        substrate="coded-pilot",
+    )
+    report = LScatterSystem(config, rng=0).run(payload_length=2000)
+    assert report.n_bits > 0
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("value", [2.5, -0.5, float("nan"), float("inf"), "3"])

@@ -8,7 +8,10 @@ register over the three 36.212 generators restated here, the encoder is
 a shift register built from the 36.212 generators alone, and the Viterbi
 decoder is the original 64-state ``argmax`` trellis, batched over
 equal-length blocks, with its tables rebuilt here from the same
-generators.  None of them shares a table with the package.
+generators.  None of them shares a table with the package.  The CRS
+channel estimate and the max-log LLR demapper are the original per-symbol
+and ``(symbols, points)`` code; they read the package's pilot and
+constellation tables, because what they pin is the arithmetic.
 The single-symbol OFDM pair and the Zadoff-Chu cyclic autocorrelation
 are the textbook FFT forms that the OFDM and PSS property tests use.
 They exist only to be compared against, so they live with the tests.
@@ -20,6 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.lte.channel_est import ChannelEstimate
+from repro.lte.crs import CRS_SYMBOLS_IN_SLOT, crs_positions, crs_values
+from repro.lte.modulation import BITS_PER_SYMBOL, constellation
 from repro.lte.params import (
     LteParams,
     SLOTS_PER_FRAME,
@@ -279,3 +285,75 @@ def _decode_batch_reference(llrs, wrap_margin):
         hard[:, step] = _PREV_INPUT[state, choice]
         state = _PREV_STATE[state, choice]
     return [hard[b, margin : margin + n_bits].astype(np.int8) for b in range(n_blocks)]
+
+
+def estimate_channel_loop(observed_grid, cell_id, params):
+    """Pre-vectorisation ``estimate_channel``: per CRS symbol LS, smoothing
+    and ``np.interp`` across frequency, then one ``np.interp`` per
+    subcarrier across time."""
+    if not isinstance(params, LteParams):
+        params = LteParams.from_bandwidth(params)
+    n_sc = params.n_subcarriers
+    observed_grid = np.asarray(observed_grid, dtype=complex)
+    if observed_grid.shape != (SYMBOLS_PER_FRAME, n_sc):
+        raise ValueError(f"grid shape {observed_grid.shape} unexpected")
+
+    pilot_rows = []
+    ls_rows = []
+    residual_energy = 0.0
+    residual_count = 0
+    subcarriers = np.arange(n_sc)
+
+    for slot in range(SLOTS_PER_FRAME):
+        for sym in CRS_SYMBOLS_IN_SLOT:
+            row = symbol_index(slot, sym)
+            cols = crs_positions(sym, cell_id, params.n_rb)
+            pilots = crs_values(slot, sym, cell_id, params.n_rb)
+            ls = observed_grid[row, cols] * np.conj(pilots) / np.abs(pilots) ** 2
+            kernel = np.ones(3) / 3.0
+            padded = np.concatenate([ls[:1], ls, ls[-1:]])
+            smoothed = np.convolve(padded, kernel, mode="valid")
+            interp_real = np.interp(subcarriers, cols, smoothed.real)
+            interp_imag = np.interp(subcarriers, cols, smoothed.imag)
+            full = interp_real + 1j * interp_imag
+            pilot_rows.append(row)
+            ls_rows.append(full)
+            residual = ls - smoothed
+            residual_energy += float(np.sum(np.abs(residual) ** 2)) * 1.5
+            residual_count += len(cols)
+
+    pilot_rows = np.asarray(pilot_rows)
+    ls_rows = np.asarray(ls_rows)
+
+    all_rows = np.arange(SYMBOLS_PER_FRAME)
+    gains_real = np.empty((SYMBOLS_PER_FRAME, n_sc))
+    gains_imag = np.empty((SYMBOLS_PER_FRAME, n_sc))
+    for col in range(n_sc):
+        gains_real[:, col] = np.interp(all_rows, pilot_rows, ls_rows[:, col].real)
+        gains_imag[:, col] = np.interp(all_rows, pilot_rows, ls_rows[:, col].imag)
+    gains = gains_real + 1j * gains_imag
+
+    noise_variance = residual_energy / max(residual_count, 1)
+    noise_variance = max(noise_variance, 1e-10)
+    return ChannelEstimate(gains=gains, noise_variance=noise_variance)
+
+
+def demodulate_llr_reference(symbols, scheme, noise_variance=1.0):
+    """Pre-vectorisation ``demodulate_llr``: a ``(symbols, points)``
+    distance table, and per bit a column mask that copies the table."""
+    symbols = np.asarray(symbols, dtype=complex)
+    points = constellation(scheme)
+    n_bits = BITS_PER_SYMBOL[scheme]
+    sigma2 = np.broadcast_to(
+        np.maximum(np.asarray(noise_variance, dtype=float), 1e-12), symbols.shape
+    )
+
+    distances = np.abs(symbols[:, None] - points[None, :]) ** 2
+    values = np.arange(len(points))
+    llrs = np.empty((len(symbols), n_bits))
+    for bit in range(n_bits):
+        mask = ((values >> (n_bits - 1 - bit)) & 1).astype(bool)
+        d0 = distances[:, ~mask].min(axis=1)
+        d1 = distances[:, mask].min(axis=1)
+        llrs[:, bit] = (d1 - d0) / sigma2
+    return llrs.reshape(-1)

@@ -11,6 +11,7 @@ from repro.lte.modulation import (
     modulate,
 )
 from repro.utils.rng import make_rng
+from tests.lte.oracles import demodulate_llr_reference
 
 SCHEMES = sorted(BITS_PER_SYMBOL)
 
@@ -94,6 +95,27 @@ def test_llr_per_symbol_noise_variance():
     symbols = modulate(np.array([0, 0, 0, 0], dtype=np.int8), "qpsk")
     llrs = demodulate_llr(symbols, "qpsk", np.array([0.1, 10.0]))
     assert abs(llrs[0]) > abs(llrs[2])
+
+
+@pytest.mark.parametrize("per_symbol_noise", [False, True])
+@pytest.mark.parametrize("scheme", ["qpsk", "16qam", "64qam"])
+def test_llrs_equal_the_symbol_major_demapper(scheme, per_symbol_noise):
+    """The ``(points, symbols)`` demapper gives the original
+    ``(symbols, points)`` one's LLRs bit for bit: noisy symbols, exact
+    constellation points, the origin (a tie for every bit) and far
+    outliers."""
+    rng = make_rng(5)
+    bits = rng.integers(0, 2, size=BITS_PER_SYMBOL[scheme] * 3000).astype(np.int8)
+    noisy = modulate(bits, scheme) + 0.3 * (
+        rng.normal(size=3000) + 1j * rng.normal(size=3000)
+    )
+    symbols = np.concatenate(
+        [noisy, constellation(scheme), [0.0, 1e3 - 7e2j, -1e-9 + 1e-9j]]
+    )
+    noise = rng.uniform(1e-3, 4.0, len(symbols)) if per_symbol_noise else 0.37
+    llrs = demodulate_llr(symbols, scheme, noise)
+    expected = demodulate_llr_reference(symbols, scheme, noise)
+    assert llrs.tobytes() == expected.tobytes()
 
 
 def test_wrong_bit_count_raises():
