@@ -28,7 +28,6 @@ from repro.channel.noise import NoiseDraws, add_thermal_noise
 from repro.core.config import SystemConfig
 from repro.core.metrics import LinkReport
 from repro.faults.carrier import CarrierFaultSet
-from repro.faults.tag import TagFaultInjector, drift_per_half_frame_samples
 from repro.lte.cfo import apply_cfo, correct_cfo, estimate_cfo
 from repro.lte.frame import FrameBuilder
 from repro.lte.params import FRAME_SECONDS, SUBFRAMES_PER_FRAME
@@ -194,7 +193,7 @@ class LScatterSystem:
             k_db=k_db, n_taps=n_taps, decay_db_per_tap=5.0, rng=rng
         )
 
-    def _sync_error_samples(self, tag_band, rng, edge_fault=None):
+    def _sync_error_samples(self, tag_band, rng):
         """Residual timing error of the tag, per the configured mode.
 
         ``tag_band`` is a zero-argument builder of the noisy ambient the
@@ -213,7 +212,6 @@ class LScatterSystem:
             circuit = SyncCircuit(
                 fs,
                 rng=rng,
-                edge_fault=edge_fault,
                 max_resync_attempts=config.sync_resync_attempts,
             )
             result = circuit.process(tag_band())
@@ -415,17 +413,12 @@ class LScatterSystem:
         # no-op by construction.
         fault_plan = config.faults
         if fault_plan is None:
-            carrier_faults = edge_fault = None
+            carrier_faults = None
             drift_per_half_frame = 0.0
         else:
-            # One chain: carrier injectors, then the plan's stressors.
+            # One chain: the plan's injectors, in plan order.
             carrier_faults = CarrierFaultSet(fault_plan)
-            edge_fault = TagFaultInjector(
-                fault_plan.tag, rng=fault_plan.rng_for("tag")
-            )
-            drift_per_half_frame = drift_per_half_frame_samples(
-                fault_plan.tag, self.params
-            )
+            drift_per_half_frame = fault_plan.drift_per_half_frame(self.params)
 
         # 1. eNodeB transmission, normalised to unit mean sample power
         #    (or injected, already normalised, from a shared ambient stage).
@@ -489,7 +482,7 @@ class LScatterSystem:
             # 3. Tag: sync, schedule, reflect.
             with span("tag.sync") as sp:
                 error_samples, sync_result = self._sync_error_samples(
-                    tag_band, rng_sync, edge_fault=edge_fault
+                    tag_band, rng_sync
                 )
                 sync_failed = error_samples is None
                 sp.set(sync_failed=sync_failed)
@@ -568,7 +561,7 @@ class LScatterSystem:
             _require_finite_samples("direct_rx", direct_rx, "lte.decode")
             with span("lte.decode") as sp:
                 ue = LteReceiver(self.params, config.cell)
-                lte_result = ue.decode(direct_rx, reference_frames=capture.frames)
+                lte_result = ue.decode(direct_rx)
                 sp.set(block_error_rate=float(lte_result.block_error_rate))
         with span("system.reference"):
             reference = self._reconstruct_reference(direct_rx, capture, lte_result)

@@ -4,13 +4,14 @@ The paper's premise is an *uncontrolled* ambient carrier; this package
 makes the uncontrolled part first-class:
 
 * :mod:`repro.faults.plan` — composable fault specifications
-  (:class:`FaultPlan` = carrier + tag faults; :class:`InfraFaults` for the
-  fleet substrate), with the hard contract that rate/severity 0 is a
-  bit-identical no-op;
-* :mod:`repro.faults.carrier` — IQ-stream injectors: ambient dropout
-  windows, narrowband jammer bursts, impulsive noise, ADC clipping;
-* :mod:`repro.faults.tag` — sync-chain injectors: PSS miss, comparator
-  false fire, clock drift beyond the guard;
+  (:class:`FaultPlan` = an ordered tuple of IQ injectors, the tag's clock
+  drift and the fault seed; :class:`InfraFaults` for the fleet
+  substrate), with the hard contract that intensity 0 is a bit-identical
+  no-op;
+* :mod:`repro.faults.carrier` — IQ-stream injectors (ambient dropout
+  windows, narrowband jammer bursts, impulsive noise, ADC clipping), the
+  base class they share with the :mod:`repro.stress` stressors, and the
+  chain that applies a plan's injectors;
 * :mod:`repro.faults.infra` — fleet-substrate injectors: worker crash,
   worker hang, scratch-file corruption;
 * :mod:`repro.faults.chaos` — the ``repro chaos`` harness sweeping fault
@@ -36,8 +37,7 @@ from repro.faults.infra import (
     bitflip_file,
     truncate_file,
 )
-from repro.faults.plan import CarrierFaults, FaultPlan, InfraFaults, TagFaults
-from repro.faults.tag import TagFaultInjector, drift_per_half_frame_samples
+from repro.faults.plan import FaultPlan, InfraFaults
 
 __all__ = [
     "AdcClipper",
@@ -49,10 +49,6 @@ __all__ = [
     "InjectedWorkerCrash",
     "bitflip_file",
     "truncate_file",
-    "CarrierFaults",
     "FaultPlan",
     "InfraFaults",
-    "TagFaults",
-    "TagFaultInjector",
-    "drift_per_half_frame_samples",
 ]

@@ -1,20 +1,22 @@
 """Carrier-level fault injectors: impairments of the IQ stream.
 
-Every injector, here and in :mod:`repro.stress.stressors`, has a
-``name``, a ``hook`` (``"ambient"`` or ``"backscatter"``) and
-``apply(samples, rng, ambient=None) -> ndarray`` (only the tag-mob
-stressor reads ``ambient``), and keeps the zero-severity contract: when
-inactive it returns the *input array object* untouched.  When active it
-always works on a copy (the input may be a read-only memory map shared
-across worker processes).
+Every injector, here and in :mod:`repro.stress.stressors`, is an
+:class:`Injector` at one ``intensity`` in [0, 1] with a ``name``, a
+``hook`` (``"ambient"`` or ``"backscatter"``) and ``apply(samples, rng,
+ambient=None) -> ndarray`` (only the tag-mob stressor reads ``ambient``),
+and keeps the zero-intensity contract: when inactive it returns the
+*input array object* untouched.  When active it always works on a copy
+(the input may be a read-only memory map shared across worker processes).
+The sizes an intensity does not scale (window and burst counts,
+amplitudes) are class constants.
 
-Severity sweeps stay monotone by construction: every injector draws its
+Intensity sweeps stay monotone by construction: every injector draws its
 placement randomness (anchors, tone frequency/phase, per-sample uniforms)
-with a severity-independent number of draws, and severity only *extends*
-the affected region (nested windows / nested sample sets) or scales
-amplitude.  The sample set impaired at severity ``s1`` is therefore a
-subset of the set impaired at ``s2 > s1``, and unaffected samples are
-bit-identical across the sweep.
+with an intensity-independent number of draws, and intensity only
+*extends* the affected region (nested windows / nested sample sets) or
+scales amplitude.  The sample set impaired at intensity ``s1`` is
+therefore a subset of the set impaired at ``s2 > s1``, and unaffected
+samples are bit-identical across the sweep.
 """
 
 from __future__ import annotations
@@ -29,77 +31,95 @@ def _rms(samples):
     return value if value > 0.0 else 1.0
 
 
-class AmbientDropout:
+class Injector:
+    """One IQ impairment at one intensity in [0, 1]; 0 is a no-op."""
+
+    #: ``plan.rng_for`` stream is ``stream_prefix + name``.
+    stream_prefix = ""
+    #: Activation counter is ``<counter_prefix>.activations.<name>``.
+    counter_prefix = "faults"
+
+    def __init__(self, intensity):
+        if not 0.0 <= float(intensity) <= 1.0:
+            raise ValueError(f"intensity must be in [0, 1], got {intensity!r}")
+        self.intensity = float(intensity)
+
+    @property
+    def active(self):
+        return self.intensity > 0.0
+
+    @property
+    def stream(self):
+        return self.stream_prefix + self.name
+
+    @property
+    def counter(self):
+        return f"{self.counter_prefix}.activations.{self.name}"
+
+
+class AmbientDropout(Injector):
     """eNodeB gap: the ambient carrier goes dark for whole windows.
 
     Models scheduling gaps / cell outages — the dominant ambient-carrier
     failure for a passive tag, which has nothing to ride during the gap.
+    ``intensity`` is the fraction of the capture inside the windows.
     """
 
     name = "dropout"
     hook = "ambient"
 
-    def __init__(self, rate, n_windows=3):
-        self.rate = float(rate)
-        self.n_windows = max(1, int(n_windows))
-
-    @property
-    def active(self):
-        return self.rate > 0.0
+    #: Distinct windows the dropped fraction is spread over.
+    N_WINDOWS = 3
 
     def apply(self, samples, rng, ambient=None):
         if not self.active:
             return samples
         n = len(samples)
-        anchors = np.sort(rng.integers(0, n, size=self.n_windows))
-        width = min(n, max(1, int(round(self.rate * n / self.n_windows))))
+        anchors = np.sort(rng.integers(0, n, size=self.N_WINDOWS))
+        width = min(n, max(1, int(round(self.intensity * n / self.N_WINDOWS))))
         out = np.array(samples)
         for anchor in anchors:
             # Wrap around the capture end so a window keeps growing with
-            # rate instead of saturating against the boundary — coverage
-            # then scales with rate for any anchor draw.
+            # intensity instead of saturating against the boundary —
+            # coverage then scales with intensity for any anchor draw.
             idx = (np.arange(int(anchor), int(anchor) + width)) % n
             out[idx] = 0.0
         return out
 
 
-class NarrowbandJammer:
+class NarrowbandJammer(Injector):
     """A strong in-band CW interferer, bursting on and off.
 
-    ``severity`` scales the total jammed fraction of the capture (burst
+    ``intensity`` scales the total jammed fraction of the capture (burst
     extents grow around fixed anchors); the tone amplitude is a fixed
     multiple of the affected band's RMS, so already-jammed samples are
-    identical across a severity sweep and new samples only get *added* to
-    the jammed set.
+    identical across an intensity sweep and new samples only get *added*
+    to the jammed set.
     """
 
     name = "jammer"
     hook = "backscatter"
 
-    def __init__(self, severity, n_bursts=2, amplitude_rel=4.0):
-        self.severity = float(severity)
-        self.n_bursts = max(1, int(n_bursts))
-        self.amplitude_rel = float(amplitude_rel)
-
-    @property
-    def active(self):
-        return self.severity > 0.0
+    #: Distinct jammer bursts.
+    N_BURSTS = 2
+    #: Tone amplitude relative to the affected band's RMS.
+    AMPLITUDE_REL = 4.0
 
     def apply(self, samples, rng, ambient=None):
         # Placement draws happen in a fixed order and count (anchors,
-        # frequency, phase) so they are severity-independent.
+        # frequency, phase) so they are intensity-independent.
         if not self.active:
             return samples
         n = len(samples)
-        anchors = np.sort(rng.integers(0, n, size=self.n_bursts))
+        anchors = np.sort(rng.integers(0, n, size=self.N_BURSTS))
         freq = float(rng.uniform(-0.45, 0.45))  # cycles per sample
         phase = float(rng.uniform(0.0, 2.0 * np.pi))
-        amp = self.amplitude_rel * _rms(samples)
-        width = min(n, max(1, int(round(self.severity * n / self.n_bursts))))
+        amp = self.AMPLITUDE_REL * _rms(samples)
+        width = min(n, max(1, int(round(self.intensity * n / self.N_BURSTS))))
         # One tone over the *union* of the bursts: where widened bursts
         # overlap, the sample still receives the tone exactly once, so
-        # already-jammed samples stay identical as severity grows.  Bursts
-        # wrap around the capture end so coverage scales with severity
+        # already-jammed samples stay identical as intensity grows.  Bursts
+        # wrap around the capture end so coverage scales with intensity
         # instead of saturating against the boundary.
         mask = np.zeros(n, dtype=bool)
         for anchor in anchors:
@@ -107,24 +127,22 @@ class NarrowbandJammer:
         idx = np.flatnonzero(mask)
         out = np.array(samples)
         # Absolute sample index in the tone argument keeps a burst's
-        # samples identical when a higher severity widens it.
+        # samples identical when a higher intensity widens it.
         out[idx] += amp * np.exp(1j * (2.0 * np.pi * freq * idx + phase))
         return out
 
 
-class ImpulsiveNoise:
-    """Sparse high-amplitude impulses (switching transients, ignition)."""
+class ImpulsiveNoise(Injector):
+    """Sparse high-amplitude impulses (switching transients, ignition).
+
+    ``intensity`` is the fraction of samples hit.
+    """
 
     name = "impulse"
     hook = "backscatter"
 
-    def __init__(self, rate, amplitude_rel=30.0):
-        self.rate = float(rate)
-        self.amplitude_rel = float(amplitude_rel)
-
-    @property
-    def active(self):
-        return self.rate > 0.0
+    #: Impulse amplitude relative to the affected band's RMS.
+    AMPLITUDE_REL = 30.0
 
     def apply(self, samples, rng, ambient=None):
         if not self.active:
@@ -134,31 +152,24 @@ class ImpulsiveNoise:
         # the hit set at r2 > r1, and each hit's phase is fixed.
         uniforms = rng.random(n)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        mask = uniforms < self.rate
+        mask = uniforms < self.intensity
         if not mask.any():
             return samples
         out = np.array(samples)
-        out[mask] += self.amplitude_rel * _rms(samples) * np.exp(1j * phases[mask])
+        out[mask] += self.AMPLITUDE_REL * _rms(samples) * np.exp(1j * phases[mask])
         return out
 
 
-class AdcClipper:
+class AdcClipper(Injector):
     """Receiver ADC saturation: magnitudes clipped at a shrinking level.
 
-    Severity 0 leaves everything below the clip level; severity 1 clips at
-    10 % of the capture's peak magnitude (phase is preserved — ideal
+    Intensity 0 leaves everything below the clip level; intensity 1 clips
+    at 10 % of the capture's peak magnitude (phase is preserved — ideal
     limiter model of a saturated front end).
     """
 
     name = "clip"
     hook = "backscatter"
-
-    def __init__(self, severity):
-        self.severity = float(severity)
-
-    @property
-    def active(self):
-        return self.severity > 0.0
 
     def apply(self, samples, rng, ambient=None):
         if not self.active:
@@ -167,51 +178,30 @@ class AdcClipper:
         peak = float(magnitude.max()) if len(samples) else 0.0
         if peak == 0.0:
             return samples
-        level = peak * (1.0 - 0.9 * self.severity)
+        level = peak * (1.0 - 0.9 * self.intensity)
         scale = np.minimum(1.0, level / np.maximum(magnitude, 1e-30))
         return samples * scale
 
 
 class CarrierFaultSet:
-    """All injectors of one :class:`~repro.faults.plan.FaultPlan`, as one chain.
+    """A :class:`~repro.faults.plan.FaultPlan`'s injectors, as one chain.
 
-    Dropout, jammer, impulse, clip, then the plan's stressors; each hook
-    runs its injectors in that order.  Dropout hits the *transmitted*
-    ambient (an eNodeB gap degrades the tag and the UE alike); jammer,
-    impulses and clipping hit the backscatter receive chain, where the
-    weak shifted-band signal is most vulnerable.
+    Each hook runs the plan's injectors of that hook in plan order, each
+    on the previous one's output with its own ``plan.rng_for`` stream.
+    Dropout hits the *transmitted* ambient (an eNodeB gap degrades the tag
+    and the UE alike); jammer, impulses and clipping hit the backscatter
+    receive chain, where the weak shifted-band signal is most vulnerable.
     """
 
     def __init__(self, plan):
-        carrier = plan.carrier
         self._plan = plan
-        base = (
-            AmbientDropout(carrier.dropout_rate, carrier.dropout_windows),
-            NarrowbandJammer(
-                carrier.jammer_severity, carrier.jammer_bursts, carrier.jammer_amplitude
-            ),
-            ImpulsiveNoise(carrier.impulse_rate, carrier.impulse_amplitude),
-            AdcClipper(carrier.clip_severity),
-        )
-        # (injector, plan.rng_for stream, activation counter), in order.
-        self._chain = tuple(
-            (injector, injector.name, f"faults.activations.{injector.name}")
-            for injector in base
-        ) + tuple(
-            (s, f"stress:{s.name}", f"stress.activations.{s.name}")
-            for s in plan.stressors
-        )
-
-    @property
-    def active(self):
-        return any(injector.active for injector, _, _ in self._chain)
 
     def _apply(self, samples, hook, ambient=None):
-        for injector, stream, counter in self._chain:
+        for injector in self._plan.injectors:
             if injector.hook == hook and injector.active:
-                obs_metrics.counter_inc(counter)
+                obs_metrics.counter_inc(injector.counter)
                 samples = injector.apply(
-                    samples, self._plan.rng_for(stream), ambient=ambient
+                    samples, self._plan.rng_for(injector.stream), ambient=ambient
                 )
         return samples
 

@@ -9,6 +9,7 @@ variance from pilot residuals, which feeds the soft demapper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,11 +26,14 @@ class ChannelEstimate:
     gains: np.ndarray  # (140, n_subcarriers) complex
     noise_variance: float
 
+    @cached_property
+    def gain_power(self):
+        """``|H|^2`` per RE, floored at 1e-12 (computed once per estimate)."""
+        return np.maximum(np.abs(self.gains) ** 2, 1e-12)
+
     def equalize(self, observed):
         """MMSE-flavoured one-tap equalisation of an observed grid."""
-        h = self.gains
-        power = np.abs(h) ** 2
-        return observed * np.conj(h) / np.maximum(power, 1e-12)
+        return observed * np.conj(self.gains) / self.gain_power
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from repro.lte.frame import CellConfig, transport_plan
 from repro.lte.modulation import demodulate_llr
 from repro.lte.ofdm import demodulate_frame
 from repro.lte.params import LteParams, SUBFRAMES_PER_FRAME, FRAME_SECONDS
-from repro.lte.resource_grid import ReKind
 from repro.obs.trace import span
 
 
@@ -46,7 +45,6 @@ class LteDecodeResult:
 
     subframes: list = field(default_factory=list)
     duration_seconds: float = 0.0
-    evm_rms: float = float("nan")
 
     @property
     def throughput_bps(self):
@@ -95,9 +93,9 @@ class LteReceiver:
     def _demap_frame(self, samples):
         """Demap one frame down to soft coded bits.
 
-        Returns ``(softs, sizes, equalized)``: each subframe's rate-recovered
-        LLR block and its message length (transport block plus CRC), in
-        subframe order, and the frame's equalised resource grid.
+        Returns ``(softs, sizes)``: each subframe's rate-recovered LLR block
+        and its message length (transport block plus CRC), in subframe
+        order.
         """
         observed = demodulate_frame(self.params, samples)
         with span("lte.channel_est"):
@@ -105,8 +103,7 @@ class LteReceiver:
             equalized = estimate.equalize(observed)
 
         # Post-equalisation noise variance per RE: sigma^2 / |H|^2.
-        gain_power = np.maximum(np.abs(estimate.gains) ** 2, 1e-12)
-        re_noise = estimate.noise_variance / gain_power
+        re_noise = estimate.noise_variance / estimate.gain_power
 
         softs = []
         sizes = []
@@ -119,18 +116,15 @@ class LteReceiver:
                 n_bits = plan.tb_size + 24  # transport block plus CRC-24A
                 softs.append(coding.rate_recover(llrs, 3 * n_bits))
                 sizes.append(n_bits)
-        return softs, sizes, equalized
+        return softs, sizes
 
-    def decode(self, samples, reference_frames=None):
+    def decode(self, samples):
         """Decode a frame-aligned capture of one or more frames.
 
         Every frame is demapped first; then one Viterbi call decodes the
         transport blocks of the whole capture in a single trellis sweep,
         and each block's CRC is checked.  ``result.subframes`` is in
         ``(frame, subframe)`` order.
-
-        ``reference_frames`` (optional list of :class:`LteFrame`) enables
-        EVM measurement against the transmitted grid.
         """
         samples = np.asarray(samples, dtype=complex)
         n = self.params.samples_per_frame
@@ -140,22 +134,10 @@ class LteReceiver:
         result = LteDecodeResult(duration_seconds=n_frames * FRAME_SECONDS)
         softs = []
         sizes = []
-        evm_num = 0.0
-        evm_den = 0.0
         for f in range(n_frames):
-            frame_softs, frame_sizes, equalized = self._demap_frame(
-                samples[f * n : (f + 1) * n]
-            )
+            frame_softs, frame_sizes = self._demap_frame(samples[f * n : (f + 1) * n])
             softs.extend(frame_softs)
             sizes.extend(frame_sizes)
-            if reference_frames is not None and f < len(reference_frames):
-                ref = reference_frames[f].grid
-                mask = ref.kinds == ReKind.DATA
-                err = equalized[mask] - ref.values[mask]
-                evm_num += float(np.sum(np.abs(err) ** 2))
-                evm_den += float(np.sum(np.abs(ref.values[mask]) ** 2))
-        if evm_den > 0:
-            result.evm_rms = float(np.sqrt(evm_num / evm_den))
 
         with span("lte.viterbi"):
             decoded_blocks = coding.viterbi_decode_many(softs, sizes)

@@ -3,7 +3,8 @@
 :data:`PERTURBATIONS` holds every way the reproduction perturbs the
 ambient carrier — the five fault kinds of :mod:`repro.faults.chaos` and
 the six scenarios of :mod:`repro.stress.scenarios` — each as a function
-from one intensity in [0, 1] to a :class:`~repro.faults.plan.FaultPlan`,
+from one intensity in [0, 1] to a :class:`~repro.faults.plan.FaultPlan`
+of one injector (``drift`` sets the plan's ``clock_drift_ppm`` instead),
 plus whether its goodput curve is gated monotone.  ``drift`` alone is
 not: it is a threshold fault (chips ride the guard slack until the walk
 exceeds it, and in-slack shifts can flip single decisions either way).
@@ -25,7 +26,13 @@ import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.system import LScatterSystem
-from repro.faults.plan import CarrierFaults, FaultPlan, TagFaults
+from repro.faults.carrier import (
+    AdcClipper,
+    AmbientDropout,
+    ImpulsiveNoise,
+    NarrowbandJammer,
+)
+from repro.faults.plan import FaultPlan
 from repro.lte.params import LteParams
 from repro.stress.stressors import (
     BurstyPdsch,
@@ -53,26 +60,22 @@ SCENARIO_STRESSORS = (
 )
 
 
-def _carrier(knob, at_full=1.0):
+def _single(make):
+    """``(intensity, params, seed) -> FaultPlan`` of ``make``'s injector alone.
+
+    Single-injector, so a curve attributes every lost bit to one cause.
+    """
+
     def build(intensity, params, seed):
-        carrier = CarrierFaults(**{knob: intensity * at_full})
-        return FaultPlan(carrier=carrier, seed=seed)
+        return FaultPlan(injectors=(make(intensity, params),), seed=seed)
 
     return build
 
 
 def _drift(intensity, params, seed):
-    tag = TagFaults(clock_drift_ppm=intensity * DRIFT_PPM_AT_FULL_SEVERITY)
-    return FaultPlan(tag=tag, seed=seed)
-
-
-def _scenario(stressor_cls):
-    # Single-stressor, so a curve attributes every lost bit to one cause.
-    def build(intensity, params, seed):
-        stressor = stressor_cls(float(intensity), params)
-        return FaultPlan(seed=int(seed), stressors=(stressor,))
-
-    return build
+    return FaultPlan(
+        clock_drift_ppm=intensity * DRIFT_PPM_AT_FULL_SEVERITY, seed=seed
+    )
 
 
 @dataclass(frozen=True)
@@ -87,12 +90,14 @@ class Perturbation:
 
 #: Every chaos fault kind and stress scenario, by name.
 PERTURBATIONS = {
-    "dropout": Perturbation(_carrier("dropout_rate")),
-    "jammer": Perturbation(_carrier("jammer_severity")),
-    "impulse": Perturbation(_carrier("impulse_rate", IMPULSE_RATE_AT_FULL)),
-    "clipping": Perturbation(_carrier("clip_severity")),
+    "dropout": Perturbation(_single(lambda x, _: AmbientDropout(x))),
+    "jammer": Perturbation(_single(lambda x, _: NarrowbandJammer(x))),
+    "impulse": Perturbation(
+        _single(lambda x, _: ImpulsiveNoise(x * IMPULSE_RATE_AT_FULL))
+    ),
+    "clipping": Perturbation(_single(lambda x, _: AdcClipper(x))),
     "drift": Perturbation(_drift, gated=False),
-    **{cls.name: Perturbation(_scenario(cls)) for cls in SCENARIO_STRESSORS},
+    **{cls.name: Perturbation(_single(cls)) for cls in SCENARIO_STRESSORS},
 }
 
 

@@ -1,8 +1,9 @@
 """The stress layer's name for the one fault set.
 
 A stress scenario is a plain :class:`~repro.faults.plan.FaultPlan` whose
-*stressors* — protocol-aware attackers and congestion processes (see
-:mod:`repro.stress.stressors`) — the pipeline applies through the same
+``injectors`` tuple holds one stressor — a protocol-aware attacker or
+congestion process (see :mod:`repro.stress.stressors`) — which the
+pipeline applies through the same
 :class:`~repro.faults.carrier.CarrierFaultSet` chain and the same two
 hook points as the carrier injectors.  The plan keeps the whole fault
 contract:

@@ -2,11 +2,11 @@
 
 Each scenario is an entry of
 :data:`repro.stress.perturbations.PERTURBATIONS` mapping an attack
-intensity in [0, 1] to a :class:`~repro.faults.plan.FaultPlan` that
-carries one adversary/congestion model's stressor.  Scenarios are
+intensity in [0, 1] to a :class:`~repro.faults.plan.FaultPlan` whose one
+injector is an adversary/congestion model's stressor.  Scenarios are
 deliberately single-stressor — the suite's degradation curves then
 attribute every lost bit to one mechanism — but a plan carries any tuple
-of stressors, so tests and campaigns can stack them when they want a
+of injectors, so tests and campaigns can stack them when they want a
 combined storm.
 """
 

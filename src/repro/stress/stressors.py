@@ -1,15 +1,18 @@
 """Protocol-aware stressors: the attack and congestion waveform injectors.
 
-Every stressor follows the one injector contract of
-:mod:`repro.faults.carrier`: ``name`` and ``hook`` class attributes
-(``"ambient"`` = applied at the eNodeB, so tag and UE both see it;
-``"backscatter"`` = applied to the UE's shifted-band receive chain, where
-the weak tag signal lives) and ``apply(samples, rng, ambient=None) ->
-ndarray``, returning the input object untouched when inactive and working
-on a copy when active.  A plan's stressors run after its carrier
-injectors in :class:`~repro.faults.carrier.CarrierFaultSet`'s chain; only
-the tag-mob co-channel interferers read ``ambient`` (the clean tag-side
-ambient the ghosts reflect).
+Every stressor is an :class:`~repro.faults.carrier.Injector` like the
+carrier injectors of :mod:`repro.faults.carrier`: one ``intensity`` in
+[0, 1], ``name`` and ``hook`` class attributes (``"ambient"`` = applied
+at the eNodeB, so tag and UE both see it; ``"backscatter"`` = applied to
+the UE's shifted-band receive chain, where the weak tag signal lives) and
+``apply(samples, rng, ambient=None) -> ndarray``, returning the input
+object untouched when inactive and working on a copy when active.  A
+stressor draws from the plan stream ``"stress:<name>"`` and counts its
+activations under ``stress.activations.<name>``; it runs wherever its
+plan's ``injectors`` tuple puts it in
+:class:`~repro.faults.carrier.CarrierFaultSet`'s chain.  Only the tag-mob
+co-channel interferers read ``ambient`` (the clean tag-side ambient the
+ghosts reflect).
 
 Unlike the generic carrier injectors, these know the LTE frame geometry:
 the signalling storm loads the PDCCH control region, the PSS jammer hits
@@ -32,8 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cells.interference import ghost_tag_offsets
-from repro.faults.carrier import _rms
-from repro.faults.plan import _check_unit
+from repro.faults.carrier import Injector, _rms
 from repro.lte.ofdm import frame_layout
 from repro.lte.params import SLOTS_PER_FRAME
 from repro.lte.pss import PSS_SLOTS, PSS_SYMBOL_IN_SLOT
@@ -62,17 +64,15 @@ def _tone(idx, amplitude, freq, phase):
     return amplitude * np.exp(1j * (2.0 * np.pi * freq * idx + phase))
 
 
-class _Stressor:
-    """Shared intensity/active plumbing."""
+class _Stressor(Injector):
+    """An injector laid out against one carrier's LTE frame geometry."""
+
+    stream_prefix = "stress:"
+    counter_prefix = "stress"
 
     def __init__(self, intensity, params):
-        _check_unit("intensity", intensity)
-        self.intensity = float(intensity)
+        super().__init__(intensity)
         self.params = params
-
-    @property
-    def active(self):
-        return self.intensity > 0.0
 
 
 class BurstyPdsch(_Stressor):

@@ -93,7 +93,6 @@ class SyncCircuit:
         jitter_seconds=COMPARATOR_JITTER_SECONDS,
         warmup_seconds=12e-3,
         rng=None,
-        edge_fault=None,
         max_resync_attempts=0,
     ):
         self.sample_rate_hz = float(sample_rate_hz)
@@ -104,12 +103,6 @@ class SyncCircuit:
         #: comparator start-up artefacts and are suppressed.
         self.warmup_seconds = float(warmup_seconds)
         self.rng = make_rng(rng)
-        #: Optional fault hook (see :class:`repro.faults.tag.TagFaultInjector`):
-        #: called with ``(edges, n_samples, sample_rate_hz)`` after the
-        #: comparator model, so PSS misses and false fires perturb exactly
-        #: the edge train the controller folds.  Carries its own RNG — a
-        #: zero-rate injector leaves the circuit bit-identical.
-        self.edge_fault = edge_fault
         #: Adaptive re-sync: when the comparator finds no edges at all
         #: (a jammed or storm-raised envelope floor buries the PSS boost),
         #: retry up to this many times with the threshold margin relaxed
@@ -170,12 +163,6 @@ class SyncCircuit:
                 np.int64
             )
             accepted = accepted[accepted < len(envelope)]
-
-        if self.edge_fault is not None:
-            accepted = np.asarray(
-                self.edge_fault(accepted, len(envelope), self.sample_rate_hz),
-                dtype=np.int64,
-            )
 
         return SyncResult(
             sample_rate_hz=self.sample_rate_hz,

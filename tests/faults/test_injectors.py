@@ -1,4 +1,4 @@
-"""Unit tests for the carrier/tag/infra fault injectors."""
+"""Unit tests for the carrier/infra fault injectors and the fault plan."""
 
 import os
 
@@ -8,14 +8,11 @@ import pytest
 from repro.faults import (
     AdcClipper,
     AmbientDropout,
-    CarrierFaults,
     FaultPlan,
     FaultyTask,
     ImpulsiveNoise,
     InfraFaults,
     NarrowbandJammer,
-    TagFaultInjector,
-    TagFaults,
     bitflip_file,
     truncate_file,
 )
@@ -44,19 +41,23 @@ def test_inactive_injector_returns_same_object(injector):
     assert injector.apply(samples, make_rng(0)) is samples
 
 
-def test_zero_rate_edge_injector_is_identity():
-    edges = np.array([100, 9700, 19300], dtype=np.int64)
-    injector = TagFaultInjector(TagFaults(), rng=make_rng(0))
-    np.testing.assert_array_equal(injector(edges, 40000, 1.92e6), edges)
-
-
 def test_zero_plan_is_noop_and_validated():
     assert FaultPlan.none().is_noop
-    assert not FaultPlan(carrier=CarrierFaults(dropout_rate=0.1)).is_noop
-    with pytest.raises(ValueError):
-        CarrierFaults(dropout_rate=1.5)
-    with pytest.raises(ValueError):
-        TagFaults(pss_miss_rate=-0.1)
+    assert FaultPlan(injectors=(AmbientDropout(0.0),)).is_noop
+    assert not FaultPlan(injectors=(AmbientDropout(0.1),)).is_noop
+    with pytest.raises(ValueError, match="intensity"):
+        AmbientDropout(1.5)
+    with pytest.raises(ValueError, match="intensity"):
+        NarrowbandJammer(-0.1)
+    with pytest.raises(ValueError, match="intensity"):
+        ImpulsiveNoise(float("nan"))
+    # The seed names every fault stream: only a whole number is one.
+    for seed in (2.5, float("nan"), float("inf"), "7", None):
+        with pytest.raises(ValueError, match="seed"):
+            FaultPlan(seed=seed)
+    assert FaultPlan(seed=7.0).rng_for("dropout").random() == (
+        FaultPlan(seed=7).rng_for("dropout").random()
+    )
 
 
 # -- determinism and nesting ------------------------------------------------------
@@ -64,11 +65,11 @@ def test_zero_plan_is_noop_and_validated():
 
 def test_injection_is_deterministic_per_plan_seed():
     samples = _samples()
-    plan = FaultPlan(carrier=CarrierFaults(dropout_rate=0.2), seed=3)
+    plan = FaultPlan(injectors=(AmbientDropout(0.2),), seed=3)
     a = AmbientDropout(0.2).apply(samples, plan.rng_for("dropout"))
     b = AmbientDropout(0.2).apply(samples, plan.rng_for("dropout"))
     np.testing.assert_array_equal(a, b)
-    other = FaultPlan(carrier=CarrierFaults(dropout_rate=0.2), seed=4)
+    other = FaultPlan(injectors=(AmbientDropout(0.2),), seed=4)
     c = AmbientDropout(0.2).apply(samples, other.rng_for("dropout"))
     assert not np.array_equal(a, c)
 
@@ -113,16 +114,6 @@ def test_impulse_hits_nest_and_clipper_preserves_phase():
     )
 
 
-def test_edge_injector_miss_and_false_fire():
-    edges = np.arange(0, 10) * 9600 + 123
-    miss_all = TagFaultInjector(TagFaults(pss_miss_rate=1.0), rng=make_rng(0))
-    assert len(miss_all(edges, 96000, 1.92e6)) == 0
-    noisy = TagFaultInjector(TagFaults(false_fire_rate=1.0), rng=make_rng(0))
-    out = noisy(edges, 96000, 1.92e6)
-    assert len(out) > len(edges)
-    assert np.all(np.diff(out) > 0)  # sorted, unique
-
-
 # -- infra ------------------------------------------------------------------------
 
 
@@ -156,36 +147,15 @@ def test_file_corruptors(tmp_path):
     assert path.stat().st_size == 100
 
 
-def test_negative_amplitudes_rejected():
-    with pytest.raises(ValueError, match="jammer_amplitude"):
-        CarrierFaults(jammer_amplitude=-1.0)
-    with pytest.raises(ValueError, match="impulse_amplitude"):
-        CarrierFaults(impulse_amplitude=-0.5)
-    # Zero stays legal: an amplitude-0 jammer is just a silent one.
-    CarrierFaults(jammer_amplitude=0.0, impulse_amplitude=0.0)
-
-
 # -- plan boundary: non-finite and negative magnitudes ----------------------------
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_clock_drift_must_be_finite(value):
     with pytest.raises(ValueError, match="clock_drift_ppm"):
-        TagFaults(clock_drift_ppm=value)
+        FaultPlan(clock_drift_ppm=value)
     # Either sign of a finite drift is a real clock.
-    assert not TagFaults(clock_drift_ppm=-500.0).is_noop
-
-
-@pytest.mark.parametrize("value", [float("inf"), float("nan")])
-def test_jammer_amplitude_must_be_finite(value):
-    with pytest.raises(ValueError, match="jammer_amplitude"):
-        CarrierFaults(jammer_severity=0.5, jammer_amplitude=value)
-
-
-@pytest.mark.parametrize("value", [float("inf"), float("nan")])
-def test_impulse_amplitude_must_be_finite(value):
-    with pytest.raises(ValueError, match="impulse_amplitude"):
-        CarrierFaults(impulse_rate=0.01, impulse_amplitude=value)
+    assert not FaultPlan(clock_drift_ppm=-500.0).is_noop
 
 
 @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.faults.carrier import AmbientDropout, CarrierFaultSet
-from repro.faults.plan import CarrierFaults, FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.lte.params import LteParams
 from repro.stress import (
     SCENARIOS,
@@ -33,8 +33,8 @@ def test_registry_covers_all_scenarios(params):
     assert SYNC_COUPLED <= set(SCENARIOS)
     for scenario in SCENARIOS:
         plan = make_scenario_plan(scenario, 0.5, params, seed=4)
-        assert len(plan.stressors) == 1
-        assert plan.stressors[0].name == scenario
+        assert len(plan.injectors) == 1
+        assert plan.injectors[0].name == scenario
 
 
 def test_unknown_scenario_raises(params):
@@ -50,18 +50,19 @@ def test_intensity_validated(params):
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
-def test_zero_intensity_plan_is_noop(scenario, params):
+def test_zero_intensity_plan_is_noop(scenario, params, samples):
     plan = make_scenario_plan(scenario, 0.0, params)
     assert plan.is_noop
     fault_set = CarrierFaultSet(plan)
     assert isinstance(fault_set, StressFaultSet)
-    assert not fault_set.active
+    assert fault_set.apply_ambient(samples) is samples
+    assert fault_set.apply_backscatter(samples) is samples
 
 
-def test_active_plan_is_not_noop(params):
+def test_active_plan_is_not_noop(params, samples):
     plan = make_scenario_plan("sweep-jammer", 0.5, params)
     assert not plan.is_noop
-    assert CarrierFaultSet(plan).active
+    assert np.any(CarrierFaultSet(plan).apply_backscatter(samples) != samples)
 
 
 def test_noop_fault_set_returns_same_objects(params, samples):
@@ -106,18 +107,14 @@ def test_tag_mob_receives_ambient(params, samples):
 
 
 def test_ambient_chain_runs_dropout_then_stressor(params, samples):
-    """One chain per hook: carrier injectors first, then the stressors.
+    """One chain per hook: the plan's injectors, in plan order.
 
     Each injector draws from its own ``plan.rng_for`` stream, so the
     chained output is dropout (stream ``"dropout"``) applied first and
     the stressor (stream ``"stress:bursty-pdsch"``) applied to its result.
     """
     stressor = BurstyPdsch(0.8, params)
-    plan = FaultPlan(
-        carrier=CarrierFaults(dropout_rate=0.3),
-        seed=7,
-        stressors=(stressor,),
-    )
+    plan = FaultPlan(injectors=(AmbientDropout(0.3), stressor), seed=7)
     chained = StressFaultSet(plan).apply_ambient(samples)
     dropped = AmbientDropout(0.3).apply(samples, plan.rng_for("dropout"))
     expected = stressor.apply(dropped, plan.rng_for("stress:bursty-pdsch"))
@@ -132,10 +129,10 @@ def test_ambient_chain_runs_dropout_then_stressor(params, samples):
 
 def test_base_fault_plan_carries_stressors(params, samples):
     """Stressors ride any FaultPlan; is_noop counts only active ones."""
-    idle = FaultPlan(stressors=(BurstyPdsch(0.0, params),))
+    idle = FaultPlan(injectors=(BurstyPdsch(0.0, params),))
     assert idle.is_noop
     assert CarrierFaultSet(idle).apply_ambient(samples) is samples
-    plan = FaultPlan(seed=7, stressors=(BurstyPdsch(0.8, params),))
+    plan = FaultPlan(injectors=(BurstyPdsch(0.8, params),), seed=7)
     assert not plan.is_noop
     scenario = make_scenario_plan("bursty-pdsch", 0.8, params, seed=7)
     np.testing.assert_array_equal(

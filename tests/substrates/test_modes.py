@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import LScatterSystem, SystemConfig
-from repro.faults.plan import CarrierFaults, FaultPlan
+from repro.faults.carrier import AmbientDropout
+from repro.faults.plan import FaultPlan
 from repro.fleet import Deployment, FleetRunner
 from repro.fleet.ambient import AmbientCache
 from repro.substrates import available_substrates
@@ -61,9 +62,7 @@ def test_carrier_dropout_does_not_improve_the_link(mode):
     faulted = LScatterSystem(
         _config(
             mode,
-            faults=FaultPlan(
-                carrier=CarrierFaults(dropout_rate=0.4), seed=5
-            ),
+            faults=FaultPlan(injectors=(AmbientDropout(0.4),), seed=5),
         ),
         rng=0,
     ).run(payload_length=4000)

@@ -227,43 +227,38 @@ def test_align_windows_invariants(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     plan_seed=st.integers(min_value=0, max_value=2**31 - 1),
     n_samples=st.integers(min_value=64, max_value=4096),
-    dropout_windows=st.integers(min_value=1, max_value=8),
-    jammer_bursts=st.integers(min_value=1, max_value=8),
 )
 def test_zero_severity_faults_are_object_identical_noops(
-    seed, plan_seed, n_samples, dropout_windows, jammer_bursts
+    seed, plan_seed, n_samples
 ):
-    """A severity-0 plan returns the *same array objects*, untouched.
+    """An intensity-0 plan returns the *same array objects*, untouched.
 
     The carrier injectors promise not just equal values but the identity
     no-op (no copy, no RNG consumption visible to the caller) for any
-    plan seed and placement configuration.
+    plan seed and capture length.
     """
-    from repro.faults.carrier import CarrierFaultSet
-    from repro.faults.plan import CarrierFaults, FaultPlan, TagFaults
-    from repro.faults.tag import TagFaultInjector
+    from repro.faults.carrier import (
+        AdcClipper,
+        AmbientDropout,
+        CarrierFaultSet,
+        ImpulsiveNoise,
+        NarrowbandJammer,
+    )
+    from repro.faults.plan import FaultPlan
 
     plan = FaultPlan(
-        carrier=CarrierFaults(
-            dropout_windows=dropout_windows, jammer_bursts=jammer_bursts
+        injectors=tuple(
+            cls(0.0)
+            for cls in (AmbientDropout, NarrowbandJammer, ImpulsiveNoise, AdcClipper)
         ),
-        tag=TagFaults(),
         seed=plan_seed,
     )
     assert plan.is_noop
     rng = make_rng(seed)
     samples = rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples)
     fault_set = CarrierFaultSet(plan)
-    assert not fault_set.active
     assert fault_set.apply_ambient(samples) is samples
     assert fault_set.apply_backscatter(samples) is samples
-
-    injector = TagFaultInjector(plan.tag, rng=plan.rng_for("tag"))
-    assert not injector.active
-    edges = rng.integers(0, n_samples, size=5)
-    np.testing.assert_array_equal(
-        injector(edges, n_samples, 1.92e6), np.asarray(edges, dtype=np.int64)
-    )
 
 
 @st.composite
