@@ -1,7 +1,9 @@
 """Golden receiver decisions across bandwidths, receivers and capture cuts.
 
-The digests below were recorded on the receiver's original per-tag scalar
-core.  Every entry point must reproduce them: the whole-capture
+The 1.4 and 10 MHz digests below were recorded on the receiver's original
+per-tag scalar core, and the 20 MHz ones (the paper's 2 048-point,
+1 200-chip numerology) on the batched kernel with ``fftconvolve`` offset
+search.  Every entry point must reproduce them: the whole-capture
 ``demodulate`` and the stacked ``demodulate_many`` (one digest per tag of
 a 4-tag mix whose sync errors, gains and SNRs differ, so post-eq,
 predistort, erased and truncated packets all occur).
@@ -12,7 +14,7 @@ window starts and erasure flags, then every packet's
 purpose: their last ulp depends on the machine's FFT and SIMD code paths,
 so pinning them would make the goldens non-portable.
 
-The grid is bandwidth {1.4, 10} MHz x receiver {default, erasure
+The grid is bandwidth {1.4, 10, 20} MHz x receiver {default, erasure
 threshold 0.35 with a 0 dB SNR gate} x capture {whole, cut inside the PSS
 sounding, cut inside a preamble, cut inside a data symbol, cut exactly on
 a symbol boundary}; every cut lands in the last half-frame.
@@ -37,7 +39,7 @@ from repro.utils.rng import make_rng
 from tests.bsrx.test_batch_demod import _TAG_MIX
 
 N_TAGS = 4
-BANDWIDTHS = (1.4, 10.0)
+BANDWIDTHS = (1.4, 10.0, 20.0)
 RECEIVERS = {
     "default": {},
     "gated": {"erasure_threshold": 0.35, "snr_gate_db": 0.0},
@@ -104,6 +106,36 @@ GOLDEN = {
     ),
     (10.0, "gated", "boundary"): (
         "30d2daec61adc658", "efe5cd1e10a8e302", "f41ef1745890eaac", "ae8336697d6a15a8",
+    ),
+    (20.0, "default", "whole"): (
+        "337c10a72bc29084", "e9cf987a93bc0ea7", "81d997cdd2dbd2b2", "2a429e2c25b68585",
+    ),
+    (20.0, "default", "sounding"): (
+        "5aef09a593527bb2", "240b0e432ad109fb", "7a2729b21d5a8d9b", "6d316dd17681f07e",
+    ),
+    (20.0, "default", "preamble"): (
+        "960cc102c98f81c9", "dc94508beeede0a8", "88b1af0a05534f9c", "ba0e03d04e44133f",
+    ),
+    (20.0, "default", "data"): (
+        "a43655cd8572db98", "00054723940576be", "1f88a6c2446321b5", "1dbd75a8abf4147f",
+    ),
+    (20.0, "default", "boundary"): (
+        "c23eebf6a4bf1939", "9b26735f9304204f", "639eb800957e1fce", "6d30e77e2a1aaebc",
+    ),
+    (20.0, "gated", "whole"): (
+        "337c10a72bc29084", "de3b327e3036513c", "d30e6e62487d467e", "1c12f08d0328a7c3",
+    ),
+    (20.0, "gated", "sounding"): (
+        "5aef09a593527bb2", "04ce3e0266d8390a", "b987ea75531714a6", "22c79920c0d3f444",
+    ),
+    (20.0, "gated", "preamble"): (
+        "960cc102c98f81c9", "054b6f0ce329575e", "f8d76f60a36347a3", "f3c7daa6af6e2266",
+    ),
+    (20.0, "gated", "data"): (
+        "a43655cd8572db98", "02c66c93920d2bcb", "8367a76e929600b4", "9aaa5fd200bbff49",
+    ),
+    (20.0, "gated", "boundary"): (
+        "c23eebf6a4bf1939", "7d3a8b34436b8291", "2fb23ce92c2998f1", "0a3cd4e02c9504c7",
     ),
 }
 
