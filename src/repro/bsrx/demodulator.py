@@ -32,13 +32,16 @@ The end-to-end system (:mod:`repro.core.system`) wires that in.
 One kernel, :meth:`BackscatterDemodulator._demod_half_frame`, demodulates
 one half-frame of a ``(n_tags, n_samples)`` stack.  Symbol offsets built
 once per numerology gather every tag's 2 sounding, 10 preamble and 58
-data symbols; each hypothesis then runs once over all (tag, packet) rows
-and each equalisation once over all (tag, window) rows.  Both entry
-points reach that kernel:
+data symbols from strided views of the stack; the sounding and preamble
+symbols are transformed once, both hypotheses' offset searches run as
+one stacked call over all (tag, packet) rows, the post-eq equaliser
+weights are computed once per packet, and each equalisation runs once
+over all (tag, window) rows.  Both entry points reach that kernel:
 
 * :meth:`BackscatterDemodulator.demodulate_many` — every tag riding one
   shared ambient capture at once, each half-frame stacked from the
-  slices of the tags that own it;
+  slices of the tags that own it (a view of the one row when a single
+  tag owns it);
 * :meth:`BackscatterDemodulator.demodulate` — one tag, as a one-row
   :meth:`~BackscatterDemodulator.demodulate_many` stack.
 
@@ -61,9 +64,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
-from repro.bsrx.equalizer import equalize_symbol, estimate_channel_from_known
+from repro.bsrx.equalizer import channel_from_spectra, equalizer_weights
 from repro.bsrx.mod_offset import find_modulation_offset
 from repro.lte.ofdm import frame_layout, row_fft, row_ifft
 from repro.lte.params import LteParams
@@ -180,14 +183,17 @@ class _DemodSink:
         self.packets = []
         self.truncated_windows = 0
 
-    def add_windows(self, record, starts, bits, soft, erased):
-        """Append one packet's consecutive windows (rows of ``bits``/``soft``)."""
+    def add_windows(self, starts, bits, soft, erased):
+        """Append consecutive windows (rows of ``bits``/``soft``).
+
+        Returns their absolute starts, as a list.
+        """
         absolute = (self.base + starts).tolist()
         self.window_bits.extend(bits)
         self.window_soft.extend(soft)
         self.window_erased.extend(erased.tolist())
         self.starts.extend(absolute)
-        record.data_starts.extend(absolute)
+        return absolute
 
     def result(self):
         if self.window_bits:
@@ -213,9 +219,27 @@ class _DemodSink:
         )
 
 
-def _take(samples, rows, starts, width):
-    """``samples[row, start : start + width]`` for broadcast (row, start) pairs."""
-    return sliding_window_view(samples, width, axis=-1)[rows, starts]
+def _windows(samples, width):
+    """Read-only view of every ``width``-sample window along the last axis.
+
+    ``_windows(a, width)[..., start, :]`` is ``a[..., start : start +
+    width]``; the view costs a fraction of ``sliding_window_view``'s
+    argument checks, which the kernel would pay on every gather.
+    """
+    *lead, n = samples.shape
+    return as_strided(
+        samples,
+        (*lead, n - width + 1, width),
+        samples.strides + samples.strides[-1:],
+        writeable=False,
+    )
+
+
+def _at_offsets(symbols, offsets, width):
+    """``symbols[..., o : o + width]`` for the offset ``o`` of each row."""
+    rows = np.arange(offsets.size)
+    windows = _windows(symbols.reshape(offsets.size, -1), width)
+    return windows[rows, offsets.reshape(-1)].reshape(offsets.shape + (width,))
 
 
 class BackscatterDemodulator:
@@ -262,6 +286,10 @@ class BackscatterDemodulator:
         sounding = [(0, SSS_SYMBOL_IN_SLOT), (0, PSS_SYMBOL_IN_SLOT)]
         self._sounding_starts = starts(sounding)
         self._preamble_starts = starts([packet[0] for packet in plan])
+        #: The symbols a packet decision reads: sounding, then preambles.
+        self._sync_starts = np.concatenate(
+            (self._sounding_starts, self._preamble_starts)
+        )
         self._window_starts = starts(
             [pair for packet in plan for pair in packet[1:]]
         )
@@ -337,11 +365,16 @@ class BackscatterDemodulator:
             stop = start + self.half_frame_span
             for row in rows:
                 sinks[row].base = start
-            self._demod_half_frame(
-                np.stack([shifted_rows[row][start:stop] for row in rows]),
-                np.stack([reference_rows[row][start:stop] for row in rows]),
-                [sinks[row] for row in rows],
-            )
+            if len(rows) == 1:
+                # A half-frame one row owns is a view of that row, not a copy.
+                shifted = shifted_rows[rows[0]][None, start:stop]
+                reference = reference_rows[rows[0]][None, start:stop]
+            else:
+                shifted = np.stack([shifted_rows[row][start:stop] for row in rows])
+                reference = np.stack(
+                    [reference_rows[row][start:stop] for row in rows]
+                )
+            self._demod_half_frame(shifted, reference, [sinks[row] for row in rows])
         return [sink.result() for sink in sinks]
 
     # -- the kernel ----------------------------------------------------------------
@@ -392,43 +425,59 @@ class BackscatterDemodulator:
         gated = np.zeros_like(live)
         if n_fit:
             rows = np.arange(n_tags)[:, None]
+            # Every useful symbol and every chip window of each row, as views.
+            y_symbols = _windows(shifted, fft)
+            x_symbols = _windows(reference, fft)
+            y_windows = _windows(shifted, n_chips)
+            x_windows = _windows(reference, n_chips)
+            # The 2 sounding and n_fit preamble symbols, transformed once.
+            sync_starts = self._sync_starts[: 2 + n_fit]
+            y_sync = y_symbols[rows, sync_starts]
+            x_sync = x_symbols[rows, sync_starts]
+            y_spectra, x_spectra = row_fft(y_sync), row_fft(x_sync)
             with span("bsrx.sync"):
                 # Sound the cascade on the tag's unmodulated SSS/PSS reflection.
-                sounding = estimate_channel_from_known(
-                    _take(shifted, rows, self._sounding_starts, fft),
-                    _take(reference, rows, self._sounding_starts, fft),
-                )
+                sounding = channel_from_spectra(y_spectra[:, :2], x_spectra[:, :2])
                 cascade = np.mean(sounding, axis=1)
             starts = self._preamble_starts[:n_fit]
-            y0 = _take(shifted, rows, starts, fft)
-            x0 = _take(reference, rows, starts, fft)
+            y0, x0 = y_sync[:, 2:], x_sync[:, 2:]
             with span("bsrx.phase_offset"):
-                # Hypothesis A: flat in-hop; the preamble sounds the out-hop.
-                est_a = find_modulation_offset(
-                    y0, x0, self._preamble, self.nominal_offset, self.search_slack
+                # Hypothesis B's reference carries the cascade.  Both
+                # hypotheses' offset searches run as one stack: A against
+                # the ambient x0, B against the pre-distorted w0.
+                w0 = row_ifft(np.multiply(x_spectra[:, 2:], cascade[:, None]))
+                est = find_modulation_offset(
+                    np.broadcast_to(y0, (2,) + y0.shape),
+                    np.stack((x0, w0)),
+                    self._preamble,
+                    self.nominal_offset,
+                    self.search_slack,
                 )
-                expected = np.multiply(x0, self._chip_waveforms(est_a.offset))
-                channel_a = estimate_channel_from_known(y0, expected)
-                cols = est_a.offset[..., None] + self._chip_cols
+                offset_a, offset_b = est.offset
+                # Hypothesis A: flat in-hop; the preamble sounds the out-hop.
+                # Its spectrum serves both the channel estimate and the
+                # equaliser, whose weights every data window of the packet
+                # reuses.
+                y0_spectrum = y_spectra[:, 2:]
+                expected = np.multiply(x0, self._chip_waveforms(offset_a))
+                weights_a = equalizer_weights(
+                    channel_from_spectra(y0_spectrum, row_fft(expected))
+                )
+                y0_eq = row_ifft(np.multiply(y0_spectrum, weights_a))
                 soft_a = np.real(
                     np.multiply(
-                        np.take_along_axis(equalize_symbol(y0, channel_a), cols, -1),
-                        np.conj(np.take_along_axis(x0, cols, -1)),
+                        _at_offsets(y0_eq, offset_a, n_chips),
+                        np.conj(x_windows[rows, starts + offset_a]),
                     )
                 )
                 # Hypothesis B: flat out-hop; the reference carries the cascade.
-                w0 = row_ifft(np.multiply(row_fft(x0), cascade[:, None]))
-                est_b = find_modulation_offset(
-                    y0, w0, self._preamble, self.nominal_offset, self.search_slack
-                )
-                derotate_b = np.conj(est_b.gain)
-                cols = est_b.offset[..., None] + self._chip_cols
+                derotate_b = np.conj(est.gain[1])
                 soft_b = np.real(
                     np.multiply(
                         np.multiply(
-                            derotate_b[..., None], np.take_along_axis(y0, cols, -1)
+                            derotate_b[..., None], y_windows[rows, starts + offset_b]
                         ),
-                        np.conj(np.take_along_axis(w0, cols, -1)),
+                        np.conj(_at_offsets(w0, offset_b, n_chips)),
                     )
                 )
             errors_a = self._preamble_errors(soft_a)
@@ -446,52 +495,48 @@ class BackscatterDemodulator:
             chosen = decided != _ERASED
             model[:, :n_fit] = decided
             offset[:, :n_fit] = np.where(
-                chosen,
-                np.where(use_post, est_a.offset, est_b.offset),
-                self.nominal_offset,
+                chosen, np.where(use_post, *est.offset), self.nominal_offset
             )
-            gain[:, :n_fit] = np.where(
-                chosen, np.where(use_post, est_a.gain, est_b.gain), 0j
-            )
+            gain[:, :n_fit] = np.where(chosen, np.where(use_post, *est.gain), 0j)
             metric[:, :n_fit] = np.where(
-                chosen, np.where(use_post, est_a.metric, est_b.metric), 0.0
+                chosen, np.where(use_post, *est.metric), 0.0
             )
 
             window_model = model[:, window_packet]
             live = (window_model >= _POST_EQ) & window_fits
-            chip_starts = data_starts + offset[:, window_packet]
+            tags, wins = np.nonzero(live)
+            packets = window_packet[wins]
+            # Every live window's reference chips, gathered once for the
+            # post-eq matched filter and the SNR gate.
+            x_chips = x_windows[tags, data_starts[wins] + offset[tags, packets]]
+            post = window_model[tags, wins] == _POST_EQ
             with span("bsrx.equalise"):
-                tags, wins = np.nonzero(live & (window_model == _POST_EQ))
-                if len(tags):
-                    packets = window_packet[wins]
-                    y = _take(shifted, tags, data_starts[wins], fft)
-                    y_eq = equalize_symbol(y, channel_a[tags, packets])
-                    cols = offset[tags, packets][:, None] + self._chip_cols
-                    x_chips = _take(reference, tags, chip_starts[tags, wins], n_chips)
-                    soft[tags, wins] = np.real(
+                if post.any():
+                    t, w, p = tags[post], wins[post], packets[post]
+                    y = y_symbols[t, data_starts[w]]
+                    y_eq = row_ifft(np.multiply(row_fft(y), weights_a[t, p]))
+                    soft[t, w] = np.real(
                         np.multiply(
-                            np.take_along_axis(y_eq, cols, -1), np.conj(x_chips)
+                            _at_offsets(y_eq, offset[t, p], n_chips),
+                            np.conj(x_chips[post]),
                         )
                     )
-                tags, wins = np.nonzero(live & (window_model == _PREDISTORT))
-                if len(tags):
-                    packets = window_packet[wins]
-                    x = _take(reference, tags, data_starts[wins], fft)
-                    w = row_ifft(np.multiply(row_fft(x), cascade[tags]))
-                    cols = offset[tags, packets][:, None] + self._chip_cols
-                    y_chips = _take(shifted, tags, chip_starts[tags, wins], n_chips)
-                    soft[tags, wins] = np.real(
+                pre = ~post
+                if pre.any():
+                    t, w, p = tags[pre], wins[pre], packets[pre]
+                    x = x_symbols[t, data_starts[w]]
+                    w_sym = row_ifft(np.multiply(row_fft(x), cascade[t]))
+                    y_chips = y_windows[t, data_starts[w] + offset[t, p]]
+                    soft[t, w] = np.real(
                         np.multiply(
-                            np.multiply(derotate_b[tags, packets][:, None], y_chips),
-                            np.conj(np.take_along_axis(w, cols, -1)),
+                            np.multiply(derotate_b[t, p][:, None], y_chips),
+                            np.conj(_at_offsets(w_sym, offset[t, p], n_chips)),
                         )
                     )
-            if self.snr_gate_db is not None and live.any():
+            if self.snr_gate_db is not None and len(tags):
                 # SNR-gated erasure escalation: a jammed data symbol inside
                 # an otherwise healthy packet becomes an erasure
                 # (ARQ-visible) instead of garbage bits.
-                tags, wins = np.nonzero(live)
-                x_chips = _take(reference, tags, chip_starts[tags, wins], n_chips)
                 snr = window_snr_db(soft[tags, wins], np.abs(x_chips) ** 2)
                 gated[tags, wins] = snr < self.snr_gate_db
                 soft[gated] = 0.0
@@ -512,27 +557,30 @@ class BackscatterDemodulator:
         truncated = ~live & (window_model != _ERASED)
         n_emit = int(np.count_nonzero(nominal_starts < limit))
         for t, sink in enumerate(sinks):
+            absolute = sink.add_windows(
+                window_starts[t, :n_emit],
+                bits[t, :n_emit],
+                soft[t, :n_emit],
+                erased[t, :n_emit],
+            )
             codes, offsets, gains, metrics, counts = (
                 a[t].tolist() for a in (model, offset, gain, metric, errors)
             )
             for p, (d0, d1) in enumerate(self._packet_windows):
-                d1 = min(d1, n_emit)
-                record = PacketRecord(
-                    half_frame_start=sink.base,
-                    slot=self._packet_slots[p],
-                    offset=offsets[p],
-                    gain=gains[p],
-                    metric=metrics[p],
-                    model=_MODELS[codes[p]],
-                    preamble_errors=counts[p],
+                # A packet that emits no window is recorded only if it was
+                # demodulated (or erased) rather than cut off.
+                if d0 >= n_emit and codes[p] == _TRUNCATED:
+                    continue
+                sink.packets.append(
+                    PacketRecord(
+                        half_frame_start=sink.base,
+                        slot=self._packet_slots[p],
+                        offset=offsets[p],
+                        gain=gains[p],
+                        metric=metrics[p],
+                        model=_MODELS[codes[p]],
+                        preamble_errors=counts[p],
+                        data_starts=absolute[d0:d1],
+                    )
                 )
-                sink.add_windows(
-                    record,
-                    window_starts[t, d0:d1],
-                    bits[t, d0:d1],
-                    soft[t, d0:d1],
-                    erased[t, d0:d1],
-                )
-                if d1 > d0 or codes[p] != _TRUNCATED:
-                    sink.packets.append(record)
             sink.truncated_windows += int(np.count_nonzero(truncated[t, :n_emit]))

@@ -11,11 +11,15 @@ are short (a few taps), so the true response varies slowly in frequency,
 and the smoothing both averages noise and rides over the sounding
 spectrum's occasional deep nulls.
 
-Both functions work along the last axis, so a ``(..., fft_size)`` stack
+Every function works along the last axis, so a ``(..., fft_size)`` stack
 of symbols (the demodulator stacks every tag and window of a half-frame)
-runs as one batched transform, row-for-row bit-identical to calling them
-on each 1-D row: the transforms are the same pocketfft, the smoothing
-response is shared, and each row's regulariser is a last-axis mean.
+runs as one batched transform, row-for-row bit-identical to calling it
+on each 1-D row: the transforms are the same pocketfft, the smoothing is
+a direct sum of shifted slices of the row itself (no transform), and
+each row's regulariser is a last-axis mean.  The demodulator works on spectra: it transforms a
+preamble once for both its channel estimate and its equalisation, and
+computes the one-tap weights (:func:`equalizer_weights`) once per packet
+for all of that packet's data windows.
 Complex products are written as ``np.multiply`` calls on purpose: once an
 operand reaches numpy's 256 KiB temporary-elision threshold, ``a * b``
 with a temporary ``b`` runs in place as ``b *= a``, and complex multiply
@@ -28,28 +32,44 @@ from __future__ import annotations
 import numpy as np
 
 from repro.lte.ofdm import row_fft, row_ifft
-from repro.utils.cache import memoize
 
 #: Smoothing window (bins).  A W-bin boxcar tolerates delay spreads up to
 #: ~N/W samples; channels here are <= a handful of taps.
+#: :func:`_circular_smooth_rows` sums its terms as 8 + 4 + 2 + 1.
 SMOOTH_BINS = 15
 
 
-@memoize()
-def _smoothing_response(n):
-    """Frequency response of the circular ``SMOOTH_BINS`` boxcar over ``n`` bins."""
-    kernel = np.zeros(n)
-    half = SMOOTH_BINS // 2
-    kernel[: half + 1] = 1.0
-    kernel[-half:] = 1.0
-    kernel /= kernel.sum()
-    return np.fft.fft(kernel)
+def _power(values):
+    """``|values|^2`` of a complex array, as floats."""
+    return np.square(values.real) + np.square(values.imag)
 
 
 def _circular_smooth_rows(values):
-    """Circular moving average along the last axis of a complex array."""
-    response = _smoothing_response(values.shape[-1])
-    return row_ifft(np.multiply(row_fft(values), response))
+    """Circular ``SMOOTH_BINS``-bin moving average along the last axis.
+
+    Bin ``k`` averages bins ``k - 7 .. k + 7`` (mod the row length).  The
+    row is padded with its own wrapped ends, and each window's 15 = 8 + 4
+    + 2 + 1 terms are summed from partial sums of 2 and 4 neighbours.
+    """
+    n = values.shape[-1]
+    half = SMOOTH_BINS // 2
+    padded = np.concatenate((values[..., -half:], values, values[..., :half]), -1)
+    pairs = np.add(padded[..., :-1], padded[..., 1:])  # pairs[j] = padded[j : j + 2]
+    quads = np.add(pairs[..., :-2], pairs[..., 2:])  # quads[j] = padded[j : j + 4]
+    total = np.add(quads[..., :n], quads[..., 4 : 4 + n])  # padded[k : k + 8]
+    total += quads[..., 8 : 8 + n]
+    total += pairs[..., 12 : 12 + n]
+    total += padded[..., 14 : 14 + n]
+    total *= 1.0 / SMOOTH_BINS
+    return total
+
+
+def channel_from_spectra(observed, expected):
+    """Smoothed weighted-LS channel from observed/expected spectra (rows)."""
+    cross = _circular_smooth_rows(np.multiply(observed, np.conj(expected)))
+    power = _circular_smooth_rows(_power(expected))
+    lam = 0.01 * np.mean(power, axis=-1, keepdims=True) + 1e-30
+    return np.multiply(cross, 1.0 / (power + lam))
 
 
 def estimate_channel_from_known(observed, expected):
@@ -64,12 +84,18 @@ def estimate_channel_from_known(observed, expected):
     expected = np.asarray(expected, dtype=complex)
     if observed.shape != expected.shape:
         raise ValueError("observed and expected must be the same shape")
-    y = row_fft(observed)
-    e = row_fft(expected)
-    cross = _circular_smooth_rows(np.multiply(y, np.conj(e)))
-    power = _circular_smooth_rows((np.abs(e) ** 2).astype(complex)).real
+    return channel_from_spectra(row_fft(observed), row_fft(expected))
+
+
+def equalizer_weights(channel):
+    """MMSE-style one-tap weights ``conj(H) / (|H|^2 + lam)``, per bin.
+
+    ``lam`` is 1 % of each row's mean ``|H|^2``; multiply a symbol's
+    spectrum by its channel row's weights to equalise it.
+    """
+    power = _power(channel)
     lam = 0.01 * np.mean(power, axis=-1, keepdims=True) + 1e-30
-    return cross / (power + lam)
+    return np.multiply(np.conj(channel), 1.0 / (power + lam))
 
 
 def equalize_symbol(observed, channel):
@@ -78,8 +104,4 @@ def equalize_symbol(observed, channel):
     channel = np.asarray(channel, dtype=complex)
     if observed.shape != channel.shape:
         raise ValueError("symbol and channel must be the same shape")
-    y = row_fft(observed)
-    power = np.abs(channel) ** 2
-    lam = 0.01 * np.mean(power, axis=-1, keepdims=True) + 1e-30
-    equalized = np.multiply(y, np.conj(channel)) / (power + lam)
-    return row_ifft(equalized)
+    return row_ifft(np.multiply(row_fft(observed), equalizer_weights(channel)))

@@ -86,8 +86,8 @@ class FleetReport:
     #: How many times the eNodeB capture was actually generated.
     transmit_invocations: int = 0
     #: Merged per-stage telemetry across every traced tag:
-    #: ``{stage: {wall_seconds, cpu_seconds, count}}`` (empty without
-    #: ``trace=True`` on the runner).
+    #: ``{stage: {wall_seconds, self_seconds, cpu_seconds, count}}``
+    #: (empty without ``trace=True`` on the runner).
     stage_breakdown: dict = field(default_factory=dict)
     #: Summed counter deltas across every tag's task.
     counters: dict = field(default_factory=dict)
@@ -157,16 +157,21 @@ class FleetReport:
         return "\n".join(lines)
 
     def format_telemetry(self):
-        """Per-stage breakdown merged across tags, plus summed counters."""
+        """Per-stage breakdown merged across tags, plus summed counters.
+
+        Stages are sorted by self time (wall time minus nested stages'),
+        so a saving inside a nested stage is listed once.
+        """
         lines = ["telemetry (merged across tags):"]
         ordered = sorted(
             self.stage_breakdown.items(),
-            key=lambda item: item[1]["wall_seconds"],
+            key=lambda item: item[1]["self_seconds"],
             reverse=True,
         )
         for name, entry in ordered:
             lines.append(
-                f"  {name:<24s} wall {entry['wall_seconds'] * 1e3:9.2f} ms  "
+                f"  {name:<24s} self {entry['self_seconds'] * 1e3:9.2f} ms  "
+                f"wall {entry['wall_seconds'] * 1e3:9.2f} ms  "
                 f"cpu {entry['cpu_seconds'] * 1e3:9.2f} ms  x{entry['count']}"
             )
         if self.counters:

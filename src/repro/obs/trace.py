@@ -264,11 +264,14 @@ def from_dict(data):
 
 
 def flatten_stages(roots, into=None):
-    """Aggregate span trees into ``{name: {wall, cpu, count}}``.
+    """Aggregate span trees into ``{name: {wall, self, cpu, count}}``.
 
     Same-named spans at any depth sum together — the per-stage breakdown
-    the fleet report merges across tags.  ``into`` accumulates across
-    calls (pass the same dict for every tag).
+    the fleet report merges across tags.  ``wall_seconds`` is inclusive;
+    ``self_seconds`` is the wall time minus the children's, so a stage
+    nested in another is counted once and the self times of one tree sum
+    to its roots' wall time.  ``into`` accumulates across calls (pass the
+    same dict for every tag).
     """
     stages = into if into is not None else {}
     nodes = list(roots)
@@ -277,10 +280,15 @@ def flatten_stages(roots, into=None):
         if isinstance(node, dict):
             node = from_dict(node)
         entry = stages.setdefault(
-            node.name, {"wall_seconds": 0.0, "cpu_seconds": 0.0, "count": 0}
+            node.name,
+            {"wall_seconds": 0.0, "self_seconds": 0.0, "cpu_seconds": 0.0, "count": 0},
         )
+        children = node.children.values()
         entry["wall_seconds"] += node.wall_seconds
+        entry["self_seconds"] += node.wall_seconds - sum(
+            child.wall_seconds for child in children
+        )
         entry["cpu_seconds"] += node.cpu_seconds
         entry["count"] += node.count
-        nodes.extend(node.children.values())
+        nodes.extend(children)
     return stages

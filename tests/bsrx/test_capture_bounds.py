@@ -5,7 +5,7 @@ Every test builds a real tag-on-ambient capture (transmitter -> tag
 schedule -> reflection -> noise).  A capture cut mid-half-frame must
 demodulate what fits and erase the rest; a capture spilled to disk and
 re-opened as read-only memmaps must demodulate to the same bits while
-only one half-frame at a time is ever copied into memory.
+only one half-frame at a time is ever read into memory.
 """
 
 import tracemalloc
@@ -82,10 +82,12 @@ def test_memmapped_capture_is_never_materialised(tmp_path):
 
     Both streams are spilled to disk and re-opened read-only, the
     long-recording case where samples live on disk.  The loaded
-    candidate copies both arrays whole; the memmapped one copies one
-    half-frame's slice at a time.  The floor of 2.14 sits 25 % under the
-    2.86 ratio measured when the chunked streaming receiver was retired
-    (1.4 MHz, 6 frames); peaks vary by ~0.4 % across runs.
+    candidate copies both arrays whole; the memmapped one reads one
+    half-frame at a time through views.  The floor of 2.14 sits 25 %
+    under the 2.86 ratio measured when the chunked streaming receiver was
+    retired (1.4 MHz, 6 frames), when each half-frame was still copied
+    into a one-row stack; without that copy the ratio reads 3.56.  Peaks
+    vary by ~0.4 % across runs.
     """
     from repro.core import LScatterSystem, SystemConfig
 

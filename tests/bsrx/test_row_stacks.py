@@ -10,8 +10,14 @@ must return exactly what it returns row by row.
 import numpy as np
 import pytest
 
-from repro.bsrx.demodulator import window_snr_db
-from repro.bsrx.equalizer import equalize_symbol, estimate_channel_from_known
+from repro.bsrx.demodulator import _at_offsets, window_snr_db
+from repro.bsrx.equalizer import (
+    _circular_smooth_rows,
+    channel_from_spectra,
+    equalize_symbol,
+    equalizer_weights,
+    estimate_channel_from_known,
+)
 from repro.bsrx.mod_offset import find_modulation_offset
 from repro.utils.rng import make_rng
 
@@ -56,6 +62,46 @@ def test_offset_search_stack_matches_rows(stacks):
         y.reshape(3, 100, -1), x.reshape(3, 100, -1), preamble, 28, 28
     )
     np.testing.assert_array_equal(grid.offset, stack.offset.reshape(3, 100))
+
+
+def test_smoothing_stack_matches_rows(stacks):
+    y, x = stacks
+    for values in (y, np.abs(x) ** 2):
+        rows = np.stack([_circular_smooth_rows(row) for row in values])
+        np.testing.assert_array_equal(_circular_smooth_rows(values), rows)
+
+
+def test_spectra_channel_and_weights_stack_match_rows(stacks):
+    y, x = stacks
+    rows = np.stack([channel_from_spectra(a, b) for a, b in zip(y, x)])
+    channel = channel_from_spectra(y, x)
+    np.testing.assert_array_equal(channel, rows)
+    rows = np.stack([equalizer_weights(h) for h in channel])
+    np.testing.assert_array_equal(equalizer_weights(channel), rows)
+
+
+def test_hypothesis_stack_search_matches_separate_calls(stacks):
+    """The kernel searches both hypotheses as one broadcast stack."""
+    y, x = stacks
+    preamble = make_rng(4).integers(0, 2, size=72).astype(np.int8)
+    w = x[::-1]
+    both = find_modulation_offset(
+        np.broadcast_to(y, (2,) + y.shape), np.stack((x, w)), preamble, 28, 28
+    )
+    for k, expected in enumerate((x, w)):
+        alone = find_modulation_offset(y, expected, preamble, 28, 28)
+        np.testing.assert_array_equal(both.offset[k], alone.offset)
+        np.testing.assert_array_equal(both.gain[k], alone.gain)
+        np.testing.assert_array_equal(both.metric[k], alone.metric)
+
+
+def test_offset_gather_matches_slices(stacks):
+    y, _ = stacks
+    offsets = make_rng(6).integers(0, 57, size=len(y))
+    rows = np.stack([row[o : o + 72] for row, o in zip(y, offsets)])
+    np.testing.assert_array_equal(_at_offsets(y, offsets, 72), rows)
+    grid = _at_offsets(y.reshape(3, 100, -1), offsets.reshape(3, 100), 72)
+    np.testing.assert_array_equal(grid, rows.reshape(3, 100, 72))
 
 
 def test_window_snr_stack_matches_rows(stacks):

@@ -52,6 +52,18 @@ def test_format_table_includes_telemetry(traced_report):
     assert "bsrx.demodulate" in text
 
 
+def test_telemetry_lists_stages_by_self_time(traced_report):
+    """Nested stages are not double-counted: rows sort by self time."""
+    breakdown = traced_report.stage_breakdown
+    demodulate = breakdown["bsrx.demodulate"]
+    assert demodulate["self_seconds"] < demodulate["wall_seconds"]
+    lines = traced_report.format_telemetry().splitlines()[1:]
+    rows = [line for line in lines if " self " in line]
+    assert len(rows) == len(breakdown)
+    selfs = [float(line.split(" self ")[1].split()[0]) for line in rows]
+    assert selfs == sorted(selfs, reverse=True)
+
+
 def test_trace_off_ships_nothing():
     with FleetRunner(_small_deployment(), workers=1, seed=0) as runner:
         report = runner.run(payload_length=500)

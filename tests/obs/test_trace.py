@@ -153,6 +153,52 @@ def test_flatten_stages_accumulates_across_trees():
     assert merged["stage"]["count"] == 2
 
 
+def _three_level_tree(trace):
+    """``run > (stage > leaf, other)`` with real time spent at every level."""
+    with trace.span("run"):
+        sum(range(20000))
+        with trace.span("stage"):
+            sum(range(20000))
+            with trace.span("leaf"):
+                sum(range(20000))
+        with trace.span("other"):
+            sum(range(20000))
+    return trace.snapshot()
+
+
+def test_flatten_stages_self_times_sum_to_root_wall():
+    trace.enable()
+    (run,) = roots = _three_level_tree(trace)
+    stage = run.children["stage"]
+    stages = trace.flatten_stages(roots)
+    assert stages["leaf"]["self_seconds"] == stages["leaf"]["wall_seconds"]
+    assert stages["stage"]["self_seconds"] == pytest.approx(
+        stage.wall_seconds - stage.children["leaf"].wall_seconds
+    )
+    assert stages["run"]["wall_seconds"] == run.wall_seconds
+    for entry in stages.values():
+        assert 0.0 < entry["self_seconds"] <= entry["wall_seconds"]
+    total = sum(entry["self_seconds"] for entry in stages.values())
+    assert total == pytest.approx(run.wall_seconds, rel=1e-9)
+
+
+def test_flatten_stages_self_times_accumulate_across_trees():
+    trace.enable()
+    (run_a,) = roots_a = _three_level_tree(trace)
+    trace.reset()
+    (run_b,) = roots_b = _three_level_tree(trace)
+    merged = trace.flatten_stages(roots_a)
+    # Serialised trees (what fleet workers ship) flatten the same way.
+    trace.flatten_stages([trace.to_dict(run_b)], into=merged)
+    assert merged["leaf"]["count"] == 2
+    total = sum(entry["self_seconds"] for entry in merged.values())
+    assert total == pytest.approx(run_a.wall_seconds + run_b.wall_seconds, rel=1e-9)
+    leaf = run_a.children["stage"].children["leaf"]
+    assert merged["leaf"]["self_seconds"] == pytest.approx(
+        leaf.wall_seconds + run_b.children["stage"].children["leaf"].wall_seconds
+    )
+
+
 def test_chrome_trace_events_shape_and_nesting():
     trace.enable()
     with trace.span("parent", n=3):
