@@ -1,4 +1,4 @@
-"""Multi-cell network simulation: topology, attach, interference, handover."""
+"""Multi-cell network simulation: topology, attach, interference."""
 
 from repro.cells.attach import (
     AttachCandidate,
@@ -6,12 +6,6 @@ from repro.cells.attach import (
     attach,
     rank_cells,
     search_attach,
-)
-from repro.cells.handover import (
-    HandoverEvent,
-    HandoverPolicy,
-    HandoverTrace,
-    simulate_handover,
 )
 from repro.cells.interference import (
     CellAmbient,
@@ -34,9 +28,6 @@ __all__ = [
     "AttachDecision",
     "CellAmbient",
     "CellSite",
-    "HandoverEvent",
-    "HandoverPolicy",
-    "HandoverTrace",
     "NeighbourRecipe",
     "NetworkDeployment",
     "NetworkReport",
@@ -49,6 +40,5 @@ __all__ = [
     "rank_cells",
     "relative_amplitude_db",
     "search_attach",
-    "simulate_handover",
     "timing_offset_samples",
 ]

@@ -3,8 +3,8 @@
 This module scales the single-cell fleet machinery to a multi-cell
 topology.  The moving parts:
 
-* :class:`NetworkTag` — a tag at an absolute venue position (feet), with
-  an optional waypoint route for mobility;
+* :class:`NetworkTag` — a static tag at an absolute venue position (feet),
+  its UE :data:`TAG_TO_UE_FT` away;
 * :class:`NetworkDeployment` — the tag population plus the per-tag
   simulation knobs shared network-wide;
 * :class:`NetworkRunner` — the orchestrator.  It prepares one cached
@@ -33,8 +33,8 @@ import numpy as np
 
 from repro.cells.attach import attach as analytic_attach
 from repro.cells.attach import search_attach
-from repro.cells.handover import HandoverPolicy, simulate_handover
 from repro.cells.interference import CellAmbient, neighbour_recipes
+from repro.cells.site import TX_POWER_DBM
 from repro.core.config import SystemConfig
 from repro.fleet.ambient import AmbientCache
 from repro.fleet.engine import EngineTelemetry, ParallelRunEngine
@@ -50,21 +50,17 @@ from repro.utils.validation import require_whole
 #: inside the transmit antenna, and the pathloss model floors there anyway.
 _MIN_HOP_FT = 0.1
 
+#: Tag-to-UE hop of every network tag (feet).
+TAG_TO_UE_FT = 5.0
+
 
 @dataclass(frozen=True)
 class NetworkTag:
-    """One tag at an absolute position in the venue plane."""
+    """One static tag at an absolute position in the venue plane."""
 
     name: str
     x_ft: float
     y_ft: float
-    tag_to_ue_ft: float = 5.0
-    weight: int = 1
-    #: Mobility route: ``((x, y), ...)`` waypoints, one per equal time
-    #: slice.  ``None`` means the tag is static.  A mobile tag's IQ-level
-    #: run happens at its first waypoint; handovers along the route charge
-    #: re-sync time against its goodput.
-    waypoints: tuple = None
 
     def __post_init__(self):
         if not (math.isfinite(float(self.x_ft)) and math.isfinite(float(self.y_ft))):
@@ -72,40 +68,10 @@ class NetworkTag:
                 f"tag {self.name!r}: position ({self.x_ft}, {self.y_ft}) ft "
                 "must be finite"
             )
-        if self.tag_to_ue_ft <= 0:
-            raise ValueError(
-                f"tag {self.name!r}: tag_to_ue_ft must be positive, got "
-                f"{self.tag_to_ue_ft}; the UE cannot share the tag's antenna"
-            )
-        if self.weight <= 0:
-            raise ValueError(
-                f"tag {self.name!r}: scheduling weight must be positive, "
-                f"got {self.weight}"
-            )
-        if self.waypoints is not None:
-            points = tuple((float(x), float(y)) for x, y in self.waypoints)
-            if not points:
-                raise ValueError(
-                    f"tag {self.name!r}: waypoints=() means no position at "
-                    "all; use waypoints=None for a static tag"
-                )
-            for x, y in points:
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise ValueError(
-                        f"tag {self.name!r}: waypoint ({x}, {y}) ft must be "
-                        "finite"
-                    )
-            object.__setattr__(self, "waypoints", points)
-
-    @property
-    def mobile(self):
-        return self.waypoints is not None and len(self.waypoints) > 1
 
     @property
     def position(self):
         """Where the tag's IQ-level simulation runs."""
-        if self.waypoints:
-            return self.waypoints[0]
         return (float(self.x_ft), float(self.y_ft))
 
 
@@ -186,8 +152,8 @@ class NetworkDeployment:
             bandwidth_mhz=site.bandwidth_mhz,
             venue=topology.venue,
             enb_to_tag_ft=max(site.distance_ft(x, y), _MIN_HOP_FT),
-            tag_to_ue_ft=tag.tag_to_ue_ft,
-            tx_power_dbm=site.tx_power_dbm,
+            tag_to_ue_ft=TAG_TO_UE_FT,
+            tx_power_dbm=TX_POWER_DBM,
             carrier_hz=topology.carrier_hz,
             cell=site.cell_config(),
             n_frames=site.n_frames,
@@ -222,10 +188,6 @@ class NetworkReport:
     cells: dict = field(default_factory=dict)
     #: Tag name -> :class:`~repro.cells.attach.AttachDecision`.
     attachments: dict = field(default_factory=dict)
-    #: Tag name -> :class:`~repro.cells.handover.HandoverTrace` (mobile only).
-    handovers: dict = field(default_factory=dict)
-    #: Tag name -> goodput multiplier in [0, 1] (1.0 unless mobile).
-    mobility_factor: dict = field(default_factory=dict)
     duration_seconds: float = 0.0
     workers: int = 1
     wall_seconds: float = 0.0
@@ -238,18 +200,13 @@ class NetworkReport:
                     return result
         raise KeyError(name)
 
-    def _factor(self, name):
-        return self.mobility_factor.get(name, 1.0)
-
     @property
     def aggregate_goodput_bps(self):
-        """Network goodput with mobility re-sync charged per tag."""
+        """Network goodput: every tag's, summed cell by cell."""
         total = 0.0
         for report in self.cells.values():
             for result in report.tags:
-                total += self._factor(result.name) * result.throughput_bps(
-                    self.duration_seconds
-                )
+                total += result.throughput_bps(self.duration_seconds)
         return total
 
     @property
@@ -264,10 +221,6 @@ class NetworkReport:
             return float("nan")
         return sum(measured) / len(measured)
 
-    @property
-    def n_handovers(self):
-        return sum(trace.n_handovers for trace in self.handovers.values())
-
     def summary(self):
         """A JSON-ready digest (what ``repro network`` writes to disk)."""
         mean = self.mean_ber
@@ -278,7 +231,6 @@ class NetworkReport:
             "duration_seconds": self.duration_seconds,
             "aggregate_goodput_bps": self.aggregate_goodput_bps,
             "mean_ber": None if math.isnan(mean) else mean,
-            "n_handovers": self.n_handovers,
             "workers": self.workers,
             "ambient_transmit_calls": self.ambient_transmit_calls,
             "cells": {
@@ -303,30 +255,24 @@ class NetworkReport:
         """Per-tag table across cells plus the network footer."""
         header = (
             f"{'tag':8s} {'cell':>4s} {'snr_db':>7s} {'owned':>5s} "
-            f"{'bits':>8s} {'BER':>10s} {'kbps':>9s} {'ho':>3s}"
+            f"{'bits':>8s} {'BER':>10s} {'kbps':>9s}"
         )
         lines = [header]
         for cell_id in sorted(self.cells):
             for result in self.cells[cell_id].tags:
                 decision = self.attachments[result.name]
-                trace = self.handovers.get(result.name)
                 ber = f"{result.ber:.3e}" if result.n_bits else "-"
-                kbps = (
-                    self._factor(result.name)
-                    * result.throughput_bps(self.duration_seconds)
-                    / 1e3
-                )
+                kbps = result.throughput_bps(self.duration_seconds) / 1e3
                 lines.append(
                     f"{result.name:8s} {cell_id:4d} "
                     f"{decision.serving.snr_db:7.1f} "
                     f"{result.owned_half_frames:5d} {result.n_bits:8d} "
-                    f"{ber:>10s} {kbps:9.1f} "
-                    f"{trace.n_handovers if trace else 0:3d}"
+                    f"{ber:>10s} {kbps:9.1f}"
                 )
         lines.append(
             f"network: {self.n_cells} cell(s), {self.n_tags} tag(s), "
             f"{self.aggregate_goodput_bps / 1e3:.1f} kbps aggregate, "
-            f"{self.n_handovers} handover(s), scheme={self.scheme}"
+            f"scheme={self.scheme}"
         )
         lines.append(
             f"engine: {self.workers} worker(s), wall {self.wall_seconds:.2f} s, "
@@ -347,7 +293,6 @@ class NetworkRunner:
         seed=0,
         cache=None,
         attach_mode="analytic",
-        handover_policy=None,
         payload_length=20000,
     ):
         if attach_mode not in ("analytic", "search"):
@@ -364,7 +309,6 @@ class NetworkRunner:
         self._owns_cache = cache is None
         self.cache = cache if cache is not None else AmbientCache()
         self.attach_mode = attach_mode
-        self.handover_policy = handover_policy or HandoverPolicy()
         self.payload_length = int(payload_length)
 
     def close(self):
@@ -381,7 +325,7 @@ class NetworkRunner:
     # -- phases -----------------------------------------------------------------
 
     def _attach_all(self, stage_ambients):
-        """Attach every tag at its (first-waypoint) position."""
+        """Attach every tag at its position."""
         decisions = {}
         with span("cells.attach") as sp:
             for tag in self.deployment.tags:
@@ -406,19 +350,16 @@ class NetworkRunner:
 
     def _schedule_cell(self, site, members):
         """One cell's independent MAC schedule (parent-process RNG)."""
-        scheme = make_scheme(
-            self.scheme, weights={tag.name: tag.weight for tag in members}
-        )
         scheduler = FleetScheduler(
-            scheme,
+            make_scheme(self.scheme),
             rng=np.random.default_rng(mac_seed(self.seed, site.cell_id)),
         )
-        budget = self.topology.budget_for(site)
+        budget = self.topology.budget
         powers = {}
         for tag in members:
             x, y = tag.position
             powers[tag.name] = budget.backscatter_rx_dbm(
-                max(site.distance_ft(x, y), _MIN_HOP_FT), tag.tag_to_ue_ft
+                max(site.distance_ft(x, y), _MIN_HOP_FT), TAG_TO_UE_FT
             )
         return scheduler.assign(
             [tag.name for tag in members],
@@ -467,7 +408,7 @@ class NetworkRunner:
                         collided=len(schedule.collided_half_frames(tag.name)),
                         payload_length=self.payload_length,
                         enb_to_tag_ft=max(site.distance_ft(x, y), _MIN_HOP_FT),
-                        tag_to_ue_ft=tag.tag_to_ue_ft,
+                        tag_to_ue_ft=TAG_TO_UE_FT,
                         ambient=CellAmbient(
                             serving=ambients[cell_id], neighbours=recipes
                         ),
@@ -491,27 +432,12 @@ class NetworkRunner:
             )
             first += len(members)
 
-        handovers = {}
-        mobility_factor = {}
-        for tag in deployment.tags:
-            if not tag.mobile:
-                continue
-            trace = simulate_handover(
-                topology, tag.name, tag.waypoints, self.handover_policy
-            )
-            handovers[tag.name] = trace
-            mobility_factor[tag.name] = 1.0 - trace.resync_fraction(
-                2 * topology.n_frames
-            )
-
         return NetworkReport(
             n_cells=topology.n_cells,
             n_tags=deployment.n_tags,
             scheme=str(self.scheme),
             cells=cells,
             attachments=decisions,
-            handovers=handovers,
-            mobility_factor=mobility_factor,
             duration_seconds=capture_seconds(2 * topology.n_frames),
             workers=engine.workers,
             wall_seconds=wall,

@@ -2,11 +2,13 @@
 
 A :class:`CellSite` pins down one carrier: its physical cell identity
 (which fixes the PSS root and the CRS/scrambling sequences), where it
-stands, how loud it transmits, and how much traffic it carries.  The
-identity split follows the standard: ``N_ID = 3 * N_ID^(1) + N_ID^(2)``,
-so adjacent cells with consecutive ids automatically get distinct PSS
-roots — the property real network planners engineer deliberately and the
-tag's cell search leans on.
+stands, its bandwidth and its capture length.  Every site transmits at
+:data:`TX_POWER_DBM` with :class:`~repro.lte.frame.CellConfig`'s default
+traffic (full-buffer QPSK PDSCH).  The identity split follows the
+standard: ``N_ID = 3 * N_ID^(1) + N_ID^(2)``, so adjacent cells with
+consecutive ids automatically get distinct PSS roots — the property real
+network planners engineer deliberately and the tag's cell search leans
+on.
 
 Positions are in feet, matching the paper's distance reporting and the
 rest of the channel layer (:mod:`repro.channel.pathloss` converts).
@@ -21,6 +23,9 @@ from repro.core.config import SystemConfig
 from repro.lte.frame import CellConfig
 from repro.utils.validation import require_whole
 
+#: Transmit power of every cell site (dBm).
+TX_POWER_DBM = 10.0
+
 
 @dataclass(frozen=True)
 class CellSite:
@@ -30,13 +35,7 @@ class CellSite:
     x_ft: float
     y_ft: float
     bandwidth_mhz: float = 1.4
-    tx_power_dbm: float = 10.0
     n_frames: int = 4
-    #: Per-cell traffic model: fraction of subframes carrying PDSCH data
-    #: (1.0 = full buffer, the heavy-traffic limit) and the data-channel
-    #: modulation — both flow into the cell's :class:`CellConfig`.
-    pdsch_load: float = 1.0
-    modulation: str = "qpsk"
 
     def __post_init__(self):
         require_whole("cell_id", self.cell_id, minimum=0)
@@ -50,9 +49,8 @@ class CellSite:
                 f"cell {self.cell_id}: position ({self.x_ft}, {self.y_ft}) ft "
                 "must be finite"
             )
-        # The cell's own config checks bandwidth, power, frame count,
-        # modulation and load, so a bad field fails here, not at its
-        # first capture.
+        # The cell's own config checks bandwidth and frame count, so a bad
+        # field fails here, not at its first capture.
         try:
             self.ambient_config()
         except ValueError as err:
@@ -72,12 +70,7 @@ class CellSite:
 
     def cell_config(self):
         """The :class:`CellConfig` this site transmits."""
-        return CellConfig(
-            n_id_1=self.n_id_1,
-            n_id_2=self.n_id_2,
-            modulation=self.modulation,
-            pdsch_load=self.pdsch_load,
-        )
+        return CellConfig(n_id_1=self.n_id_1, n_id_2=self.n_id_2)
 
     # -- geometry ---------------------------------------------------------------
 
@@ -98,6 +91,6 @@ class CellSite:
             bandwidth_mhz=self.bandwidth_mhz,
             venue=venue,
             cell=self.cell_config(),
-            tx_power_dbm=self.tx_power_dbm,
+            tx_power_dbm=TX_POWER_DBM,
             n_frames=self.n_frames,
         )

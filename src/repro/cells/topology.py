@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 from repro.channel.link import DEFAULT_CARRIER_HZ, LinkBudget
-from repro.cells.site import CellSite
-from repro.utils.validation import require_finite
+from repro.cells.site import TX_POWER_DBM, CellSite
+from repro.utils.validation import require_finite, require_whole
 from repro.obs.trace import span
 from repro.utils.rng import stream_rng
 
@@ -67,9 +67,14 @@ class Topology:
                     f"at {pos} ft; move one of them"
                 )
             seen_pos[pos] = site.cell_id
-        # The venue and carrier are shared by every site's budget: a bad
-        # one fails here, naming the field, not at the first radio query.
-        self.budget_for(self.sites[0])
+        #: The :class:`LinkBudget` every site shares.  A bad venue or
+        #: carrier fails here, naming the field, not at the first radio
+        #: query.
+        self.budget = LinkBudget(
+            tx_power_dbm=TX_POWER_DBM,
+            carrier_hz=self.carrier_hz,
+            venue=self.venue,
+        )
         first = self.sites[0]
         for site in self.sites[1:]:
             if site.bandwidth_mhz != first.bandwidth_mhz:
@@ -98,8 +103,7 @@ class Topology:
         roots.
         """
         require_finite("inter_site_ft", inter_site_ft, above=0.0)
-        if rings < 0:
-            raise ValueError(f"rings must be >= 0, got {rings}")
+        require_whole("rings", rings, minimum=0)
         positions = [(0.0, 0.0)]
         for ring in range(1, int(rings) + 1):
             for angle_deg in _HEX_ANGLES_DEG:
@@ -136,8 +140,8 @@ class Topology:
     @classmethod
     def grid(cls, rows, cols, spacing_ft=300.0, **site_kwargs):
         """A rows x cols rectangular street grid of sites, ids row-major from 0."""
-        if rows < 1 or cols < 1:
-            raise ValueError(f"grid needs rows, cols >= 1, got {rows}x{cols}")
+        require_whole("rows", rows, minimum=1)
+        require_whole("cols", cols, minimum=1)
         require_finite("spacing_ft", spacing_ft, above=0.0)
         topology_kwargs = {
             key: site_kwargs.pop(key)
@@ -211,22 +215,14 @@ class Topology:
 
     # -- radio queries ----------------------------------------------------------
 
-    def budget_for(self, site):
-        """The per-site :class:`LinkBudget` (venue and carrier are shared)."""
-        return LinkBudget(
-            tx_power_dbm=site.tx_power_dbm,
-            carrier_hz=self.carrier_hz,
-            venue=self.venue,
-        )
-
     def rx_dbm_at(self, site, x_ft, y_ft):
         """Mean downlink power of ``site`` at a point (deterministic)."""
-        return self.budget_for(site).direct_rx_dbm(site.distance_ft(x_ft, y_ft))
+        return self.budget.direct_rx_dbm(site.distance_ft(x_ft, y_ft))
 
     def snr_db_at(self, site, x_ft, y_ft):
         """Post-pathloss downlink SNR of ``site`` at a point."""
         bandwidth_hz = site.bandwidth_mhz * 1e6
-        return self.budget_for(site).direct_snr_db(
+        return self.budget.direct_snr_db(
             site.distance_ft(x_ft, y_ft), bandwidth_hz
         )
 

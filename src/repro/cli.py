@@ -7,8 +7,8 @@ Commands:
   repro.experiments`` runs this command);
 * ``survey`` — print the ambient-traffic survey for a venue;
 * ``fleet`` — multi-tag network simulation over one shared ambient cell;
-* ``network`` — city-scale multi-cell simulation: cell search/attach,
-  inter-cell interference, handover (see DESIGN.md §15);
+* ``network`` — city-scale multi-cell simulation: cell search/attach and
+  inter-cell interference over static tags (see DESIGN.md §15);
 * ``trace`` — run with stage tracing on and write a Chrome trace JSON;
 * ``chaos`` — fault-injection sweeps and degradation curves;
 * ``stress`` — adversarial-scenario sweeps and degradation curves;

@@ -31,6 +31,23 @@ def _rms(samples):
     return value if value > 0.0 else 1.0
 
 
+def _window_mask(rng, n, count, intensity):
+    """The union of ``count`` windows at sorted random anchors in ``n`` samples.
+
+    Draws the ``count`` anchors (one intensity-independent call).  Each
+    window is ``intensity * n / count`` samples wide (at least 1, at most
+    ``n``) and wraps around the capture end, so a window keeps growing
+    with intensity instead of saturating against the boundary — coverage
+    then scales with intensity for any anchor draw.
+    """
+    anchors = np.sort(rng.integers(0, n, size=count))
+    width = min(n, max(1, int(round(intensity * n / count))))
+    mask = np.zeros(n, dtype=bool)
+    for anchor in anchors:
+        mask[np.arange(int(anchor), int(anchor) + width) % n] = True
+    return mask
+
+
 class Injector:
     """One IQ impairment at one intensity in [0, 1]; 0 is a no-op."""
 
@@ -74,16 +91,9 @@ class AmbientDropout(Injector):
     def apply(self, samples, rng, ambient=None):
         if not self.active:
             return samples
-        n = len(samples)
-        anchors = np.sort(rng.integers(0, n, size=self.N_WINDOWS))
-        width = min(n, max(1, int(round(self.intensity * n / self.N_WINDOWS))))
+        mask = _window_mask(rng, len(samples), self.N_WINDOWS, self.intensity)
         out = np.array(samples)
-        for anchor in anchors:
-            # Wrap around the capture end so a window keeps growing with
-            # intensity instead of saturating against the boundary —
-            # coverage then scales with intensity for any anchor draw.
-            idx = (np.arange(int(anchor), int(anchor) + width)) % n
-            out[idx] = 0.0
+        out[mask] = 0.0
         return out
 
 
@@ -110,20 +120,13 @@ class NarrowbandJammer(Injector):
         # frequency, phase) so they are intensity-independent.
         if not self.active:
             return samples
-        n = len(samples)
-        anchors = np.sort(rng.integers(0, n, size=self.N_BURSTS))
+        mask = _window_mask(rng, len(samples), self.N_BURSTS, self.intensity)
         freq = float(rng.uniform(-0.45, 0.45))  # cycles per sample
         phase = float(rng.uniform(0.0, 2.0 * np.pi))
         amp = self.AMPLITUDE_REL * _rms(samples)
-        width = min(n, max(1, int(round(self.intensity * n / self.N_BURSTS))))
         # One tone over the *union* of the bursts: where widened bursts
         # overlap, the sample still receives the tone exactly once, so
-        # already-jammed samples stay identical as intensity grows.  Bursts
-        # wrap around the capture end so coverage scales with intensity
-        # instead of saturating against the boundary.
-        mask = np.zeros(n, dtype=bool)
-        for anchor in anchors:
-            mask[(np.arange(int(anchor), int(anchor) + width)) % n] = True
+        # already-jammed samples stay identical as intensity grows.
         idx = np.flatnonzero(mask)
         out = np.array(samples)
         # Absolute sample index in the tone argument keeps a burst's

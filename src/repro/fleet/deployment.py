@@ -2,7 +2,7 @@
 
 A :class:`Deployment` pins down everything the fleet shares — venue, LTE
 bandwidth, capture length, transmit power, substrate — plus one
-:class:`TagPlacement` per tag (its two hop distances and scheduling weight).
+:class:`TagPlacement` per tag (its two hop distances).
 From a placement it derives the per-tag :class:`~repro.core.config.SystemConfig`
 that the per-tag simulation stage consumes, and from the link budget the
 per-tag received backscatter powers that drive capture resolution in the
@@ -26,8 +26,6 @@ class TagPlacement:
     name: str
     enb_to_tag_ft: float
     tag_to_ue_ft: float
-    #: Scheduling weight for the EPC-style priority scheme (QCI-like).
-    weight: int = 1
 
     def __post_init__(self):
         if self.enb_to_tag_ft <= 0:
@@ -41,11 +39,6 @@ class TagPlacement:
                 f"tag {self.name!r}: tag_to_ue_ft must be positive, got "
                 f"{self.tag_to_ue_ft}; distances are hop lengths in feet, "
                 "not coordinates"
-            )
-        if self.weight <= 0:
-            raise ValueError(
-                f"tag {self.name!r}: scheduling weight must be positive, "
-                f"got {self.weight}"
             )
 
 
@@ -165,8 +158,4 @@ class Deployment:
                 tag.enb_to_tag_ft, tag.tag_to_ue_ft
             )
         return powers
-
-    def weights(self):
-        """Tag name -> priority weight, for the EPC-style scheme."""
-        return {tag.name: tag.weight for tag in self.tags}
 

@@ -264,7 +264,7 @@ class FleetRunner:
 
     def _scheme(self):
         if isinstance(self.scheme, str):
-            return make_scheme(self.scheme, weights=self.deployment.weights())
+            return make_scheme(self.scheme)
         return self.scheme
 
     def plan(self, payload_length=20000, parallel=False):

@@ -31,7 +31,7 @@ from repro.utils.rng import make_rng
 SCHEME_NAMES = ("tdma", "aloha", "priority")
 
 
-def make_scheme(name, weights=None, p=None):
+def make_scheme(name, p=None):
     """Instantiate a MAC scheme by CLI name."""
     name = str(name).lower()
     if name == "tdma":
@@ -39,7 +39,7 @@ def make_scheme(name, weights=None, p=None):
     if name in ("aloha", "slotted-aloha"):
         return SlottedAlohaScheme(p=p)
     if name == "priority":
-        return PriorityScheme(weights=weights)
+        return PriorityScheme()
     raise ValueError(f"unknown scheme {name!r}; choose from {SCHEME_NAMES}")
 
 

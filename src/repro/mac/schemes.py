@@ -8,6 +8,9 @@ the same PSS, so slot boundaries are shared without any control channel.
 * :class:`SlottedAlohaScheme` — each tag transmits in each slot with
   probability ``p``; simultaneous transmissions collide unless one tag's
   received power exceeds the rest by the capture threshold.
+* :class:`PriorityScheme` — an EPC-style central grant: one tag per slot
+  by credit round robin, so no collisions, plus an optional congestion
+  backoff that yields the channel while the cell reports congestion.
 """
 
 from __future__ import annotations
@@ -64,22 +67,19 @@ class SlottedAlohaScheme:
 
 
 class PriorityScheme:
-    """EPC-style weighted scheduling: a grant per slot, airtime by weight.
+    """EPC-style central grant: one tag per slot, credit round robin.
 
-    Models the downlink-scheduler view of an LTE core: every tag has a
-    QCI-like integer weight and a central grant (derived, like TDMA, from
-    the shared PSS timing plus a static configuration) gives each slot to
-    exactly one tag — so it never collides — with long-run airtime
-    proportional to weight.  Implemented as deficit weighted round-robin:
-    each slot every tag earns ``weight`` credits, the richest tag (ties
-    broken by name order) transmits and pays the total earned per slot.
+    Models the downlink-scheduler view of an LTE core: a central grant
+    (derived, like TDMA, from the shared PSS timing plus a static
+    configuration) gives each slot to exactly one tag, so it never
+    collides.  Each slot every tag earns one credit; the richest tag (ties
+    broken by name order) transmits and pays the credits earned that
+    slot, so airtime is shared equally.
     """
 
     name = "priority"
 
-    def __init__(self, weights=None, congestion_backoff=False, max_backoff_slots=16):
-        #: Tag name -> positive integer weight; unknown tags default to 1.
-        self.weights = dict(weights or {})
+    def __init__(self, congestion_backoff=False, max_backoff_slots=16):
         self._credits = {}
         #: MAC-level congestion backoff: when the cell reports congestion
         #: (a signalling storm or PDSCH burst eating the idle half-frames
@@ -92,12 +92,6 @@ class PriorityScheme:
             raise ValueError("max_backoff_slots must be >= 1")
         self._backoff_slots = 0
         self._resume_slot = 0
-
-    def _weight(self, name):
-        weight = self.weights.get(name, 1)
-        if weight <= 0:
-            raise ValueError(f"priority weight for {name!r} must be positive")
-        return weight
 
     def observe_congestion(self, slot_index, congested):
         """Feed one slot's congestion signal into the backoff state.
@@ -129,11 +123,10 @@ class PriorityScheme:
     def transmitters(self, slot_index, tag_names, rng):
         if self.congestion_backoff and slot_index < self._resume_slot:
             return []
-        total = sum(self._weight(name) for name in tag_names)
         for name in tag_names:
-            self._credits[name] = self._credits.get(name, 0) + self._weight(name)
+            self._credits[name] = self._credits.get(name, 0) + 1
         winner = min(tag_names, key=lambda name: (-self._credits[name], name))
-        self._credits[winner] -= total
+        self._credits[winner] -= len(tag_names)
         return [winner]
 
 

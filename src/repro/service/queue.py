@@ -22,6 +22,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.utils.validation import require_whole
+
 
 class BackpressureShed(RuntimeError):
     """Submission rejected because the queue is at ``max_depth``."""
@@ -46,10 +48,8 @@ class JobQueue:
     """Thread-safe bounded FIFO queue."""
 
     def __init__(self, max_depth=64):
-        max_depth = int(max_depth)
-        if max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-        self.max_depth = max_depth
+        require_whole("max_depth", max_depth, minimum=1)
+        self.max_depth = int(max_depth)
         self._jobs = collections.deque()
         self._not_empty = threading.Condition(threading.Lock())
         self._seq = 0

@@ -20,9 +20,9 @@ Lifecycle::
                       running
 
 ``drain`` closes the queue and blocks until every accepted session has a
-result; ``reload`` finishes in-flight sessions, swaps the worker pool
-(optionally resizing it) and keeps queued jobs untouched — no session is
-lost or duplicated across either, which the service tests pin.
+result; ``reload`` finishes in-flight sessions, swaps the worker pool for
+a fresh one of the same size and keeps queued jobs untouched — no session
+is lost or duplicated across either, which the service tests pin.
 
 Worker threads (not processes) are the right pool here: session results
 are pure functions of their task, numpy releases the GIL in the DSP hot
@@ -41,6 +41,7 @@ from repro.fleet.runner import _simulate_tag
 from repro.obs import metrics as obs_metrics
 from repro.service.queue import BackpressureShed, JobQueue, QueueClosed
 from repro.service.telemetry import ServiceTelemetry
+from repro.utils.validation import require_whole
 
 
 class ServiceError(RuntimeError):
@@ -82,10 +83,9 @@ class FleetService:
         snapshot_every=16,
         poll_seconds=0.05,
     ):
-        workers = int(workers)
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
+        require_whole("workers", workers, minimum=1)
+        require_whole("max_queue_depth", max_queue_depth, minimum=1)
+        self.workers = int(workers)
         self.poll_seconds = float(poll_seconds)
         self.queue = JobQueue(max_queue_depth)
         self.telemetry = ServiceTelemetry(
@@ -165,10 +165,10 @@ class FleetService:
         self.state = "running"
         return self
 
-    def reload(self, workers=None):
+    def reload(self):
         """Graceful pool swap: finish in-flight, keep the queue, restart.
 
-        ``workers`` resizes the pool; queued jobs are untouched and new
+        The fresh pool has the same size; queued jobs are untouched and new
         submissions keep being admitted while the pool swaps (they simply
         queue up until the fresh workers pull them).
         """
@@ -178,11 +178,6 @@ class FleetService:
         self.queue.wake_all()
         for thread in self._threads:
             thread.join()
-        if workers is not None:
-            workers = int(workers)
-            if workers < 1:
-                raise ValueError(f"workers must be >= 1, got {workers}")
-            self.workers = workers
         self._spawn_workers(self.workers)
         self.reloads += 1
         obs_metrics.counter_inc("service.reloads")

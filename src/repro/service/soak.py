@@ -40,6 +40,7 @@ from repro.fleet.deployment import Deployment
 from repro.fleet.runner import FleetRunner
 from repro.service.service import FleetService
 from repro.utils.integrity import write_json
+from repro.utils.validation import require_whole
 
 #: Bumped when the soak grid or row layout changes; stale checkpoints
 #: are re-run instead of merged.
@@ -67,17 +68,13 @@ def default_spec(
     """The JSON-safe soak parameter block (also the shard identity)."""
     if sessions is None:
         sessions = SMOKE_SESSIONS if smoke else FULL_SESSIONS
-    sessions = int(sessions)
-    cohort_tags = int(cohort_tags)
-    if sessions < 1:
-        raise ValueError(f"sessions must be >= 1, got {sessions}")
-    if cohort_tags < 1:
-        raise ValueError(f"cohort_tags must be >= 1, got {cohort_tags}")
+    require_whole("sessions", sessions, minimum=1)
+    require_whole("cohort_tags", cohort_tags, minimum=1)
     return {
         "version": SOAK_VERSION,
         "smoke": bool(smoke),
-        "sessions": sessions,
-        "cohort_tags": cohort_tags,
+        "sessions": int(sessions),
+        "cohort_tags": int(cohort_tags),
         "seed": int(seed),
         "scheme": str(scheme),
         "bandwidth_mhz": float(bandwidth_mhz),

@@ -22,6 +22,7 @@ import threading
 import time
 
 from repro.obs.export import write_live_snapshot
+from repro.utils.validation import require_whole
 
 #: Stages the service times for every session.
 STAGES = ("queue_wait", "execute", "session")
@@ -45,13 +46,9 @@ class ServiceTelemetry:
     """Latency samples plus periodic snapshot export for one service."""
 
     def __init__(self, snapshot_path=None, snapshot_every=16):
-        snapshot_every = int(snapshot_every)
-        if snapshot_every < 1:
-            raise ValueError(
-                f"snapshot_every must be >= 1, got {snapshot_every}"
-            )
+        require_whole("snapshot_every", snapshot_every, minimum=1)
         self.snapshot_path = snapshot_path
-        self.snapshot_every = snapshot_every
+        self.snapshot_every = int(snapshot_every)
         self._lock = threading.Lock()
         self._samples = {stage: [] for stage in STAGES}
         self._since_export = 0

@@ -75,6 +75,38 @@ class _Stressor(Injector):
         self.params = params
 
 
+class _ToneRegions(_Stressor):
+    """A stressor keying one CW tone over a nested subset of frame regions.
+
+    A subclass lists the sample span of every region of a capture
+    (:meth:`_spans`) and sets ``AMPLITUDE_REL``.  The placement draws come
+    in one fixed order and count (the region permutation, the tone
+    frequency, then its phase), and intensity keys the tone over the first
+    ``ceil(intensity * n_regions)`` regions of the permutation.
+    """
+
+    def _spans(self, n):
+        """Sample range [lo, hi) of every region of an ``n``-sample capture."""
+        raise NotImplementedError
+
+    def apply(self, samples, rng, ambient=None):
+        if not self.active:
+            return samples
+        n = len(samples)
+        spans = self._spans(n)
+        order = rng.permutation(len(spans))
+        freq = float(rng.uniform(-0.45, 0.45))
+        phase = float(rng.uniform(0.0, 2.0 * np.pi))
+        amp = self.AMPLITUDE_REL * _rms(samples)
+        k = int(np.ceil(self.intensity * len(spans)))
+        out = np.array(samples)
+        for region in order[:k]:
+            lo, hi = spans[int(region)]
+            idx = np.arange(lo, min(hi, n))
+            out[idx] += _tone(idx, amp, freq, phase)
+        return out
+
+
 class BurstyPdsch(_Stressor):
     """Congested-cell PDSCH: heavy-traffic bursts overload the downlink.
 
@@ -113,7 +145,7 @@ class BurstyPdsch(_Stressor):
         return out
 
 
-class SignallingStorm(_Stressor):
+class SignallingStorm(_ToneRegions):
     """RACH-flood-shaped storm: the PDCCH control region saturates.
 
     A signalling storm (mass RACH, paging bursts) shows up downlink as
@@ -130,29 +162,18 @@ class SignallingStorm(_Stressor):
     #: Control-region symbols per subframe (PDCCH span).
     CONTROL_SYMBOLS = 3
     #: Storm load amplitude relative to the carrier RMS.
-    STORM_AMPLITUDE_REL = 3.0
+    AMPLITUDE_REL = 3.0
 
-    def apply(self, samples, rng, ambient=None):
-        if not self.active:
-            return samples
-        n = len(samples)
-        spf = self.params.samples_per_frame
-        n_subframes = max(1, (n // spf) * 10)
-        # Fixed-count placement draws: subframe order, tone freq, phase.
-        order = rng.permutation(n_subframes)
-        freq = float(rng.uniform(-0.45, 0.45))
-        phase = float(rng.uniform(0.0, 2.0 * np.pi))
-        amp = self.STORM_AMPLITUDE_REL * _rms(samples)
-        k = int(np.ceil(self.intensity * n_subframes))
-        out = np.array(samples)
-        for subframe in order[:k]:
-            frame, sub = divmod(int(subframe), 10)
-            lo, hi = _symbol_span(
-                self.params, frame, 2 * sub, 0, self.CONTROL_SYMBOLS - 1
+    def _spans(self, n):
+        """Each subframe's control region, subframe by subframe."""
+        n_subframes = max(1, (n // self.params.samples_per_frame) * 10)
+        return [
+            _symbol_span(
+                self.params, subframe // 10, 2 * (subframe % 10), 0,
+                self.CONTROL_SYMBOLS - 1,
             )
-            idx = np.arange(lo, min(hi, n))
-            out[idx] += _tone(idx, amp, freq, phase)
-        return out
+            for subframe in range(n_subframes)
+        ]
 
 
 class SweepJammer(_Stressor):
@@ -193,7 +214,7 @@ class SweepJammer(_Stressor):
         return out
 
 
-class ReactiveJammer(_Stressor):
+class ReactiveJammer(_ToneRegions):
     """Protocol-aware reactive jammer: fires only on tag data symbols.
 
     A reactive jammer senses the tag's modulated reflection and keys up
@@ -209,34 +230,18 @@ class ReactiveJammer(_Stressor):
     #: Jammer amplitude relative to the receive-chain RMS.
     AMPLITUDE_REL = 4.0
 
-    def apply(self, samples, rng, ambient=None):
-        if not self.active:
-            return samples
-        n = len(samples)
-        spf = self.params.samples_per_frame
-        n_frames = max(1, n // spf)
-        regions = [
-            (frame, slot)
+    def _spans(self, n):
+        """Each non-sync slot's data symbols, frame by frame."""
+        n_frames = max(1, n // self.params.samples_per_frame)
+        return [
+            _symbol_span(self.params, frame, slot, 1, 6)
             for frame in range(n_frames)
             for slot in range(SLOTS_PER_FRAME)
             if slot not in PSS_SLOTS
         ]
-        # Fixed-count placement draws: region order, tone freq, phase.
-        order = rng.permutation(len(regions))
-        freq = float(rng.uniform(-0.45, 0.45))
-        phase = float(rng.uniform(0.0, 2.0 * np.pi))
-        amp = self.AMPLITUDE_REL * _rms(samples)
-        k = int(np.ceil(self.intensity * len(regions)))
-        out = np.array(samples)
-        for region in order[:k]:
-            frame, slot = regions[int(region)]
-            lo, hi = _symbol_span(self.params, frame, slot, 1, 6)
-            idx = np.arange(lo, min(hi, n))
-            out[idx] += _tone(idx, amp, freq, phase)
-        return out
 
 
-class PssJammer(_Stressor):
+class PssJammer(_ToneRegions):
     """Sync-targeted jammer: buries the PSS/SSS boost the tag detects.
 
     The nastiest protocol-aware attack for a passive tag: jam only the
@@ -254,27 +259,16 @@ class PssJammer(_Stressor):
     #: paper's ~2 dB PSS boost to matter).
     AMPLITUDE_REL = 3.0
 
-    def apply(self, samples, rng, ambient=None):
-        if not self.active:
-            return samples
-        n = len(samples)
-        half = self.params.samples_per_frame // 2
-        n_half = max(1, n // half)
-        order = rng.permutation(n_half)
-        freq = float(rng.uniform(-0.45, 0.45))
-        phase = float(rng.uniform(0.0, 2.0 * np.pi))
-        amp = self.AMPLITUDE_REL * _rms(samples)
-        k = int(np.ceil(self.intensity * n_half))
-        out = np.array(samples)
-        for h in order[:k]:
-            frame, parity = divmod(int(h), 2)
-            slot = PSS_SLOTS[parity]
-            lo, hi = _symbol_span(
-                self.params, frame, slot, SSS_SYMBOL_IN_SLOT, PSS_SYMBOL_IN_SLOT
+    def _spans(self, n):
+        """Each half-frame's SSS + PSS symbols, half-frame by half-frame."""
+        n_half = max(1, n // (self.params.samples_per_frame // 2))
+        return [
+            _symbol_span(
+                self.params, h // 2, PSS_SLOTS[h % 2],
+                SSS_SYMBOL_IN_SLOT, PSS_SYMBOL_IN_SLOT,
             )
-            idx = np.arange(lo, min(hi, n))
-            out[idx] += _tone(idx, amp, freq, phase)
-        return out
+            for h in range(n_half)
+        ]
 
 
 class TagMob(_Stressor):

@@ -24,8 +24,6 @@ def test_site_validation_messages_are_actionable():
         CellSite(cell_id=0, x_ft=float("nan"), y_ft=0.0)
     with pytest.raises(ValueError, match="n_frames"):
         CellSite(cell_id=0, x_ft=0.0, y_ft=0.0, n_frames=0)
-    with pytest.raises(ValueError, match="pdsch_load"):
-        CellSite(cell_id=0, x_ft=0.0, y_ft=0.0, pdsch_load=1.5)
 
 
 @pytest.mark.parametrize("cell_id", [2.5, "7", float("nan"), -1, 504])
@@ -39,10 +37,7 @@ def test_site_cell_id_must_be_a_whole_identity(cell_id):
     [
         ("bandwidth_mhz", 7),
         ("bandwidth_mhz", float("nan")),
-        ("tx_power_dbm", float("nan")),
         ("n_frames", 2.5),
-        ("modulation", "x"),
-        ("pdsch_load", float("nan")),
     ],
 )
 def test_site_rejects_bad_field_naming_cell_and_field(field, value):
@@ -56,6 +51,20 @@ def test_layout_pitch_must_be_finite_and_positive(pitch):
         Topology.hex_cluster(inter_site_ft=pitch, rings=1)
     with pytest.raises(ValueError, match="spacing_ft must be a finite number > 0"):
         Topology.grid(1, 2, spacing_ft=pitch)
+
+
+@pytest.mark.parametrize(
+    "layout, kwargs, message",
+    [
+        ("hex_cluster", {"rings": 1.5}, "^rings must be a whole number >= 0"),
+        ("hex_cluster", {"rings": float("nan")}, "^rings must be a whole number >= 0"),
+        ("grid", {"rows": 2.5, "cols": 2}, "^rows must be a whole number >= 1"),
+        ("grid", {"rows": 2, "cols": 2.5}, "^cols must be a whole number >= 1"),
+    ],
+)
+def test_layout_counts_must_be_whole_naming_the_field(layout, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        getattr(Topology, layout)(**kwargs)
 
 
 @pytest.mark.parametrize(

@@ -47,8 +47,6 @@ def test_invalid_deployments_rejected():
         )
     with pytest.raises(ValueError):
         TagPlacement("bad", -1.0, 1.0)
-    with pytest.raises(ValueError):
-        TagPlacement("bad", 1.0, 1.0, weight=0)
     # Fleet-wide fields meet SystemConfig's checks at construction.
     for field, value in {
         "n_frames": 0,
@@ -69,10 +67,6 @@ def test_placement_errors_name_the_tag_and_field():
         TagPlacement("kitchen", 0.0, 1.0)
     with pytest.raises(ValueError, match=r"tag 'door': tag_to_ue_ft"):
         TagPlacement("door", 1.0, -1.0)
-    with pytest.raises(
-        ValueError, match=r"tag 'w': scheduling weight must be positive"
-    ):
-        TagPlacement("w", 1.0, 1.0, weight=-2)
 
 
 def test_duplicate_name_error_lists_offenders():

@@ -24,14 +24,6 @@ def test_tdma_round_robin_assignment():
     assert schedule.airtime_utilisation == 1.0
 
 
-def test_priority_weights_share_airtime():
-    scheme = PriorityScheme(weights={"heavy": 3, "light": 1})
-    schedule = FleetScheduler(scheme, rng=0).assign(["heavy", "light"], 8)
-    assert len(schedule.owned_half_frames("heavy")) == 6
-    assert len(schedule.owned_half_frames("light")) == 2
-    assert schedule.collision_fraction == 0.0
-
-
 def test_aloha_collisions_without_capture():
     scheme = SlottedAlohaScheme(p=1.0)  # everyone always transmits
     schedule = FleetScheduler(scheme, rng=0).assign(

@@ -125,6 +125,8 @@ def test_closed_queue_rejects_but_still_pops():
 def test_invalid_depth_rejected():
     with pytest.raises(ValueError, match="max_depth"):
         JobQueue(max_depth=0)
+    with pytest.raises(ValueError, match="^max_depth must be a whole number"):
+        JobQueue(max_depth=3.7)
 
 
 def test_wake_all_releases_blocked_get():

@@ -119,13 +119,13 @@ def test_drain_completes_every_accepted_session():
     assert service.queue.counters()["depth"] == 0
 
 
-def test_reload_keeps_queued_sessions_and_resizes_pool():
-    service = FleetService(workers=1, max_queue_depth=64)
+def test_reload_keeps_queued_sessions_at_pool_size():
+    service = FleetService(workers=2, max_queue_depth=64)
     service.start()
     try:
         tickets = [service.submit(_cheap_session, i) for i in range(12)]
-        service.reload(workers=3)
-        assert service.workers == 3
+        service.reload()
+        assert service.workers == 2
         assert service.reloads == 1
         tickets += [service.submit(_cheap_session, i) for i in range(12, 18)]
         values = [service.result(t, timeout=5.0)[1] for t in tickets]
@@ -205,6 +205,19 @@ def test_lifecycle_errors():
     service.shutdown()
     with pytest.raises(ValueError, match="workers"):
         FleetService(workers=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"workers": 2.5}, "^workers must be a whole number >= 1"),
+        ({"max_queue_depth": 3.7}, "^max_queue_depth must be a whole number >= 1"),
+        ({"snapshot_every": 1.9}, "^snapshot_every must be a whole number >= 1"),
+    ],
+)
+def test_service_rejects_bad_counts_naming_the_field(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        FleetService(**kwargs)
 
 
 def test_drain_timeout_raises():

@@ -71,6 +71,19 @@ def test_default_spec_validation():
     assert default_spec()["sessions"] == 96
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"sessions": 5.9}, "^sessions must be a whole number >= 1"),
+        ({"sessions": "7"}, "^sessions must be a whole number >= 1"),
+        ({"cohort_tags": 2.5}, "^cohort_tags must be a whole number >= 1"),
+    ],
+)
+def test_default_spec_rejects_bad_counts_naming_the_field(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        default_spec(**kwargs)
+
+
 # -- determinism + equivalence gate ---------------------------------------------
 
 
