@@ -30,24 +30,28 @@ transport blocks it just decoded and re-synthesises the time-domain frame.
 The end-to-end system (:mod:`repro.core.system`) wires that in.
 
 One kernel, :meth:`BackscatterDemodulator._demod_half_frame`, demodulates
-one half-frame of a ``(n_tags, n_samples)`` stack.  Symbol offsets built
-once per numerology gather every tag's 2 sounding, 10 preamble and 58
-data symbols from strided views of the stack; the sounding and preamble
-symbols are transformed once, both hypotheses' offset searches run as
-one stacked call over all (tag, packet) rows, the post-eq equaliser
-weights are computed once per packet, and each equalisation runs once
-over all (tag, window) rows.  Both entry points reach that kernel:
+a ``(n_rows, n_samples)`` stack whose every row is one half-frame of one
+tag.  Symbol offsets built once per numerology gather each row's 2
+sounding, 10 preamble and 58 data symbols from strided views of the
+stack; the sounding and preamble symbols are transformed once, both
+hypotheses' offset searches run as one stacked call over all (row,
+packet) pairs, the post-eq equaliser weights are computed once per
+packet, and each equalisation runs once over all (row, window) pairs.
+Both entry points reach that kernel:
 
 * :meth:`BackscatterDemodulator.demodulate_many` — every tag riding one
-  shared ambient capture at once, each half-frame stacked from the
-  slices of the tags that own it (a view of the one row when a single
-  tag owns it);
+  shared ambient capture at once.  Its (tag, half-frame) pairs run in
+  start order, up to :data:`STACK_SAMPLE_BUDGET` samples of half-frames
+  per kernel call (3 at 1.4 MHz, 1 from 3 MHz up); one tag's consecutive
+  half-frames are one strided view of its row, any other group an
+  ``np.stack`` copy;
 * :meth:`BackscatterDemodulator.demodulate` — one tag, as a one-row
   :meth:`~BackscatterDemodulator.demodulate_many` stack.
 
 Each half-frame re-sounds the cascade on the tag's unmodulated PSS/SSS
-reflection and stands alone, so the kernel only ever sees one
-half-frame's slice of the capture: a long or memory-mapped recording is
+reflection and stands alone, so a half-frame's result does not depend
+on which others share its kernel call, and the kernel only ever sees a
+budget's worth of the capture: a long or memory-mapped recording is
 never loaded whole.
 
 A capture whose tail is shorter than a full half-frame (an externally
@@ -61,6 +65,7 @@ silently dropped mid-grid.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +85,14 @@ from repro.tag.framing import preamble_bits, slot_plan
 #: Packet models, indexed by the kernel's per-packet model codes.
 _MODELS = ("truncated", "erased", "post-eq", "predistort")
 _TRUNCATED, _ERASED, _POST_EQ, _PREDISTORT = range(len(_MODELS))
+
+#: Samples per stream one kernel call may cover: a call stacks up to
+#: ``max(1, STACK_SAMPLE_BUDGET // half_frame_span)`` half-frames, so a
+#: 1.4 MHz capture (9 600-sample half-frames) runs 3 at a time and 3 MHz
+#: and up one.  Per-call overhead dominates the short-symbol kernel, while
+#: larger stacks cost more than they save from 10 MHz up and grow the
+#: working set of a memory-mapped capture.
+STACK_SAMPLE_BUDGET = 32_768
 
 
 def window_snr_db(soft, reference_power=None):
@@ -156,17 +169,10 @@ class BsDemodResult:
 
 
 class _DemodSink:
-    """Accumulates one capture's windows/packets across half-frame calls.
-
-    ``base`` is added to every emitted sample index —
-    :meth:`BackscatterDemodulator.demodulate_many` hands the kernel one
-    half-frame's slice and shifts results back to absolute capture
-    coordinates through it.
-    """
+    """Accumulates one capture's windows/packets across kernel calls."""
 
     __slots__ = (
-        "base",
-        "window_soft",
+        "soft_blocks",
         "starts",
         "window_bits",
         "window_erased",
@@ -175,22 +181,22 @@ class _DemodSink:
     )
 
     def __init__(self):
-        self.base = 0
-        self.window_soft = []
+        self.soft_blocks = []
         self.starts = []
         self.window_bits = []
         self.window_erased = []
         self.packets = []
         self.truncated_windows = 0
 
-    def add_windows(self, starts, bits, soft, erased):
+    def add_windows(self, base, starts, bits, soft, erased):
         """Append consecutive windows (rows of ``bits``/``soft``).
 
-        Returns their absolute starts, as a list.
+        ``base`` shifts the half-frame-relative ``starts`` back to capture
+        coordinates; returns those absolute starts, as a list.
         """
-        absolute = (self.base + starts).tolist()
+        absolute = (base + starts).tolist()
         self.window_bits.extend(bits)
-        self.window_soft.extend(soft)
+        self.soft_blocks.append(soft)
         self.window_erased.extend(erased.tolist())
         self.starts.extend(absolute)
         return absolute
@@ -198,7 +204,7 @@ class _DemodSink:
     def result(self):
         if self.window_bits:
             bits = np.concatenate(self.window_bits)
-            soft = np.concatenate(self.window_soft)
+            soft = np.concatenate(self.soft_blocks).reshape(-1)
         else:
             bits = np.zeros(0, dtype=np.int8)
             soft = np.zeros(0)
@@ -233,6 +239,26 @@ def _windows(samples, width):
         samples.strides + samples.strides[-1:],
         writeable=False,
     )
+
+
+def _slices(captures, rows, starts, size, stride):
+    """``captures[row][start : start + size]`` for each pair, as one stack.
+
+    Consecutive half-frames of one row (starts ``stride`` apart) are one
+    strided view of that row; any other set is an ``np.stack`` copy.
+    """
+    first = captures[rows[0]]
+    if rows.count(rows[0]) == len(rows) and all(
+        b - a == stride for a, b in zip(starts, starts[1:])
+    ):
+        step = first.strides[0]
+        return as_strided(
+            first[starts[0] :],
+            (len(starts), size),
+            (stride * step, step),
+            writeable=False,
+        )
+    return np.stack([captures[row][s : s + size] for row, s in zip(rows, starts)])
 
 
 def _at_offsets(symbols, offsets, width):
@@ -331,13 +357,14 @@ class BackscatterDemodulator:
         rows: row ``t`` is what tag ``t``'s UE captured and reconstructed.
         ``half_frame_starts`` is either one grid of PSS-derived half-frame
         starts for every row, or one grid per row (the half-frames each
-        tag owns).  Half-frames run in ascending start order; for each,
-        the rows whose grid holds it are sliced to ``[start, start +
-        half_frame_span)``, stacked, and demodulated in one kernel call, so
-        its FFTs, channel estimates, offset searches and matched filters
-        run as single batched transforms over exactly those tags.  Returns
-        one :class:`BsDemodResult` per row; a row's result does not depend
-        on the other rows.
+        tag owns).  The (row, start) pairs run in ascending start order,
+        each sliced to ``[start, start + half_frame_span)``, and groups of
+        up to ``max(1, STACK_SAMPLE_BUDGET // half_frame_span)``
+        equal-length slices share one kernel call, so its FFTs, channel
+        estimates, offset searches and matched filters run as single
+        batched transforms; a shorter trailing half-frame runs alone.
+        Returns one :class:`BsDemodResult` per row; a row's result does not
+        depend on the other rows or on how its half-frames are grouped.
         """
         shifted_rows = [np.asarray(row, dtype=complex) for row in shifted_stack]
         reference_rows = [np.asarray(row, dtype=complex) for row in reference_stack]
@@ -354,27 +381,30 @@ class BackscatterDemodulator:
         elif len(grids) != len(shifted_rows):
             raise ValueError("expected one half-frame grid per row")
 
-        owners = {}
-        for row, grid in enumerate(grids):
-            for start in grid:
-                if int(start) >= 0:
-                    owners.setdefault(int(start), []).append(row)
+        pairs = sorted(
+            (int(start), row)
+            for row, grid in enumerate(grids)
+            for start in grid
+            if int(start) >= 0
+        )
+        n_samples = shifted_rows[0].size if shifted_rows else 0
+        span = self.half_frame_span
+
+        def length(pair):
+            return max(0, min(pair[0] + span, n_samples) - pair[0])
+
+        per_call = max(1, STACK_SAMPLE_BUDGET // span)
         sinks = [_DemodSink() for _ in shifted_rows]
-        for start in sorted(owners):
-            rows = owners[start]
-            stop = start + self.half_frame_span
-            for row in rows:
-                sinks[row].base = start
-            if len(rows) == 1:
-                # A half-frame one row owns is a view of that row, not a copy.
-                shifted = shifted_rows[rows[0]][None, start:stop]
-                reference = reference_rows[rows[0]][None, start:stop]
-            else:
-                shifted = np.stack([shifted_rows[row][start:stop] for row in rows])
-                reference = np.stack(
-                    [reference_rows[row][start:stop] for row in rows]
+        for size, run in itertools.groupby(pairs, key=length):
+            run = list(run)
+            for k in range(0, len(run), per_call):
+                starts, rows = zip(*run[k : k + per_call])
+                self._demod_half_frame(
+                    _slices(shifted_rows, rows, starts, size, span),
+                    _slices(reference_rows, rows, starts, size, span),
+                    [sinks[row] for row in rows],
+                    starts,
                 )
-            self._demod_half_frame(shifted, reference, [sinks[row] for row in rows])
         return [sink.result() for sink in sinks]
 
     # -- the kernel ----------------------------------------------------------------
@@ -389,14 +419,15 @@ class BackscatterDemodulator:
     def _preamble_errors(self, soft):
         return np.count_nonzero((soft > 0) != self._preamble, axis=-1)
 
-    def _demod_half_frame(self, shifted, reference, sinks):
-        """Demodulate one half-frame for every row of a ``(n_tags, n)`` stack.
+    def _demod_half_frame(self, shifted, reference, sinks, bases):
+        """Demodulate one half-frame per row of a ``(n_rows, n)`` stack.
 
-        Each row starts at the half-frame's first sample.  A half-frame
-        reaching past the end of the stack is the truncated-tail case:
-        packets whose sounding and preamble fit demodulate normally, the
-        rest emit erasure windows.  Only symbols that fit are ever read.
-        Emitted indices are shifted by each sink's ``base``.
+        Row ``t`` starts at the first sample of the half-frame at capture
+        index ``bases[t]`` and feeds ``sinks[t]``; emitted indices are
+        shifted by that base.  A half-frame reaching past the end of the
+        stack is the truncated-tail case: packets whose sounding and
+        preamble fit demodulate normally, the rest emit erasure windows.
+        Only symbols that fit are ever read.
         """
         n_tags, limit = shifted.shape
         fft, n_chips = self.params.fft_size, self.n_chips
@@ -510,19 +541,26 @@ class BackscatterDemodulator:
             # post-eq matched filter and the SNR gate.
             x_chips = x_windows[tags, data_starts[wins] + offset[tags, packets]]
             post = window_model[tags, wins] == _POST_EQ
+            n_post = int(np.count_nonzero(post))
             with span("bsrx.equalise"):
-                if post.any():
+                if n_post == len(post):
+                    # One model covers every live window (the usual case):
+                    # no mask copies.
+                    t, w, p, x_post = tags, wins, packets, x_chips
+                else:
                     t, w, p = tags[post], wins[post], packets[post]
+                    x_post = x_chips[post]
+                if n_post:
                     y = y_symbols[t, data_starts[w]]
                     y_eq = row_ifft(np.multiply(row_fft(y), weights_a[t, p]))
                     soft[t, w] = np.real(
                         np.multiply(
                             _at_offsets(y_eq, offset[t, p], n_chips),
-                            np.conj(x_chips[post]),
+                            np.conj(x_post),
                         )
                     )
-                pre = ~post
-                if pre.any():
+                if n_post < len(post):
+                    pre = ~post
                     t, w, p = tags[pre], wins[pre], packets[pre]
                     x = x_symbols[t, data_starts[w]]
                     w_sym = row_ifft(np.multiply(row_fft(x), cascade[t]))
@@ -556,8 +594,9 @@ class BackscatterDemodulator:
         erased = ~live | gated
         truncated = ~live & (window_model != _ERASED)
         n_emit = int(np.count_nonzero(nominal_starts < limit))
-        for t, sink in enumerate(sinks):
+        for t, (sink, base) in enumerate(zip(sinks, bases)):
             absolute = sink.add_windows(
+                base,
                 window_starts[t, :n_emit],
                 bits[t, :n_emit],
                 soft[t, :n_emit],
@@ -573,7 +612,7 @@ class BackscatterDemodulator:
                     continue
                 sink.packets.append(
                     PacketRecord(
-                        half_frame_start=sink.base,
+                        half_frame_start=base,
                         slot=self._packet_slots[p],
                         offset=offsets[p],
                         gain=gains[p],

@@ -122,8 +122,7 @@ class NetworkDeployment:
         same ``(n_tags, topology, seed)`` always produces the same
         deployment regardless of call order.
         """
-        if n_tags < 1:
-            raise ValueError(f"need at least one tag, got {n_tags}")
+        require_whole("n_tags", n_tags, minimum=1)
         xs = [site.x_ft for site in topology.sites]
         ys = [site.y_ft for site in topology.sites]
         rng = stream_rng(seed, "cells.scatter", int(n_tags))

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.config import SystemConfig
+from repro.utils.validation import require_whole
 
 #: Tag-to-UE hop of every :meth:`Deployment.ring` tag (feet).
 RING_TAG_TO_UE_FT = 5.0
@@ -96,8 +97,7 @@ class Deployment:
         capture), distinct enough that results are per-tag
         distinguishable.
         """
-        if n_tags < 1:
-            raise ValueError("need at least one tag")
+        require_whole("n_tags", n_tags, minimum=1)
         tags = [
             TagPlacement(
                 name=f"tag{i:02d}",

@@ -344,8 +344,8 @@ class FleetRunner:
         schedule, tasks = plan.schedule, plan.tasks
 
         if self.batch_tags:
-            # The batched pass runs in the parent (the FFT layer spreads
-            # rows across cores itself) — no engine processes involved.
+            # The batched pass runs in the parent, on one core: no engine
+            # processes involved.
             engine.telemetry.workers = 1
             wall_start = time.perf_counter()
             raw = []

@@ -18,8 +18,9 @@ per-symbol transforms into grouped ``fft``/``ifft`` calls over stacked
 symbol matrices, with all start/length index arrays precomputed once per
 :class:`~repro.lte.params.LteParams` (see :func:`frame_layout`).  The
 batches are processed in slot-sized chunks so the working set stays
-cache-resident, and are farmed to all available cores through
-``scipy.fft``'s ``workers`` support.
+cache-resident.  Every transform runs on one thread (:data:`FFT_WORKERS`):
+the batches here are small enough that splitting their rows across cores
+costs more than it saves.
 
 Batching does not change a single output bit: row-wise pocketfft
 transforms are bit-identical to the per-symbol 1-D calls, and the scaling
@@ -30,7 +31,6 @@ live with the tests as oracles (``tests/lte/oracles.py``).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +41,11 @@ from repro.lte.resource_grid import SYMBOLS_PER_FRAME
 from repro.obs.trace import span
 from repro.utils.cache import memoize
 
-#: Worker threads for batched transforms (scipy.fft releases the GIL and
-#: splits independent rows across cores; 1 on single-core machines).
-FFT_WORKERS = os.cpu_count() or 1
+#: Worker threads per ``scipy.fft`` call.  One: on a 2-core machine a
+#: second worker was slower at every batch shape the receivers use, from
+#: (14, 128) to (58, 2048) rows by bins, and the rows' results do not
+#: depend on how many workers split them.
+FFT_WORKERS = 1
 
 #: Slots per batched-FFT chunk.  Two slots (14 symbols) keep the chunk's
 #: input+output matrices inside a typical L2 cache at 20 MHz (2 x 448 KiB)
@@ -91,11 +93,12 @@ def frame_layout(params):
 
 
 def row_fft(values):
-    """Row-wise FFT along the last axis, farmed to all cores.
+    """Row-wise FFT along the last axis, in one batched call.
 
     Bit-identical to calling ``np.fft.fft`` on each row (both are
     pocketfft; the golden tests in ``tests/bsrx`` pin this).  Used by the
-    batched cross-tag demodulator, where the leading axes are tags.
+    batched demodulator, whose leading axes are tags, half-frames and
+    symbols.
     """
     return _scipy_fft.fft(values, axis=-1, workers=FFT_WORKERS)
 

@@ -82,6 +82,13 @@ class LteParams:
         # Normal-CP lengths scale with FFT size: 160/144 at 2048.
         object.__setattr__(self, "cp_first", (160 * self.fft_size) // 2048)
         object.__setattr__(self, "cp_other", (144 * self.fft_size) // 2048)
+        # Where each symbol starts within its slot (entry 7 is the slot's
+        # length), computed once: the geometry queries below run thousands
+        # of times a session.  Not a field, so repr and equality ignore it.
+        starts = [0]
+        for sym in range(SYMBOLS_PER_SLOT):
+            starts.append(starts[-1] + self.symbol_length(sym))
+        object.__setattr__(self, "_symbol_starts", tuple(starts))
 
     @classmethod
     def from_bandwidth(cls, bandwidth_mhz):
@@ -117,7 +124,7 @@ class LteParams:
     @property
     def samples_per_slot(self):
         """Samples in one 0.5 ms slot."""
-        return sum(self.symbol_length(i) for i in range(SYMBOLS_PER_SLOT))
+        return self._symbol_starts[SYMBOLS_PER_SLOT]
 
     @property
     def samples_per_subframe(self):
@@ -130,13 +137,15 @@ class LteParams:
         return SUBFRAMES_PER_FRAME * self.samples_per_subframe
 
     def symbol_start(self, slot, symbol_in_slot):
-        """Sample offset (from frame start) of a symbol's first CP sample."""
+        """Sample offset (from frame start) of a symbol's first CP sample.
+
+        ``symbol_in_slot`` 7 is the end of the slot.
+        """
         if not 0 <= slot < SLOTS_PER_FRAME:
             raise ValueError(f"slot index {slot} out of range")
-        offset = slot * self.samples_per_slot
-        for sym in range(symbol_in_slot):
-            offset += self.symbol_length(sym)
-        return offset
+        if not 0 <= symbol_in_slot <= SYMBOLS_PER_SLOT:
+            raise ValueError(f"symbol index {symbol_in_slot} out of range")
+        return slot * self.samples_per_slot + self._symbol_starts[symbol_in_slot]
 
     def useful_start(self, slot, symbol_in_slot):
         """Sample offset of the first *useful* (post-CP) sample of a symbol."""

@@ -62,6 +62,12 @@ def test_deployment_rejects_bad_shared_knob_naming_field(field, value):
         NetworkDeployment(tags=[NetworkTag("a", 0.0, 0.0)], **{field: value})
 
 
+@pytest.mark.parametrize("n_tags", [2.5, float("nan"), "3"])
+def test_scatter_rejects_bad_tag_counts_naming_the_field(topo, n_tags):
+    with pytest.raises(ValueError, match="^n_tags must be a whole number >= 1"):
+        NetworkDeployment.scatter(n_tags, topo)
+
+
 def test_scatter_is_deterministic(topo):
     a = NetworkDeployment.scatter(4, topo, seed=5)
     b = NetworkDeployment.scatter(4, topo, seed=5)

@@ -60,6 +60,12 @@ def test_invalid_deployments_rejected():
             Deployment.ring(2, **{field: value})
 
 
+@pytest.mark.parametrize("n_tags", [2.5, float("nan"), "3"])
+def test_ring_rejects_bad_tag_counts_naming_the_field(n_tags):
+    with pytest.raises(ValueError, match="^n_tags must be a whole number >= 1"):
+        Deployment.ring(n_tags)
+
+
 def test_placement_errors_name_the_tag_and_field():
     with pytest.raises(ValueError, match=r"tag 'kitchen': enb_to_tag_ft"):
         TagPlacement("kitchen", -3.0, 1.0)
