@@ -62,3 +62,42 @@ def test_idle_fraction_counted():
 def test_scheduler_rejects_empty_fleet():
     with pytest.raises(ValueError):
         FleetScheduler(TdmaScheme(), rng=0).assign([], 4)
+
+
+@pytest.mark.parametrize("n_tags", [*range(1, 13), 101, 102, 103])
+def test_priority_grants_the_sorted_names_round_robin(n_tags):
+    """Every ring tag gets its turn in name order, one grant per slot.
+
+    From 101 tags name order is not list order (``tag10``, ``tag100``,
+    ``tag11``), so at half-frame 11 TDMA grants ``tag11`` and priority
+    grants ``tag100``.
+    """
+    from repro.fleet import Deployment
+
+    deployment = Deployment.ring(n_tags)
+    n_half_frames = 2 * n_tags + 12
+    schedule = FleetScheduler(PriorityScheme(), rng=0).assign(
+        deployment.names, n_half_frames, deployment.tag_powers_dbm()
+    )
+    order = sorted(deployment.names)
+    assert [slot.transmitters for slot in schedule.slots] == [
+        [order[k % n_tags]] for k in range(n_half_frames)
+    ]
+    assert [slot.winner for slot in schedule.slots] == [
+        order[k % n_tags] for k in range(n_half_frames)
+    ]
+
+
+def test_priority_grant_order_counts_grants_through_a_backoff_storm():
+    """A yielded slot grants nobody and does not advance the turn."""
+    # Seven tags: the storm yields 120 slots, not a multiple of seven, so
+    # a turn counted by slot index would resume on the wrong tag.
+    names = [f"tag{i:02d}" for i in range(7)]
+    scheme = PriorityScheme(congestion_backoff=True, max_backoff_slots=8)
+    grants = []
+    for slot in range(400):
+        active = scheme.transmitters(slot, names, None)
+        scheme.observe_congestion(slot, 100 <= slot < 220)
+        grants.extend(active)
+    assert 100 < len(grants) < 400
+    assert grants == [names[k % 7] for k in range(len(grants))]
