@@ -1,18 +1,24 @@
 """Extension bench: multi-tag access over one ambient LTE carrier."""
 
-import numpy as np
-
-from repro.mac import SlottedAlohaScheme, TdmaScheme, simulate_contention, two_tag_collision
+from repro.fleet.scheduler import FleetScheduler
+from repro.mac import SlottedAlohaScheme, TdmaScheme, two_tag_collision
 from benchmarks.conftest import run_once
+
+
+def _rate(scheme, powers, seed):
+    """Successful packets per slot over 4000 slots of ``scheme``."""
+    schedule = FleetScheduler(scheme, rng=seed).assign(sorted(powers), 4000, powers)
+    return schedule.airtime_utilisation
 
 
 def _sweep():
     out = {}
     for n in (2, 4, 8, 16):
         powers = {f"tag{i}": -40.0 - 2.0 * i for i in range(n)}
-        tdma = simulate_contention(powers, TdmaScheme(), 4000, rng=n)
-        aloha = simulate_contention(powers, SlottedAlohaScheme(), 4000, rng=n)
-        out[n] = (tdma.aggregate_success_rate, aloha.aggregate_success_rate)
+        out[n] = (
+            _rate(TdmaScheme(), powers, n),
+            _rate(SlottedAlohaScheme(), powers, n),
+        )
     capture = {adv: two_tag_collision(adv, seed=3).strong_tag_ber for adv in (0, 6, 12)}
     return out, capture
 

@@ -1,4 +1,12 @@
-"""Multi-cell network simulation: topology, attach, interference."""
+"""Multi-cell network simulation: topology, attach, interference.
+
+Every cell transmits one fixed numerology, the 1.4 MHz carrier
+(:data:`repro.cells.site.BANDWIDTH_MHZ`) at
+:data:`~repro.cells.site.TX_POWER_DBM`, and every topology sits in one
+venue on one carrier (:data:`repro.cells.topology.VENUE`,
+:data:`~repro.cells.topology.CARRIER_HZ`), so a layout is its geometry
+and frame count alone.
+"""
 
 from repro.cells.attach import (
     AttachCandidate,

@@ -28,7 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.cells.site import BANDWIDTH_MHZ
 from repro.core.system import AmbientStage
+from repro.lte.params import LteParams
 from repro.lte.transmitter import LteCapture
 from repro.obs.trace import span
 from repro.utils.units import db_to_linear
@@ -91,17 +93,16 @@ def neighbour_recipes(topology, serving_site, x_ft, y_ft, ambients):
     for site in topology.neighbours_of(serving_site.cell_id):
         rel_db = relative_amplitude_db(topology, serving_site, site, x_ft, y_ft)
         entries.append((site.cell_id, float(np.sqrt(db_to_linear(rel_db)))))
-    params = topology.sites[0].ambient_config(venue=topology.venue).params
-    recipes = [
+    samples_per_frame = LteParams.from_bandwidth(BANDWIDTH_MHZ).samples_per_frame
+    return [
         NeighbourRecipe(
             cell_id=cell_id,
             ambient=ambients[cell_id],
             amplitude=amplitude,
-            offset_samples=timing_offset_samples(cell_id, params.samples_per_frame),
+            offset_samples=timing_offset_samples(cell_id, samples_per_frame),
         )
         for cell_id, amplitude in sorted(entries)
     ]
-    return recipes
 
 
 @dataclass
@@ -134,7 +135,7 @@ class CellAmbient:
                         f"cell {recipe.cell_id} capture has {len(stage.unit)} "
                         f"samples but the serving capture has {len(combined)}; "
                         "superposition requires equal-length captures "
-                        "(same bandwidth and n_frames across the topology)"
+                        "(the same n_frames across the topology)"
                     )
                 combined += recipe.amplitude * np.roll(
                     stage.unit, recipe.offset_samples

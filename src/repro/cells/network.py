@@ -34,7 +34,8 @@ import numpy as np
 from repro.cells.attach import attach as analytic_attach
 from repro.cells.attach import search_attach
 from repro.cells.interference import CellAmbient, neighbour_recipes
-from repro.cells.site import TX_POWER_DBM
+from repro.cells.site import BANDWIDTH_MHZ, TX_POWER_DBM
+from repro.cells.topology import CARRIER_HZ, VENUE
 from repro.core.config import SystemConfig
 from repro.fleet.ambient import AmbientCache
 from repro.fleet.engine import EngineTelemetry, ParallelRunEngine
@@ -44,7 +45,7 @@ from repro.fleet.scheduler import FleetScheduler, make_scheme
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.utils.rng import stream_rng
-from repro.utils.validation import require_whole
+from repro.utils.validation import require_finite, require_whole
 
 #: eNodeB-to-tag distances below this (ft) are clamped — a tag cannot sit
 #: inside the transmit antenna, and the pathloss model floors there anyway.
@@ -123,6 +124,7 @@ class NetworkDeployment:
         deployment regardless of call order.
         """
         require_whole("n_tags", n_tags, minimum=1)
+        require_finite("margin_ft", margin_ft, minimum=0.0)
         xs = [site.x_ft for site in topology.sites]
         ys = [site.y_ft for site in topology.sites]
         rng = stream_rng(seed, "cells.scatter", int(n_tags))
@@ -148,12 +150,12 @@ class NetworkDeployment:
         """The per-tag :class:`SystemConfig` on its serving cell."""
         x, y = tag.position
         return SystemConfig(
-            bandwidth_mhz=site.bandwidth_mhz,
-            venue=topology.venue,
+            bandwidth_mhz=BANDWIDTH_MHZ,
+            venue=VENUE,
             enb_to_tag_ft=max(site.distance_ft(x, y), _MIN_HOP_FT),
             tag_to_ue_ft=TAG_TO_UE_FT,
             tx_power_dbm=TX_POWER_DBM,
-            carrier_hz=topology.carrier_hz,
+            carrier_hz=CARRIER_HZ,
             cell=site.cell_config(),
             n_frames=site.n_frames,
             reference_mode="genie",

@@ -2,13 +2,14 @@
 
 A :class:`CellSite` pins down one carrier: its physical cell identity
 (which fixes the PSS root and the CRS/scrambling sequences), where it
-stands, its bandwidth and its capture length.  Every site transmits at
-:data:`TX_POWER_DBM` with :class:`~repro.lte.frame.CellConfig`'s default
-traffic (full-buffer QPSK PDSCH).  The identity split follows the
-standard: ``N_ID = 3 * N_ID^(1) + N_ID^(2)``, so adjacent cells with
-consecutive ids automatically get distinct PSS roots — the property real
-network planners engineer deliberately and the tag's cell search leans
-on.
+stands and its capture length.  Every site transmits the 1.4 MHz
+numerology (:data:`BANDWIDTH_MHZ`) at :data:`TX_POWER_DBM` with
+:class:`~repro.lte.frame.CellConfig`'s default traffic (full-buffer QPSK
+PDSCH), so the cells of a topology always superpose sample for sample.
+The identity split follows the standard: ``N_ID = 3 * N_ID^(1) +
+N_ID^(2)``, so adjacent cells with consecutive ids automatically get
+distinct PSS roots — the property real network planners engineer
+deliberately and the tag's cell search leans on.
 
 Positions are in feet, matching the paper's distance reporting and the
 rest of the channel layer (:mod:`repro.channel.pathloss` converts).
@@ -26,6 +27,9 @@ from repro.utils.validation import require_whole
 #: Transmit power of every cell site (dBm).
 TX_POWER_DBM = 10.0
 
+#: LTE bandwidth of every cell site (MHz).
+BANDWIDTH_MHZ = 1.4
+
 
 @dataclass(frozen=True)
 class CellSite:
@@ -34,7 +38,6 @@ class CellSite:
     cell_id: int
     x_ft: float
     y_ft: float
-    bandwidth_mhz: float = 1.4
     n_frames: int = 4
 
     def __post_init__(self):
@@ -49,8 +52,8 @@ class CellSite:
                 f"cell {self.cell_id}: position ({self.x_ft}, {self.y_ft}) ft "
                 "must be finite"
             )
-        # The cell's own config checks bandwidth and frame count, so a bad
-        # field fails here, not at its first capture.
+        # The cell's own config checks the frame count, so a bad count
+        # fails here, not at its first capture.
         try:
             self.ambient_config()
         except ValueError as err:
@@ -80,7 +83,7 @@ class CellSite:
 
     # -- derived configs --------------------------------------------------------
 
-    def ambient_config(self, venue="smart_home"):
+    def ambient_config(self):
         """A :class:`SystemConfig` sufficient for the ambient stage.
 
         Only ``(bandwidth, cell, n_frames)`` feed the eNodeB capture, so
@@ -88,8 +91,7 @@ class CellSite:
         its own config with real distances.
         """
         return SystemConfig(
-            bandwidth_mhz=self.bandwidth_mhz,
-            venue=venue,
+            bandwidth_mhz=BANDWIDTH_MHZ,
             cell=self.cell_config(),
             tx_power_dbm=TX_POWER_DBM,
             n_frames=self.n_frames,

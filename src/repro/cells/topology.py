@@ -1,17 +1,19 @@
 """Network layouts: where the cells stand and what each emits.
 
 A :class:`Topology` is an ordered set of :class:`~repro.cells.site.CellSite`\\ s
-sharing one venue and carrier.  Layout constructors cover the common
-planning shapes — a hexagonal cluster (the classic 7-cell reuse pattern),
-a rectangular grid, or an explicit site list — and the class provides the
-deterministic geometry/ radio queries everything downstream uses: received
-power and SNR of any cell at any point, neighbour enumeration, and the
-per-cell ambient captures generated once through
+sharing one venue (:data:`VENUE`) and carrier (:data:`CARRIER_HZ`).
+Layout constructors cover the common planning shapes — a hexagonal
+cluster (the classic 7-cell reuse pattern) or a rectangular grid; a
+hand-placed site list goes straight to the constructor — and the class
+provides the deterministic geometry/ radio queries everything downstream
+uses: received power and SNR of any cell at any point, neighbour
+enumeration, and the per-cell ambient captures generated once through
 :class:`~repro.fleet.ambient.AmbientCache` (keyed on cell ID, so two cells
 with otherwise identical parameters never collide).
 
-Superposing cells requires equal-length captures, so a topology enforces
-uniform bandwidth and frame count across its sites at construction time
+Superposing cells requires equal-length captures.  Every site transmits
+the same bandwidth (:data:`repro.cells.site.BANDWIDTH_MHZ`), and a
+topology enforces one frame count across its sites at construction time
 with an error naming the offender.
 """
 
@@ -21,13 +23,17 @@ import math
 from dataclasses import dataclass, field, replace
 
 from repro.channel.link import DEFAULT_CARRIER_HZ, LinkBudget
-from repro.cells.site import TX_POWER_DBM, CellSite
+from repro.cells.site import BANDWIDTH_MHZ, TX_POWER_DBM, CellSite
 from repro.utils.validation import require_finite, require_whole
 from repro.obs.trace import span
 from repro.utils.rng import stream_rng
 
 #: Hexagonal neighbour directions (unit inter-site steps).
 _HEX_ANGLES_DEG = (0, 60, 120, 180, 240, 300)
+
+#: Venue (path-loss preset) and carrier of every topology.
+VENUE = "smart_home"
+CARRIER_HZ = DEFAULT_CARRIER_HZ
 
 
 def ambient_seed(seed, cell_id):
@@ -45,8 +51,6 @@ class Topology:
     """An ordered multi-cell layout over one venue."""
 
     sites: list = field(default_factory=list)
-    venue: str = "smart_home"
-    carrier_hz: float = DEFAULT_CARRIER_HZ
 
     def __post_init__(self):
         if not self.sites:
@@ -67,22 +71,12 @@ class Topology:
                     f"at {pos} ft; move one of them"
                 )
             seen_pos[pos] = site.cell_id
-        #: The :class:`LinkBudget` every site shares.  A bad venue or
-        #: carrier fails here, naming the field, not at the first radio
-        #: query.
+        #: The :class:`LinkBudget` every site shares.
         self.budget = LinkBudget(
-            tx_power_dbm=TX_POWER_DBM,
-            carrier_hz=self.carrier_hz,
-            venue=self.venue,
+            tx_power_dbm=TX_POWER_DBM, carrier_hz=CARRIER_HZ, venue=VENUE
         )
         first = self.sites[0]
         for site in self.sites[1:]:
-            if site.bandwidth_mhz != first.bandwidth_mhz:
-                raise ValueError(
-                    f"cell {site.cell_id} uses {site.bandwidth_mhz} MHz but "
-                    f"cell {first.cell_id} uses {first.bandwidth_mhz} MHz; "
-                    "superposition requires one bandwidth per topology"
-                )
             if site.n_frames != first.n_frames:
                 raise ValueError(
                     f"cell {site.cell_id} transmits {site.n_frames} frame(s) "
@@ -94,7 +88,7 @@ class Topology:
     # -- constructors -----------------------------------------------------------
 
     @classmethod
-    def hex_cluster(cls, inter_site_ft=300.0, rings=1, **site_kwargs):
+    def hex_cluster(cls, inter_site_ft=300.0, rings=1, n_frames=4):
         """The classic hexagonal cluster: a centre cell plus ``rings`` rings.
 
         ``rings=1`` gives the 7-cell pattern.  Cell ids are assigned
@@ -121,33 +115,23 @@ class Topology:
                             corner[1] + step * inter_site_ft * math.sin(next_angle),
                         )
                     )
-        topology_kwargs = {
-            key: site_kwargs.pop(key)
-            for key in ("venue", "carrier_hz")
-            if key in site_kwargs
-        }
         sites = [
             CellSite(
                 cell_id=index,
                 x_ft=round(x, 9),
                 y_ft=round(y, 9),
-                **site_kwargs,
+                n_frames=n_frames,
             )
             for index, (x, y) in enumerate(positions)
         ]
-        return cls(sites=sites, **topology_kwargs)
+        return cls(sites=sites)
 
     @classmethod
-    def grid(cls, rows, cols, spacing_ft=300.0, **site_kwargs):
+    def grid(cls, rows, cols, spacing_ft=300.0, n_frames=4):
         """A rows x cols rectangular street grid of sites, ids row-major from 0."""
         require_whole("rows", rows, minimum=1)
         require_whole("cols", cols, minimum=1)
         require_finite("spacing_ft", spacing_ft, above=0.0)
-        topology_kwargs = {
-            key: site_kwargs.pop(key)
-            for key in ("venue", "carrier_hz")
-            if key in site_kwargs
-        }
         sites = []
         for row in range(int(rows)):
             for col in range(int(cols)):
@@ -156,15 +140,10 @@ class Topology:
                         cell_id=row * int(cols) + col,
                         x_ft=col * spacing_ft,
                         y_ft=row * spacing_ft,
-                        **site_kwargs,
+                        n_frames=n_frames,
                     )
                 )
-        return cls(sites=sites, **topology_kwargs)
-
-    @classmethod
-    def explicit(cls, sites, **kwargs):
-        """A topology over a hand-placed site list."""
-        return cls(sites=list(sites), **kwargs)
+        return cls(sites=sites)
 
     # -- views ------------------------------------------------------------------
 
@@ -175,10 +154,6 @@ class Topology:
     @property
     def cell_ids(self):
         return [site.cell_id for site in self.sites]
-
-    @property
-    def bandwidth_mhz(self):
-        return self.sites[0].bandwidth_mhz
 
     @property
     def n_frames(self):
@@ -221,9 +196,8 @@ class Topology:
 
     def snr_db_at(self, site, x_ft, y_ft):
         """Post-pathloss downlink SNR of ``site`` at a point."""
-        bandwidth_hz = site.bandwidth_mhz * 1e6
         return self.budget.direct_snr_db(
-            site.distance_ft(x_ft, y_ft), bandwidth_hz
+            site.distance_ft(x_ft, y_ft), BANDWIDTH_MHZ * 1e6
         )
 
     # -- ambient captures -------------------------------------------------------
@@ -240,7 +214,7 @@ class Topology:
         ambients = {}
         with span("cells.ambient") as sp:
             for site in sorted(self.sites, key=lambda s: s.cell_id):
-                config = site.ambient_config(venue=self.venue)
+                config = site.ambient_config()
                 cell_seed = ambient_seed(seed, site.cell_id)
                 if handles:
                     ambients[site.cell_id] = cache.handle(config, cell_seed)

@@ -43,10 +43,6 @@ class SystemConfig:
     #: the modulated backscatter — the residual the Fig. 32 impact
     #: experiment measures.
     structural_reflection_db: float = -15.0
-    #: UE local-oscillator error in parts-per-million of the carrier.
-    #: 0 models a perfect LO; real crystals are +-(0.1-1) ppm and the UE
-    #: estimates/corrects the resulting CFO from the cyclic prefix.
-    ue_cfo_ppm: float = 0.0
     #: Optional :class:`repro.faults.plan.FaultPlan` — seeded carrier and
     #: tag fault injection at the stage boundaries.  ``None`` (and any
     #: all-zero plan) leaves the pipeline bit-identical to the clean run.
@@ -94,7 +90,6 @@ class SystemConfig:
         # The budget checks the power and carrier, naming each.
         self.budget()
         require_finite("structural_reflection_db", self.structural_reflection_db)
-        require_finite("ue_cfo_ppm", self.ue_cfo_ppm)
         if self.sync_mode not in ("circuit", "model"):
             raise ValueError("sync_mode must be 'circuit' or 'model'")
         if self.reference_mode not in ("decoded", "genie"):

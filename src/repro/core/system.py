@@ -10,8 +10,8 @@ Two captures reach the UE: the **direct band** (the ambient LTE signal the
 UE decodes normally — also how it rebuilds the reference waveform ``x_n``)
 and the **shifted band** at ``fc + 1/Ts`` (the backscattered hybrid signal,
 represented at its own baseband — the frequency shift of paper Eq. 4 is
-implicit in the tuning).  A genie-reference run with no CFO reads nothing
-from the direct band, so it is built only if someone asks for it.
+implicit in the tuning).  A genie-reference run reads nothing from the
+direct band, so it is built only if someone asks for it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.channel.noise import NoiseDraws, add_thermal_noise
 from repro.core.config import SystemConfig
 from repro.core.metrics import LinkReport
 from repro.faults.carrier import CarrierFaultSet
-from repro.lte.cfo import apply_cfo, correct_cfo, estimate_cfo
 from repro.lte.frame import FrameBuilder
 from repro.lte.params import FRAME_SECONDS, SUBFRAMES_PER_FRAME
 from repro.lte.ofdm import modulate_frame
@@ -94,9 +93,8 @@ class FrontEndState:
     ``half_starts`` is the UE's PSS-derived half-frame grid, cut to the
     tag's owned half-frames when the run has a MAC grant.
     ``direct_band`` holds the direct-band capture, or, when nothing in
-    the run reads that band (a genie reference with no CFO), a
-    zero-argument builder that makes it on the first read of
-    :attr:`direct_rx` (DESIGN §16).
+    the run reads that band (a genie reference), a zero-argument builder
+    that makes it on the first read of :attr:`direct_rx` (DESIGN §16).
     """
 
     capture: object
@@ -439,11 +437,9 @@ class LScatterSystem:
         # joins the worker, whether this returns or raises.
         fs = self.params.sample_rate_hz
         noise_figure_db = self.budget.noise_figure_db
-        # UE oscillator error rotates both bands identically (one LO).
-        cfo_hz = config.ue_cfo_ppm * 1e-6 * config.carrier_hz
-        # Only a decoded reference and the CFO estimate read the direct
-        # band; otherwise it is built on first read, if ever.
-        eager_direct = config.reference_mode == "decoded" or bool(cfo_hz)
+        # Only a decoded reference reads the direct band; otherwise it is
+        # built on first read, if ever.
+        eager_direct = config.reference_mode == "decoded"
         noise = NoiseDraws(rng_noise, len(unit)) if config.add_noise else None
         with noise or contextlib.nullcontext():
             if noise is not None:
@@ -513,8 +509,6 @@ class LScatterSystem:
                 # the direct band as weak extra multipath.
                 leak = 10.0 ** (config.structural_reflection_db / 20.0)
                 direct = direct + leak * bs_link.apply_from_tag(ambient_at_tag)
-                if cfo_hz:
-                    direct = apply_cfo(direct, cfo_hz, fs)
                 if config.add_noise:
                     # ``draw`` was made ahead for a band built now.  A
                     # deferred build draws here, after the worker's last
@@ -534,8 +528,6 @@ class LScatterSystem:
                     shifted_rx = carrier_faults.apply_backscatter(
                         shifted_rx, ambient=ambient_at_tag
                     )
-                if cfo_hz:
-                    shifted_rx = apply_cfo(shifted_rx, cfo_hz, fs)
                 if noise is not None:
                     shifted_rx = add_thermal_noise(
                         shifted_rx,
@@ -548,12 +540,6 @@ class LScatterSystem:
                     direct_rx = receive_direct(
                         None if noise is None else noise.take("direct")
                     )
-                if cfo_hz:
-                    # The UE estimates its own offset from the cyclic prefix
-                    # of the direct band and derotates both captures.
-                    estimated = estimate_cfo(direct_rx, self.params)
-                    shifted_rx = correct_cfo(shifted_rx, estimated, fs)
-                    direct_rx = correct_cfo(direct_rx, estimated, fs)
 
         # 5. UE: LTE decode (for Fig. 32 and the ambient reconstruction).
         lte_result = None

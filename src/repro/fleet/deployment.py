@@ -16,7 +16,11 @@ from dataclasses import dataclass, field
 from repro.core.config import SystemConfig
 from repro.utils.validation import require_whole
 
-#: Tag-to-UE hop of every :meth:`Deployment.ring` tag (feet).
+#: :meth:`Deployment.ring` geometry (feet): tag ``i`` of ``n`` sits
+#: ``RING_ENB_TO_TAG_FT + RING_SPREAD_FT * i / n`` from the eNodeB and
+#: ``RING_TAG_TO_UE_FT`` from its UE.
+RING_ENB_TO_TAG_FT = 4.0
+RING_SPREAD_FT = 2.0
 RING_TAG_TO_UE_FT = 5.0
 
 
@@ -88,20 +92,20 @@ class Deployment:
     # -- constructors -----------------------------------------------------------
 
     @classmethod
-    def ring(cls, n_tags, enb_to_tag_ft=4.0, spread_ft=2.0, **kwargs):
+    def ring(cls, n_tags, **kwargs):
         """Tags spread deterministically on a ring around the eNodeB.
 
-        Tag ``i`` sits at ``enb_to_tag_ft + spread_ft * i / n`` from the
-        eNodeB and ``RING_TAG_TO_UE_FT`` from its UE — close enough in
-        power that random access exhibits real collisions (no universal
-        capture), distinct enough that results are per-tag
+        Tag ``i`` sits at ``RING_ENB_TO_TAG_FT + RING_SPREAD_FT * i / n``
+        from the eNodeB and ``RING_TAG_TO_UE_FT`` from its UE — close
+        enough in power that random access exhibits real collisions (no
+        universal capture), distinct enough that results are per-tag
         distinguishable.
         """
         require_whole("n_tags", n_tags, minimum=1)
         tags = [
             TagPlacement(
                 name=f"tag{i:02d}",
-                enb_to_tag_ft=enb_to_tag_ft + spread_ft * i / n_tags,
+                enb_to_tag_ft=RING_ENB_TO_TAG_FT + RING_SPREAD_FT * i / n_tags,
                 tag_to_ue_ft=RING_TAG_TO_UE_FT,
             )
             for i in range(int(n_tags))

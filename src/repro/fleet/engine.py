@@ -166,6 +166,23 @@ class ParallelRunEngine:
             except Exception:
                 pass
 
+    def _harvest(self, future, index, results, recover, on_result):
+        """Take one finished future's result into ``results[index]``.
+
+        A worker death or a real task error queues the index on
+        ``recover``, to be reproduced in the parent, where a deterministic
+        failure surfaces with a clean traceback.
+        """
+        try:
+            elapsed, result = future.result()
+        except Exception:
+            recover.append((index, False))
+            return
+        self.telemetry.task_seconds += elapsed
+        results[index] = result
+        if on_result is not None:
+            on_result(index, result)
+
     def _run_pool(self, fn, tasks, on_result=None):
         telemetry = self.telemetry
         results = [None] * len(tasks)
@@ -180,18 +197,7 @@ class ParallelRunEngine:
                 for future in as_completed(futures, timeout=budget):
                     index = futures[future]
                     harvested.add(index)
-                    try:
-                        elapsed, result = future.result()
-                    except Exception:
-                        # Worker death or a real task error: reproduce in
-                        # the parent below, where a deterministic failure
-                        # surfaces with a clean traceback.
-                        recover.append((index, False))
-                    else:
-                        telemetry.task_seconds += elapsed
-                        results[index] = result
-                        if on_result is not None:
-                            on_result(index, result)
+                    self._harvest(future, index, results, recover, on_result)
             except FuturesTimeout:
                 for future, index in futures.items():
                     if index in harvested:
@@ -199,15 +205,7 @@ class ParallelRunEngine:
                     harvested.add(index)
                     if future.done():
                         # Completed in the race with the deadline.
-                        try:
-                            elapsed, result = future.result()
-                        except Exception:
-                            recover.append((index, False))
-                        else:
-                            telemetry.task_seconds += elapsed
-                            results[index] = result
-                            if on_result is not None:
-                                on_result(index, result)
+                        self._harvest(future, index, results, recover, on_result)
                         continue
                     future.cancel()
                     telemetry.timed_out += 1

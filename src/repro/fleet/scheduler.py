@@ -1,13 +1,15 @@
-"""Half-frame assignment: drive the MAC schemes over a fleet capture.
+"""Half-frame assignment: the MAC's one slot loop over a fleet capture.
 
 The tag's scheduling period is the 5 ms PSS cycle (one half-frame), so a
-capture of ``F`` frames offers ``2F`` MAC slots.  The scheduler runs one of
-the :mod:`repro.mac.schemes` over those slots, resolves simultaneous
-transmissions with the contention model's own capture rule,
-:func:`~repro.mac.schemes.capture_winner` (strongest tag survives a
+capture of ``F`` frames offers ``2F`` MAC slots.  :meth:`FleetScheduler.assign`
+runs a scheme — one of :mod:`repro.mac.schemes`, or any object with a
+``name`` and a ``transmitters(slot_index, tag_names, rng)`` method — over
+those slots, resolves simultaneous transmissions with
+:func:`~repro.mac.schemes.capture_winner` (the strongest tag survives a
 collision if its received power clears ``CAPTURE_THRESHOLD_DB``), and
 emits a :class:`FleetSchedule`: which tag successfully owns which
-half-frame, plus collision/idle accounting.
+half-frame, plus collision/idle accounting.  The same loop drives the
+contention sweep of ``benchmarks/test_ext_mac.py``.
 
 Keeping collision resolution analytic (power-based capture, calibrated by
 :func:`repro.mac.collision.two_tag_collision`) lets the IQ stage simulate
@@ -31,13 +33,13 @@ from repro.utils.rng import make_rng
 SCHEME_NAMES = ("tdma", "aloha", "priority")
 
 
-def make_scheme(name, p=None):
+def make_scheme(name):
     """Instantiate a MAC scheme by CLI name."""
     name = str(name).lower()
     if name == "tdma":
         return TdmaScheme()
-    if name in ("aloha", "slotted-aloha"):
-        return SlottedAlohaScheme(p=p)
+    if name == "aloha":
+        return SlottedAlohaScheme()
     if name == "priority":
         return PriorityScheme()
     raise ValueError(f"unknown scheme {name!r}; choose from {SCHEME_NAMES}")
@@ -107,12 +109,11 @@ class FleetScheduler:
         self.scheme = scheme
         self.rng = make_rng(rng)
 
-    def assign(self, tag_names, n_half_frames, tag_powers_dbm=None):
+    def assign(self, tag_names, n_half_frames, tag_powers_dbm):
         """Run the scheme over ``n_half_frames`` slots.
 
         ``tag_powers_dbm`` (name -> received backscatter dBm at the UE)
-        enables the capture effect for contention schemes; omitted, every
-        collision destroys all transmissions involved.
+        decides which colliding tag, if any, captures a slot.
         """
         tag_names = list(tag_names)
         if not tag_names:

@@ -2,17 +2,16 @@
 
 The paper demonstrates a single tag; any smart-home/city deployment needs
 many.  Because every tag derives timing from the same PSS, slot-level
-coordination comes for free: this package provides TDMA and slotted-ALOHA
-schemes over the tag schedule, an analytic contention model, and an
-IQ-level two-tag collision simulation (capture effect included).
+coordination comes for free: this package provides TDMA, slotted-ALOHA
+and priority-grant schemes over the tag schedule (run slot by slot by
+:class:`repro.fleet.scheduler.FleetScheduler`, the one slot loop) and an
+IQ-level two-tag collision simulation that calibrates the capture rule.
 """
 
 from repro.mac.schemes import (
     TdmaScheme,
     SlottedAlohaScheme,
     PriorityScheme,
-    ContentionReport,
-    simulate_contention,
 )
 from repro.mac.collision import two_tag_collision
 
@@ -20,7 +19,5 @@ __all__ = [
     "TdmaScheme",
     "SlottedAlohaScheme",
     "PriorityScheme",
-    "ContentionReport",
-    "simulate_contention",
     "two_tag_collision",
 ]

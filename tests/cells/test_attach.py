@@ -21,7 +21,7 @@ def test_rank_orders_by_post_pathloss_snr(topo):
 
 
 def test_equidistant_tie_goes_to_lower_cell_id():
-    topo = Topology.explicit(
+    topo = Topology(
         [CellSite(4, 0.0, 0.0), CellSite(2, 60.0, 0.0)]
     )
     # Exactly mid-way between two identical sites: identical SNR.

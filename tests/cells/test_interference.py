@@ -87,9 +87,7 @@ def test_superposition_identical_from_stages_and_handles(topo, tmp_path):
 
 
 def test_length_mismatch_raises_actionable_error(topo, ambients):
-    other = Topology.explicit(
-        [CellSite(9, 0.0, 0.0, n_frames=2)], venue=topo.venue
-    )
+    other = Topology([CellSite(9, 0.0, 0.0, n_frames=2)])
     with AmbientCache() as cache:
         long_ambient = other.prepare_ambients(cache, seed=0)[9]
         recipes = neighbour_recipes(topo, topo.site(0), 5.0, 0.0, ambients)

@@ -68,6 +68,12 @@ def test_scatter_rejects_bad_tag_counts_naming_the_field(topo, n_tags):
         NetworkDeployment.scatter(n_tags, topo)
 
 
+@pytest.mark.parametrize("margin_ft", [float("nan"), float("inf"), -1000.0])
+def test_scatter_rejects_bad_margin_naming_the_field(topo, margin_ft):
+    with pytest.raises(ValueError, match="^margin_ft must be a finite number >= 0"):
+        NetworkDeployment.scatter(4, topo, margin_ft=margin_ft)
+
+
 def test_scatter_is_deterministic(topo):
     a = NetworkDeployment.scatter(4, topo, seed=5)
     b = NetworkDeployment.scatter(4, topo, seed=5)

@@ -35,8 +35,6 @@ def test_site_cell_id_must_be_a_whole_identity(cell_id):
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("bandwidth_mhz", 7),
-        ("bandwidth_mhz", float("nan")),
         ("n_frames", 2.5),
     ],
 )
@@ -67,20 +65,6 @@ def test_layout_counts_must_be_whole_naming_the_field(layout, kwargs, message):
         getattr(Topology, layout)(**kwargs)
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("carrier_hz", float("nan")),
-        ("carrier_hz", 0.0),
-        ("carrier_hz", -1.0),
-        ("venue", "nowhere"),
-    ],
-)
-def test_topology_checks_venue_and_carrier_at_construction(field, value):
-    with pytest.raises(ValueError, match=field):
-        Topology.hex_cluster(rings=1, **{field: value})
-
-
 def test_hex_cluster_seven_cells_one_ring():
     topo = Topology.hex_cluster(inter_site_ft=100.0, rings=1)
     assert topo.n_cells == 7
@@ -104,23 +88,19 @@ def test_grid_layout_positions():
 
 def test_duplicate_cell_id_rejected_with_names():
     with pytest.raises(ValueError, match="duplicate cell_id 7"):
-        Topology.explicit(
+        Topology(
             [CellSite(7, 0.0, 0.0), CellSite(7, 100.0, 0.0)]
         )
 
 
 def test_colocated_sites_rejected_naming_both():
     with pytest.raises(ValueError, match="cells 0 and 1 are co-located"):
-        Topology.explicit([CellSite(0, 5.0, 5.0), CellSite(1, 5.0, 5.0)])
+        Topology([CellSite(0, 5.0, 5.0), CellSite(1, 5.0, 5.0)])
 
 
-def test_mixed_bandwidth_and_frames_rejected_naming_offender():
-    with pytest.raises(ValueError, match="cell 1 uses 5.0 MHz"):
-        Topology.explicit(
-            [CellSite(0, 0.0, 0.0), CellSite(1, 100.0, 0.0, bandwidth_mhz=5.0)]
-        )
+def test_mixed_frames_rejected_naming_offender():
     with pytest.raises(ValueError, match="cell 1 transmits 2 frame"):
-        Topology.explicit(
+        Topology(
             [CellSite(0, 0.0, 0.0, n_frames=4), CellSite(1, 100.0, 0.0, n_frames=2)]
         )
 

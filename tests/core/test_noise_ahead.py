@@ -26,13 +26,6 @@ from repro.tag.sync_circuit import SyncCircuit
 #: n_lost, n_erased, sync_error_us), then the sha256 of
 #: ``artifacts.shifted_rx`` and ``artifacts.direct_rx``.
 GOLDEN_SCHEDULES = {
-    # Three eager draws; the tag's draw is made but never read.
-    "genie-cfo-model": (
-        dict(reference_mode="genie", sync_mode="model", ue_cfo_ppm=0.5),
-        (16704, 9, 232, 0, 0, -0.5208333333333334),
-        "26f0f2013368940d7abcd24d6f862a313613199af3c6963b5803a8af9a7e2d8a",
-        "536c84bf2297959c8ddae4f376bc4e201878ec9d1e8352907f6098fc4dd27ff1",
-    ),
     # A pin beats circuit sync: the tag's draw is unread, and the
     # deferred direct band draws inline after the worker has finished.
     "genie-pinned": (
@@ -101,7 +94,6 @@ def _watch_noise_workers(monkeypatch):
     [
         dict(reference_mode="genie", sync_mode="model"),
         dict(reference_mode="decoded", sync_mode="circuit"),
-        dict(reference_mode="genie", sync_mode="model", ue_cfo_ppm=0.5),
     ],
 )
 def test_no_worker_outlives_run_frontend(monkeypatch, overrides):
@@ -194,7 +186,6 @@ LEDGER_ENTRY_POINTS = (
     [
         dict(reference_mode="genie", sync_mode="model"),
         dict(reference_mode="genie", sync_mode="circuit"),
-        dict(reference_mode="genie", sync_error_samples=3, ue_cfo_ppm=0.5),
         dict(reference_mode="decoded", sync_mode="circuit"),
     ],
 )

@@ -105,7 +105,6 @@ def test_invalid_config_rejected():
         "window_snr_gate_db": (nan, inf),
         "carrier_hz": (nan, inf, 0.0, -1.0, None),
         "structural_reflection_db": (nan, inf, -inf),
-        "ue_cfo_ppm": (nan, inf, "0.5"),
     }.items():
         for value in values:
             with pytest.raises(ValueError, match=field):
@@ -274,7 +273,7 @@ def test_genie_run_builds_direct_band_only_when_read(monkeypatch):
 
 @pytest.mark.parametrize(
     "overrides",
-    [dict(reference_mode="decoded"), dict(reference_mode="genie", ue_cfo_ppm=0.5)],
+    [dict(reference_mode="decoded")],
 )
 def test_runs_reading_the_direct_band_build_it_once(monkeypatch, overrides):
     calls = _count_direct_link_calls(monkeypatch)

@@ -25,7 +25,7 @@ def test_config_for_carries_geometry_and_shared_knobs():
 
 
 def test_tag_powers_monotone_in_distance():
-    deployment = Deployment.ring(4, enb_to_tag_ft=4.0, spread_ft=8.0)
+    deployment = Deployment.ring(4)
     powers = deployment.tag_powers_dbm()
     ordered = [powers[name] for name in deployment.names]
     assert ordered == sorted(ordered, reverse=True)

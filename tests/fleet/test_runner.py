@@ -65,11 +65,18 @@ def test_shared_cache_across_runs_and_schemes():
     assert cache.transmit_calls == 1
 
 
+class EveryoneTransmits:
+    """A stub scheme: every tag transmits in every half-frame."""
+
+    name = "everyone"
+
+    def transmitters(self, slot_index, tag_names, rng):
+        return list(tag_names)
+
+
 def test_aloha_fleet_reports_collisions():
     # Force contention: everyone transmits every half-frame, similar powers.
-    from repro.fleet.scheduler import make_scheme
-
-    scheme = make_scheme("aloha", p=1.0)
+    scheme = EveryoneTransmits()
     report = FleetRunner(_deployment(2), scheme=scheme, seed=0).run(
         payload_length=1000
     )

@@ -106,14 +106,19 @@ def test_truncated_capture_exits_cleanly(capture):
 
 
 def test_end_to_end_with_cfo():
-    """The system corrects a realistic UE crystal error transparently."""
-    from repro.core import LScatterSystem, SystemConfig
+    """The UE corrects a realistic crystal error (0.5 ppm of the 680 MHz
+    carrier) from the cyclic prefix and then decodes every block."""
+    from repro.channel.link import DEFAULT_CARRIER_HZ
+    from repro.lte.receiver import LteReceiver
 
-    clean = SystemConfig(bandwidth_mhz=1.4, n_frames=2, reference_mode="decoded")
-    offset = SystemConfig(
-        bandwidth_mhz=1.4, n_frames=2, reference_mode="decoded", ue_cfo_ppm=0.5
+    capture = LteTransmitter(1.4, rng=2).transmit(2)
+    params = capture.params
+    fs = params.sample_rate_hz
+    offset_hz = 0.5e-6 * DEFAULT_CARRIER_HZ
+    impaired = awgn(apply_cfo(capture.samples, offset_hz, fs), 25.0, make_rng(2))
+    estimated = estimate_cfo(impaired, params)
+    assert estimated == pytest.approx(offset_hz, abs=20.0)
+    result = LteReceiver(params, capture.cell).decode(
+        correct_cfo(impaired, estimated, fs)
     )
-    report_clean = LScatterSystem(clean, rng=2).run(payload_length=30_000)
-    report_cfo = LScatterSystem(offset, rng=2).run(payload_length=30_000)
-    assert report_cfo.lte_block_error_rate == 0.0
-    assert report_cfo.ber < report_clean.ber + 5e-4
+    assert result.block_error_rate == 0.0

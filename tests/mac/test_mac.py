@@ -1,61 +1,64 @@
 """Multi-tag MAC tests."""
 
-import numpy as np
 import pytest
 
+from repro.fleet.scheduler import FleetScheduler
 from repro.mac import (
     PriorityScheme,
     SlottedAlohaScheme,
     TdmaScheme,
-    simulate_contention,
     two_tag_collision,
 )
 
 
+def _contend(scheme, powers, n_slots, seed):
+    """``n_slots`` of ``scheme`` over the tags of ``powers``, and each
+    tag's successful slot count."""
+    names = sorted(powers)
+    schedule = FleetScheduler(scheme, rng=seed).assign(names, n_slots, powers)
+    return schedule, {name: len(schedule.owned_half_frames(name)) for name in names}
+
+
 def test_tdma_never_collides():
     powers = {f"tag{i}": -40.0 for i in range(5)}
-    report = simulate_contention(powers, TdmaScheme(), 1000, rng=0)
-    assert report.collision_fraction == 0.0
-    assert report.aggregate_success_rate == 1.0
+    schedule, _ = _contend(TdmaScheme(), powers, 1000, 0)
+    assert schedule.collision_fraction == 0.0
+    assert schedule.airtime_utilisation == 1.0
 
 
 def test_tdma_fair_share():
     powers = {f"tag{i}": -40.0 for i in range(4)}
-    report = simulate_contention(powers, TdmaScheme(), 1000, rng=1)
-    shares = list(report.per_tag_success.values())
+    _, success = _contend(TdmaScheme(), powers, 1000, 1)
+    shares = list(success.values())
     assert max(shares) - min(shares) <= 1
 
 
 def test_aloha_throughput_near_1_over_e():
+    # Equal powers: no colliding tag clears the capture threshold.
     powers = {f"tag{i}": -40.0 for i in range(8)}
-    report = simulate_contention(
-        powers, SlottedAlohaScheme(), 20_000, capture_threshold_db=1e9, rng=2
-    )
+    schedule, _ = _contend(SlottedAlohaScheme(), powers, 20_000, 2)
     # Slotted ALOHA at p=1/n: throughput -> (1-1/n)^(n-1) ~ 0.39 for n=8.
-    assert report.aggregate_success_rate == pytest.approx(0.39, abs=0.03)
+    assert schedule.airtime_utilisation == pytest.approx(0.39, abs=0.03)
 
 
 def test_aloha_capture_helps_strong_tag():
-    powers = {"strong": -30.0, "weak": -55.0}
-    no_capture = simulate_contention(
-        powers, SlottedAlohaScheme(p=0.5), 10_000, capture_threshold_db=1e9, rng=3
+    # The same seed draws the same attempts; only the powers differ.
+    equal = {"strong": -40.0, "weak": -40.0}
+    separated = {"strong": -30.0, "weak": -55.0}
+    no_capture, no_capture_success = _contend(SlottedAlohaScheme(), equal, 10_000, 3)
+    with_capture, with_capture_success = _contend(
+        SlottedAlohaScheme(), separated, 10_000, 3
     )
-    with_capture = simulate_contention(
-        powers, SlottedAlohaScheme(p=0.5), 10_000, capture_threshold_db=10.0, rng=3
-    )
-    assert (
-        with_capture.per_tag_success["strong"]
-        > 1.5 * no_capture.per_tag_success["strong"]
-    )
+    assert with_capture_success["strong"] > 1.5 * no_capture_success["strong"]
     assert with_capture.collision_fraction < no_capture.collision_fraction
 
 
 def test_priority_equal_weights_degenerates_to_fair_share():
     powers = {f"tag{i}": -40.0 for i in range(4)}
-    report = simulate_contention(powers, PriorityScheme(), 1000, rng=0)
-    shares = list(report.per_tag_success.values())
+    schedule, success = _contend(PriorityScheme(), powers, 1000, 0)
+    shares = list(success.values())
     assert max(shares) - min(shares) <= 1
-    assert report.aggregate_success_rate == 1.0
+    assert schedule.airtime_utilisation == 1.0
 
 
 def test_priority_is_deterministic():
@@ -67,14 +70,14 @@ def test_priority_is_deterministic():
 
     first, second = grants(), grants()
     # Re-running the stateful scheme from scratch reproduces the grants:
-    # one credit per tag per slot hands the slots out in name order.
+    # the k-th granted slot goes to the k-th name, round robin.
     assert first == second
     assert first == ["x", "y", "z"] * 3 + ["x"]
 
 
 def test_empty_tag_set_rejected():
     with pytest.raises(ValueError):
-        simulate_contention({}, TdmaScheme(), 10)
+        _contend(TdmaScheme(), {}, 10, 0)
 
 
 def test_iq_collision_equal_power_destroys():
@@ -140,3 +143,9 @@ def test_priority_backoff_yields_then_resumes():
 def test_priority_backoff_rejects_bad_cap():
     with pytest.raises(ValueError):
         PriorityScheme(congestion_backoff=True, max_backoff_slots=0)
+
+
+@pytest.mark.parametrize("cap", [2.5, float("nan"), "8"])
+def test_priority_backoff_cap_must_be_whole_naming_the_field(cap):
+    with pytest.raises(ValueError, match="^max_backoff_slots must be a whole number"):
+        PriorityScheme(congestion_backoff=True, max_backoff_slots=cap)

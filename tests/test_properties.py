@@ -283,7 +283,6 @@ def valid_system_configs(draw):
         tx_power_dbm=draw(st.floats(min_value=-60.0, max_value=30.0)),
         add_noise=draw(st.booleans()),
         multipath=draw(st.booleans()),
-        ue_cfo_ppm=draw(st.sampled_from((0.0, 0.5))),
         erasure_threshold=draw(st.one_of(st.none(), st.floats(0.0, 1.0))),
         window_snr_gate_db=draw(st.one_of(st.none(), st.floats(-10.0, 30.0))),
         sync_resync_attempts=draw(st.integers(min_value=0, max_value=2)),
