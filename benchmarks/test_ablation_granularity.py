@@ -27,7 +27,7 @@ def _iq_rates(seed=0):
     # Chip level: the schedule's data capacity over the same frame.
     from repro.tag.controller import TagController
 
-    controller = TagController(params, rng=seed)
+    controller = TagController(params)
     schedule = controller.build_schedule(
         controller.genie_timing(0, 0), len(capture.samples), bits
     )

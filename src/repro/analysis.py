@@ -13,6 +13,9 @@ import time
 
 from repro.experiments.registry import REGISTRY, run_experiment
 
+#: Table columns the report shows, at most.
+MAX_COLUMNS = 12
+
 #: Experiments that run the IQ pipeline (seconds each); skipped by default.
 HEAVY_EXPERIMENTS = tuple(key for key, (_, _, iq) in REGISTRY.items() if iq)
 
@@ -53,8 +56,8 @@ def build_report(seed=0, include_heavy=False, experiment_ids=None):
     return "\n".join(lines)
 
 
-def _markdown_table(result, max_columns=12):
-    columns = result.columns()[:max_columns]
+def _markdown_table(result):
+    columns = result.columns()[:MAX_COLUMNS]
     if not columns:
         return "*(no rows)*"
     header = "| " + " | ".join(columns) + " |"

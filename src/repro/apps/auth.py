@@ -32,6 +32,21 @@ UPDATE_PACKET_BITS = 96
 #: the static-venue value).
 BODY_SHADOWING_DB = 5.0
 
+#: The wearable's link: 3 ft to the laptop, on a 20 MHz carrier in a
+#: smart home.
+TAG_TO_UE_FT = 3.0
+BANDWIDTH_MHZ = 20.0
+VENUE = "smart_home"
+
+#: Enrolment: 200 EMG windows of 250 ms each.  Streaming uses the same
+#: window length.
+ENROLL_WINDOWS = 200
+WINDOW_S = 0.25
+
+#: A window is accepted when its normalised feature distance to the
+#: template falls below this.
+ACCEPT_THRESHOLD = 3.5
+
 
 @dataclass
 class AuthReport:
@@ -48,19 +63,9 @@ class AuthReport:
 class ContinuousAuthApp:
     """Wearable EMG authentication over a simulated LScatter link."""
 
-    def __init__(
-        self,
-        enb_to_tag_ft=2.0,
-        tag_to_ue_ft=3.0,
-        bandwidth_mhz=20.0,
-        venue="smart_home",
-        rng=None,
-    ):
+    def __init__(self, enb_to_tag_ft=2.0, rng=None):
         self.enb_to_tag_ft = float(enb_to_tag_ft)
-        self.tag_to_ue_ft = float(tag_to_ue_ft)
-        self.model = LScatterLinkModel(
-            bandwidth_mhz, LinkBudget(venue=venue)
-        )
+        self.model = LScatterLinkModel(BANDWIDTH_MHZ, LinkBudget(venue=VENUE))
         self.rng = make_rng(rng)
 
     # -- link layer ---------------------------------------------------------------
@@ -74,7 +79,7 @@ class ContinuousAuthApp:
 
     def update_success_probability(self):
         """P(one update delivered): sync available and packet error-free."""
-        ber = self.model.ber(self.enb_to_tag_ft, self.tag_to_ue_ft)
+        ber = self.model.ber(self.enb_to_tag_ft, TAG_TO_UE_FT)
         packet_ok = (1.0 - ber) ** UPDATE_PACKET_BITS
         return self._sync_availability() * packet_ok
 
@@ -85,31 +90,31 @@ class ContinuousAuthApp:
     # -- authentication -------------------------------------------------------------
 
     @staticmethod
-    def enroll(user_id, n_windows=200, window_s=0.25, rng=None):
+    def enroll(user_id, rng=None):
         """Build a user template: per-feature mean and spread."""
         generator = EmgGenerator(user_id, rng=rng)
-        window_n = int(window_s * 1000)
-        signal = generator.generate(n_windows * window_s)
+        window_n = int(WINDOW_S * 1000)
+        signal = generator.generate(ENROLL_WINDOWS * WINDOW_S)
         features = np.array(
             [
                 emg_features(signal[i * window_n : (i + 1) * window_n])
-                for i in range(n_windows)
+                for i in range(ENROLL_WINDOWS)
             ]
         )
         return features.mean(axis=0), features.std(axis=0) + 1e-9
 
     @staticmethod
-    def authenticate(window, template, threshold=3.5):
+    def authenticate(window, template):
         """Accept if the window's features sit near the template."""
         mean, std = template
         distance = np.linalg.norm((emg_features(window) - mean) / std)
-        return bool(distance < threshold)
+        return bool(distance < ACCEPT_THRESHOLD)
 
-    def run(self, legit_user=0, imposter_user=1, duration_s=20.0, window_s=0.25):
+    def run(self, legit_user=0, imposter_user=1, duration_s=20.0):
         """Stream both users' EMG over the link; returns an AuthReport."""
         template = self.enroll(legit_user, rng=self.rng)
-        window_n = int(window_s * 1000)
-        n_windows = int(duration_s / window_s)
+        window_n = int(WINDOW_S * 1000)
+        n_windows = int(duration_s / WINDOW_S)
         success_p = self.update_success_probability()
 
         outcomes = {}

@@ -41,6 +41,9 @@ BITS_PER_PACKET = 500
 #: past ~120 ft (Figs 24/29).
 WIFI_SYSTEM_GAIN_DB = 17.0
 
+#: The 802.11g channel the backscatter rides.
+BANDWIDTH_HZ = 20e6
+
 
 @dataclass
 class WifiBackscatterModel:
@@ -54,11 +57,10 @@ class WifiBackscatterModel:
             system_gain_db=WIFI_SYSTEM_GAIN_DB,
         )
     )
-    bandwidth_hz: float = 20e6
 
     def snr_db(self, ap_to_tag_ft, tag_to_rx_ft):
         return self.budget.backscatter_snr_db(
-            ap_to_tag_ft, tag_to_rx_ft, self.bandwidth_hz
+            ap_to_tag_ft, tag_to_rx_ft, BANDWIDTH_HZ
         )
 
     def ber(self, ap_to_tag_ft, tag_to_rx_ft):

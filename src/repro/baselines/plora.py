@@ -10,8 +10,6 @@ throughout the evaluation ("the throughput of LoRa backscatter is always
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 #: PLoRa's reported raw data rate.
 RAW_BIT_RATE_BPS = 284.0
 
@@ -21,15 +19,13 @@ RAW_BIT_RATE_BPS = 284.0
 MIN_USABLE_OCCUPANCY = 0.05
 
 
-@dataclass
 class PLoraModel:
     """Occupancy-gated LoRa-backscatter throughput."""
 
-    raw_bit_rate_bps: float = RAW_BIT_RATE_BPS
-
-    def throughput_bps(self, occupancy):
+    @staticmethod
+    def throughput_bps(occupancy):
         """Correct bits per second given ambient LoRa occupancy."""
         occupancy = float(occupancy)
         if occupancy < MIN_USABLE_OCCUPANCY:
             return 0.0
-        return occupancy * self.raw_bit_rate_bps
+        return occupancy * RAW_BIT_RATE_BPS

@@ -25,6 +25,9 @@ SYMBOLS_PER_BIT = 2
 #: Raw rate: 14 symbols/ms -> 7 kbps.
 RAW_BIT_RATE_BPS = 14_000.0 / SYMBOLS_PER_BIT
 
+#: The modelled carrier (MHz).
+BANDWIDTH_MHZ = 20.0
+
 
 class SymbolLevelLteTag:
     """IQ-level symbol-granularity tag (for the granularity ablation).
@@ -38,7 +41,7 @@ class SymbolLevelLteTag:
             params if isinstance(params, LteParams) else LteParams.from_bandwidth(params)
         )
 
-    def modulate(self, ambient, bits, half_frame_start=0):
+    def modulate(self, ambient, bits):
         """Embed bits at one per two symbols; returns (hybrid, bits_used)."""
         samples = np.array(ambient, dtype=complex)
         bits = np.asarray(bits, dtype=np.int8)
@@ -46,7 +49,7 @@ class SymbolLevelLteTag:
         half = params.samples_per_frame // 2
         phase = 1.0
         used = 0
-        start = int(half_frame_start)
+        start = 0
         while start + half <= len(samples) and used < len(bits):
             for slot in range(10):
                 last = 5 if slot == 0 else 7
@@ -69,10 +72,9 @@ class SymbolLteModel:
     """Throughput/BER model for symbol-level LTE backscatter."""
 
     budget: LinkBudget = field(default_factory=LinkBudget)
-    bandwidth_mhz: float = 20.0
 
     def __post_init__(self):
-        self.params = LteParams.from_bandwidth(self.bandwidth_mhz)
+        self.params = LteParams.from_bandwidth(BANDWIDTH_MHZ)
 
     @property
     def processing_gain(self):

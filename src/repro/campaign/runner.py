@@ -123,7 +123,6 @@ class CampaignRunner:
         n_shards=1,
         shard_index=None,
         resume=False,
-        max_retries=1,
         on_error="raise",
     ):
         require_whole("workers", workers, minimum=1)
@@ -136,7 +135,6 @@ class CampaignRunner:
         self.n_shards = int(n_shards)
         self.shard_index = None if shard_index is None else int(shard_index)
         self.resume = bool(resume)
-        self.max_retries = max_retries
         self.on_error = on_error
 
     def _owned(self, shards):
@@ -185,7 +183,6 @@ class CampaignRunner:
 
         engine = ParallelRunEngine(
             workers=self.workers,
-            max_retries=self.max_retries,
             on_error=self.on_error,
         )
 

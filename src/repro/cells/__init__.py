@@ -3,9 +3,9 @@
 Every cell transmits one fixed numerology, the 1.4 MHz carrier
 (:data:`repro.cells.site.BANDWIDTH_MHZ`) at
 :data:`~repro.cells.site.TX_POWER_DBM`, and every topology sits in one
-venue on one carrier (:data:`repro.cells.topology.VENUE`,
-:data:`~repro.cells.topology.CARRIER_HZ`), so a layout is its geometry
-and frame count alone.
+venue (:data:`repro.cells.topology.VENUE`) on the link budget's default
+carrier (:data:`repro.channel.link.DEFAULT_CARRIER_HZ`), so a layout is
+its geometry and frame count alone.
 """
 
 from repro.cells.attach import (

@@ -35,7 +35,7 @@ from repro.cells.attach import attach as analytic_attach
 from repro.cells.attach import search_attach
 from repro.cells.interference import CellAmbient, neighbour_recipes
 from repro.cells.site import BANDWIDTH_MHZ, TX_POWER_DBM
-from repro.cells.topology import CARRIER_HZ, VENUE
+from repro.cells.topology import VENUE
 from repro.core.config import SystemConfig
 from repro.fleet.ambient import AmbientCache
 from repro.fleet.engine import EngineTelemetry, ParallelRunEngine
@@ -155,7 +155,6 @@ class NetworkDeployment:
             enb_to_tag_ft=max(site.distance_ft(x, y), _MIN_HOP_FT),
             tag_to_ue_ft=TAG_TO_UE_FT,
             tx_power_dbm=TX_POWER_DBM,
-            carrier_hz=CARRIER_HZ,
             cell=site.cell_config(),
             n_frames=site.n_frames,
             reference_mode="genie",
@@ -292,7 +291,6 @@ class NetworkRunner:
         scheme="tdma",
         workers=1,
         seed=0,
-        cache=None,
         attach_mode="analytic",
         payload_length=20000,
     ):
@@ -307,14 +305,12 @@ class NetworkRunner:
         self.scheme = scheme
         self.workers = int(workers)
         self.seed = int(seed)
-        self._owns_cache = cache is None
-        self.cache = cache if cache is not None else AmbientCache()
+        self.cache = AmbientCache()
         self.attach_mode = attach_mode
         self.payload_length = int(payload_length)
 
     def close(self):
-        if self._owns_cache:
-            self.cache.close()
+        self.cache.close()
 
     def __enter__(self):
         return self

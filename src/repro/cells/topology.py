@@ -1,7 +1,8 @@
 """Network layouts: where the cells stand and what each emits.
 
 A :class:`Topology` is an ordered set of :class:`~repro.cells.site.CellSite`\\ s
-sharing one venue (:data:`VENUE`) and carrier (:data:`CARRIER_HZ`).
+sharing one venue (:data:`VENUE`) and the link budget's default carrier
+(:data:`repro.channel.link.DEFAULT_CARRIER_HZ`).
 Layout constructors cover the common planning shapes — a hexagonal
 cluster (the classic 7-cell reuse pattern) or a rectangular grid; a
 hand-placed site list goes straight to the constructor — and the class
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from repro.channel.link import DEFAULT_CARRIER_HZ, LinkBudget
+from repro.channel.link import LinkBudget
 from repro.cells.site import BANDWIDTH_MHZ, TX_POWER_DBM, CellSite
 from repro.utils.validation import require_finite, require_whole
 from repro.obs.trace import span
@@ -31,9 +32,9 @@ from repro.utils.rng import stream_rng
 #: Hexagonal neighbour directions (unit inter-site steps).
 _HEX_ANGLES_DEG = (0, 60, 120, 180, 240, 300)
 
-#: Venue (path-loss preset) and carrier of every topology.
+#: Venue (path-loss preset) of every topology; the carrier is the
+#: budget's default.
 VENUE = "smart_home"
-CARRIER_HZ = DEFAULT_CARRIER_HZ
 
 
 def ambient_seed(seed, cell_id):
@@ -72,9 +73,7 @@ class Topology:
                 )
             seen_pos[pos] = site.cell_id
         #: The :class:`LinkBudget` every site shares.
-        self.budget = LinkBudget(
-            tx_power_dbm=TX_POWER_DBM, carrier_hz=CARRIER_HZ, venue=VENUE
-        )
+        self.budget = LinkBudget(tx_power_dbm=TX_POWER_DBM, venue=VENUE)
         first = self.sites[0]
         for site in self.sites[1:]:
             if site.n_frames != first.n_frames:

@@ -35,10 +35,10 @@ DEFAULT_SYSTEM_GAIN_DB = 24.0
 
 #: Tag conversion loss: square-wave fundamental (4/pi^2 ~ -3.9 dB) plus
 #: reflection/matching inefficiency.
-DEFAULT_TAG_LOSS_DB = 8.0
+TAG_LOSS_DB = 8.0
 
 #: Receiver noise figure.
-DEFAULT_NOISE_FIGURE_DB = 6.0
+NOISE_FIGURE_DB = 6.0
 
 
 def _amplitude_from_dbm(power_dbm):
@@ -54,8 +54,6 @@ class LinkBudget:
     carrier_hz: float = DEFAULT_CARRIER_HZ
     venue: str = "shopping_mall"
     system_gain_db: float = DEFAULT_SYSTEM_GAIN_DB
-    tag_loss_db: float = DEFAULT_TAG_LOSS_DB
-    noise_figure_db: float = DEFAULT_NOISE_FIGURE_DB
 
     def __post_init__(self):
         if self.venue not in VENUE_PRESETS:
@@ -67,8 +65,6 @@ class LinkBudget:
         require_finite("tx_power_dbm", self.tx_power_dbm)
         require_finite("carrier_hz", self.carrier_hz, above=0.0)
         require_finite("system_gain_db", self.system_gain_db)
-        require_finite("tag_loss_db", self.tag_loss_db)
-        require_finite("noise_figure_db", self.noise_figure_db)
 
     @property
     def pathloss(self):
@@ -89,7 +85,7 @@ class LinkBudget:
         return (
             self.tx_power_dbm
             - loss1
-            - self.tag_loss_db
+            - TAG_LOSS_DB
             - loss2
             + self.system_gain_db
         )
@@ -98,7 +94,7 @@ class LinkBudget:
         """Noise floor over ``bandwidth_hz`` including the noise figure."""
         from repro.utils.units import thermal_noise_dbm
 
-        return thermal_noise_dbm(bandwidth_hz, self.noise_figure_db)
+        return thermal_noise_dbm(bandwidth_hz, NOISE_FIGURE_DB)
 
     def backscatter_snr_db(self, enb_to_tag_ft, tag_to_ue_ft, bandwidth_hz, rng=None):
         """Mean chip SNR of the backscatter path over ``bandwidth_hz``."""
@@ -161,7 +157,7 @@ class BackscatterLink:
             self.tag_to_ue_ft, self.budget.carrier_hz
         )
         gain_db = (
-            -self.budget.tag_loss_db - loss2 + self.budget.system_gain_db / 2.0
+            -TAG_LOSS_DB - loss2 + self.budget.system_gain_db / 2.0
         )
         scale = float(np.sqrt(db_to_linear(gain_db)))
         return self.fading_out.apply(np.asarray(reflected, dtype=complex)) * scale

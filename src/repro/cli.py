@@ -34,6 +34,8 @@ import sys
 
 import numpy as np
 
+from repro.fleet.scheduler import SCHEME_NAMES
+
 
 def _refuse_overwrite(path, force):
     """Guard for commands whose output path may hold previous results.
@@ -853,7 +855,7 @@ def build_parser():
     fleet.add_argument(
         "--scheme",
         default="tdma",
-        choices=("tdma", "aloha", "priority"),
+        choices=SCHEME_NAMES,
         help="MAC scheme assigning half-frames to tags",
     )
     fleet.add_argument("--bandwidth", type=float, default=1.4)
@@ -921,7 +923,7 @@ def build_parser():
     network.add_argument(
         "--scheme",
         default="tdma",
-        choices=("tdma", "aloha", "priority"),
+        choices=SCHEME_NAMES,
         help="per-cell MAC scheme",
     )
     network.add_argument(
@@ -1158,7 +1160,7 @@ def build_parser():
     serve.add_argument(
         "--scheme",
         default="tdma",
-        choices=("tdma", "aloha", "priority"),
+        choices=SCHEME_NAMES,
         help="MAC scheme for each cohort's deployment",
     )
     serve.add_argument("--bandwidth", type=float, default=1.4)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 
-from repro.channel.link import DEFAULT_CARRIER_HZ, LinkBudget
+from repro.channel.link import LinkBudget
 from repro.channel.pathloss import VENUE_PRESETS
 from repro.lte.frame import CellConfig
 from repro.lte.params import SUPPORTED_BANDWIDTHS_MHZ, LteParams
@@ -23,9 +23,7 @@ class SystemConfig:
     venue: str = "smart_home"
     enb_to_tag_ft: float = 3.0
     tag_to_ue_ft: float = 3.0
-    enb_to_ue_ft: float = None  # defaults to enb_to_tag + tag_to_ue
     tx_power_dbm: float = 10.0
-    carrier_hz: float = DEFAULT_CARRIER_HZ
     cell: CellConfig = field(default_factory=CellConfig)
     n_frames: int = 2
     #: "circuit" runs the analog sync simulation; "model" draws the sync
@@ -84,10 +82,7 @@ class SystemConfig:
         # Zero distances are legal: path loss clamps at 0.1 m.
         require_finite("enb_to_tag_ft", self.enb_to_tag_ft, minimum=0.0)
         require_finite("tag_to_ue_ft", self.tag_to_ue_ft, minimum=0.0)
-        if self.enb_to_ue_ft is None:
-            self.enb_to_ue_ft = self.enb_to_tag_ft + self.tag_to_ue_ft
-        require_finite("enb_to_ue_ft", self.enb_to_ue_ft, minimum=0.0)
-        # The budget checks the power and carrier, naming each.
+        # The budget checks the power, naming it.
         self.budget()
         require_finite("structural_reflection_db", self.structural_reflection_db)
         if self.sync_mode not in ("circuit", "model"):
@@ -122,13 +117,14 @@ class SystemConfig:
             )
 
     @property
+    def enb_to_ue_ft(self):
+        """The direct path: the UE sits in line behind the tag."""
+        return self.enb_to_tag_ft + self.tag_to_ue_ft
+
+    @property
     def params(self):
         return LteParams.from_bandwidth(self.bandwidth_mhz)
 
     def budget(self):
-        """The run's :class:`LinkBudget`: the default gains and noise figure."""
-        return LinkBudget(
-            tx_power_dbm=self.tx_power_dbm,
-            carrier_hz=self.carrier_hz,
-            venue=self.venue,
-        )
+        """The run's :class:`LinkBudget`: the default carrier and gains."""
+        return LinkBudget(tx_power_dbm=self.tx_power_dbm, venue=self.venue)

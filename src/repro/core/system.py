@@ -17,13 +17,13 @@ direct band, so it is built only if someone asks for it.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.bsrx.demodulator import BackscatterDemodulator
 from repro.channel.fading import FadingChannel, venue_k_factor_db
-from repro.channel.link import BackscatterLink, DirectLink
+from repro.channel.link import NOISE_FIGURE_DB, BackscatterLink, DirectLink
 from repro.channel.noise import NoiseDraws, add_thermal_noise
 from repro.core.config import SystemConfig
 from repro.core.metrics import LinkReport
@@ -59,24 +59,6 @@ def _require_finite_samples(name, samples, stage):
 
 
 @dataclass
-class RunArtifacts:
-    """Intermediate waveforms, for examples and debugging."""
-
-    capture: object | None = None
-    schedule: object | None = None
-    demod: object | None = None
-    shifted_rx: np.ndarray | None = None
-    sync_result: object | None = None
-    #: The run's front end; :attr:`direct_rx` reads through it, so a
-    #: deferred direct band is built at most once, and only on request.
-    front: FrontEndState | None = field(default=None, repr=False)
-
-    @property
-    def direct_rx(self):
-        return None if self.front is None else self.front.direct_rx
-
-
-@dataclass
 class FrontEndState:
     """Everything stages 1-5 produce, short of demodulation.
 
@@ -91,7 +73,9 @@ class FrontEndState:
     stream, which happens on the first read of :attr:`direct_rx`.
 
     ``half_starts`` is the UE's PSS-derived half-frame grid, cut to the
-    tag's owned half-frames when the run has a MAC grant.
+    tag's owned half-frames when the run has a MAC grant.  ``demod`` is
+    set by a run with ``artifacts=True``, which returns this state as
+    ``extras['artifacts']``.
     ``direct_band`` holds the direct-band capture, or, when nothing in
     the run reads that band (a genie reference), a zero-argument builder
     that makes it on the first read of :attr:`direct_rx` (DESIGN §16).
@@ -107,6 +91,7 @@ class FrontEndState:
     error_samples: int | None
     sync_result: object | None
     lte_result: object | None
+    demod: object | None = None
 
     @property
     def direct_rx(self):
@@ -130,6 +115,12 @@ class AmbientStage:
     capture: object
     unit: np.ndarray
 
+    @classmethod
+    def from_capture(cls, capture):
+        """The stage of one capture: its samples scaled to unit mean power."""
+        mean_power = float(np.mean(np.abs(capture.samples) ** 2))
+        return cls(capture=capture, unit=capture.samples / np.sqrt(mean_power))
+
     @property
     def n_samples(self):
         return len(self.unit)
@@ -143,7 +134,7 @@ class LScatterSystem:
         self.rng = make_rng(rng)
         self.params = self.config.params
         self.budget = self.config.budget()
-        self.controller = TagController(self.params, rng=self.rng)
+        self.controller = TagController(self.params)
         self.modulator = ChipModulator()
         self.demodulator = BackscatterDemodulator(
             self.params,
@@ -319,10 +310,7 @@ class LScatterSystem:
         """The default (downlink) ambient stage: eNodeB transmit + normalise."""
         config = self.config
         tx = LteTransmitter(config.bandwidth_mhz, cell=config.cell, rng=rng)
-        capture = tx.transmit(config.n_frames)
-        mean_power = float(np.mean(np.abs(capture.samples) ** 2))
-        unit = capture.samples / np.sqrt(mean_power)
-        return AmbientStage(capture=capture, unit=unit)
+        return AmbientStage.from_capture(tx.transmit(config.n_frames))
 
     # -- main entry --------------------------------------------------------------
 
@@ -436,7 +424,6 @@ class LScatterSystem:
         # 2-4 build the bands they go into (DESIGN §16).  Leaving the block
         # joins the worker, whether this returns or raises.
         fs = self.params.sample_rate_hz
-        noise_figure_db = self.budget.noise_figure_db
         # Only a decoded reference reads the direct band; otherwise it is
         # built on first read, if ever.
         eager_direct = config.reference_mode == "decoded"
@@ -472,7 +459,7 @@ class LScatterSystem:
                 if noise is None:
                     return ambient_at_tag
                 return add_thermal_noise(
-                    ambient_at_tag, fs, noise_figure_db, draw=noise.take("tag")
+                    ambient_at_tag, fs, NOISE_FIGURE_DB, draw=noise.take("tag")
                 )
 
             # 3. Tag: sync, schedule, reflect.
@@ -514,7 +501,7 @@ class LScatterSystem:
                     # deferred build draws here, after the worker's last
                     # draw, so it draws the same samples whenever it runs.
                     direct = add_thermal_noise(
-                        direct, fs, noise_figure_db, rng_noise, draw=draw
+                        direct, fs, NOISE_FIGURE_DB, rng_noise, draw=draw
                     )
                 return direct
 
@@ -532,7 +519,7 @@ class LScatterSystem:
                     shifted_rx = add_thermal_noise(
                         shifted_rx,
                         fs,
-                        noise_figure_db,
+                        NOISE_FIGURE_DB,
                         draw=noise.take("shifted"),
                     )
                 direct_rx = None
@@ -616,12 +603,6 @@ class LScatterSystem:
             report.lte_block_error_rate = lte_result.block_error_rate
             report.lte_throughput_bps = lte_result.throughput_bps
         if artifacts:
-            report.extras["artifacts"] = RunArtifacts(
-                capture=capture,
-                schedule=schedule,
-                demod=demod,
-                shifted_rx=front.shifted_rx,
-                sync_result=front.sync_result,
-                front=front,
-            )
+            front.demod = demod
+            report.extras["artifacts"] = front
         return report

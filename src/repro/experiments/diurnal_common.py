@@ -21,6 +21,9 @@ from repro.utils.rng import stream_rng
 #: Independent throughput samples per hour (the paper's box plots).
 SAMPLES_PER_HOUR = 24
 
+#: LScatter rides a 20 MHz carrier in every venue's day.
+BANDWIDTH_MHZ = 20.0
+
 
 def hourly_throughput_row(
     venue_budget,
@@ -29,7 +32,6 @@ def hourly_throughput_row(
     seed,
     enb_to_tag_ft=5.0,
     tag_to_ue_ft=8.0,
-    bandwidth_mhz=20.0,
 ):
     """One hour's throughput distributions for LScatter and the baselines.
 
@@ -39,7 +41,7 @@ def hourly_throughput_row(
     (Mbps) plus the underlying occupancies.
     """
     rng = stream_rng(seed, int(hour))
-    lscatter = LScatterLinkModel(bandwidth_mhz, venue_budget)
+    lscatter = LScatterLinkModel(BANDWIDTH_MHZ, venue_budget)
     wifi = WifiBackscatterModel(
         budget=LinkBudget(
             tx_power_dbm=15.0,

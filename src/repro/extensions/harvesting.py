@@ -19,13 +19,19 @@ from repro.tag.power import TagPowerModel
 from repro.utils.units import dbm_to_watts
 
 #: Rectifier turn-on sensitivity (dBm): below this, nothing harvests.
-DEFAULT_SENSITIVITY_DBM = -20.0
+SENSITIVITY_DBM = -20.0
 
 #: Peak RF-to-DC conversion efficiency at strong input.
-DEFAULT_PEAK_EFFICIENCY = 0.35
+PEAK_EFFICIENCY = 0.35
 
 #: Input power (dBm) at which efficiency reaches ~63 % of its peak.
-DEFAULT_KNEE_DBM = -5.0
+KNEE_DBM = -5.0
+
+#: The reported tag: a 20 MHz carrier in a smart home, clocked by a ring
+#: oscillator.
+BANDWIDTH_MHZ = 20.0
+VENUE = "smart_home"
+CLOCK_TECHNOLOGY = "ring"
 
 
 @dataclass
@@ -51,46 +57,30 @@ class HarvestReport:
 class HarvesterModel:
     """Rectifier + power-management model for an LScatter tag."""
 
-    def __init__(
-        self,
-        sensitivity_dbm=DEFAULT_SENSITIVITY_DBM,
-        peak_efficiency=DEFAULT_PEAK_EFFICIENCY,
-        knee_dbm=DEFAULT_KNEE_DBM,
-    ):
-        self.sensitivity_dbm = float(sensitivity_dbm)
-        self.peak_efficiency = float(peak_efficiency)
-        self.knee_dbm = float(knee_dbm)
-
-    def efficiency(self, incident_dbm):
+    @staticmethod
+    def efficiency(incident_dbm):
         """RF-to-DC efficiency at a given incident power."""
         incident_dbm = float(incident_dbm)
-        if incident_dbm < self.sensitivity_dbm:
+        if incident_dbm < SENSITIVITY_DBM:
             return 0.0
         # Saturating exponential above sensitivity.
-        scale = max(self.knee_dbm - self.sensitivity_dbm, 1e-6)
-        x = (incident_dbm - self.sensitivity_dbm) / scale
-        return self.peak_efficiency * (1.0 - np.exp(-x))
+        scale = max(KNEE_DBM - SENSITIVITY_DBM, 1e-6)
+        x = (incident_dbm - SENSITIVITY_DBM) / scale
+        return PEAK_EFFICIENCY * (1.0 - np.exp(-x))
 
     def harvested_w(self, incident_dbm, occupancy=1.0):
         """DC power harvested from a carrier present ``occupancy`` of the time."""
         rf_w = dbm_to_watts(incident_dbm)
         return float(occupancy) * self.efficiency(incident_dbm) * rf_w
 
-    def report(
-        self,
-        enb_to_tag_ft,
-        budget=None,
-        bandwidth_mhz=20.0,
-        clock_technology="ring",
-        occupancy=1.0,
-    ):
+    def report(self, enb_to_tag_ft):
         """Balance harvest against the §4.8 budget at one distance."""
-        budget = budget or LinkBudget(venue="smart_home")
+        budget = LinkBudget(venue=VENUE)
         loss = budget.pathloss.loss_db_feet(enb_to_tag_ft, budget.carrier_hz)
         incident = budget.tx_power_dbm - loss + budget.system_gain_db / 2.0
-        consumption = TagPowerModel(clock_technology).breakdown(bandwidth_mhz).total_w
+        consumption = TagPowerModel(CLOCK_TECHNOLOGY).breakdown(BANDWIDTH_MHZ).total_w
         return HarvestReport(
             incident_dbm=float(incident),
-            harvested_w=self.harvested_w(incident, occupancy),
+            harvested_w=self.harvested_w(incident),
             consumption_w=consumption,
         )

@@ -83,12 +83,12 @@ def truncate_file(path, n_bytes=128):
         fh.truncate(min(int(n_bytes), size))
 
 
-def bitflip_file(path, offset=None):
+def bitflip_file(path):
     """Flip one byte mid-file (simulates silent media/transfer corruption)."""
     size = os.path.getsize(path)
     if size == 0:
         return
-    position = size // 2 if offset is None else int(offset) % size
+    position = size // 2
     with open(path, "r+b") as fh:
         fh.seek(position)
         byte = fh.read(1)

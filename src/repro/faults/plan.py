@@ -62,12 +62,6 @@ class FaultPlan:
         require_finite("clock_drift_ppm", self.clock_drift_ppm)
         require_whole("seed", self.seed)
 
-    @property
-    def is_noop(self):
-        return self.clock_drift_ppm == 0.0 and not any(
-            injector.active for injector in self.injectors
-        )
-
     def rng_for(self, name):
         """A dedicated, reproducible stream for one injector.
 

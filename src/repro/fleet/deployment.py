@@ -1,7 +1,7 @@
 """Fleet geometry: many tags around one eNodeB and its UEs.
 
 A :class:`Deployment` pins down everything the fleet shares — venue, LTE
-bandwidth, capture length, transmit power, substrate — plus one
+bandwidth, capture length, substrate — plus one
 :class:`TagPlacement` per tag (its two hop distances).
 From a placement it derives the per-tag :class:`~repro.core.config.SystemConfig`
 that the per-tag simulation stage consumes, and from the link budget the
@@ -22,6 +22,9 @@ from repro.utils.validation import require_whole
 RING_ENB_TO_TAG_FT = 4.0
 RING_SPREAD_FT = 2.0
 RING_TAG_TO_UE_FT = 5.0
+
+#: The eNodeB's transmit power (dBm), the same for every fleet.
+TX_POWER_DBM = 10.0
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,6 @@ class Deployment:
     venue: str = "smart_home"
     bandwidth_mhz: float = 1.4
     n_frames: int = 4
-    tx_power_dbm: float = 10.0
     #: Per-tag simulation knobs shared by the whole fleet.
     reference_mode: str = "genie"
     sync_mode: str = "model"
@@ -142,7 +144,7 @@ class Deployment:
             venue=self.venue,
             enb_to_tag_ft=placement.enb_to_tag_ft,
             tag_to_ue_ft=placement.tag_to_ue_ft,
-            tx_power_dbm=self.tx_power_dbm,
+            tx_power_dbm=TX_POWER_DBM,
             n_frames=self.n_frames,
             reference_mode=self.reference_mode,
             sync_mode=self.sync_mode,

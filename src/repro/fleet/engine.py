@@ -30,10 +30,16 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro.obs import metrics as obs_metrics
-from repro.utils.validation import require_whole
+from repro.utils.validation import require_finite, require_whole
 
 #: Grace added to the pool timeout budget for executor spin-up.
 _POOL_SPINUP_GRACE_SECONDS = 1.0
+
+
+def require_timeout(value):
+    """A task timeout is ``None`` (no deadline) or finite seconds above 0."""
+    if value is not None:
+        require_finite("task_timeout_seconds", value, above=0.0)
 
 
 @dataclass
@@ -94,6 +100,11 @@ class ParallelRunEngine:
     def __post_init__(self):
         require_whole("workers", self.workers, minimum=1)
         self.workers = int(self.workers)
+        require_whole("max_retries", self.max_retries, minimum=0)
+        self.max_retries = int(self.max_retries)
+        require_timeout(self.task_timeout_seconds)
+        for name in ("retry_backoff_seconds", "backoff_cap_seconds"):
+            require_finite(name, getattr(self, name), minimum=0.0)
         if self.on_error not in ("raise", "partial"):
             raise ValueError("on_error must be 'raise' or 'partial'")
         self.telemetry = EngineTelemetry(workers=self.workers)
@@ -223,7 +234,7 @@ class ParallelRunEngine:
     def _recover(self, fn, tasks, index, results, first_error=None, timed_out=False):
         """Re-run one task in the parent with bounded exponential backoff."""
         telemetry = self.telemetry
-        delay = max(0.0, float(self.retry_backoff_seconds))
+        delay = float(self.retry_backoff_seconds)
         last_error = first_error
         attempts = 0
         for attempt in range(self.max_retries + 1):

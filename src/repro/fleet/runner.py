@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.system import LScatterSystem
 from repro.faults.infra import FaultyTask
 from repro.fleet.ambient import AmbientCache
-from repro.fleet.engine import ParallelRunEngine, TaskFailure
+from repro.fleet.engine import ParallelRunEngine, TaskFailure, require_timeout
 from repro.fleet.report import TagResult, fleet_report
 from repro.fleet.scheduler import FleetScheduler, make_scheme
 from repro.obs import metrics as obs_metrics
@@ -210,6 +210,7 @@ class FleetRunner:
         batch_tags=False,
     ):
         require_whole("workers", workers, minimum=1)
+        require_timeout(task_timeout_seconds)
         self.deployment = deployment
         self.scheme = scheme
         self.workers = int(workers)

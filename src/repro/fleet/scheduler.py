@@ -29,20 +29,20 @@ from repro.mac.schemes import (
 )
 from repro.utils.rng import make_rng
 
-#: CLI/scheme-name -> factory. ``aloha`` contends; the others grant.
-SCHEME_NAMES = ("tdma", "aloha", "priority")
+#: Every scheme by its own ``name``, which the CLI and every report print.
+#: ``aloha`` contends; the others grant.
+_SCHEMES = {
+    scheme.name: scheme for scheme in (TdmaScheme, SlottedAlohaScheme, PriorityScheme)
+}
+SCHEME_NAMES = tuple(_SCHEMES)
 
 
 def make_scheme(name):
-    """Instantiate a MAC scheme by CLI name."""
+    """Instantiate a MAC scheme by name."""
     name = str(name).lower()
-    if name == "tdma":
-        return TdmaScheme()
-    if name == "aloha":
-        return SlottedAlohaScheme()
-    if name == "priority":
-        return PriorityScheme()
-    raise ValueError(f"unknown scheme {name!r}; choose from {SCHEME_NAMES}")
+    if name not in _SCHEMES:
+        raise ValueError(f"unknown scheme {name!r}; choose from {SCHEME_NAMES}")
+    return _SCHEMES[name]()
 
 
 @dataclass

@@ -112,19 +112,19 @@ def pss_candidates(samples, params):
     return rank_candidates(candidates)
 
 
-def rank_candidates(candidates, tolerance=PSS_TIE_TOLERANCE):
+def rank_candidates(candidates):
     """Order candidates by (metric, identity) with a tie tolerance.
 
-    Metrics are quantised to ``tolerance`` (relative to the strongest
-    candidate) before sorting, so two roots separated only by float noise
-    compare equal and the lower ``n_id_2`` — the lower cell ID — wins
-    deterministically.
+    Metrics are quantised to :data:`PSS_TIE_TOLERANCE` (relative to the
+    strongest candidate) before sorting, so two roots separated only by
+    float noise compare equal and the lower ``n_id_2`` — the lower cell
+    ID — wins deterministically.
     """
     candidates = list(candidates)
     if not candidates:
         return []
     scale = max(max(abs(c.metric) for c in candidates), 1.0)
-    quantum = max(tolerance * scale, 1e-300)
+    quantum = max(PSS_TIE_TOLERANCE * scale, 1e-300)
     return sorted(
         candidates,
         key=lambda c: (-round(c.metric / quantum), c.n_id_2),

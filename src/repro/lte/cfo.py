@@ -30,10 +30,10 @@ def apply_cfo(samples, cfo_hz, sample_rate_hz):
     return samples * rotation
 
 
-def estimate_cfo(samples, params, max_symbols=140):
+def estimate_cfo(samples, params):
     """CP-based CFO estimate in Hz over a frame-aligned capture.
 
-    Averages the CP-to-tail correlation of up to ``max_symbols`` symbols;
+    Averages the CP-to-tail correlation of up to one frame's symbols;
     unambiguous for offsets within ±7.5 kHz (half the subcarrier spacing),
     far beyond any realistic crystal error.
     """
@@ -46,7 +46,7 @@ def estimate_cfo(samples, params, max_symbols=140):
     n_fit = int(
         np.searchsorted(layout.starts + layout.lengths, len(samples), side="right")
     )
-    counted = min(n_fit, int(max_symbols), SYMBOLS_PER_FRAME)
+    counted = min(n_fit, SYMBOLS_PER_FRAME)
     if counted <= 0:
         raise ValueError("capture shorter than one OFDM symbol")
     fft_size = params.fft_size

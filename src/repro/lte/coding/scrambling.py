@@ -13,11 +13,10 @@ import numpy as np
 from repro.lte.gold import gold_sequence
 
 
-def pdsch_c_init(rnti, subframe, cell_id, codeword=0):
-    """Scrambling-sequence seed for a PDSCH codeword."""
+def pdsch_c_init(rnti, subframe, cell_id):
+    """Scrambling-sequence seed for the PDSCH's one codeword (index 0)."""
     return (
         (int(rnti) << 14)
-        + (int(codeword) << 13)
         + ((int(subframe) % 10) << 9)
         + int(cell_id)
     )

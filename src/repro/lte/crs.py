@@ -26,13 +26,16 @@ CRS_SYMBOLS_IN_SLOT = (0, 4)
 N_RB_MAX = 110
 
 
-def crs_c_init(slot, symbol_in_slot, cell_id, normal_cp=True):
-    """Gold-sequence initial state for one CRS symbol (36.211 §6.10.1.1)."""
-    n_cp = 1 if normal_cp else 0
+def crs_c_init(slot, symbol_in_slot, cell_id):
+    """Gold-sequence initial state for one CRS symbol (36.211 §6.10.1.1).
+
+    The trailing ``+ 1`` is N_CP for the normal cyclic prefix, the only
+    one modelled.
+    """
     return (
         1024 * (7 * (slot + 1) + symbol_in_slot + 1) * (2 * cell_id + 1)
         + 2 * cell_id
-        + n_cp
+        + 1
     )
 
 
@@ -61,14 +64,14 @@ def crs_positions(symbol_in_slot, cell_id, n_rb):
 
 
 @memoize()
-def crs_values(slot, symbol_in_slot, cell_id, n_rb, normal_cp=True):
+def crs_values(slot, symbol_in_slot, cell_id, n_rb):
     """Complex CRS pilot values aligned with :func:`crs_positions`.
 
     The Gold sequence is generated for the maximal 110-RB grid and the
     centre ``2 * n_rb`` pilots are sliced out, so a narrowband receiver
     sees the same pilots as a wideband one (36.211's ``m' = m + 110 - N_RB``).
     """
-    c_init = crs_c_init(slot, symbol_in_slot, cell_id, normal_cp)
+    c_init = crs_c_init(slot, symbol_in_slot, cell_id)
     full = gold_qpsk(c_init, 2 * N_RB_MAX)
     start = N_RB_MAX - n_rb
     return full[start : start + 2 * n_rb]

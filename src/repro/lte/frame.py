@@ -34,6 +34,16 @@ from repro.utils.rng import make_rng
 #: Default code rate target for transport-block sizing (mother code is 1/3).
 DEFAULT_CODE_RATE = 1.0 / 3.0
 
+#: The PDSCH's radio network temporary identifier, which seeds its
+#: scrambling sequence (36.211 §6.3.1).
+RNTI = 0x003D
+
+#: eNodeB PSS/SSS power offset relative to data REs (dB).  Real
+#: deployments boost sync signals a few dB; the paper's Fig. 4b shows the
+#: PSS clearly brighter than the surrounding traffic, which is what the
+#: tag's envelope circuit keys on.
+SYNC_BOOST_DB = 6.0
+
 
 @dataclass(frozen=True)
 class CellConfig:
@@ -41,14 +51,8 @@ class CellConfig:
 
     n_id_1: int = 0
     n_id_2: int = 0
-    rnti: int = 0x003D
     modulation: str = "qpsk"
     code_rate: float = DEFAULT_CODE_RATE
-    #: eNodeB PSS/SSS power offset relative to data REs (dB).  Real
-    #: deployments boost sync signals a few dB; the paper's Fig. 4b shows
-    #: the PSS clearly brighter than the surrounding traffic, which is what
-    #: the tag's envelope circuit keys on.
-    sync_boost_db: float = 6.0
     #: Fraction of subframes actually carrying PDSCH data.  An srsLTE
     #: eNodeB with light traffic — the paper's testbed — transmits mostly
     #: sync/reference signals; 1.0 models a full-buffer carrier.
@@ -114,7 +118,7 @@ class FrameBuilder:
     # -- sync and pilots ----------------------------------------------------
 
     def _place_sync(self, grid):
-        boost = 10.0 ** (self.cell.sync_boost_db / 20.0)
+        boost = 10.0 ** (SYNC_BOOST_DB / 20.0)
         pss = pss_sequence(self.cell.n_id_2) * boost
         centre62 = grid.centre_indices(62)
         for slot in PSS_SLOTS:
@@ -275,7 +279,7 @@ def transport_plan(params, cell):
                 cols=cols[in_sf],
                 target_bits=target_bits,
                 tb_size=tb_size,
-                c_init=coding.pdsch_c_init(cell.rnti, subframe, cell.cell_id),
+                c_init=coding.pdsch_c_init(RNTI, subframe, cell.cell_id),
             )
         )
     return tuple(plans)

@@ -20,6 +20,12 @@ from repro.tag.modulator import ChipModulator
 from repro.utils.dsp import awgn
 from repro.utils.rng import make_rng, spawn_rngs
 
+#: The collision's cell, capture length and noise: two frames of a
+#: 1.4 MHz carrier, received at 35 dB SNR.
+BANDWIDTH_MHZ = 1.4
+N_FRAMES = 2
+SNR_DB = 35.0
+
 
 @dataclass
 class CollisionOutcome:
@@ -30,38 +36,33 @@ class CollisionOutcome:
     n_bits: int
 
 
-def two_tag_collision(
-    power_advantage_db,
-    bandwidth_mhz=1.4,
-    n_frames=2,
-    snr_db=35.0,
-    seed=0,
-):
+def two_tag_collision(power_advantage_db, seed=0):
     """Collide two tags; returns the stronger tag's :class:`CollisionOutcome`.
 
     Both tags are frame-synchronised (they hear the same PSS) but carry
     independent payloads; the weaker reflection acts as structured
     interference on the stronger one's chips.
     """
-    rng_a, rng_b, rng_noise = spawn_rngs(seed, 3)
-    capture = LteTransmitter(bandwidth_mhz, rng=seed).transmit(n_frames)
+    # The noise draws from the third of three spawned streams.
+    rng_noise = spawn_rngs(seed, 3)[2]
+    capture = LteTransmitter(BANDWIDTH_MHZ, rng=seed).transmit(N_FRAMES)
     params = capture.params
     modulator = ChipModulator()
 
-    def reflect(rng, payload_seed):
-        controller = TagController(params, rng=rng)
+    def reflect(payload_seed):
+        controller = TagController(params)
         payload = make_rng(payload_seed).integers(0, 2, size=100_000).astype(np.int8)
         schedule = controller.build_schedule(
             controller.genie_timing(0, 0), len(capture.samples), payload
         )
         return schedule, modulator.reflect(capture.samples, schedule.chips)
 
-    schedule_a, reflection_a = reflect(rng_a, seed + 10)
-    schedule_b, reflection_b = reflect(rng_b, seed + 20)
+    schedule_a, reflection_a = reflect(seed + 10)
+    schedule_b, reflection_b = reflect(seed + 20)
 
     weaker = 10.0 ** (-float(power_advantage_db) / 20.0)
     hybrid = reflection_a + weaker * reflection_b
-    hybrid = awgn(hybrid, snr_db, rng_noise)
+    hybrid = awgn(hybrid, SNR_DB, rng_noise)
 
     demod = BackscatterDemodulator(params)
     half = params.samples_per_frame // 2

@@ -39,7 +39,7 @@ class SlottedAlohaScheme:
     """Random access: each of ``n`` tags transmits each slot with ``p = 1/n``,
     the attempt probability that maximises slotted-ALOHA throughput."""
 
-    name = "slotted-aloha"
+    name = "aloha"
 
     def transmitters(self, slot_index, tag_names, rng):
         p = 1.0 / len(tag_names)

@@ -30,6 +30,10 @@ DMRS_SYMBOLS = (2, 11)
 #: DMRS comb spacing (every 4th subcarrier).
 DMRS_SPACING = 4
 
+#: The cell's NR identity: N_ID^(1) in 0..335 and N_ID^(2) in 0..2.
+N_ID_1 = 0
+N_ID_2 = 0
+
 
 @dataclass
 class NrCapture:
@@ -56,17 +60,13 @@ class NrCapture:
 class NrFrameBuilder:
     """Build standard-shaped NR-lite frames."""
 
-    def __init__(self, numerology, n_id_1=0, n_id_2=0, rng=None):
+    def __init__(self, numerology, rng=None):
         self.numerology = numerology
-        if not 0 <= n_id_1 <= 335 or n_id_2 not in (0, 1, 2):
-            raise ValueError("invalid NR cell identity")
-        self.n_id_1 = n_id_1
-        self.n_id_2 = n_id_2
         self.rng = make_rng(rng)
 
     @property
     def cell_id(self):
-        return 3 * self.n_id_1 + self.n_id_2
+        return 3 * N_ID_1 + N_ID_2
 
     def _centre_columns(self, count):
         n = self.numerology.n_subcarriers
@@ -111,9 +111,9 @@ class NrFrameBuilder:
         for sym in SSB_SYMBOLS:
             grid[sym, :] *= 0.5  # PBCH-region filler kept light
         grid[pss_row, :] = 0
-        grid[pss_row, sync_cols] = boost * nr_pss(self.n_id_2)
+        grid[pss_row, sync_cols] = boost * nr_pss(N_ID_2)
         grid[sss_row, :] = 0
-        grid[sss_row, sync_cols] = boost * nr_sss(self.n_id_1, self.n_id_2)
+        grid[sss_row, sync_cols] = boost * nr_sss(N_ID_1, N_ID_2)
 
         samples = self._modulate(grid)
         return NrCapture(

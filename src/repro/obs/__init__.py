@@ -15,7 +15,6 @@ Two orthogonal, process-local facilities:
 from repro.obs.trace import (
     SpanNode,
     collect,
-    current_span,
     disable,
     enable,
     flatten_stages,
@@ -45,7 +44,6 @@ from repro.obs.export import (
 __all__ = [
     "SpanNode",
     "collect",
-    "current_span",
     "disable",
     "enable",
     "flatten_stages",

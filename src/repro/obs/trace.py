@@ -142,22 +142,6 @@ def span(name, **attrs):
     return _Span(name, attrs)
 
 
-def current_span():
-    """Handle for attaching attributes to the innermost active span.
-
-    Returns the no-op singleton when tracing is disabled or no span is
-    active, so call sites never need to guard.
-    """
-    if not _enabled:
-        return _NOOP
-    node = _current.get()
-    if node is None:
-        return _NOOP
-    handle = _Span.__new__(_Span)
-    handle.node = node
-    return handle
-
-
 def enable():
     """Turn tracing on (spans start recording)."""
     global _enabled

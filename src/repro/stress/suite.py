@@ -56,6 +56,12 @@ STRESS_SNR_GATE_DB = 0.0
 #: Adaptive re-sync retry budget used by the sync probes.
 RESYNC_BUDGET = 3
 
+#: The MAC probe: 400 slots with a congestion storm over [100, 220),
+#: under a backoff capped at 8 slots.
+MAC_PROBE_SLOTS = 400
+MAC_PROBE_STORM = (100, 220)
+MAC_PROBE_MAX_BACKOFF_SLOTS = 8
+
 #: How the stress sweep runs its sessions and names its record fields.
 STRESS_SWEEP = SweepConfig(
     name_key="scenario",
@@ -106,8 +112,10 @@ def _sync_probe(scenario, max_intensity, smoke, seed, payload_length):
     }
 
 
-def _mac_backoff_probe(n_slots=400, storm=(100, 220), max_backoff_slots=8):
+def _mac_backoff_probe():
     """Congestion backoff through a storm: yield, stay bounded, resume."""
+    n_slots, storm = MAC_PROBE_SLOTS, MAC_PROBE_STORM
+    max_backoff_slots = MAC_PROBE_MAX_BACKOFF_SLOTS
     scheme = PriorityScheme(
         congestion_backoff=True, max_backoff_slots=max_backoff_slots
     )

@@ -162,6 +162,13 @@ class Substrate:
     def demodulate(self, front):
         raise NotImplementedError
 
+    def _useful(self, samples, half_start, slot, sym):
+        """One symbol's useful part (no CP) of the half-frame at
+        ``half_start``, and its start sample."""
+        params = self.params
+        start = half_start + params.useful_start(slot, sym)
+        return samples[start : start + params.fft_size], start
+
     def measure(self, schedule, demod, tolerance):
         """Schedule-vs-demod accounting; default is raw chip counting."""
         return measure_link(schedule, demod, tolerance)

@@ -152,11 +152,6 @@ class CodedPilotSubstrate(Substrate):
 
     # -- receiver --------------------------------------------------------------
 
-    def _useful(self, samples, half_start, slot, sym):
-        params = self.params
-        start = half_start + params.useful_start(slot, sym)
-        return samples[start : start + params.fft_size], start
-
     def demodulate(self, front):
         params = self.params
         fft = params.fft_size

@@ -111,11 +111,6 @@ class _CrsSubstrate(Substrate):
         )
         return params.subcarrier_indices()[positions]
 
-    def _useful(self, samples, half_start, slot, sym):
-        params = self.params
-        start = half_start + params.useful_start(slot, sym)
-        return samples[start : start + params.fft_size], start
-
 
 @register
 class CrsOokSubstrate(_CrsSubstrate):

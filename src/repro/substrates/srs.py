@@ -91,12 +91,9 @@ class SrsUplinkSubstrate(Substrate):
         # order for the other five streams is unchanged either way.
         from repro.core.system import AmbientStage
 
-        capture = build_srs_capture(
-            self.params, self.config.cell, self.config.n_frames
+        return AmbientStage.from_capture(
+            build_srs_capture(self.params, self.config.cell, self.config.n_frames)
         )
-        mean_power = float(np.mean(np.abs(capture.samples) ** 2))
-        unit = capture.samples / np.sqrt(mean_power)
-        return AmbientStage(capture=capture, unit=unit)
 
     def _occasions(self, half_start, drift=0):
         """(mod_start, mod_length, window_start) per SRS occasion."""

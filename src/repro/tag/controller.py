@@ -24,7 +24,6 @@ from repro.lte.params import LteParams
 from repro.lte.sss import SSS_SYMBOL_IN_SLOT
 from repro.tag.framing import packetize, preamble_bits, slot_plan
 from repro.tag.sync_circuit import COMPARATOR_DELAY_SECONDS
-from repro.utils.rng import make_rng
 
 #: Calibration constant: the tag subtracts the nominal analog
 #: delay from the start of the boosted SSS+PSS region to the comparator
@@ -92,11 +91,10 @@ def iter_half_frames(
 class TagController:
     """Schedule chips against the tag's (imperfect) notion of LTE timing."""
 
-    def __init__(self, params, rng=None):
+    def __init__(self, params):
         self.params = (
             params if isinstance(params, LteParams) else LteParams.from_bandwidth(params)
         )
-        self.rng = make_rng(rng)
         self.n_chips = self.params.n_subcarriers
         # Chips are centred in the useful symbol: equal guard either side.
         self.chip_offset = (self.params.fft_size - self.n_chips) // 2

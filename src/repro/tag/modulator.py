@@ -11,7 +11,7 @@ sample, reflection is an element-wise multiply by the chip sequence.
 
 The square wave's conversion efficiency (its fundamental carries
 ``(2/pi)^2`` of the power) is accounted once, in the link budget's
-``tag_loss_db`` — the modulator output stays normalised to the tag input.
+``TAG_LOSS_DB`` — the modulator output stays normalised to the tag input.
 
 :func:`square_wave_harmonics` exposes the harmonic structure (including
 the multi-level quantisation that cancels the 3rd/5th harmonics, paper

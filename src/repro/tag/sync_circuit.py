@@ -33,6 +33,10 @@ HOLDOFF_SECONDS = 4e-3
 #: overdrive dependence and RC charge-state variation between frames.
 COMPARATOR_JITTER_SECONDS = 2.5e-6
 
+#: The averaging RC starts uncharged; edges before it settles are
+#: comparator start-up artefacts and are suppressed.
+WARMUP_SECONDS = 12e-3
+
 #: Comparator threshold: the envelope must exceed its own average by
 #: this factor, which only the boosted SSS+PSS symbols do.
 THRESHOLD_MARGIN = 1.6
@@ -86,22 +90,9 @@ class SyncResult:
 class SyncCircuit:
     """The full analog sync chain: envelope -> average -> comparator."""
 
-    def __init__(
-        self,
-        sample_rate_hz,
-        propagation_delay_seconds=COMPARATOR_DELAY_SECONDS,
-        jitter_seconds=COMPARATOR_JITTER_SECONDS,
-        warmup_seconds=12e-3,
-        rng=None,
-        max_resync_attempts=0,
-    ):
+    def __init__(self, sample_rate_hz, rng=None, max_resync_attempts=0):
         self.sample_rate_hz = float(sample_rate_hz)
         self.detector = EnvelopeDetector(sample_rate_hz)
-        self.propagation_delay_seconds = float(propagation_delay_seconds)
-        self.jitter_seconds = float(jitter_seconds)
-        #: The averaging RC starts uncharged; edges before it settles are
-        #: comparator start-up artefacts and are suppressed.
-        self.warmup_seconds = float(warmup_seconds)
         self.rng = make_rng(rng)
         #: Adaptive re-sync: when the comparator finds no edges at all
         #: (a jammed or storm-raised envelope floor buries the PSS boost),
@@ -116,7 +107,7 @@ class SyncCircuit:
         """Comparator + warmup + debounce for one threshold margin."""
         comparator = (envelope > average * margin).astype(np.int8)
         edges = np.flatnonzero(np.diff(comparator) > 0) + 1
-        warmup = int(self.warmup_seconds * self.sample_rate_hz)
+        warmup = int(WARMUP_SECONDS * self.sample_rate_hz)
         edges = edges[edges >= warmup]
 
         # Debounce: ignore edges inside the hold-off window of the previous
@@ -156,8 +147,8 @@ class SyncCircuit:
 
         # Comparator propagation delay + jitter move the logic edge later.
         if len(accepted):
-            delay = self.propagation_delay_seconds + self.rng.normal(
-                0.0, self.jitter_seconds, size=len(accepted)
+            delay = COMPARATOR_DELAY_SECONDS + self.rng.normal(
+                0.0, COMPARATOR_JITTER_SECONDS, size=len(accepted)
             )
             accepted = accepted + np.round(delay * self.sample_rate_hz).astype(
                 np.int64

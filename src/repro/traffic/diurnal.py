@@ -24,6 +24,9 @@ from repro.utils.rng import make_rng
 TECHNOLOGIES = ("wifi", "lora", "lte")
 VENUES = ("home", "office", "classroom", "mall", "outdoor")
 
+#: Beta concentration of the hour-to-hour jitter: higher is tighter.
+CONCENTRATION = 30.0
+
 
 def _profile(night, morning, day, evening):
     """Assemble a 24-hour profile from four coarse levels."""
@@ -63,11 +66,12 @@ def occupancy_profile(technology, venue):
     raise ValueError(f"unknown technology {technology!r}")
 
 
-def hourly_occupancy(technology, venue, hour, rng=None, concentration=30.0):
+def hourly_occupancy(technology, venue, hour, rng=None):
     """Draw one realised occupancy for a given hour of day.
 
     LTE always returns exactly 1.0; other technologies jitter around the
-    profile mean with a Beta distribution of the given concentration.
+    profile mean with a Beta distribution of concentration
+    :data:`CONCENTRATION`.
     """
     technology = technology.lower()
     if technology == "lte":
@@ -75,6 +79,6 @@ def hourly_occupancy(technology, venue, hour, rng=None, concentration=30.0):
     rng = make_rng(rng)
     mean = float(occupancy_profile(technology, venue)[int(hour) % 24])
     mean = min(max(mean, 1e-4), 1.0 - 1e-4)
-    a = mean * concentration
-    b = (1.0 - mean) * concentration
+    a = mean * CONCENTRATION
+    b = (1.0 - mean) * CONCENTRATION
     return float(rng.beta(a, b))

@@ -97,13 +97,11 @@ class OnOffTraffic:
             busy = not busy
         return out
 
-    def presence_mask(self, duration_s, resolution_s=1e-3, intervals=None):
+    def presence_mask(self, duration_s, resolution_s=1e-3):
         """Boolean busy mask sampled every ``resolution_s``."""
-        if intervals is None:
-            intervals = self.intervals(duration_s)
         n = int(np.ceil(duration_s / resolution_s))
         mask = np.zeros(n, dtype=bool)
-        for iv in intervals:
+        for iv in self.intervals(duration_s):
             # Round both edges so quantisation is unbiased even when the
             # bursts are comparable to the resolution.
             lo = int(round(iv.start / resolution_s))
@@ -120,6 +118,6 @@ class ContinuousTraffic:
     def intervals(self, duration_s):
         return [BusyInterval(0.0, float(duration_s))]
 
-    def presence_mask(self, duration_s, resolution_s=1e-3, intervals=None):
+    def presence_mask(self, duration_s, resolution_s=1e-3):
         n = int(np.ceil(duration_s / resolution_s))
         return np.ones(n, dtype=bool)

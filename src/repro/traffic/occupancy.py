@@ -8,17 +8,21 @@ from repro.traffic.diurnal import hourly_occupancy
 from repro.utils.rng import make_rng
 
 
-def weekly_occupancy_samples(technology, venue, rng=None, samples_per_hour=4):
+#: Measurement windows per hour of the week-long survey.
+SAMPLES_PER_HOUR = 4
+
+
+def weekly_occupancy_samples(technology, venue, rng=None):
     """A week of occupancy-ratio samples for one (technology, venue).
 
-    7 days x 24 hours x ``samples_per_hour`` independent window ratios —
-    the measurement procedure behind the paper's Fig. 4c CDFs.
+    7 days x 24 hours x :data:`SAMPLES_PER_HOUR` independent window
+    ratios — the measurement procedure behind the paper's Fig. 4c CDFs.
     """
     rng = make_rng(rng)
     out = []
     for _day in range(7):
         for hour in range(24):
-            for _ in range(int(samples_per_hour)):
+            for _ in range(SAMPLES_PER_HOUR):
                 out.append(hourly_occupancy(technology, venue, hour, rng))
     return np.array(out)
 

@@ -17,6 +17,18 @@ from repro.traffic.models import OnOffTraffic
 from repro.utils.rng import make_rng
 from repro.wifi import WifiTransmitter
 
+#: Every band capture spans 20 ms: four PSS periods of the LTE band.
+CAPTURE_SECONDS = 20e-3
+
+#: Fraction of the WiFi channel's airtime its packets take.
+WIFI_OCCUPANCY = 0.35
+
+#: The LTE band's carrier (MHz).
+LTE_BANDWIDTH_MHZ = 5.0
+
+#: Spectrogram frame length (samples).
+FFT_SIZE = 256
+
 
 @dataclass
 class BandCapture:
@@ -31,16 +43,16 @@ class BandCapture:
         return len(self.samples) / self.sample_rate_hz
 
 
-def wifi_band_capture(duration_s=20e-3, occupancy=0.35, rng=None):
+def wifi_band_capture(rng=None):
     """A WiFi channel: packets arriving per an on/off process, plus an
     occasional ZigBee-like narrowband burst (the heterogeneity of §2.2)."""
     rng = make_rng(rng)
     fs = 20e6
-    n = int(duration_s * fs)
+    n = int(CAPTURE_SECONDS * fs)
     band = np.zeros(n, dtype=complex)
-    traffic = OnOffTraffic(occupancy=occupancy, mean_busy_s=1.5e-3, rng=rng)
+    traffic = OnOffTraffic(occupancy=WIFI_OCCUPANCY, mean_busy_s=1.5e-3, rng=rng)
     tx = WifiTransmitter(12.0, rng=rng)
-    for interval in traffic.intervals(duration_s):
+    for interval in traffic.intervals(CAPTURE_SECONDS):
         start = int(interval.start * fs)
         budget = int(interval.duration * fs)
         while budget > 400:
@@ -54,26 +66,30 @@ def wifi_band_capture(duration_s=20e-3, occupancy=0.35, rng=None):
     t = np.arange(n) / fs
     tone = np.exp(1j * 2 * np.pi * 5e6 * t)
     chip = np.sign(rng.standard_normal(n))  # crude DSSS spreading
-    mask = zigbee.presence_mask(duration_s, 1.0 / fs)[:n]
+    mask = zigbee.presence_mask(CAPTURE_SECONDS, 1.0 / fs)[:n]
     band += 0.7 * tone * chip * mask
     return BandCapture(samples=band, sample_rate_hz=fs, label="wifi-2.4GHz")
 
 
-def lte_band_capture(duration_s=20e-3, bandwidth_mhz=5.0, rng=None):
+def lte_band_capture(rng=None):
     """An LTE downlink band: continuous frames, PSS every 5 ms."""
     rng = make_rng(rng)
-    n_frames = int(np.ceil(duration_s / 10e-3))
-    capture = LteTransmitter(bandwidth_mhz, rng=rng).transmit(n_frames)
+    n_frames = int(np.ceil(CAPTURE_SECONDS / 10e-3))
+    capture = LteTransmitter(LTE_BANDWIDTH_MHZ, rng=rng).transmit(n_frames)
     fs = capture.params.sample_rate_hz
-    n = int(duration_s * fs)
+    n = int(CAPTURE_SECONDS * fs)
     return BandCapture(
         samples=capture.samples[:n], sample_rate_hz=fs, label="lte-downlink"
     )
 
 
-def spectrogram(capture, fft_size=256, hop=None):
-    """Magnitude STFT: returns (times_s, freqs_hz, magnitude dB array)."""
-    hop = hop or fft_size // 2
+def spectrogram(capture):
+    """Magnitude STFT: returns (times_s, freqs_hz, magnitude dB array).
+
+    Frames of :data:`FFT_SIZE` samples, Hann-windowed, at half-frame hops.
+    """
+    fft_size = FFT_SIZE
+    hop = fft_size // 2
     samples = np.asarray(capture.samples, dtype=complex)
     n_frames = max((len(samples) - fft_size) // hop + 1, 0)
     window = np.hanning(fft_size)
@@ -87,7 +103,7 @@ def spectrogram(capture, fft_size=256, hop=None):
     return times, freqs, rows
 
 
-def occupancy_from_spectrogram(magnitude_db, threshold_db=None):
+def occupancy_from_spectrogram(magnitude_db):
     """Fraction of STFT frames carrying signal (the measured traffic rate).
 
     A frame counts as occupied when its peak power is within 20 dB of the
@@ -96,6 +112,4 @@ def occupancy_from_spectrogram(magnitude_db, threshold_db=None):
     """
     magnitude_db = np.asarray(magnitude_db)
     frame_power = magnitude_db.max(axis=1)
-    if threshold_db is None:
-        threshold_db = frame_power.max() - 20.0
-    return float(np.mean(frame_power > threshold_db))
+    return float(np.mean(frame_power > frame_power.max() - 20.0))

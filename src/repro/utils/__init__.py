@@ -2,11 +2,9 @@
 
 from repro.utils.units import (
     db_to_linear,
-    linear_to_db,
     dbm_to_watts,
     watts_to_dbm,
     feet_to_meters,
-    meters_to_feet,
 )
 from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.cache import cache_stats, clear_caches, memoize
@@ -16,11 +14,9 @@ __all__ = [
     "clear_caches",
     "memoize",
     "db_to_linear",
-    "linear_to_db",
     "dbm_to_watts",
     "watts_to_dbm",
     "feet_to_meters",
-    "meters_to_feet",
     "make_rng",
     "spawn_rngs",
 ]

@@ -61,12 +61,3 @@ def int_to_bits(value, width):
     if value < 0:
         raise ValueError("value must be non-negative")
     return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.int8)
-
-
-def bit_errors(a, b):
-    """Count positions where two equal-length bit arrays differ."""
-    a = np.asarray(a, dtype=np.int8)
-    b = np.asarray(b, dtype=np.int8)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return int(np.sum(a != b))

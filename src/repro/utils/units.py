@@ -33,17 +33,6 @@ def db_to_linear(db):
     return np.power(10.0, np.asarray(db, dtype=float) / 10.0)[()]
 
 
-def linear_to_db(linear):
-    """Convert a linear power ratio to dB.
-
-    Values of zero map to ``-inf`` (with numpy's usual warning suppressed),
-    which is the honest answer for "no power at all".
-    """
-    arr = np.asarray(linear, dtype=float)
-    with np.errstate(divide="ignore"):
-        return (10.0 * np.log10(arr))[()]
-
-
 def dbm_to_watts(dbm):
     """Convert a power in dBm to watts.
 
@@ -65,11 +54,6 @@ def watts_to_dbm(watts):
 def feet_to_meters(feet):
     """Convert feet to metres (element-wise on arrays)."""
     return (np.asarray(feet, dtype=float) * METERS_PER_FOOT)[()]
-
-
-def meters_to_feet(meters):
-    """Convert metres to feet (element-wise on arrays)."""
-    return (np.asarray(meters, dtype=float) / METERS_PER_FOOT)[()]
 
 
 def thermal_noise_dbm(bandwidth_hz, noise_figure_db=0.0):

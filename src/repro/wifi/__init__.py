@@ -7,12 +7,11 @@ with a transmitter and a full receiver (packet detection, channel
 estimation, Viterbi decoding).
 """
 
-from repro.wifi.params import WifiParams, WIFI_RATES
+from repro.wifi.params import WIFI_RATES
 from repro.wifi.transmitter import WifiTransmitter, WifiPacket
 from repro.wifi.receiver import WifiReceiver, WifiDecodeResult
 
 __all__ = [
-    "WifiParams",
     "WIFI_RATES",
     "WifiTransmitter",
     "WifiPacket",

@@ -13,14 +13,18 @@ _G1 = 0o171
 _K = 7
 _N_STATES = 64
 
+#: The scrambler's initial 7-bit state.
+SCRAMBLER_SEED = 0x5D
 
-def scramble(bits, seed=0x5D):
-    """802.11 frame-synchronous scrambler (x^7 + x^4 + 1).
 
-    Self-inverse: applying it twice with the same seed restores the input.
+def scramble(bits):
+    """802.11 frame-synchronous scrambler (x^7 + x^4 + 1), seeded with
+    :data:`SCRAMBLER_SEED`.
+
+    Self-inverse: applying it twice restores the input.
     """
     bits = np.asarray(bits, dtype=np.int8)
-    state = int(seed) & 0x7F
+    state = SCRAMBLER_SEED
     out = np.empty_like(bits)
     for i, b in enumerate(bits):
         feedback = ((state >> 6) ^ (state >> 3)) & 1

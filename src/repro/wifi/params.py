@@ -78,15 +78,3 @@ WIFI_RATES = {
     54.0: WifiRate(54.0, "64qam", 6, 3, 4, 0b0011),
 }
 
-
-@dataclass(frozen=True)
-class WifiParams:
-    """Static PHY parameters (one object shared by TX and RX)."""
-
-    sample_rate_hz: float = SAMPLE_RATE_HZ
-    fft_size: int = FFT_SIZE
-    gi_samples: int = GI_SAMPLES
-
-    @property
-    def symbol_samples(self):
-        return self.fft_size + self.gi_samples

@@ -23,6 +23,9 @@ from repro.wifi.transmitter import SERVICE_BITS, TAIL_BITS
 #: Preamble length in samples (STF + LTF).
 PREAMBLE_SAMPLES = 320
 
+#: Normalised LTF correlation a packet must reach to be detected.
+DETECT_THRESHOLD = 0.6
+
 
 @dataclass
 class WifiDecodeResult:
@@ -44,7 +47,7 @@ class WifiDecodeResult:
         return int(np.sum(self.psdu_bits != reference_bits))
 
 
-def detect_packet(samples, threshold=0.6):
+def detect_packet(samples):
     """Find the LTF by normalised correlation; returns the LTF1 start or -1."""
     samples = np.asarray(samples, dtype=complex)
     template = ltf_symbol()
@@ -57,7 +60,7 @@ def detect_packet(samples, threshold=0.6):
     template_energy = float(np.sum(np.abs(template) ** 2))
     metric = np.abs(corr) / np.sqrt(np.maximum(energy, floor) * template_energy)
     peak = int(np.argmax(metric))
-    if metric[peak] < threshold:
+    if metric[peak] < DETECT_THRESHOLD:
         return -1
     # The LTF repeats: prefer the first of the two correlation peaks.
     if peak >= n and metric[peak - n] > 0.9 * metric[peak]:

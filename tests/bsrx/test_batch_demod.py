@@ -36,7 +36,7 @@ def _stacks(n_tags, n_frames=2, seed=0):
     rows = []
     for t in range(n_tags):
         error, gain, snr = _TAG_MIX[t % len(_TAG_MIX)]
-        controller = TagController(params, rng=seed + t)
+        controller = TagController(params)
         payload = make_rng(100 + t).integers(0, 2, size=20000).astype(np.int8)
         timing = controller.genie_timing(0, error)
         schedule = controller.build_schedule(timing, len(ambient), payload)

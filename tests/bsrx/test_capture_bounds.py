@@ -23,7 +23,7 @@ from repro.utils.rng import make_rng
 def _capture(seed=0, n_frames=3, error_samples=5, snr_db=25.0):
     capture = LteTransmitter(1.4, rng=seed).transmit(n_frames)
     params = capture.params
-    controller = TagController(params, rng=seed)
+    controller = TagController(params)
     payload = make_rng(seed + 1).integers(0, 2, size=20000).astype(np.int8)
     timing = controller.genie_timing(0, error_samples)
     schedule = controller.build_schedule(timing, len(capture.samples), payload)

@@ -56,7 +56,7 @@ def test_equalizer_shape_checks():
 def _end_to_end(error_samples=0, fading=None, snr_db=None, payload_len=20000, seed=0):
     capture = LteTransmitter(1.4, rng=seed).transmit(2)
     params = capture.params
-    controller = TagController(params, rng=seed)
+    controller = TagController(params)
     payload = make_rng(seed + 1).integers(0, 2, size=payload_len).astype(np.int8)
     timing = controller.genie_timing(0, error_samples)
     schedule = controller.build_schedule(timing, len(capture.samples), payload)

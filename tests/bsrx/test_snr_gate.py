@@ -17,7 +17,7 @@ def _one_tag(snr_db, seed=0, n_frames=2):
     capture = LteTransmitter(1.4, rng=seed).transmit(n_frames)
     params = capture.params
     ambient = np.asarray(capture.samples, dtype=complex)
-    controller = TagController(params, rng=seed)
+    controller = TagController(params)
     payload = make_rng(100).integers(0, 2, size=20000).astype(np.int8)
     schedule = controller.build_schedule(
         controller.genie_timing(0, 0), len(ambient), payload

@@ -78,8 +78,10 @@ def test_kill_mid_campaign_then_resume_completes_remaining(tmp_path, crashy):
     """The acceptance drill: die partway, keep checkpoints, resume the rest."""
     spec = CampaignSpec(experiment="crashy", seed=0)
     crashy.CRASH_ON.add(2)
+    # The engine's one retry re-runs the crashing shard once in the
+    # parent process, where it crashes again and propagates.
     with pytest.raises(Exception):
-        CampaignRunner(spec, tmp_path, max_retries=0).run()
+        CampaignRunner(spec, tmp_path).run()
     # Points 0 and 1 finished before the crash and are already on disk.
     store = CheckpointStore(tmp_path)
     shards = build_shards(spec)
@@ -99,9 +101,7 @@ def test_kill_mid_campaign_then_resume_completes_remaining(tmp_path, crashy):
 def test_failed_shards_reported_in_partial_mode(tmp_path, crashy):
     spec = CampaignSpec(experiment="crashy", seed=0)
     crashy.CRASH_ON.add(3)
-    report = CampaignRunner(
-        spec, tmp_path, max_retries=0, on_error="partial"
-    ).run()
+    report = CampaignRunner(spec, tmp_path, on_error="partial").run()
     assert report.completed == 3
     assert report.failed == 1
     assert report.result is None

@@ -118,7 +118,7 @@ def test_noise_draws_close_reads_untaken_draws():
 
 
 def test_budget_cascade_composition():
-    budget = LinkBudget(venue="free_space", system_gain_db=0.0, tag_loss_db=8.0)
+    budget = LinkBudget(venue="free_space", system_gain_db=0.0)
     d1, d2 = 10.0, 20.0
     cascade = budget.backscatter_rx_dbm(d1, d2)
     loss1 = budget.pathloss.loss_db_feet(d1, budget.carrier_hz)
@@ -152,9 +152,6 @@ def test_unknown_venue_rejected():
         ("carrier_hz", 0.0),
         ("carrier_hz", float("nan")),
         ("system_gain_db", float("inf")),
-        ("tag_loss_db", -float("inf")),
-        ("noise_figure_db", float("nan")),
-        ("noise_figure_db", None),
     ],
 )
 def test_link_budget_rejects_non_finite_fields(field, value):

@@ -100,17 +100,15 @@ def test_invalid_config_rejected():
         "venue": ("nowhere", "mall", None),
         "enb_to_tag_ft": (nan, inf, -1.0, "3"),
         "tag_to_ue_ft": (nan, -inf, -5.0),
-        "enb_to_ue_ft": (nan, inf, -0.5),
         "tx_power_dbm": (nan, inf, -inf, None),
         "window_snr_gate_db": (nan, inf),
-        "carrier_hz": (nan, inf, 0.0, -1.0, None),
         "structural_reflection_db": (nan, inf, -inf),
     }.items():
         for value in values:
             with pytest.raises(ValueError, match=field):
                 SystemConfig(**{field: value})
     # Zero distances stay legal (path loss clamps at 0.1 m).
-    SystemConfig(enb_to_tag_ft=0.0, tag_to_ue_ft=0.0, enb_to_ue_ft=0.0)
+    SystemConfig(enb_to_tag_ft=0.0, tag_to_ue_ft=0.0)
     # Every supported bandwidth constructs, given as int or float.
     for bandwidth_mhz in (1.4, 3, 5.0, 10, 15.0, 20):
         SystemConfig(bandwidth_mhz=bandwidth_mhz)

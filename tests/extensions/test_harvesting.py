@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.extensions import HarvesterModel
+from repro.extensions import HarvesterModel, harvesting
 
 
 def test_nothing_below_sensitivity():
-    model = HarvesterModel(sensitivity_dbm=-20.0)
+    assert harvesting.SENSITIVITY_DBM == -20.0
+    model = HarvesterModel()
     assert model.efficiency(-25.0) == 0.0
     assert model.harvested_w(-25.0) == 0.0
 
@@ -15,7 +16,7 @@ def test_efficiency_monotone_and_bounded():
     model = HarvesterModel()
     values = [model.efficiency(p) for p in (-19, -10, 0, 10)]
     assert all(b > a for a, b in zip(values, values[1:]))
-    assert values[-1] <= model.peak_efficiency
+    assert values[-1] <= harvesting.PEAK_EFFICIENCY
 
 
 def test_harvest_scales_with_occupancy():

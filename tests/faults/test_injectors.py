@@ -8,6 +8,7 @@ import pytest
 from repro.faults import (
     AdcClipper,
     AmbientDropout,
+    CarrierFaultSet,
     FaultPlan,
     FaultyTask,
     ImpulsiveNoise,
@@ -42,9 +43,11 @@ def test_inactive_injector_returns_same_object(injector):
 
 
 def test_zero_plan_is_noop_and_validated():
-    assert FaultPlan.none().is_noop
-    assert FaultPlan(injectors=(AmbientDropout(0.0),)).is_noop
-    assert not FaultPlan(injectors=(AmbientDropout(0.1),)).is_noop
+    samples = _samples()
+    for idle in (FaultPlan.none(), FaultPlan(injectors=(AmbientDropout(0.0),))):
+        assert CarrierFaultSet(idle).apply_ambient(samples) is samples
+    active = FaultPlan(injectors=(AmbientDropout(0.1),))
+    assert CarrierFaultSet(active).apply_ambient(samples) is not samples
     with pytest.raises(ValueError, match="intensity"):
         AmbientDropout(1.5)
     with pytest.raises(ValueError, match="intensity"):
@@ -155,7 +158,7 @@ def test_clock_drift_must_be_finite(value):
     with pytest.raises(ValueError, match="clock_drift_ppm"):
         FaultPlan(clock_drift_ppm=value)
     # Either sign of a finite drift is a real clock.
-    assert not FaultPlan(clock_drift_ppm=-500.0).is_noop
+    assert FaultPlan(clock_drift_ppm=-500.0).clock_drift_ppm == -500.0
 
 
 @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])

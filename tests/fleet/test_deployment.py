@@ -50,7 +50,6 @@ def test_invalid_deployments_rejected():
     # Fleet-wide fields meet SystemConfig's checks at construction.
     for field, value in {
         "n_frames": 0,
-        "tx_power_dbm": float("nan"),
         "venue": "nowhere",
         "bandwidth_mhz": 7,
         "reference_mode": "x",

@@ -147,6 +147,39 @@ def test_engine_rejects_fractional_or_nonpositive_workers(workers):
         ParallelRunEngine(workers=workers)
 
 
+_TIMEOUT = "task_timeout_seconds must be a finite number > 0"
+_RETRIES = "max_retries must be a whole number >= 0"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("task_timeout_seconds", -1.0, _TIMEOUT),
+        ("task_timeout_seconds", 0.0, _TIMEOUT),
+        ("task_timeout_seconds", float("inf"), _TIMEOUT),
+        ("task_timeout_seconds", float("nan"), _TIMEOUT),
+        ("max_retries", 2.5, _RETRIES),
+        ("max_retries", "2", _RETRIES),
+        ("max_retries", -1, _RETRIES),
+        ("retry_backoff_seconds", float("nan"), "retry_backoff_seconds must be"),
+        ("retry_backoff_seconds", -0.5, "retry_backoff_seconds must be"),
+        ("backoff_cap_seconds", float("inf"), "backoff_cap_seconds must be"),
+    ],
+)
+def test_engine_rejects_bad_timeout_retries_and_backoff(field, value, message):
+    # Unchecked, a negative timeout flags every task as hung, inf
+    # overflows the platform's time_t, NaN removes the deadline, and a
+    # fractional or string retry count fails only once a task does.
+    with pytest.raises(ValueError, match=f"^{message}"):
+        ParallelRunEngine(workers=2, **{field: value})
+
+
+@pytest.mark.parametrize("timeout", [-1.0, float("inf"), float("nan")])
+def test_fleet_runner_rejects_bad_task_timeout(timeout):
+    with pytest.raises(ValueError, match=f"^{_TIMEOUT}"):
+        FleetRunner(_deployment(2), task_timeout_seconds=timeout)
+
+
 @pytest.mark.parametrize("workers", [2.5, 0])
 def test_fleet_runner_rejects_bad_workers(workers):
     with pytest.raises(ValueError, match="^workers must be a whole number >= 1"):

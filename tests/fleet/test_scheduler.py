@@ -3,6 +3,7 @@
 import pytest
 
 from repro.fleet import FleetScheduler, make_scheme
+from repro.fleet.scheduler import SCHEME_NAMES
 from repro.mac import PriorityScheme, SlottedAlohaScheme, TdmaScheme
 
 
@@ -22,6 +23,9 @@ def test_make_scheme_names():
     assert isinstance(make_scheme("tdma"), TdmaScheme)
     assert isinstance(make_scheme("aloha"), SlottedAlohaScheme)
     assert isinstance(make_scheme("priority"), PriorityScheme)
+    # One name per scheme: the one the CLI takes is the one reports print.
+    assert SCHEME_NAMES == ("tdma", "aloha", "priority")
+    assert all(make_scheme(name).name == name for name in SCHEME_NAMES)
     with pytest.raises(ValueError):
         make_scheme("csma")
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.lte import LteTransmitter
+from repro.lte import LteTransmitter, cfo
 from repro.lte.cfo import apply_cfo, correct_cfo, estimate_cfo
 from repro.utils.dsp import awgn
 from repro.utils.rng import make_rng
@@ -60,7 +60,7 @@ def test_short_capture_rejected(capture):
         estimate_cfo_loop(capture.samples[:10], capture.params)
 
 
-def test_vectorised_matches_pinned_loop(capture):
+def test_vectorised_matches_pinned_loop(capture, monkeypatch):
     """Golden equivalence against the pre-vectorisation implementation.
 
     Only the order of the complex accumulation differs between the two,
@@ -78,7 +78,9 @@ def test_vectorised_matches_pinned_loop(capture):
     ]
     for n in lengths:
         for max_symbols in (140, 9, 1):
-            vec = estimate_cfo(impaired[:n], params, max_symbols)
+            # The estimator's symbol cap is the frame's symbol count.
+            monkeypatch.setattr(cfo, "SYMBOLS_PER_FRAME", max_symbols)
+            vec = estimate_cfo(impaired[:n], params)
             loop = estimate_cfo_loop(impaired[:n], params, max_symbols)
             assert vec == pytest.approx(loop, abs=1e-6)
 

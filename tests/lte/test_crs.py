@@ -67,4 +67,3 @@ def test_c_init_depends_on_everything():
     assert crs_c_init(1, 0, 0) != base
     assert crs_c_init(0, 4, 0) != base
     assert crs_c_init(0, 0, 1) != base
-    assert crs_c_init(0, 0, 0, normal_cp=False) != base

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.lte import frame as frame_module
 from repro.lte.frame import CellConfig, FrameBuilder, build_structure
 from repro.lte.params import LteParams
 from repro.lte.resource_grid import ReKind, symbol_index
@@ -37,12 +38,18 @@ def test_sync_signals_placed(params):
     assert np.all(kinds[symbol_index(0, 5)][5:67] == ReKind.SSS)
 
 
-def test_sync_boost_applied(params):
-    cell = CellConfig(sync_boost_db=6.0)
-    frame = FrameBuilder(params, cell, rng=0).build()
+def _pss_magnitudes(params):
+    frame = FrameBuilder(params, rng=0).build()
     pss_row = frame.grid.values[symbol_index(0, 6)]
-    pss_vals = pss_row[frame.grid.kinds[symbol_index(0, 6)] == ReKind.PSS]
-    assert np.allclose(np.abs(pss_vals), 10 ** (6.0 / 20.0))
+    return np.abs(pss_row[frame.grid.kinds[symbol_index(0, 6)] == ReKind.PSS])
+
+
+def test_sync_boost_applied(params, monkeypatch):
+    assert frame_module.SYNC_BOOST_DB == 6.0
+    assert np.allclose(_pss_magnitudes(params), 10 ** (6.0 / 20.0))
+    # FrameBuilder reads the constant live.
+    monkeypatch.setattr(frame_module, "SYNC_BOOST_DB", 3.0)
+    assert np.allclose(_pss_magnitudes(params), 10 ** (3.0 / 20.0))
 
 
 def test_no_empty_res_at_full_load(params):

@@ -11,6 +11,7 @@ from repro.nr import (
     nr_pss,
     nr_sss,
 )
+from repro.nr import frame as nr_frame
 
 
 def _detect_pss(observed):
@@ -57,16 +58,19 @@ def test_pss_cross_correlation_low():
     assert abs(np.dot(a, b)) / 127 < 0.3
 
 
-def test_frame_builder_shapes():
-    capture = NrFrameBuilder(NR_PRESETS["nr10_mu0"], n_id_1=7, n_id_2=1, rng=0).build()
+def test_frame_builder_shapes(monkeypatch):
+    monkeypatch.setattr(nr_frame, "N_ID_1", 7)
+    monkeypatch.setattr(nr_frame, "N_ID_2", 1)
+    capture = NrFrameBuilder(NR_PRESETS["nr10_mu0"], rng=0).build()
     num = capture.numerology
     assert len(capture.samples) == num.samples_per_frame
     assert capture.grid.shape == (num.slots_per_frame * 14, num.n_subcarriers)
     assert capture.cell_id == 22
 
 
-def test_frame_pss_recoverable_from_samples():
-    capture = NrFrameBuilder(NR_PRESETS["nr10_mu0"], n_id_2=2, rng=1).build()
+def test_frame_pss_recoverable_from_samples(monkeypatch):
+    monkeypatch.setattr(nr_frame, "N_ID_2", 2)
+    capture = NrFrameBuilder(NR_PRESETS["nr10_mu0"], rng=1).build()
     num = capture.numerology
     start = capture.useful_start(0, 2)  # PSS symbol
     useful = capture.samples[start : start + num.fft_size]

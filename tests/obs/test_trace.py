@@ -77,16 +77,6 @@ def test_children_sum_within_parent_wall_time():
     assert child_total <= parent.wall_seconds + 1e-9
 
 
-def test_current_span_attaches_to_innermost():
-    trace.enable()
-    assert trace.current_span().set(ignored=1) is not None  # no-op, no raise
-    with trace.span("outer"):
-        with trace.span("inner"):
-            trace.current_span().set(marker=7)
-    (outer,) = trace.snapshot()
-    assert outer.children["inner"].attrs == {"marker": 7}
-
-
 def test_tracing_context_manager_restores_mode():
     assert not trace.is_enabled()
     with trace.tracing():

@@ -52,7 +52,6 @@ def test_intensity_validated(params):
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_zero_intensity_plan_is_noop(scenario, params, samples):
     plan = make_scenario_plan(scenario, 0.0, params)
-    assert plan.is_noop
     fault_set = CarrierFaultSet(plan)
     assert isinstance(fault_set, StressFaultSet)
     assert fault_set.apply_ambient(samples) is samples
@@ -61,7 +60,6 @@ def test_zero_intensity_plan_is_noop(scenario, params, samples):
 
 def test_active_plan_is_not_noop(params, samples):
     plan = make_scenario_plan("sweep-jammer", 0.5, params)
-    assert not plan.is_noop
     assert np.any(CarrierFaultSet(plan).apply_backscatter(samples) != samples)
 
 
@@ -128,12 +126,10 @@ def test_ambient_chain_runs_dropout_then_stressor(params, samples):
 
 
 def test_base_fault_plan_carries_stressors(params, samples):
-    """Stressors ride any FaultPlan; is_noop counts only active ones."""
+    """Stressors ride any FaultPlan; only active ones touch the samples."""
     idle = FaultPlan(injectors=(BurstyPdsch(0.0, params),))
-    assert idle.is_noop
     assert CarrierFaultSet(idle).apply_ambient(samples) is samples
     plan = FaultPlan(injectors=(BurstyPdsch(0.8, params),), seed=7)
-    assert not plan.is_noop
     scenario = make_scenario_plan("bursty-pdsch", 0.8, params, seed=7)
     np.testing.assert_array_equal(
         CarrierFaultSet(plan).apply_ambient(samples),

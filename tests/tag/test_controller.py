@@ -10,7 +10,7 @@ from repro.utils.rng import make_rng
 
 @pytest.fixture
 def controller():
-    return TagController(LteParams.from_bandwidth(1.4), rng=0)
+    return TagController(LteParams.from_bandwidth(1.4))
 
 
 def _schedule(controller, error=0, payload_len=5000, n_frames=2):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.lte import CellConfig, LteTransmitter
 from repro.lte.sss import SSS_SYMBOL_IN_SLOT
+from repro.tag import sync_circuit
 from repro.tag.envelope import EnvelopeDetector
 from repro.tag.sync_circuit import SyncCircuit
 from repro.utils.dsp import awgn
@@ -83,21 +84,26 @@ def test_errors_match_paper_band(capture):
     assert np.std(errors) < 12.0
 
 
-def test_warmup_suppresses_startup_edges(capture):
+def test_warmup_suppresses_startup_edges(capture, monkeypatch):
     params = capture.params
-    circuit = SyncCircuit(params.sample_rate_hz, rng=0, warmup_seconds=12e-3)
-    result = circuit.process(capture.samples)
+    assert sync_circuit.WARMUP_SECONDS == 12e-3
+    result = SyncCircuit(params.sample_rate_hz, rng=0).process(capture.samples)
     assert np.all(result.edges >= int(12e-3 * params.sample_rate_hz))
+    # The circuit reads the constant live: a longer warm-up drops the
+    # edges before it.
+    monkeypatch.setattr(sync_circuit, "WARMUP_SECONDS", 30e-3)
+    late = SyncCircuit(params.sample_rate_hz, rng=0).process(capture.samples)
+    assert len(late.edges) < len(result.edges)
+    assert np.all(late.edges >= int(30e-3 * params.sample_rate_hz))
 
 
-def test_comparator_delay_shifts_edges(capture):
+def test_comparator_delay_shifts_edges(capture, monkeypatch):
     params = capture.params
-    fast = SyncCircuit(
-        params.sample_rate_hz, rng=0, propagation_delay_seconds=0.0, jitter_seconds=0.0
-    ).process(capture.samples)
-    slow = SyncCircuit(
-        params.sample_rate_hz, rng=0, propagation_delay_seconds=50e-6, jitter_seconds=0.0
-    ).process(capture.samples)
+    monkeypatch.setattr(sync_circuit, "COMPARATOR_JITTER_SECONDS", 0.0)
+    monkeypatch.setattr(sync_circuit, "COMPARATOR_DELAY_SECONDS", 0.0)
+    fast = SyncCircuit(params.sample_rate_hz, rng=0).process(capture.samples)
+    monkeypatch.setattr(sync_circuit, "COMPARATOR_DELAY_SECONDS", 50e-6)
+    slow = SyncCircuit(params.sample_rate_hz, rng=0).process(capture.samples)
     n = min(len(fast.edges), len(slow.edges))
     delta = (slow.edges[:n] - fast.edges[:n]) / params.sample_rate_hz
     assert np.allclose(delta, 50e-6, atol=2e-6)
@@ -138,17 +144,16 @@ def test_resync_budget_zero_is_bit_identical(capture):
     assert adaptive.threshold_margin == legacy.threshold_margin
 
 
-def test_resync_recovers_buried_boost():
+def test_resync_recovers_buried_boost(monkeypatch):
     """Margin backoff finds edges the first pass misses."""
+    monkeypatch.setattr(sync_circuit, "COMPARATOR_JITTER_SECONDS", 0.0)
     fs = 1.92e6
     signal = _buried_boost_signal(fs)
-    single = SyncCircuit(fs, rng=0, jitter_seconds=0.0).process(signal)
+    single = SyncCircuit(fs, rng=0).process(signal)
     assert len(single.edges) == 0
     assert single.resync_attempts == 0
 
-    adaptive = SyncCircuit(
-        fs, rng=0, jitter_seconds=0.0, max_resync_attempts=3
-    ).process(signal)
+    adaptive = SyncCircuit(fs, rng=0, max_resync_attempts=3).process(signal)
     assert len(adaptive.edges) >= 3
     assert 1 <= adaptive.resync_attempts <= 3
     assert adaptive.threshold_margin < 1.6

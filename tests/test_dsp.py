@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from repro.utils.dsp import (
     awgn,
-    bit_errors,
     bits_to_int,
     int_to_bits,
     rc_alpha,
@@ -48,14 +47,3 @@ def test_awgn_hits_target_snr():
 @given(st.integers(min_value=0, max_value=2**20 - 1))
 def test_bits_int_roundtrip(value):
     assert bits_to_int(int_to_bits(value, 20)) == value
-
-
-def test_bit_errors_counts():
-    a = np.array([0, 1, 1, 0], dtype=np.int8)
-    b = np.array([0, 0, 1, 1], dtype=np.int8)
-    assert bit_errors(a, b) == 2
-
-
-def test_bit_errors_shape_mismatch():
-    with pytest.raises(ValueError):
-        bit_errors(np.zeros(3, np.int8), np.zeros(4, np.int8))

@@ -43,7 +43,7 @@ def test_ofdm_transparent_for_any_subcarriers(seed):
 def test_schedule_never_touches_sync_region(error, payload_len):
     """For any in-guard timing error and payload, the PSS/SSS chips stay +1."""
     params = LteParams.from_bandwidth(1.4)
-    controller = TagController(params, rng=0)
+    controller = TagController(params)
     payload = make_rng(1).integers(0, 2, size=payload_len).astype(np.int8)
     schedule = controller.build_schedule(
         controller.genie_timing(0, error), params.samples_per_frame, payload
@@ -253,7 +253,6 @@ def test_zero_severity_faults_are_object_identical_noops(
         ),
         seed=plan_seed,
     )
-    assert plan.is_noop
     rng = make_rng(seed)
     samples = rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples)
     fault_set = CarrierFaultSet(plan)

@@ -8,8 +8,6 @@ from repro.utils.units import (
     db_to_linear,
     dbm_to_watts,
     feet_to_meters,
-    linear_to_db,
-    meters_to_feet,
     thermal_noise_dbm,
     watts_to_dbm,
 )
@@ -19,7 +17,6 @@ def test_db_linear_known_values():
     assert db_to_linear(0.0) == pytest.approx(1.0)
     assert db_to_linear(10.0) == pytest.approx(10.0)
     assert db_to_linear(-30.0) == pytest.approx(1e-3)
-    assert linear_to_db(100.0) == pytest.approx(20.0)
 
 
 def test_dbm_watts_known_values():
@@ -30,7 +27,7 @@ def test_dbm_watts_known_values():
 
 @given(st.floats(min_value=-120, max_value=60))
 def test_db_roundtrip(db):
-    assert linear_to_db(db_to_linear(db)) == pytest.approx(db, abs=1e-9)
+    assert 10.0 * np.log10(db_to_linear(db)) == pytest.approx(db, abs=1e-9)
 
 
 @given(st.floats(min_value=-120, max_value=60))
@@ -38,17 +35,8 @@ def test_dbm_roundtrip(dbm):
     assert watts_to_dbm(dbm_to_watts(dbm)) == pytest.approx(dbm, abs=1e-9)
 
 
-@given(st.floats(min_value=0.01, max_value=1e5))
-def test_feet_meters_roundtrip(feet):
-    assert meters_to_feet(feet_to_meters(feet)) == pytest.approx(feet)
-
-
 def test_feet_meters_exact_definition():
     assert feet_to_meters(1.0) == pytest.approx(0.3048)
-
-
-def test_linear_to_db_zero_is_neg_inf():
-    assert linear_to_db(0.0) == -np.inf
 
 
 def test_thermal_noise_20mhz():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.traffic import spectrum
 from repro.traffic.spectrum import (
     lte_band_capture,
     occupancy_from_spectrogram,
@@ -13,17 +14,18 @@ from repro.traffic.spectrum import (
 
 @pytest.fixture(scope="module")
 def wifi():
-    return wifi_band_capture(duration_s=15e-3, occupancy=0.35, rng=1)
+    return wifi_band_capture(rng=1)
 
 
 @pytest.fixture(scope="module")
 def lte():
-    return lte_band_capture(duration_s=15e-3, rng=1)
+    return lte_band_capture(rng=1)
 
 
 def test_capture_durations(wifi, lte):
-    assert wifi.duration_seconds == pytest.approx(15e-3, rel=1e-6)
-    assert lte.duration_seconds == pytest.approx(15e-3, rel=1e-6)
+    assert spectrum.CAPTURE_SECONDS == 20e-3
+    assert wifi.duration_seconds == pytest.approx(20e-3, rel=1e-6)
+    assert lte.duration_seconds == pytest.approx(20e-3, rel=1e-6)
 
 
 def test_wifi_band_has_silence(wifi):
@@ -44,8 +46,9 @@ def test_lte_band_never_silent(lte):
     assert min(energies) > 0.1 * max(energies)
 
 
-def test_spectrogram_shapes(wifi):
-    times, freqs, mag = spectrogram(wifi, fft_size=128)
+def test_spectrogram_shapes(wifi, monkeypatch):
+    monkeypatch.setattr(spectrum, "FFT_SIZE", 128)
+    times, freqs, mag = spectrogram(wifi)
     assert mag.shape == (len(times), 128)
     assert len(freqs) == 128
     assert times[0] < times[-1] <= wifi.duration_seconds
@@ -61,9 +64,11 @@ def test_measured_occupancy_ordering(wifi, lte):
     assert lte_occ > wifi_occ
 
 
-def test_occupancy_tracks_traffic_parameter():
-    light = wifi_band_capture(duration_s=20e-3, occupancy=0.1, rng=2)
-    heavy = wifi_band_capture(duration_s=20e-3, occupancy=0.6, rng=2)
+def test_occupancy_tracks_traffic_parameter(monkeypatch):
+    monkeypatch.setattr(spectrum, "WIFI_OCCUPANCY", 0.1)
+    light = wifi_band_capture(rng=2)
+    monkeypatch.setattr(spectrum, "WIFI_OCCUPANCY", 0.6)
+    heavy = wifi_band_capture(rng=2)
     _, _, light_mag = spectrogram(light)
     _, _, heavy_mag = spectrogram(heavy)
     assert occupancy_from_spectrogram(heavy_mag) > occupancy_from_spectrogram(

@@ -12,14 +12,13 @@ from repro.traffic import (
     occupancy_profile,
     weekly_occupancy_samples,
 )
+from repro.traffic import occupancy
 from repro.utils.rng import make_rng
 
 
-def _busy_fraction(model, duration_s, intervals=None):
+def _busy_fraction(model, duration_s):
     """Measured busy fraction of ``model`` over ``[0, duration_s)``."""
-    if intervals is None:
-        intervals = model.intervals(duration_s)
-    return sum(iv.duration for iv in intervals) / duration_s
+    return sum(iv.duration for iv in model.intervals(duration_s)) / duration_s
 
 
 def test_onoff_converges_to_target_occupancy():
@@ -54,12 +53,10 @@ def test_invalid_occupancy_rejected():
 
 
 def test_presence_mask_matches_ratio():
+    # Two models on one seed draw the same intervals.
+    mask = OnOffTraffic(occupancy=0.4, rng=make_rng(4)).presence_mask(50.0, 1e-3)
     model = OnOffTraffic(occupancy=0.4, rng=make_rng(4))
-    intervals = model.intervals(50.0)
-    mask = model.presence_mask(50.0, 1e-3, intervals)
-    assert mask.mean() == pytest.approx(
-        _busy_fraction(model, 50.0, intervals), abs=0.01
-    )
+    assert mask.mean() == pytest.approx(_busy_fraction(model, 50.0), abs=0.01)
 
 
 def test_continuous_traffic_always_on():
@@ -94,8 +91,10 @@ def test_unknown_venue_or_tech_rejected():
         occupancy_profile("zigbee", "home")
 
 
-def test_weekly_samples_shape():
-    samples = weekly_occupancy_samples("wifi", "home", rng=0, samples_per_hour=2)
+def test_weekly_samples_shape(monkeypatch):
+    assert occupancy.SAMPLES_PER_HOUR == 4
+    monkeypatch.setattr(occupancy, "SAMPLES_PER_HOUR", 2)
+    samples = weekly_occupancy_samples("wifi", "home", rng=0)
     assert len(samples) == 7 * 24 * 2
     assert np.all((samples >= 0) & (samples <= 1))
 
