@@ -159,6 +159,28 @@ class BsDemodResult:
     window_erased: list = field(default_factory=list)
     packets: list = field(default_factory=list)
 
+    @classmethod
+    def from_windows(cls, window_bits, soft_blocks, starts, window_erased, packets=()):
+        """One capture's result from its windows, in order.
+
+        ``soft_blocks`` hold the windows' soft values, one array per
+        window or per run of consecutive windows.
+        """
+        if window_bits:
+            bits = np.concatenate(window_bits)
+            soft = np.concatenate(soft_blocks).reshape(-1)
+        else:
+            bits = np.zeros(0, dtype=np.int8)
+            soft = np.zeros(0)
+        return cls(
+            bits=bits,
+            soft=soft,
+            starts=np.asarray(starts, dtype=np.int64),
+            window_bits=window_bits,
+            window_erased=window_erased,
+            packets=list(packets),
+        )
+
     @property
     def n_data_windows(self):
         return len(self.window_bits)
@@ -202,12 +224,6 @@ class _DemodSink:
         return absolute
 
     def result(self):
-        if self.window_bits:
-            bits = np.concatenate(self.window_bits)
-            soft = np.concatenate(self.soft_blocks).reshape(-1)
-        else:
-            bits = np.zeros(0, dtype=np.int8)
-            soft = np.zeros(0)
         obs_metrics.counter_inc("bsrx.packets", len(self.packets))
         obs_metrics.counter_inc("bsrx.windows", len(self.window_bits))
         n_erased = int(sum(bool(flag) for flag in self.window_erased))
@@ -215,13 +231,12 @@ class _DemodSink:
             obs_metrics.counter_inc("bsrx.erasures", n_erased)
         if self.truncated_windows:
             obs_metrics.counter_inc("bsrx.truncated_windows", self.truncated_windows)
-        return BsDemodResult(
-            bits=bits,
-            soft=soft,
-            starts=np.asarray(self.starts, dtype=np.int64),
-            window_bits=self.window_bits,
-            window_erased=self.window_erased,
-            packets=self.packets,
+        return BsDemodResult.from_windows(
+            self.window_bits,
+            self.soft_blocks,
+            self.starts,
+            self.window_erased,
+            self.packets,
         )
 
 

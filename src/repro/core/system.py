@@ -36,7 +36,7 @@ from repro.lte.transmitter import LteTransmitter
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.substrates import get_substrate
-from repro.tag.controller import TagController
+from repro.tag.controller import ChipSchedule, TagController
 from repro.tag.modulator import ChipModulator
 from repro.tag.sync_circuit import SyncCircuit
 from repro.utils.rng import make_rng, spawn_rngs
@@ -474,7 +474,7 @@ class LScatterSystem:
                 # The comparator never fired: the tag cannot place a single
                 # half-frame and stays silent (constant '1' chips, no windows)
                 # rather than spraying mistimed chips over the capture.
-                schedule = self.substrate.silent_schedule(len(unit))
+                schedule = ChipSchedule(chips=np.ones(len(unit), dtype=np.int8))
             else:
                 with span("tag.schedule") as sp:
                     timing = self.controller.genie_timing(0, error_samples)

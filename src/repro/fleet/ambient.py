@@ -33,7 +33,7 @@ import numpy as np
 from repro.core.system import AmbientStage, LScatterSystem
 from repro.lte.params import LteParams
 from repro.lte.transmitter import LteCapture
-from repro.substrates import ambient_kind_for
+from repro.substrates import get_substrate
 from repro.utils.integrity import crc32_file
 
 #: Bytes per complex128 sample in the scratch spill.
@@ -56,11 +56,11 @@ class AmbientKey:
     #: multi-cell topology can never collide on one cache slot even if a
     #: future ``CellConfig`` stops hashing its identity fields.
     cell_id: int = 0
-    #: What kind of ambient the substrate rides (see
-    #: :func:`repro.substrates.ambient_kind_for`).  Downlink substrates
-    #: all share ``"lte-downlink"`` captures; the uplink-SRS mode keys
-    #: its synthetic sounding captures separately so the two waveforms
-    #: can never collide on one cache slot.
+    #: What kind of ambient the substrate rides (its class's
+    #: ``ambient_kind``).  Downlink substrates all share
+    #: ``"lte-downlink"`` captures; the uplink-SRS mode keys its synthetic
+    #: sounding captures separately so the two waveforms can never
+    #: collide on one cache slot.
     ambient_kind: str = "lte-downlink"
 
 
@@ -158,7 +158,7 @@ class AmbientCache:
             n_frames=int(config.n_frames),
             seed=int(seed),
             cell_id=int(3 * cell.n_id_1 + cell.n_id_2),
-            ambient_kind=ambient_kind_for(config.substrate),
+            ambient_kind=get_substrate(config.substrate).ambient_kind,
         )
 
     def get(self, config, seed):

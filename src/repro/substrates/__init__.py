@@ -1,28 +1,51 @@
-"""Pluggable ambient-substrate modes; importing registers the built-ins."""
+"""Pluggable ambient-substrate modes, by name in :data:`SUBSTRATES`."""
 
-from repro.substrates.base import (
-    Substrate,
-    ambient_kind_for,
-    available_substrates,
-    get_substrate,
-    iter_half_frames,
-    register,
-)
+from repro.substrates.base import Substrate
 from repro.substrates.chip import ChipSubstrate
-from repro.substrates.coded import CodedPilotSubstrate, CodedSchedule
+from repro.substrates.coded import CodedPilotSubstrate
 from repro.substrates.crs import CrsFskSubstrate, CrsOokSubstrate
 from repro.substrates.srs import SrsUplinkSubstrate, build_srs_capture
 
+#: Every substrate mode by its own ``name``.
+SUBSTRATES = {
+    cls.name: cls
+    for cls in (
+        ChipSubstrate,
+        CodedPilotSubstrate,
+        CrsFskSubstrate,
+        CrsOokSubstrate,
+        SrsUplinkSubstrate,
+    )
+}
+
+
+def available_substrates():
+    """The substrate names, sorted."""
+    return tuple(sorted(SUBSTRATES))
+
+
+def get_substrate(name):
+    """Look up a substrate class by name.
+
+    Unknown names raise a ``KeyError`` that lists every registered mode,
+    so a typo in a config or CLI flag is self-explaining.
+    """
+    try:
+        return SUBSTRATES[name]
+    except KeyError:
+        known = ", ".join(available_substrates())
+        raise KeyError(
+            f"unknown substrate {name!r}; registered substrates: {known}"
+        ) from None
+
+
 __all__ = [
+    "SUBSTRATES",
     "Substrate",
-    "ambient_kind_for",
     "available_substrates",
     "get_substrate",
-    "iter_half_frames",
-    "register",
     "ChipSubstrate",
     "CodedPilotSubstrate",
-    "CodedSchedule",
     "CrsFskSubstrate",
     "CrsOokSubstrate",
     "SrsUplinkSubstrate",

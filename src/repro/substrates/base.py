@@ -7,24 +7,25 @@ chip scheme (:mod:`repro.substrates.chip`) is the default; its siblings
 — OOK and FSK on the cell-specific reference signals (arXiv 2209.01108,
 2301.13664), convolutional-coded backscatter on LTE pilots (arXiv
 2402.12657) and uplink-SRS backscatter (arXiv 2501.10952) — plug in
-beside it through the same five hooks:
+beside it through the same four hooks:
 
 * :meth:`Substrate.prepare_ambient` — what the ambient capture *is*
   (downlink LTE frames by default; the SRS mode substitutes an uplink
   sounding capture);
 * :meth:`Substrate.build_schedule` — the tag-side modulation schedule
   (a :class:`~repro.tag.controller.ChipSchedule`, so the RF switch and
-  the MAC/fault machinery are shared across modes);
-* :meth:`Substrate.silent_schedule` — what a sync-failed tag emits;
-* :meth:`Substrate.demodulate` — the receiver;
+  the MAC/fault machinery are shared across modes), laid by
+  :func:`~repro.tag.controller.lay_schedule` with the mode's ``_lay``;
+* :meth:`Substrate.demodulate` — the receiver, which reads its symbols
+  through :meth:`Substrate._symbols`;
 * :meth:`Substrate.measure` — schedule-vs-demod accounting (coded modes
   replace raw chip counting with decode-then-compare).
 
-Modes register under a string name; :class:`~repro.core.config.
-SystemConfig` carries that name and :class:`~repro.core.system.
-LScatterSystem` dispatches through it.  The default ``"chip"`` mode
-delegates to the exact pre-refactor code paths, so a config that never
-mentions substrates stays bit-identical.
+:data:`repro.substrates.SUBSTRATES` maps each mode's name to its class;
+:class:`~repro.core.config.SystemConfig` carries that name and
+:class:`~repro.core.system.LScatterSystem` dispatches through it.  The
+default ``"chip"`` mode delegates to the exact pre-refactor code paths,
+so a config that never mentions substrates stays bit-identical.
 """
 
 from __future__ import annotations
@@ -33,53 +34,7 @@ import numpy as np
 
 from repro.bsrx.demodulator import BsDemodResult
 from repro.core.metrics import measure_link
-# iter_half_frames is re-exported: every substrate schedules through it.
-from repro.tag.controller import ChipSchedule, iter_half_frames  # noqa: F401
-
-# -- registry -----------------------------------------------------------------
-
-_REGISTRY = {}
-
-
-def register(cls):
-    """Class decorator: make a :class:`Substrate` reachable by name."""
-    if not getattr(cls, "name", ""):
-        raise ValueError("substrate classes must define a non-empty 'name'")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def available_substrates():
-    """Registered substrate names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def get_substrate(name):
-    """Look up a substrate class by name.
-
-    Unknown names raise a ``KeyError`` that lists every registered mode,
-    so a typo in a config or CLI flag is self-explaining.
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise KeyError(
-            f"unknown substrate {name!r}; registered substrates: {known}"
-        ) from None
-
-
-def ambient_kind_for(name):
-    """The ambient-capture family a substrate consumes.
-
-    Modes that modulate the same downlink LTE capture share one kind, so
-    the fleet's :class:`~repro.fleet.ambient.AmbientCache` keeps sharing
-    entries across them; the uplink SRS mode keys separately.
-    """
-    return get_substrate(name).ambient_kind
-
-
-# -- shared helpers -----------------------------------------------------------
+from repro.tag.controller import lay_schedule
 
 
 class _WindowSink:
@@ -92,42 +47,27 @@ class _WindowSink:
         self.starts = []
 
     def add(self, bits, soft, start, erased):
-        bits = np.asarray(bits, dtype=np.int8)
-        soft = np.asarray(soft, dtype=float)
-        self.window_bits.append(bits)
-        self.window_soft.append(soft)
+        self.window_bits.append(np.asarray(bits, dtype=np.int8))
+        self.window_soft.append(np.asarray(soft, dtype=float))
         self.window_erased.append(bool(erased))
         self.starts.append(int(start))
 
     def result(self):
-        if self.window_bits:
-            bits = np.concatenate(self.window_bits)
-            soft = np.concatenate(self.window_soft)
-        else:
-            bits = np.zeros(0, dtype=np.int8)
-            soft = np.zeros(0)
-        return BsDemodResult(
-            bits=bits,
-            soft=soft,
-            starts=np.asarray(self.starts, dtype=np.int64),
-            window_bits=self.window_bits,
-            window_erased=self.window_erased,
+        return BsDemodResult.from_windows(
+            self.window_bits, self.window_soft, self.starts, self.window_erased
         )
-
-
-# -- the protocol -------------------------------------------------------------
 
 
 class Substrate:
     """One pluggable tag-modulation / receiver mode.
 
-    Subclasses set the class attributes and implement
-    :meth:`build_schedule` and :meth:`demodulate`; everything else has a
-    sensible default.  Instances are cheap, stateless views bound to one
-    :class:`~repro.core.system.LScatterSystem`.
+    Subclasses set ``name`` and implement ``_lay`` (see
+    :func:`~repro.tag.controller.lay_schedule`) and :meth:`demodulate`;
+    everything else has a default.  Instances are cheap, stateless views
+    bound to one :class:`~repro.core.system.LScatterSystem`.
     """
 
-    #: Registry name (``repro --substrate <name>``).
+    #: Table name (``repro --substrate <name>``).
     name = ""
     #: Ambient-capture family; modes sharing a kind share cache entries.
     ambient_kind = "lte-downlink"
@@ -153,21 +93,33 @@ class Substrate:
         owned_half_frames=None,
         drift_per_half_frame=0.0,
     ):
-        raise NotImplementedError
-
-    def silent_schedule(self, n_samples):
-        """The schedule of a tag that never acquired sync: constant '1'."""
-        return ChipSchedule(chips=np.ones(int(n_samples), dtype=np.int8))
+        """The tag's schedule, as
+        :meth:`~repro.tag.controller.TagController.build_schedule`."""
+        return lay_schedule(
+            timing,
+            n_samples,
+            self.params.samples_per_frame // 2,
+            payload_bits,
+            self._lay,
+            owned_half_frames,
+            drift_per_half_frame,
+        )
 
     def demodulate(self, front):
         raise NotImplementedError
 
-    def _useful(self, samples, half_start, slot, sym):
-        """One symbol's useful part (no CP) of the half-frame at
-        ``half_start``, and its start sample."""
-        params = self.params
-        start = half_start + params.useful_start(slot, sym)
-        return samples[start : start + params.fft_size], start
+    def _symbols(self, front, half_start, pairs):
+        """Yield ``(symbol, start, y, x)`` for each ``(slot, symbol)`` of
+        ``pairs`` in the half-frame at ``half_start`` whose useful part
+        (no CP) fits in the capture: its start sample and that part of the
+        shifted band and of the sample-aligned reference."""
+        fft = self.params.fft_size
+        for slot, sym in pairs:
+            start = int(half_start) + self.params.useful_start(slot, sym)
+            if start + fft > len(front.shifted_rx):
+                continue
+            stop = start + fft
+            yield sym, start, front.shifted_rx[start:stop], front.reference[start:stop]
 
     def measure(self, schedule, demod, tolerance):
         """Schedule-vs-demod accounting; default is raw chip counting."""

@@ -1,4 +1,4 @@
-"""The paper's chip scheme as the default registered substrate.
+"""The paper's chip scheme as the default substrate.
 
 Pure delegation: the schedule comes from
 :meth:`repro.tag.controller.TagController.build_schedule`, demodulation
@@ -10,33 +10,16 @@ bit-identical to the pre-substrate pipeline.
 
 from __future__ import annotations
 
-from repro.substrates.base import Substrate, register
+from repro.substrates.base import Substrate
 
 
-@register
 class ChipSubstrate(Substrate):
     """LScatter ±1 chips on every non-sync downlink symbol."""
 
     name = "chip"
-    ambient_kind = "lte-downlink"
-    supports_decoded_reference = True
-    supports_circuit_sync = True
 
-    def build_schedule(
-        self,
-        timing,
-        n_samples,
-        payload_bits,
-        owned_half_frames=None,
-        drift_per_half_frame=0.0,
-    ):
-        return self.system.controller.build_schedule(
-            timing,
-            n_samples,
-            payload_bits,
-            owned_half_frames=owned_half_frames,
-            drift_per_half_frame=drift_per_half_frame,
-        )
+    def build_schedule(self, *args, **kwargs):
+        return self.system.controller.build_schedule(*args, **kwargs)
 
     def demodulate(self, front):
         return self.system.demodulator.demodulate(

@@ -19,25 +19,16 @@ packet does.  ``measure`` therefore compares *decoded information bits*:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.bsrx.equalizer import estimate_channel_from_known
 from repro.bsrx.mod_offset import find_modulation_offset
 from repro.core.metrics import BerBreakdown, align_windows
 from repro.lte import coding
-from repro.lte.crs import CRS_SYMBOLS_IN_SLOT
-from repro.lte.pss import PSS_SYMBOL_IN_SLOT
-from repro.lte.sss import SSS_SYMBOL_IN_SLOT
-from repro.substrates.base import (
-    Substrate,
-    _WindowSink,
-    iter_half_frames,
-    register,
-)
-from repro.tag.controller import ChipSchedule, ChipWindow
-from repro.tag.framing import IDLE_BIT, SLOTS_PER_HALF_FRAME, preamble_bits
+from repro.substrates.base import Substrate, _WindowSink
+from repro.substrates.crs import CRS_PLAN, SOUNDING
+from repro.tag.controller import ChipWindow
+from repro.tag.framing import IDLE_BIT, preamble_bits
 
 #: Shortest payload the tail-biting encoder accepts (constraint length 7).
 MIN_INFO_BITS = 8
@@ -49,21 +40,10 @@ MIN_INFO_BITS = 8
 PREAMBLE_ERASURE_FRACTION = 0.45
 
 
-@dataclass
-class CodedSchedule(ChipSchedule):
-    """Chip schedule plus the information bits the code stream carries."""
-
-    info_bits: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int8))
-
-
-@register
 class CodedPilotSubstrate(Substrate):
     """Rate-1/3 coded chips on CRS symbols only."""
 
     name = "coded-pilot"
-    ambient_kind = "lte-downlink"
-    supports_decoded_reference = True
-    supports_circuit_sync = True
 
     def __init__(self, system):
         super().__init__(system)
@@ -71,44 +51,23 @@ class CodedPilotSubstrate(Substrate):
         self.chip_offset = (self.params.fft_size - self.n_chips) // 2
         self._preamble = preamble_bits(self.n_chips)
 
-    def _symbol_plan(self):
-        """CRS symbols per half-frame; the first is the preamble."""
-        return [
-            (slot, sym)
-            for slot in range(SLOTS_PER_HALF_FRAME)
-            for sym in CRS_SYMBOLS_IN_SLOT
-        ]
-
-    def build_schedule(
-        self,
-        timing,
-        n_samples,
-        payload_bits,
-        owned_half_frames=None,
-        drift_per_half_frame=0.0,
-    ):
+    def _lay(self, chips, halves, payload_bits):
+        """The first CRS symbol of each half-frame is the preamble; the
+        code stream fills the rest, sized to the windows the capture holds.
+        """
         params = self.params
-        payload_bits = np.asarray(payload_bits, dtype=np.int8)
-        chips = np.ones(int(n_samples), dtype=np.int8)
-        half = params.samples_per_frame // 2
-        plan = self._symbol_plan()
-
         # First pass: where every window would land, clipping included,
         # so the code stream's length matches the capacity actually laid.
         spans = []
-        n_half_frames = 0
-        for _index, half_start, drift in iter_half_frames(
-            timing, n_samples, half, owned_half_frames, drift_per_half_frame
-        ):
-            n_half_frames += 1
-            for position, (slot, sym) in enumerate(plan):
+        for half_start, drift in halves:
+            for position, (slot, sym) in enumerate(CRS_PLAN):
                 start = (
                     half_start
                     + params.useful_start(slot, sym)
                     + self.chip_offset
                     + drift
                 )
-                if start < 0 or start + self.n_chips > n_samples:
+                if start < 0 or start + self.n_chips > len(chips):
                     continue
                 spans.append((int(start), position == 0))
         n_data_windows = sum(1 for _, is_preamble in spans if not is_preamble)
@@ -116,8 +75,11 @@ class CodedPilotSubstrate(Substrate):
         n_info = min(len(payload_bits), capacity // 3)
         if n_info < MIN_INFO_BITS:
             n_info = 0
-        info_bits = payload_bits[:n_info].copy()
-        coded = coding.conv_encode(info_bits) if n_info else np.zeros(0, np.int8)
+        coded = (
+            coding.conv_encode(payload_bits[:n_info])
+            if n_info
+            else np.zeros(0, np.int8)
+        )
 
         windows = []
         laid = 0
@@ -142,47 +104,28 @@ class CodedPilotSubstrate(Substrate):
                     bits=bits.copy(),
                 )
             )
-        return CodedSchedule(
-            chips=chips,
-            windows=windows,
-            payload_bits=info_bits,
-            n_half_frames=n_half_frames,
-            info_bits=info_bits,
-        )
+        return windows, n_info
 
     # -- receiver --------------------------------------------------------------
 
     def demodulate(self, front):
-        params = self.params
-        fft = params.fft_size
-        shifted = front.shifted_rx
-        reference = front.reference
-        limit = len(shifted)
         sink = _WindowSink()
-        plan = self._symbol_plan()
-        search_slack = self.chip_offset
         for half_start in front.half_starts:
-            half_start = int(half_start)
             # Cascade sounding on the unmodulated PSS/SSS reflection.
-            estimates = []
-            for sym in (SSS_SYMBOL_IN_SLOT, PSS_SYMBOL_IN_SLOT):
-                y, _ = self._useful(shifted, half_start, 0, sym)
-                x, _ = self._useful(reference, half_start, 0, sym)
-                if len(y) < fft or len(x) < fft:
-                    break
-                estimates.append(estimate_channel_from_known(y, x))
-            if len(estimates) < 2:
+            estimates = [
+                estimate_channel_from_known(y, x)
+                for _sym, _start, y, x in self._symbols(front, half_start, SOUNDING)
+            ]
+            if len(estimates) < len(SOUNDING):
                 continue
             cascade = np.mean(estimates, axis=0)
 
+            # The preamble symbol precedes the sounding, so it fits too.
+            (_, _, y0, x0), *data = self._symbols(front, half_start, CRS_PLAN)
             # Preamble: offset + gain against the pre-distorted reference.
-            y0, _ = self._useful(shifted, half_start, *plan[0])
-            x0, _ = self._useful(reference, half_start, *plan[0])
-            if len(y0) < fft or len(x0) < fft:
-                continue
             w0 = np.fft.ifft(np.fft.fft(x0) * cascade)
             estimate = find_modulation_offset(
-                y0, w0, self._preamble, self.chip_offset, search_slack
+                y0, w0, self._preamble, self.chip_offset, self.chip_offset
             )
             offset = estimate.offset
             derotate = np.conj(estimate.gain)
@@ -191,24 +134,20 @@ class CodedPilotSubstrate(Substrate):
             pre_errors = int(np.sum((pre_soft > 0).astype(np.int8) != self._preamble))
             erased = pre_errors > PREAMBLE_ERASURE_FRACTION * self.n_chips
 
-            for slot, sym in plan[1:]:
-                y, sym_start = self._useful(shifted, half_start, slot, sym)
-                x, _ = self._useful(reference, half_start, slot, sym)
-                window_start = sym_start + offset
-                if len(y) < fft or len(x) < fft or window_start + self.n_chips > limit:
-                    continue
+            # The offset keeps each window inside its symbol's useful part.
+            for _sym, sym_start, y, x in data:
                 if erased:
                     sink.add(
                         np.zeros(self.n_chips, np.int8),
                         np.zeros(self.n_chips),
-                        window_start,
+                        sym_start + offset,
                         True,
                     )
                     continue
                 w = np.fft.ifft(np.fft.fft(x) * cascade)
                 soft = np.real(derotate * y[lo:hi] * np.conj(w[lo:hi]))
                 bits = (soft > 0).astype(np.int8)
-                sink.add(bits, soft, window_start, False)
+                sink.add(bits, soft, sym_start + offset, False)
         return sink.result()
 
     # -- accounting ------------------------------------------------------------
@@ -221,7 +160,7 @@ class CodedPilotSubstrate(Substrate):
         the decode outcome is the honest damage report for a coded link.
         """
         pairs = align_windows(schedule.windows, demod.starts, tolerance)
-        info = np.asarray(getattr(schedule, "info_bits", []), dtype=np.int8)
+        info = schedule.payload_bits
         n_info = len(info)
         out = BerBreakdown(n_windows=len(pairs))
         llrs = np.zeros(3 * n_info)

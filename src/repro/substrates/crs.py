@@ -28,57 +28,31 @@ import numpy as np
 from repro.lte.crs import CRS_SYMBOLS_IN_SLOT, crs_positions
 from repro.lte.pss import PSS_SYMBOL_IN_SLOT
 from repro.lte.sss import SSS_SYMBOL_IN_SLOT
-from repro.substrates.base import (
-    Substrate,
-    _WindowSink,
-    iter_half_frames,
-    register,
-)
-from repro.tag.controller import ChipSchedule, ChipWindow
+from repro.substrates.base import Substrate, _WindowSink
+from repro.tag.controller import ChipWindow
 from repro.tag.framing import IDLE_BIT, SLOTS_PER_HALF_FRAME
+
+#: The CRS symbols of a half-frame as (slot, symbol) pairs, in time order.
+CRS_PLAN = tuple(
+    (slot, sym) for slot in range(SLOTS_PER_HALF_FRAME) for sym in CRS_SYMBOLS_IN_SLOT
+)
+#: The unmodulated SSS and PSS of slot 0, the receivers' channel sounding.
+SOUNDING = ((0, SSS_SYMBOL_IN_SLOT), (0, PSS_SYMBOL_IN_SLOT))
 
 
 class _CrsSubstrate(Substrate):
     """Shared CRS-symbol window layout for the OOK and FSK modes."""
 
-    supports_decoded_reference = True
-    supports_circuit_sync = True
-
-    def _crs_symbols(self):
-        """(slot, symbol) pairs modulated per half-frame, in time order."""
-        return [
-            (slot, sym)
-            for slot in range(SLOTS_PER_HALF_FRAME)
-            for sym in CRS_SYMBOLS_IN_SLOT
-        ]
-
-    def _apply_bit(self, chips, start, bit):
-        raise NotImplementedError
-
-    def build_schedule(
-        self,
-        timing,
-        n_samples,
-        payload_bits,
-        owned_half_frames=None,
-        drift_per_half_frame=0.0,
-    ):
+    def _lay(self, chips, halves, payload_bits):
+        """One payload bit per CRS symbol that fits in the capture."""
         params = self.params
-        payload_bits = np.asarray(payload_bits, dtype=np.int8)
-        chips = np.ones(int(n_samples), dtype=np.int8)
-        windows = []
         fft = params.fft_size
-        half = params.samples_per_frame // 2
-        plan = self._crs_symbols()
+        windows = []
         consumed = 0
-        n_half_frames = 0
-        for _index, half_start, drift in iter_half_frames(
-            timing, n_samples, half, owned_half_frames, drift_per_half_frame
-        ):
-            n_half_frames += 1
-            for slot, sym in plan:
+        for half_start, drift in halves:
+            for slot, sym in CRS_PLAN:
                 start = half_start + params.useful_start(slot, sym) + drift
-                if start < 0 or start + fft > n_samples:
+                if start < 0 or start + fft > len(chips):
                     continue
                 if consumed < len(payload_bits):
                     bit = int(payload_bits[consumed])
@@ -94,25 +68,9 @@ class _CrsSubstrate(Substrate):
                         bits=np.array([bit], dtype=np.int8),
                     )
                 )
-        return ChipSchedule(
-            chips=chips,
-            windows=windows,
-            payload_bits=payload_bits[:consumed].copy(),
-            n_half_frames=n_half_frames,
-        )
-
-    # -- receiver helpers ------------------------------------------------------
-
-    def _pilot_bins(self, sym):
-        """FFT bins carrying CRS pilots in symbol ``sym`` of any slot."""
-        params = self.params
-        positions = crs_positions(
-            sym, self.config.cell.cell_id, params.n_rb
-        )
-        return params.subcarrier_indices()[positions]
+        return windows, consumed
 
 
-@register
 class CrsOokSubstrate(_CrsSubstrate):
     """On-off keying of the CRS symbols against a PSS/SSS sounding."""
 
@@ -125,36 +83,28 @@ class CrsOokSubstrate(_CrsSubstrate):
     def demodulate(self, front):
         params = self.params
         fft = params.fft_size
-        shifted = front.shifted_rx
-        reference = front.reference
-        limit = len(shifted)
         sink = _WindowSink()
-        plan = self._crs_symbols()
-        bins_by_sym = {sym: self._pilot_bins(sym) for sym in CRS_SYMBOLS_IN_SLOT}
-        ref_power = float(np.mean(np.abs(reference) ** 2))
+        # The FFT bins carrying CRS pilots in each CRS symbol of a slot.
+        bins_by_sym = {
+            sym: params.subcarrier_indices()[
+                crs_positions(sym, self.config.cell.cell_id, params.n_rb)
+            ]
+            for sym in CRS_SYMBOLS_IN_SLOT
+        }
+        ref_power = float(np.mean(np.abs(front.reference) ** 2))
         floor = 1e-9 * max(ref_power, 1e-30) * fft
         for half_start in front.half_starts:
-            half_start = int(half_start)
             # Amplitude sounding on the unmodulated PSS/SSS reflection.
             num = 0.0
             den = 0.0
-            sounding_ok = True
-            for sym in (SSS_SYMBOL_IN_SLOT, PSS_SYMBOL_IN_SLOT):
-                y, _ = self._useful(shifted, half_start, 0, sym)
-                x, _ = self._useful(reference, half_start, 0, sym)
-                if len(y) < fft or len(x) < fft:
-                    sounding_ok = False
-                    break
+            n_sounded = 0
+            for _sym, _start, y, x in self._symbols(front, half_start, SOUNDING):
                 num += abs(np.vdot(x, y))
                 den += float(np.vdot(x, x).real)
-            if den < floor:
-                sounding_ok = False
+                n_sounded += 1
+            sounding_ok = n_sounded == len(SOUNDING) and den >= floor
             amplitude = num / den if sounding_ok else 0.0
-            for slot, sym in plan:
-                y, start = self._useful(shifted, half_start, slot, sym)
-                x, _ = self._useful(reference, half_start, slot, sym)
-                if len(y) < fft or len(x) < fft or start + fft > limit:
-                    continue
+            for sym, start, y, x in self._symbols(front, half_start, CRS_PLAN):
                 if not sounding_ok:
                     sink.add([IDLE_BIT], [0.0], start, True)
                     continue
@@ -173,7 +123,6 @@ class CrsOokSubstrate(_CrsSubstrate):
         return sink.result()
 
 
-@register
 class CrsFskSubstrate(_CrsSubstrate):
     """Binary FSK: the switch-toggle rate over a CRS symbol is the bit."""
 
@@ -185,37 +134,24 @@ class CrsFskSubstrate(_CrsSubstrate):
     HALF_PERIOD_BIT0 = 4
     HALF_PERIOD_BIT1 = 8
 
-    def _wave(self, bit, length):
-        half = self.HALF_PERIOD_BIT1 if bit == 1 else self.HALF_PERIOD_BIT0
-        pattern = (np.arange(int(length)) // half) % 2
-        return np.where(pattern == 0, 1, -1).astype(np.int8)
-
     def _apply_bit(self, chips, start, bit):
         fft = self.params.fft_size
-        chips[start : start + fft] = self._wave(bit, fft)
+        half = self.HALF_PERIOD_BIT1 if bit == 1 else self.HALF_PERIOD_BIT0
+        pattern = (np.arange(fft) // half) % 2
+        chips[start : start + fft] = np.where(pattern == 0, 1, -1)
 
     def demodulate(self, front):
-        params = self.params
-        fft = params.fft_size
-        shifted = front.shifted_rx
-        reference = front.reference
-        limit = len(shifted)
+        fft = self.params.fft_size
         sink = _WindowSink()
-        plan = self._crs_symbols()
         n = np.arange(fft)
         k0 = fft // (2 * self.HALF_PERIOD_BIT0)
         k1 = fft // (2 * self.HALF_PERIOD_BIT1)
         tone0 = np.exp(-2j * np.pi * k0 * n / fft)
         tone1 = np.exp(-2j * np.pi * k1 * n / fft)
-        ref_power = float(np.mean(np.abs(reference) ** 2))
+        ref_power = float(np.mean(np.abs(front.reference) ** 2))
         abs_floor = 1e-9 * max(ref_power, 1e-30)
         for half_start in front.half_starts:
-            half_start = int(half_start)
-            for slot, sym in plan:
-                y, start = self._useful(shifted, half_start, slot, sym)
-                x, _ = self._useful(reference, half_start, slot, sym)
-                if len(y) < fft or len(x) < fft or start + fft > limit:
-                    continue
+            for _sym, start, y, x in self._symbols(front, half_start, CRS_PLAN):
                 power = np.abs(x) ** 2
                 mean_power = float(np.mean(power))
                 if mean_power < abs_floor:

@@ -30,19 +30,16 @@ import numpy as np
 from repro.lte.params import SUBFRAMES_PER_FRAME
 from repro.lte.transmitter import LteCapture
 from repro.lte.zadoff_chu import zadoff_chu
-from repro.substrates.base import (
-    Substrate,
-    _WindowSink,
-    iter_half_frames,
-    register,
-)
-from repro.tag.controller import ChipSchedule, ChipWindow
+from repro.substrates.base import Substrate, _WindowSink
+from repro.tag.controller import ChipWindow
 from repro.tag.framing import IDLE_BIT
 
 #: Slots (within a half-frame) whose last symbol carries the SRS — the
 #: final SC-FDMA symbol of each 1 ms subframe.
 SRS_SLOTS = (1, 3, 5, 7, 9)
 SRS_SYMBOL_IN_SLOT = 6
+#: The SRS occasions of a half-frame as (slot, symbol) pairs, in time order.
+SRS_PLAN = tuple((slot, SRS_SYMBOL_IN_SLOT) for slot in SRS_SLOTS)
 
 
 def srs_sequence(params):
@@ -76,7 +73,6 @@ def build_srs_capture(params, cell, n_frames):
     return LteCapture(params=params, cell=cell, samples=samples, frames=[])
 
 
-@register
 class SrsUplinkSubstrate(Substrate):
     """DBPSK across the SRS occasions of each half-frame."""
 
@@ -95,63 +91,33 @@ class SrsUplinkSubstrate(Substrate):
             build_srs_capture(self.params, self.config.cell, self.config.n_frames)
         )
 
-    def _occasions(self, half_start, drift=0):
-        """(mod_start, mod_length, window_start) per SRS occasion."""
+    def _lay(self, chips, halves, payload_bits):
+        """The first occasion of a half-frame is the phase reference; each
+        later one flips the switch's sign for a 0 bit, CP included."""
         params = self.params
-        fft = params.fft_size
-        out = []
-        for slot in SRS_SLOTS:
-            sym_start = params.symbol_start(slot, SRS_SYMBOL_IN_SLOT)
-            u_start = params.useful_start(slot, SRS_SYMBOL_IN_SLOT)
-            length = (u_start - sym_start) + fft
-            out.append(
-                (
-                    half_start + sym_start + drift,
-                    length,
-                    half_start + u_start + drift,
-                )
-            )
-        return out
-
-    def build_schedule(
-        self,
-        timing,
-        n_samples,
-        payload_bits,
-        owned_half_frames=None,
-        drift_per_half_frame=0.0,
-    ):
-        params = self.params
-        payload_bits = np.asarray(payload_bits, dtype=np.int8)
-        chips = np.ones(int(n_samples), dtype=np.int8)
         windows = []
-        half = params.samples_per_frame // 2
         consumed = 0
-        n_half_frames = 0
-        for _index, half_start, drift in iter_half_frames(
-            timing, n_samples, half, owned_half_frames, drift_per_half_frame
-        ):
-            n_half_frames += 1
-            occasions = self._occasions(half_start, drift)
+        for half_start, drift in halves:
+            # (mod_start, mod_stop, window_start) per SRS occasion.
+            occasions = []
+            for slot, sym in SRS_PLAN:
+                useful = half_start + params.useful_start(slot, sym) + drift
+                start = half_start + params.symbol_start(slot, sym) + drift
+                occasions.append((start, useful + params.fft_size, useful))
             # Differential chain: if any occasion clips the capture edge
             # the chain has no anchor, so the half-frame stays silent.
-            if any(
-                start < 0 or start + length > n_samples
-                for start, length, _ in occasions
-            ):
+            if any(start < 0 or stop > len(chips) for start, stop, _ in occasions):
                 continue
+            windows.append(
+                ChipWindow(
+                    start=int(occasions[0][2]),
+                    n_chips=1,
+                    kind="preamble",
+                    bits=np.array([1], dtype=np.int8),
+                )
+            )
             sign = 1
-            for k, (start, length, window_start) in enumerate(occasions):
-                if k == 0:
-                    windows.append(
-                        ChipWindow(
-                            start=int(window_start),
-                            n_chips=1,
-                            kind="preamble",
-                            bits=np.array([1], dtype=np.int8),
-                        )
-                    )
-                    continue
+            for start, stop, window_start in occasions[1:]:
                 if consumed < len(payload_bits):
                     bit = int(payload_bits[consumed])
                     consumed += 1
@@ -159,7 +125,7 @@ class SrsUplinkSubstrate(Substrate):
                     bit = IDLE_BIT
                 if bit == 0:
                     sign = -sign
-                chips[start : start + length] = sign
+                chips[start:stop] = sign
                 windows.append(
                     ChipWindow(
                         start=int(window_start),
@@ -168,42 +134,22 @@ class SrsUplinkSubstrate(Substrate):
                         bits=np.array([bit], dtype=np.int8),
                     )
                 )
-        return ChipSchedule(
-            chips=chips,
-            windows=windows,
-            payload_bits=payload_bits[:consumed].copy(),
-            n_half_frames=n_half_frames,
-        )
+        return windows, consumed
 
     def demodulate(self, front):
-        params = self.params
-        fft = params.fft_size
-        shifted = front.shifted_rx
-        reference = front.reference
-        limit = len(shifted)
         sink = _WindowSink()
-        ref_power = float(np.mean(np.abs(reference) ** 2))
-        floor = 1e-9 * max(ref_power, 1e-30) * fft
+        ref_power = float(np.mean(np.abs(front.reference) ** 2))
+        floor = 1e-9 * max(ref_power, 1e-30) * self.params.fft_size
         for half_start in front.half_starts:
-            half_start = int(half_start)
-            occasions = self._occasions(half_start)
+            # The occasions inside the capture are a prefix of SRS_PLAN, so
+            # consecutive entries are consecutive occasions.
             rhos = []
-            starts = []
-            for _mod_start, _length, window_start in occasions:
-                if window_start < 0 or window_start + fft > limit:
-                    rhos.append(None)
-                    starts.append(window_start)
-                    continue
-                y = shifted[window_start : window_start + fft]
-                x = reference[window_start : window_start + fft]
+            for _sym, start, y, x in self._symbols(front, half_start, SRS_PLAN):
                 den = float(np.vdot(x, x).real)
-                rhos.append(np.vdot(x, y) / max(den, floor))
-                starts.append(window_start)
-            for k in range(1, len(occasions)):
-                if rhos[k] is None or rhos[k - 1] is None:
-                    continue
-                product = rhos[k] * np.conj(rhos[k - 1])
-                magnitude = abs(rhos[k]) * abs(rhos[k - 1])
+                rhos.append((start, np.vdot(x, y) / max(den, floor)))
+            for (_, previous), (start, rho) in zip(rhos, rhos[1:]):
+                product = rho * np.conj(previous)
+                magnitude = abs(rho) * abs(previous)
                 soft = product.real / max(magnitude, 1e-30)
-                sink.add([1 if soft > 0 else 0], [soft], starts[k], False)
+                sink.add([1 if soft > 0 else 0], [soft], start, False)
         return sink.result()

@@ -1,6 +1,6 @@
 """Cross-substrate comparison suite behind ``repro substrates``.
 
-For every registered substrate mode the suite runs three checks over one
+For every substrate mode the suite runs three checks over one
 short shared-geometry capture (1.4 MHz, 2 frames, genie reference, model
 sync):
 
@@ -17,7 +17,7 @@ sync):
 
 The chip mode additionally runs an **identity** check: an explicit
 ``substrate="chip"`` config must reproduce the default config's report
-field-for-field — the registry dispatch must cost nothing in bits.
+field-for-field — the substrate dispatch must cost nothing in bits.
 
 The report JSON (``SUBSTRATES_PR10.json``; smoke runs default under
 ``artifacts/``) carries one comparison row per mode plus the per-check
@@ -31,7 +31,7 @@ from repro.core.system import LScatterSystem
 from repro.experiments.gates import step_violation
 from repro.experiments.subgrid import DISTANCE_ARMS, base_config
 from repro.faults.plan import FaultPlan
-from repro.substrates.base import ambient_kind_for, available_substrates
+from repro.substrates import available_substrates, get_substrate
 from repro.utils.integrity import write_json
 
 #: Close-range link check: any BER above this means the receiver broke.
@@ -86,11 +86,8 @@ def _check_ladder(mode, seed):
 
 def _check_identity(seed):
     explicit = _report_fields(_run(base_config("chip"), seed))
-    default = _report_fields(
-        _run(base_config("chip", substrate="chip"), seed)
-    )
-    # Belt and braces: also run a config that never names the field, the
-    # exact spelling pre-substrate callers use.
+    # A config that never names the field, the exact spelling
+    # pre-substrate callers use.
     implicit = _report_fields(
         _run(
             SystemConfig(
@@ -106,7 +103,7 @@ def _check_identity(seed):
         )
     )
     return {
-        "passed": explicit == default == implicit,
+        "passed": explicit == implicit,
         "explicit": explicit,
         "implicit": implicit,
     }
@@ -135,7 +132,7 @@ def run_suite(output, smoke=False, seed=0, substrate=None):
         report["comparison"].append(
             {
                 "substrate": mode,
-                "ambient_kind": ambient_kind_for(mode),
+                "ambient_kind": get_substrate(mode).ambient_kind,
                 **{
                     k: checks["link"][k]
                     for k in ("goodput_kbps", "ber", "n_bits")

@@ -60,32 +60,49 @@ class ChipSchedule:
     n_half_frames: int = 0  # half-frames actually scheduled
 
 
-def iter_half_frames(
+def lay_schedule(
     timing,
     n_samples,
     half_frame_samples,
+    payload_bits,
+    lay,
     owned_half_frames=None,
     drift_per_half_frame=0.0,
 ):
-    """Yield ``(half_index, half_start, drift)`` for owned half-frames.
+    """The :class:`ChipSchedule` one mode's ``lay`` builds over a capture.
 
-    The half-frame loop of every tag schedule, the chip scheme's and every
-    substrate's.  It starts at the first half-frame overlapping the
-    capture: windows before sample 0 are clipped individually by the
-    caller, so a small negative timing error never skips a half-frame.
+    The schedule skeleton of every tag mode, the chip scheme's and every
+    substrate's.  It walks the owned half-frames from the first one
+    overlapping the capture: windows before sample 0 are clipped one by
+    one by ``lay``, so a small negative timing error never skips a
+    half-frame.  ``lay(chips, halves, payload_bits)`` writes the mode's
+    chips into the all-'1' ``chips`` for the ``(half_start, drift)``
+    pairs in ``halves``, clipping each window to the capture, and returns
+    ``(windows, n_sent)``: the windows it laid and how many leading
+    payload bits they carry.
     """
     if owned_half_frames is not None:
         owned_half_frames = {int(h) for h in owned_half_frames}
     half_start = int(timing.half_frame_start)
     while half_start < -half_frame_samples // 2:
         half_start += half_frame_samples
-    half_index = -1
+    halves = []
+    half_index = 0
     while half_start + half_frame_samples <= n_samples:
-        half_index += 1
         if owned_half_frames is None or half_index in owned_half_frames:
             drift = int(round(half_index * float(drift_per_half_frame)))
-            yield half_index, half_start, drift
+            halves.append((half_start, drift))
+        half_index += 1
         half_start += half_frame_samples
+    payload_bits = np.asarray(payload_bits, dtype=np.int8)
+    chips = np.ones(int(n_samples), dtype=np.int8)
+    windows, n_sent = lay(chips, halves, payload_bits)
+    return ChipSchedule(
+        chips=chips,
+        windows=windows,
+        payload_bits=payload_bits[:n_sent].copy(),
+        n_half_frames=len(halves),
+    )
 
 
 class TagController:
@@ -142,10 +159,6 @@ class TagController:
 
     # -- scheduling -------------------------------------------------------------
 
-    def _symbol_plan(self):
-        """(slot, symbol) pairs modulated per half-frame, packet-ordered."""
-        return slot_plan()
-
     def build_schedule(
         self,
         timing,
@@ -170,20 +183,25 @@ class TagController:
         samples, so a drifting clock walks the chips out of the guard
         slack over the capture.  Returns a :class:`ChipSchedule`.
         """
-        params = self.params
-        payload_bits = np.asarray(payload_bits, dtype=np.int8)
-        chips = np.ones(int(n_samples), dtype=np.int8)
-        windows = []
-        preamble = preamble_bits(self.n_chips)
+        return lay_schedule(
+            timing,
+            n_samples,
+            self.params.samples_per_frame // 2,
+            payload_bits,
+            self._lay,
+            owned_half_frames,
+            drift_per_half_frame,
+        )
 
-        plan = self._symbol_plan()
+    def _lay(self, chips, halves, payload_bits):
+        """One packet per slot; a slot consumes its payload even when the
+        capture edge clips some of its windows."""
+        params = self.params
+        preamble = preamble_bits(self.n_chips)
+        plan = slot_plan()
+        windows = []
         consumed = 0
-        n_half_frames = 0
-        half = params.samples_per_frame // 2
-        for _index, half_start, drift in iter_half_frames(
-            timing, n_samples, half, owned_half_frames, drift_per_half_frame
-        ):
-            n_half_frames += 1
+        for half_start, drift in halves:
             for slot_symbols in plan:
                 data_symbols = len(slot_symbols) - 1
                 remaining = payload_bits[consumed:]
@@ -197,7 +215,7 @@ class TagController:
                         + self.chip_offset
                         + drift
                     )
-                    if start < 0 or start + self.n_chips > n_samples:
+                    if start < 0 or start + self.n_chips > len(chips):
                         continue
                     if index == 0:
                         bits = preamble
@@ -215,10 +233,4 @@ class TagController:
                             bits=bits.copy(),
                         )
                     )
-
-        return ChipSchedule(
-            chips=chips,
-            windows=windows,
-            payload_bits=payload_bits[:consumed].copy(),
-            n_half_frames=n_half_frames,
-        )
+        return windows, consumed

@@ -29,7 +29,7 @@ import numpy as np
 from repro.obs import metrics as _obs_metrics
 
 #: name -> cached callable, for introspection and global clearing.
-_REGISTRY = {}
+_CACHES = {}
 _LOCK = threading.Lock()
 
 
@@ -76,7 +76,7 @@ def memoize(maxsize=None):
 
         wrapper = functools.update_wrapper(cached, fn)
         with _LOCK:
-            _REGISTRY[f"{fn.__module__}.{fn.__qualname__}"] = wrapper
+            _CACHES[f"{fn.__module__}.{fn.__qualname__}"] = wrapper
         return wrapper
 
     return decorate
@@ -85,7 +85,7 @@ def memoize(maxsize=None):
 def cache_stats():
     """Per-cache ``{name: {hits, misses, maxsize, currsize}}`` snapshot."""
     with _LOCK:
-        entries = dict(_REGISTRY)
+        entries = dict(_CACHES)
     return {name: fn.cache_info()._asdict() for name, fn in entries.items()}
 
 
@@ -111,6 +111,6 @@ _obs_metrics.register_collector("utils.cache", _cache_totals)
 def clear_caches():
     """Empty every registered cache (used by tests; safe at any time)."""
     with _LOCK:
-        entries = list(_REGISTRY.values())
+        entries = list(_CACHES.values())
     for fn in entries:
         fn.cache_clear()

@@ -1,15 +1,9 @@
-"""Substrate registry contract: names, lookup errors, capability flags."""
+"""Substrate table contract: names, lookup errors, capability flags."""
 
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.substrates import (
-    Substrate,
-    ambient_kind_for,
-    available_substrates,
-    get_substrate,
-    register,
-)
+from repro.substrates import available_substrates, get_substrate
 
 EXPECTED_MODES = ("chip", "coded-pilot", "crs-fsk", "crs-ook", "srs-uplink")
 
@@ -32,20 +26,12 @@ def test_config_rejects_unknown_substrate_listing_modes():
         SystemConfig(substrate="morse")
 
 
-def test_register_requires_a_name():
-    with pytest.raises(ValueError, match="name"):
-
-        @register
-        class Nameless(Substrate):
-            name = ""
-
-
 def test_ambient_kinds():
-    assert ambient_kind_for("chip") == "lte-downlink"
-    assert ambient_kind_for("crs-ook") == "lte-downlink"
-    assert ambient_kind_for("crs-fsk") == "lte-downlink"
-    assert ambient_kind_for("coded-pilot") == "lte-downlink"
-    assert ambient_kind_for("srs-uplink") == "srs-uplink"
+    assert get_substrate("chip").ambient_kind == "lte-downlink"
+    assert get_substrate("crs-ook").ambient_kind == "lte-downlink"
+    assert get_substrate("crs-fsk").ambient_kind == "lte-downlink"
+    assert get_substrate("coded-pilot").ambient_kind == "lte-downlink"
+    assert get_substrate("srs-uplink").ambient_kind == "srs-uplink"
 
 
 def test_capability_flags():
