@@ -107,12 +107,18 @@ class FleetService:
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self):
-        """Spawn the worker pool; idempotent only from idle/drained."""
-        if self.state == "running":
-            raise ServiceError("service is already running")
+        """Spawn the worker pool, from ``idle`` only.
+
+        A drained service keeps its workers alive; :meth:`reopen` is what
+        re-admits, so a second pool never outlives :meth:`shutdown`.
+        """
         if self.state == "stopped":
             raise ServiceError("service is stopped; create a new one")
-        self.queue.reopen()
+        if self.state != "idle":
+            raise ServiceError(
+                f"service is already {self.state}; a drained service "
+                "re-admits through reopen()"
+            )
         self._spawn_workers(self.workers)
         self.state = "running"
         return self

@@ -8,7 +8,9 @@ no-loss/no-duplication guarantee across drain and reload, and the
 snapshot/telemetry surface.
 """
 
+import contextlib
 import json
+import threading
 import time
 
 import pytest
@@ -198,6 +200,9 @@ def test_lifecycle_errors():
         service.start()
     with pytest.raises(ServiceError, match="cannot reopen"):
         service.reopen()
+    service.drain()
+    with pytest.raises(ServiceError, match="already drained"):
+        service.start()
     service.shutdown()
     with pytest.raises(ServiceError, match="stopped"):
         service.start()
@@ -205,6 +210,22 @@ def test_lifecycle_errors():
     service.shutdown()
     with pytest.raises(ValueError, match="workers"):
         FleetService(workers=0)
+
+
+def test_no_worker_outlives_shutdown_after_a_drain():
+    before = set(threading.enumerate())
+    service = FleetService(workers=2)
+    service.start()
+    service.drain()
+    with contextlib.suppress(ServiceError):
+        service.start()
+    service.shutdown()
+    alive = [
+        thread.name
+        for thread in threading.enumerate()
+        if thread not in before and thread.name.startswith("fleet-service-worker-")
+    ]
+    assert alive == []
 
 
 @pytest.mark.parametrize(
