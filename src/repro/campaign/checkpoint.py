@@ -72,8 +72,12 @@ class CheckpointStore:
 
     # -- checkpoints -------------------------------------------------------------
 
-    def write(self, shard, row, elapsed_seconds=0.0):
-        """Atomically persist one completed shard; returns the path."""
+    def write(self, shard, row):
+        """Atomically persist one completed shard; returns the path.
+
+        The payload is the shard's identity and row alone, so a rerun
+        writes the same bytes; its wall time goes in the manifest.
+        """
         payload = {
             "version": CHECKPOINT_VERSION,
             "experiment": shard.experiment,
@@ -82,7 +86,6 @@ class CheckpointStore:
             "params": _jsonify(shard.params),
             "seed": int(shard.seed),
             "row": _jsonify(row),
-            "elapsed_seconds": float(elapsed_seconds),
         }
         record = {"crc32": crc32_bytes(_canonical(payload).encode()),
                   "payload": payload}

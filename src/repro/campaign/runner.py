@@ -197,9 +197,7 @@ class CampaignRunner:
                     error=result.error,
                 )
                 return
-            store.write(
-                shard, result["row"], elapsed_seconds=result["elapsed_seconds"]
-            )
+            store.write(shard, result["row"])
             obs_metrics.counter_inc("campaign.shards_completed")
             outcomes[shard.index] = ShardOutcome(
                 shard_id=shard.shard_id,

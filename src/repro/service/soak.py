@@ -245,12 +245,8 @@ def run_soak(
                 if status == "ok":
                     resumed += 1
                     continue
-            cohort_start = time.perf_counter()
             row = run_cohort_service(service, shard.params, shard.seed)
-            store.write(
-                shard, row,
-                elapsed_seconds=time.perf_counter() - cohort_start,
-            )
+            store.write(shard, row)
             completed += 1
             if after_cohort is not None:
                 after_cohort(shard.index)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 
 from repro.campaign import CheckpointStore, Shard
+from repro.utils.integrity import crc32_bytes
 
 
 def _shard(**overrides):
@@ -30,7 +31,7 @@ def test_write_verify_roundtrip_is_bit_exact(tmp_path):
         "count": np.int64(42),
         "nested": {"values": [1.0 / 3.0, 2.0 / 3.0]},
     }
-    store.write(shard, row, elapsed_seconds=1.25)
+    store.write(shard, row)
     status, got = store.verify(shard)
     assert status == "ok"
     assert got["throughput_mbps"] == row["throughput_mbps"]
@@ -38,6 +39,27 @@ def test_write_verify_roundtrip_is_bit_exact(tmp_path):
     assert got["count"] == 42
     assert got["nested"]["values"] == row["nested"]["values"]
     assert isinstance(got["ber"], float)
+
+
+def test_checkpoint_with_elapsed_seconds_still_verifies(tmp_path):
+    """Older checkpoints carried the shard's wall time in their payload;
+    ``--resume`` over such a run directory keeps trusting them."""
+    store = CheckpointStore(tmp_path)
+    shard = _shard()
+    payload = {
+        "version": 1,
+        "experiment": shard.experiment,
+        "shard_id": shard.shard_id,
+        "index": shard.index,
+        "params": shard.params,
+        "seed": shard.seed,
+        "row": {"value": 1.0},
+        "elapsed_seconds": 1.25,
+    }
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    with open(store.path(shard), "w") as fh:
+        json.dump({"crc32": crc32_bytes(canonical.encode()), "payload": payload}, fh)
+    assert store.verify(shard) == ("ok", {"value": 1.0})
 
 
 def test_missing_checkpoint(tmp_path):

@@ -23,6 +23,19 @@ def test_sharded_fig19_is_bit_identical_to_monolithic(tmp_path):
     assert report.checkpointed == report.total_shards
 
 
+def test_rerun_writes_byte_identical_checkpoints(tmp_path):
+    """A checkpoint holds the shard's identity and row, not its wall time."""
+    spec = CampaignSpec(experiment="fig23", seed=0, smoke=True)
+    stores = [CheckpointStore(tmp_path / name) for name in ("a", "b")]
+    for store in stores:
+        CampaignRunner(spec, store.run_dir).run()
+    shards = build_shards(spec)
+    assert shards
+    for shard in shards:
+        first, second = (open(store.path(shard), "rb").read() for store in stores)
+        assert first == second
+
+
 def test_single_shard_job_leaves_grid_incomplete(tmp_path, crashy):
     spec = CampaignSpec(experiment="crashy", seed=0)
     report = CampaignRunner(spec, tmp_path, n_shards=2, shard_index=0).run()
