@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-
 from repro.channel.link import LinkBudget
 from repro.core.link_budget import LScatterLinkModel
-from repro.tag.framing import DATA_SYMBOLS_PER_PACKET
 from repro.utils.rng import make_rng
 
 #: Slots (packets) per second under the tag schedule: 2 per half-frame
@@ -55,9 +53,6 @@ class SensorNetwork:
     def packet_success(self, tag):
         """P(one slot's packet delivers all its readings error-free)."""
         prediction = self.model.predict(tag.enb_to_tag_ft, tag.tag_to_ue_ft)
-        packet_bits = (
-            DATA_SYMBOLS_PER_PACKET * self.model.params.n_subcarriers
-        )
         # A slot carries many readings; a reading survives if its own bits
         # do.  Success probability is per reading.
         return prediction.sync_availability * (1.0 - prediction.ber) ** tag.reading_bits

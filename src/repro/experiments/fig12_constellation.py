@@ -31,10 +31,6 @@ def run(seed=0):
     pilot = apply_phase_offset(np.array([1.0 + 0j]), phi)
     corrected = eliminate_phase_offset(np.append(rotated, pilot), -1)[:-1]
 
-    def angle_spread(values):
-        angles = np.angle(values * np.sign(np.real(values) + 1e-12))
-        return float(np.sqrt(np.mean(angles**2)))
-
     rows = [
         {
             "constellation": "ideal",

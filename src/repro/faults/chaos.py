@@ -32,7 +32,6 @@ from repro.fleet.ambient import AmbientCache
 from repro.fleet.deployment import Deployment
 from repro.fleet.runner import FleetRunner
 from repro.stress.perturbations import (
-    PERTURBATIONS,
     SweepConfig,
     noop_contract,
     sweep,
@@ -42,14 +41,6 @@ from repro.stress.perturbations import (
 #: Fault kinds the sweep knows how to scale.  ``drift`` maps severity to
 #: tag clock drift in ppm (severity 1.0 = 2000 ppm, far past the guard).
 CHAOS_KINDS = ("dropout", "jammer", "impulse", "clipping", "drift")
-
-#: Kinds whose affected-sample sets nest across severities (coverage
-#: faults): goodput is monotone non-increasing by construction and the
-#: harness enforces it.  ``drift`` is a *threshold* fault — chips stay
-#: inside the guard slack until the accumulated walk exceeds it, and tiny
-#: in-slack shifts can flip individual soft decisions either way — so it
-#: is reported but not gated.
-MONOTONE_KINDS = frozenset(k for k in CHAOS_KINDS if PERTURBATIONS[k].gated)
 
 #: Preamble mis-slice fraction above which a packet's windows are erased.
 CHAOS_ERASURE_THRESHOLD = 0.35

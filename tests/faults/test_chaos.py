@@ -4,7 +4,11 @@ import json
 
 import pytest
 
-from repro.faults.chaos import CHAOS_KINDS, MONOTONE_KINDS, run_chaos
+from repro.faults.chaos import CHAOS_KINDS, run_chaos
+from repro.stress.perturbations import PERTURBATIONS
+
+#: The chaos kinds whose goodput curve is gated monotone.
+MONOTONE_KINDS = frozenset(k for k in CHAOS_KINDS if PERTURBATIONS[k].gated)
 
 
 @pytest.fixture(scope="module")
