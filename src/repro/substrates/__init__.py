@@ -27,7 +27,7 @@ def available_substrates():
 def get_substrate(name):
     """Look up a substrate class by name.
 
-    Unknown names raise a ``KeyError`` that lists every registered mode,
+    Unknown names raise a ``KeyError`` that lists every mode,
     so a typo in a config or CLI flag is self-explaining.
     """
     try:
